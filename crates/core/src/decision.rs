@@ -38,12 +38,12 @@ pub struct DecisionMaker {
     /// confirmed/cleared events.
     prev_sensor_alarm: bool,
     prev_actuator_alarm: bool,
-    /// Reusable statistic workspaces keyed by dimension (the same
-    /// lazily-built-and-cached discipline as `sensor_tests`) so warm
-    /// assessments run without heap allocation.
+    /// Reusable statistic workspaces keyed by dimension — the aggregate
+    /// sensor test's testing-set dimension and the conflict test's
+    /// input dimension (the same lazily-built-and-cached discipline as
+    /// `sensor_tests`) — so warm assessments run without heap
+    /// allocation.
     stat_workspaces: HashMap<usize, StatWorkspace>,
-    /// Per-dimension covariance-block scratch for the per-sensor views.
-    block_scratch: HashMap<usize, Matrix>,
     /// Innovation-consistent mode indices, rebuilt each iteration.
     qualifying: Vec<usize>,
     /// Actuator-estimate difference scratch (input dimension).
@@ -139,7 +139,6 @@ impl DecisionMaker {
             prev_sensor_alarm: false,
             prev_actuator_alarm: false,
             stat_workspaces: HashMap::new(),
-            block_scratch: HashMap::new(),
             qualifying: Vec::new(),
             diff: Vector::zeros(input_dim),
             joint: Matrix::zeros(input_dim, input_dim),
@@ -175,6 +174,13 @@ impl DecisionMaker {
     }
 
     /// Assesses one engine iteration.
+    ///
+    /// `engine_out` must come from a [`crate::MultiModeEngine`] step:
+    /// the actuator test and the per-sensor views read the per-mode
+    /// statistics the engine's parsimony pass stored in each output
+    /// ([`crate::NuiseOutput::actuator_statistic`],
+    /// [`crate::NuiseOutput::testing_statistics`]) instead of
+    /// recomputing them.
     ///
     /// # Errors
     ///
@@ -313,12 +319,10 @@ impl DecisionMaker {
             }
         }
         {
-            let dim = actuator_out.actuator_anomaly.len();
-            let stat = Self::stat_workspace(&mut self.stat_workspaces, dim)
-                .normalized_statistic_into(
-                    &actuator_out.actuator_anomaly,
-                    &actuator_out.actuator_covariance,
-                )?;
+            // The engine's parsimony pass already normalized this
+            // estimate by its covariance (the same pseudo-inverse and
+            // quadratic form, bit for bit).
+            let stat = actuator_out.actuator_statistic;
             report
                 .actuator_anomaly
                 .estimate
@@ -483,12 +487,15 @@ impl DecisionMaker {
         let mode = &modes.modes()[m];
         let out = &engine_out.modes[m];
         // Locate this sensor's block inside the mode's stacked testing
-        // vector.
+        // vector; the engine stored its statistic at the same slice
+        // index.
         system.subset_slices_into(mode.testing(), &mut self.slices);
-        let slice = *self
+        let (index, slice) = self
             .slices
             .iter()
-            .find(|s| s.sensor == sensor)
+            .copied()
+            .enumerate()
+            .find(|(_, s)| s.sensor == sensor)
             .expect("sensor is in this mode's testing set");
         if write == per_sensor.len() {
             per_sensor.push(SensorAnomaly {
@@ -503,21 +510,17 @@ impl DecisionMaker {
         let slot = &mut per_sensor[write];
         slot.sensor = sensor;
         slot.from_mode = m;
-        slot.name.clear();
-        slot.name.push_str(system.sensor_name(sensor));
+        let name = system.sensor_name(sensor);
+        if slot.name != name {
+            slot.name.clear();
+            slot.name.push_str(name);
+        }
         if slot.estimate.len() != slice.len {
             slot.estimate = Vector::zeros(slice.len);
         }
         out.sensor_anomaly
             .segment_into(slice.offset, &mut slot.estimate);
-        let block = self
-            .block_scratch
-            .entry(slice.len)
-            .or_insert_with(|| Matrix::zeros(slice.len, slice.len));
-        out.sensor_covariance
-            .block_into(slice.offset, slice.offset, block);
-        let stat = Self::stat_workspace(&mut self.stat_workspaces, slice.len)
-            .normalized_statistic_into(&slot.estimate, block)?;
+        let stat = out.testing_statistics[index];
         let test = self.sensor_test(slice.len)?;
         slot.statistic = stat;
         slot.exceeds = test.exceeds(stat);
@@ -705,16 +708,23 @@ mod tests {
             .zip(actuators)
             .map(|(mode, (d_a, cov, consistency))| {
                 let s_dim = system.subset_dim(mode.testing());
+                let actuator_covariance = Matrix::identity(2) * cov;
+                // The engine's parsimony pass fills the statistics; the
+                // zero sensor anomaly normalizes to zero per slice.
+                let actuator_statistic =
+                    roboads_stats::normalized_statistic(&d_a, &actuator_covariance).unwrap();
                 NuiseOutput {
                     state_estimate: Vector::zeros(3),
                     state_covariance: Matrix::identity(3) * 1e-4,
                     actuator_anomaly: d_a,
-                    actuator_covariance: Matrix::identity(2) * cov,
+                    actuator_covariance,
                     sensor_anomaly: Vector::zeros(s_dim),
                     sensor_covariance: Matrix::identity(s_dim) * 1e-4,
                     likelihood: 1.0,
                     consistency,
                     innovation: Vector::zeros(0),
+                    actuator_statistic,
+                    testing_statistics: vec![0.0; mode.testing().len()],
                 }
             })
             .collect();

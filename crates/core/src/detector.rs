@@ -3,7 +3,7 @@ use roboads_models::RobotSystem;
 
 use crate::config::RoboAdsConfig;
 use crate::decision::DecisionMaker;
-use crate::engine::{MultiModeEngine, SlabCommit};
+use crate::engine::{EngineOutput, MultiModeEngine, SlabCommit};
 use crate::mode::ModeSet;
 use crate::recorder::{FlightRecorder, RecorderConfig};
 use crate::report::DetectionReport;
@@ -294,6 +294,14 @@ impl RoboAds {
     /// Mutable access to the underlying engine (fleet slab path).
     pub(crate) fn engine_mut(&mut self) -> &mut MultiModeEngine {
         &mut self.engine
+    }
+
+    /// The engine output the last completed iteration was assessed on:
+    /// per-mode NUISE outputs (with their parsimony statistics),
+    /// probabilities, selection and activation flags. Unspecified before
+    /// the first successful step or after a failed one.
+    pub fn last_engine_output(&self) -> &EngineOutput {
+        self.engine.last_output()
     }
 
     /// Number of completed iterations.

@@ -359,16 +359,22 @@ impl ParsimonyScratch {
 /// test from the most precise innovation-consistent mode rather
 /// than the selected one.)
 ///
+/// The statistics it tests are stored in `out`
+/// ([`NuiseOutput::actuator_statistic`],
+/// [`NuiseOutput::testing_statistics`]) for the decision maker, which
+/// would otherwise recompute the same pseudo-inverses.
+///
 /// Runs entirely in `scratch` (workspace pseudo-inverses and in-place
 /// segment/block extraction), producing statistics bitwise identical to
 /// the allocating `segment`/`block`/`pseudo_inverse` formulation.
 pub(crate) fn implied_anomaly_count(
-    out: &NuiseOutput,
+    out: &mut NuiseOutput,
     actuator_threshold: f64,
     testing_slices: &[SensorSlice],
     testing_thresholds: &[f64],
     scratch: &mut ParsimonyScratch,
 ) -> Result<usize> {
+    debug_assert_eq!(out.testing_statistics.len(), testing_slices.len());
     let mut count = 0;
     // Own-actuator significance.
     out.actuator_covariance
@@ -377,14 +383,16 @@ pub(crate) fn implied_anomaly_count(
         .actuator_anomaly
         .quadratic_form(&scratch.actuator_pinv)
         .map_err(|e| CoreError::Numeric(e.to_string()))?;
+    out.actuator_statistic = a_stat;
     if a_stat > actuator_threshold {
         count += 1;
     }
     // Per-testing-sensor significance.
-    for ((slice, &threshold), s) in testing_slices
+    for (((slice, &threshold), s), slot) in testing_slices
         .iter()
         .zip(testing_thresholds)
         .zip(&mut scratch.slices)
+        .zip(out.testing_statistics.iter_mut())
     {
         out.sensor_anomaly.segment_into(slice.offset, &mut s.d);
         out.sensor_covariance
@@ -393,6 +401,7 @@ pub(crate) fn implied_anomaly_count(
         let stat =
             s.d.quadratic_form(&s.pinv)
                 .map_err(|e| CoreError::Numeric(e.to_string()))?;
+        *slot = stat;
         if stat > threshold {
             count += 1;
         }

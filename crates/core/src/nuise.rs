@@ -84,6 +84,18 @@ pub struct NuiseOutput {
     pub consistency: f64,
     /// Reference-sensor innovation `ν_k` (diagnostics).
     pub innovation: Vector,
+    /// Normalized actuator statistic `d̂ᵃᵀ(Pᵃ)†d̂ᵃ` of this output.
+    /// Written by the engine's implied-anomaly pass (scalar or slab),
+    /// which the decision maker's actuator test then reuses; a bare
+    /// NUISE step leaves it at `0.0`. Travelling with the estimates
+    /// keeps a dormant mode's stale output and stale statistic together.
+    pub actuator_statistic: f64,
+    /// Normalized per-testing-sensor statistics `d̂ˢ_sᵀ(Pˢ_ss)†d̂ˢ_s`,
+    /// one per testing slice in the mode's testing order (empty for a
+    /// mode that tests nothing). Written alongside
+    /// [`NuiseOutput::actuator_statistic`] and read by the decision
+    /// maker's per-sensor views; zeros from a bare NUISE step.
+    pub testing_statistics: Vec<f64>,
 }
 
 /// Model-evaluation helper honoring the linearization strategy: RoboADS
@@ -328,6 +340,8 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
         likelihood,
         consistency,
         innovation: nu,
+        actuator_statistic: 0.0,
+        testing_statistics: vec![0.0; testing.len()],
     })
 }
 
@@ -509,6 +523,8 @@ impl NuiseWorkspace {
             likelihood: 0.0,
             consistency: 0.0,
             innovation: Vector::zeros(self.m2_dim),
+            actuator_statistic: 0.0,
+            testing_statistics: vec![0.0; self.test_slices.len()],
         }
     }
 }

@@ -46,6 +46,9 @@ struct SlabSliceScratch<const K: usize> {
     cov: MatrixSlab<K>,
     offset: usize,
     len: usize,
+    /// Per-lane statistic of this slice, scattered into
+    /// [`NuiseOutput::testing_statistics`].
+    statistic: [f64; K],
 }
 
 /// Preallocated scratch for stepping K robots through one mode's NUISE
@@ -151,6 +154,7 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     pars_actuator_eig: EigenSlabWorkspace<K>,
     pars_actuator_pinv: MatrixSlab<K>,
     pars_slices: Vec<SlabSliceScratch<K>>,
+    actuator_statistic: [f64; K],
     counts: [usize; K],
 }
 
@@ -180,6 +184,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                 cov: MatrixSlab::zeros(s.len, s.len),
                 offset: s.offset,
                 len: s.len,
+                statistic: [0.0; K],
             })
             .collect();
         NuiseSlabWorkspace {
@@ -257,6 +262,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             pars_actuator_eig: EigenSlabWorkspace::new(q_dim),
             pars_actuator_pinv: MatrixSlab::zeros(q_dim, q_dim),
             pars_slices,
+            actuator_statistic: [0.0; K],
             counts: [0; K],
         }
     }
@@ -622,11 +628,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             },
             &mut self.pars_actuator_pinv,
         );
-        let a_stat = self
+        self.actuator_statistic = self
             .out_actuator_anomaly
             .quadratic_form(&self.pars_actuator_pinv);
         for l in 0..K {
-            self.counts[l] = usize::from(ok[l] && a_stat[l] > actuator_threshold);
+            self.counts[l] = usize::from(ok[l] && self.actuator_statistic[l] > actuator_threshold);
         }
         let pars_slices = &mut self.pars_slices;
         let sensor_anomaly = &self.out_sensor_anomaly;
@@ -664,9 +670,9 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                 },
                 &mut s.pinv,
             );
-            let stat = s.d.quadratic_form(&s.pinv);
+            s.statistic = s.d.quadratic_form(&s.pinv);
             for l in 0..K {
-                if ok[l] && stat[l] > threshold {
+                if ok[l] && s.statistic[l] > threshold {
                     counts[l] += 1;
                 }
             }
@@ -675,7 +681,9 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     }
 
     /// Copies lane `lane`'s results into `out` (which must be sized for
-    /// this workspace's mode, e.g. the engine's per-mode output slot).
+    /// this workspace's mode, e.g. the engine's per-mode output slot),
+    /// including the parsimony statistics the scalar
+    /// `implied_anomaly_count` would have stored there.
     /// Only meaningful for lanes whose [`run`](NuiseSlabWorkspace::run)
     /// flag was set.
     pub(crate) fn scatter_lane(&self, lane: usize, out: &mut NuiseOutput) {
@@ -694,6 +702,10 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         self.out_innovation.store_lane(lane, &mut out.innovation);
         out.likelihood = self.likelihood[lane];
         out.consistency = self.consistency[lane];
+        out.actuator_statistic = self.actuator_statistic[lane];
+        for (dst, s) in out.testing_statistics.iter_mut().zip(&self.pars_slices) {
+            *dst = s.statistic[lane];
+        }
     }
 
     /// Lane `lane`'s implied anomaly count from the last
@@ -794,7 +806,7 @@ mod tests {
                         )
                         .unwrap();
                         let expected_count = implied_anomaly_count(
-                            &reference,
+                            &mut reference,
                             actuator_threshold,
                             ws.testing_slices(),
                             &testing_thresholds,
@@ -855,6 +867,16 @@ mod tests {
             },
             &mut ws,
             &mut reference,
+        )
+        .unwrap();
+        // Scattered lanes carry the parsimony statistics too.
+        let mut scratch = ParsimonyScratch::new(system.input_dim(), ws.testing_slices());
+        implied_anomaly_count(
+            &mut reference,
+            9.21,
+            ws.testing_slices(),
+            &testing_thresholds,
+            &mut scratch,
         )
         .unwrap();
         for l in 0..2 {

@@ -43,8 +43,9 @@ const MAGIC: &[u8; 4] = b"RADS";
 
 /// Format version; bumped on any layout change. Restore rejects
 /// mismatches outright — snapshots are checkpoints, not archives, so
-/// there is no cross-version migration path.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// there is no cross-version migration path. Version 2 added the
+/// per-mode parsimony statistics to every stored mode output.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Body kind tags, so a fleet snapshot can never be restored onto a
 /// standalone detector (or vice versa) by accident.
@@ -133,6 +134,8 @@ pub(crate) fn put_nuise_output(out: &mut Vec<u8>, o: &NuiseOutput) {
     wire::put_f64(out, o.likelihood);
     wire::put_f64(out, o.consistency);
     put_vector(out, &o.innovation);
+    wire::put_f64(out, o.actuator_statistic);
+    wire::put_f64_slice(out, &o.testing_statistics);
 }
 
 pub(crate) fn read_nuise_output(rd: &mut ByteReader<'_>, o: &mut NuiseOutput) -> Result<()> {
@@ -145,6 +148,8 @@ pub(crate) fn read_nuise_output(rd: &mut ByteReader<'_>, o: &mut NuiseOutput) ->
     o.likelihood = rd.f64()?;
     o.consistency = rd.f64()?;
     read_vector(rd, &mut o.innovation)?;
+    o.actuator_statistic = rd.f64()?;
+    rd.f64_into(&mut o.testing_statistics)?;
     Ok(())
 }
 
@@ -306,6 +311,21 @@ mod tests {
             restore_detector(&mut twin, &bad),
             Err(CoreError::Snapshot { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_envelopes_are_refused() {
+        // Version 1 stored mode outputs without their parsimony
+        // statistics; its bodies cannot be read as version 2.
+        let mut twin = detector();
+        let mut old = snapshot_detector(&twin);
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        match restore_detector(&mut twin, &old) {
+            Err(CoreError::Snapshot { reason }) => {
+                assert!(reason.contains("version 1"), "{reason}")
+            }
+            other => panic!("version-1 snapshot accepted: {other:?}"),
+        }
     }
 
     #[test]

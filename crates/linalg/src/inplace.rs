@@ -575,6 +575,11 @@ impl EigenWorkspace {
 
     /// Decomposes `m` (upper triangle, as the allocating path does).
     ///
+    /// Runs on the flat row-major storage rather than through the
+    /// bounds-asserting `(i, j)` index, with the allocating path's
+    /// rotation order and per-entry expressions unchanged, so the
+    /// results stay bitwise identical to [`crate::SymmetricEigen::new`].
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`], [`LinalgError::Empty`],
@@ -595,61 +600,72 @@ impl EigenWorkspace {
                 rhs: m.shape(),
             });
         }
-        let a = &mut self.a;
-        let v = &mut self.v;
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = if i <= j { m[(i, j)] } else { m[(j, i)] };
+        let src = m.as_slice();
+        for (i, row) in self.a.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = if i <= j {
+                    src[i * n + j]
+                } else {
+                    src[j * n + i]
+                };
             }
         }
-        v.set_identity();
-        let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
+        self.v.set_identity();
+        let norm = self.a.frobenius_norm().max(f64::MIN_POSITIVE);
+        let a = self.a.as_mut_slice();
+        let v = self.v.as_mut_slice();
 
         for _sweep in 0..MAX_SWEEPS {
             let mut off = 0.0;
             for i in 0..n {
-                for j in (i + 1)..n {
-                    off += a[(i, j)] * a[(i, j)];
+                for &aij in &a[i * n + i + 1..(i + 1) * n] {
+                    off += aij * aij;
                 }
             }
             if off.sqrt() <= CONVERGENCE_TOL * norm {
-                for i in 0..n {
-                    self.eigenvalues[i] = a[(i, i)];
+                for (i, ev) in self.eigenvalues.as_mut_slice().iter_mut().enumerate() {
+                    *ev = a[i * n + i];
                 }
                 return Ok(());
             }
             for p in 0..n {
                 for q in (p + 1)..n {
-                    let apq = a[(p, q)];
+                    let apq = a[p * n + q];
                     if apq.abs() <= f64::MIN_POSITIVE {
                         continue;
                     }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
+                    let app = a[p * n + p];
+                    let aqq = a[q * n + q];
                     let theta = (aqq - app) / (2.0 * apq);
                     let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                     let c = 1.0 / (t * t + 1.0).sqrt();
                     let s = t * c;
 
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akq = a[(k, q)];
-                        a[(k, p)] = c * akp - s * akq;
-                        a[(k, q)] = s * akp + c * akq;
+                    // Columns p and q (every entry depends only on its
+                    // own row, so the row-chunk walk is the k loop).
+                    for row in a.chunks_exact_mut(n) {
+                        let akp = row[p];
+                        let akq = row[q];
+                        row[p] = c * akp - s * akq;
+                        row[q] = s * akp + c * akq;
                     }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let aqk = a[(q, k)];
-                        a[(p, k)] = c * apk - s * aqk;
-                        a[(q, k)] = s * apk + c * aqk;
+                    // Rows p and q (p < q, so they split cleanly).
+                    let (head, tail) = a.split_at_mut(q * n);
+                    let row_p = &mut head[p * n..(p + 1) * n];
+                    let row_q = &mut tail[..n];
+                    for (xp, xq) in row_p.iter_mut().zip(row_q.iter_mut()) {
+                        let apk = *xp;
+                        let aqk = *xq;
+                        *xp = c * apk - s * aqk;
+                        *xq = s * apk + c * aqk;
                     }
-                    a[(p, q)] = 0.0;
-                    a[(q, p)] = 0.0;
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
+                    a[p * n + q] = 0.0;
+                    a[q * n + p] = 0.0;
+                    for row in v.chunks_exact_mut(n) {
+                        let vkp = row[p];
+                        let vkq = row[q];
+                        row[p] = c * vkp - s * vkq;
+                        row[q] = s * vkp + c * vkq;
                     }
                 }
             }
@@ -680,16 +696,20 @@ impl EigenWorkspace {
     pub fn spectral_map_into(&self, f: impl Fn(f64) -> f64, out: &mut Matrix) {
         let n = self.dim();
         assert_shape("spectral_map_into", out.shape(), (n, n));
-        let v = &self.v;
+        let v = self.v.as_slice();
         out.fill(0.0);
-        for k in 0..n {
-            let fl = f(self.eigenvalues[k]);
+        let out = out.as_mut_slice();
+        for (k, &lambda) in self.eigenvalues.as_slice().iter().enumerate() {
+            let fl = f(lambda);
             if fl == 0.0 {
                 continue;
             }
-            for i in 0..n {
-                for j in 0..n {
-                    out[(i, j)] += fl * v[(i, k)] * v[(j, k)];
+            // `fl * v[i][k] * v[j][k]` associates left, so hoisting
+            // `fl * v[i][k]` out of the j loop keeps every product exact.
+            for (out_row, v_row) in out.chunks_exact_mut(n).zip(v.chunks_exact(n)) {
+                let fl_vik = fl * v_row[k];
+                for (o, v_j) in out_row.iter_mut().zip(v.chunks_exact(n)) {
+                    *o += fl_vik * v_j[k];
                 }
             }
         }
