@@ -10,8 +10,8 @@
 //!
 //! * the *allocation-free* NUISE path (`nuise_step_into` with a warm
 //!   [`NuiseWorkspace`]) against the allocating reference,
-//! * multi-thread *scaling* of the complete 7-mode Khepera bank at
-//!   1/2/4 fan-out workers (bitwise-identical outputs; see
+//! * robot-grain fleet *throughput* at 1/2/4 pool workers (widths
+//!   above the host's available parallelism are skipped; see
 //!   `DESIGN.md`, threading model),
 //! * the *telemetry overhead*: a detector step with the default
 //!   disabled sink versus one streaming spans into a
@@ -72,28 +72,14 @@ fn clean_readings(system: &roboads_models::RobotSystem, x: &Vector) -> Vec<Vecto
         .collect()
 }
 
-/// `(requested, effective)` thread widths for the scaling sections.
-/// Requests beyond the host's available parallelism are clamped: timing
-/// a 4-worker pool on a 1-core CI container measures pure
-/// oversubscription, which says nothing about the code and doubles the
-/// bench's wall time. The emitted rows keep the requested width and
-/// carry a `clamped` mark so archived results from different hosts stay
-/// comparable.
-fn clamped_thread_grid() -> Vec<(usize, usize)> {
+/// Worker widths for the robot-grain sections: 1/2/4, minus any width
+/// beyond the host's available parallelism. Timing a 4-worker pool on a
+/// 1-core container measures pure oversubscription, which says nothing
+/// about the code and doubles the bench's wall time, so such widths are
+/// not run (and not reported) at all.
+fn thread_grid() -> Vec<usize> {
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|r| (r, r.min(avail)))
-        .collect()
-}
-
-/// Suffix marking a clamped row in the console table.
-fn clamp_mark(requested: usize, effective: usize) -> String {
-    if effective < requested {
-        format!(" (clamped to {effective})")
-    } else {
-        String::new()
-    }
+    [1usize, 2, 4].into_iter().filter(|&t| t <= avail).collect()
 }
 
 /// Returns `(allocating µs, workspace µs)` for a single NUISE step.
@@ -193,86 +179,10 @@ fn bench_detector_and_overhead(fast: bool) -> (f64, f64, f64) {
     (disabled, enabled, overhead)
 }
 
-/// Steps the complete 7-mode Khepera bank at 1/2/4 fan-out workers and
-/// returns `(threads, step seconds)` rows. The parallel runs produce
-/// bitwise-identical outputs to the sequential one (enforced by
-/// `roboads-core`'s determinism suite), so this measures pure schedule
-/// overhead vs. win.
-///
-/// These rows are **intra-step (dispatch-bound)**: the unit of parallel
-/// work is one ~2 µs mode step, so pool dispatch (~tens of µs) dominates
-/// and speedups sit below 1.0 on small banks — especially on single-core
-/// CI containers (see `available_parallelism` in `BENCH_perf.json`).
-/// Robot-grain batching (the `fleet_throughput` section) is the shape
-/// that scales; this section exists to keep the contrast measured.
-fn bench_scaling(fast: bool) -> Vec<ScalingRow> {
-    let system = presets::khepera_system();
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let x1 = system.dynamics().step(&x0, &u);
-    let readings = clean_readings(&system, &x1);
-    let (batches, per_batch) = if fast { (5, 5) } else { (30, 20) };
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    for (requested, effective) in clamped_thread_grid() {
-        // A clamped request repeats an already-measured width; reuse the
-        // sample instead of re-timing the identical configuration.
-        let seconds = match rows.iter().find(|r| r.effective == effective) {
-            Some(prior) => prior.seconds,
-            None => {
-                let mut engine = MultiModeEngine::new(
-                    system.clone(),
-                    ModeSet::complete(&system),
-                    x0.clone(),
-                    &RoboAdsConfig::paper_defaults().with_threads(effective),
-                )
-                .unwrap();
-                assert_eq!(engine.threads(), effective);
-                time_median(batches, per_batch, || {
-                    engine.step(&u, &readings).unwrap();
-                })
-            }
-        };
-        report(
-            &format!(
-                "intra-step (dispatch-bound) threads={requested}{}",
-                clamp_mark(requested, effective)
-            ),
-            seconds,
-        );
-        rows.push(ScalingRow {
-            requested,
-            effective,
-            seconds,
-        });
-    }
-    let sequential = rows[0].seconds;
-    for row in rows.iter().skip(1) {
-        println!(
-            "{:<44} {:>9.2} x",
-            format!(
-                "intra-step (dispatch-bound) speedup threads={}{}",
-                row.requested,
-                clamp_mark(row.requested, row.effective)
-            ),
-            sequential / row.seconds
-        );
-    }
-    rows
-}
-
-/// One intra-step scaling sample (`requested` is what the table is
-/// keyed by; `effective` is what actually ran after host clamping).
-struct ScalingRow {
-    requested: usize,
-    effective: usize,
-    seconds: f64,
-}
-
 /// One fleet-throughput sample.
 struct FleetRow {
     robots: usize,
-    requested: usize,
-    effective: usize,
+    threads: usize,
     seconds: f64,
 }
 
@@ -304,11 +214,10 @@ struct SlabGroupRow {
 
 /// Fleet throughput: N warm detectors stepped through one
 /// `FleetEngine::step_batch` per tick, at robot grain. Returns
-/// `(robots, threads, per-robot-step seconds)` rows. Unlike the
-/// intra-step section above, the unit of parallel work here is a whole
-/// ~30 µs detector step × `robots/threads`, so dispatch amortizes to
-/// noise and the per-robot-step cost stays at the standalone
-/// `detector_step` cost even at 1 thread.
+/// `(robots, threads, per-robot-step seconds)` rows. The unit of
+/// parallel work is a whole detector step × `robots/threads`, so
+/// dispatch amortizes to noise and the per-robot-step cost stays at the
+/// standalone `detector_step` cost even at 1 thread.
 fn bench_fleet_throughput(fast: bool) -> Vec<FleetRow> {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
@@ -318,53 +227,39 @@ fn bench_fleet_throughput(fast: bool) -> Vec<FleetRow> {
     let robot_counts: &[usize] = if fast { &[1, 8, 64] } else { &[1, 8, 64, 256] };
     let mut rows: Vec<FleetRow> = Vec::new();
     for &robots in robot_counts {
-        for (requested, effective) in clamped_thread_grid() {
-            let seconds = match rows
-                .iter()
-                .find(|r| r.robots == robots && r.effective == effective)
-            {
-                Some(prior) => prior.seconds,
-                None => {
-                    let mut fleet = FleetEngine::new(
-                        (0..robots)
-                            .map(|_| RoboAds::with_defaults(system.clone(), x0.clone()).unwrap())
-                            .collect(),
-                        effective,
-                    );
-                    let inputs: Vec<RobotInput> = (0..robots)
-                        .map(|_| RobotInput {
-                            u_prev: &u,
-                            readings: &readings,
-                        })
-                        .collect();
-                    // Keep total robot-steps per sample roughly constant
-                    // across fleet sizes so large fleets don't blow up
-                    // wall time.
-                    let per_batch = (if fast { 32 } else { 256 } / robots).max(1);
-                    let batches = if fast { 3 } else { 10 };
-                    let t_batch = time_median(batches, per_batch, || {
-                        fleet.step_batch(&inputs).unwrap();
-                    });
-                    t_batch / robots as f64
-                }
-            };
+        for threads in thread_grid() {
+            let mut fleet = FleetEngine::new(
+                (0..robots)
+                    .map(|_| RoboAds::with_defaults(system.clone(), x0.clone()).unwrap())
+                    .collect(),
+                threads,
+            );
+            let inputs: Vec<RobotInput> = (0..robots)
+                .map(|_| RobotInput {
+                    u_prev: &u,
+                    readings: &readings,
+                })
+                .collect();
+            // Keep total robot-steps per sample roughly constant across
+            // fleet sizes so large fleets don't blow up wall time.
+            let per_batch = (if fast { 32 } else { 256 } / robots).max(1);
+            let batches = if fast { 3 } else { 10 };
+            let seconds = time_median(batches, per_batch, || {
+                fleet.step_batch(&inputs).unwrap();
+            }) / robots as f64;
             report(
-                &format!(
-                    "fleet_step/robots={robots} threads={requested}{}",
-                    clamp_mark(requested, effective)
-                ),
+                &format!("fleet_step/robots={robots} threads={threads}"),
                 seconds,
             );
             rows.push(FleetRow {
                 robots,
-                requested,
-                effective,
+                threads,
                 seconds,
             });
         }
     }
     for row in &rows {
-        if row.requested == 1 && row.robots > 1 {
+        if row.threads == 1 && row.robots > 1 {
             println!(
                 "{:<44} {:>9.0} robot-steps/s",
                 format!("fleet throughput robots={} threads=1", row.robots),
@@ -455,13 +350,12 @@ fn bench_ingest_throughput(fast: bool) -> Vec<IngestRow> {
 }
 
 /// One sharded-fleet throughput sample: 64 robots hash-partitioned over
-/// `requested` shards (each shard stepped on its own worker), driven
+/// `shards` shards (each shard stepped on its own worker), driven
 /// through the stamped-offer front door with journaling and periodic
 /// snapshots on — the full service-path cost.
 struct ShardRow {
     robots: usize,
-    requested: usize,
-    effective: usize,
+    shards: usize,
     /// Per-robot-step seconds through the sharded service path.
     seconds: f64,
     /// Cost added over the plain `FleetIngest`-driven engine, percent
@@ -536,53 +430,41 @@ fn bench_shard_scaling(fast: bool) -> (Vec<ShardRow>, ShardRecoveryRow) {
     );
 
     let mut rows: Vec<ShardRow> = Vec::new();
-    for (requested, effective) in clamped_thread_grid() {
-        let seconds = match rows.iter().find(|r| r.effective == effective) {
-            Some(prior) => prior.seconds,
-            None => {
-                let mut fleet = ShardedFleet::new(
-                    &ids,
-                    factory.clone(),
-                    ShardConfig {
-                        shards: effective,
-                        threads_per_shard: 1,
-                        snapshot_period: 64,
-                        steal_margin: 0,
-                    },
-                )
-                .unwrap();
-                time_median(batches, per_batch, || {
-                    let k = fleet.tick();
-                    for &id in &ids {
-                        fleet.offer_input(id, &u, k).unwrap();
-                        for (s, reading) in readings.iter().enumerate() {
-                            fleet.offer(id, s, reading, k).unwrap();
-                        }
-                    }
-                    fleet.step().unwrap();
-                }) / robots as f64
+    for shards in thread_grid() {
+        let mut fleet = ShardedFleet::new(
+            &ids,
+            factory.clone(),
+            ShardConfig {
+                shards,
+                threads_per_shard: 1,
+                snapshot_period: 64,
+                steal_margin: 0,
+            },
+        )
+        .unwrap();
+        let seconds = time_median(batches, per_batch, || {
+            let k = fleet.tick();
+            for &id in &ids {
+                fleet.offer_input(id, &u, k).unwrap();
+                for (s, reading) in readings.iter().enumerate() {
+                    fleet.offer(id, s, reading, k).unwrap();
+                }
             }
-        };
+            fleet.step().unwrap();
+        }) / robots as f64;
         let overhead_vs_engine_pct = (seconds / baseline - 1.0) * 100.0;
         report(
-            &format!(
-                "shard_service/robots={robots} shards={requested}{}",
-                clamp_mark(requested, effective)
-            ),
+            &format!("shard_service/robots={robots} shards={shards}"),
             seconds,
         );
         println!(
             "{:<44} {:>9.2} %",
-            format!(
-                "shard overhead shards={requested}{} vs engine",
-                clamp_mark(requested, effective)
-            ),
+            format!("shard overhead shards={shards} vs engine"),
             overhead_vs_engine_pct
         );
         rows.push(ShardRow {
             robots,
-            requested,
-            effective,
+            shards,
             seconds,
             overhead_vs_engine_pct,
         });
@@ -655,7 +537,7 @@ fn check_shard_gate(rows: &[ShardRow], recovery: &ShardRecoveryRow) {
     }
     let single = rows
         .iter()
-        .find(|r| r.effective == 1)
+        .find(|r| r.shards == 1)
         .expect("shard gate requires the 1-shard row");
     println!(
         "shard gate: {:.2} % service overhead at 1 shard (budget {:.1} %)",
@@ -768,7 +650,7 @@ fn check_recorder_gate(row: &RecorderRow) {
 /// Slab-vs-scalar fleet throughput, measured **back to back in the same
 /// run** at 1 thread so host drift cannot masquerade as a kernel win:
 /// for each robot count, a scalar fleet (`slab_lanes = 1`, the
-/// per-robot path) and then SoA slab fleets at 4 and 8 lanes. This is
+/// per-robot path) and then an SoA slab fleet at 8 lanes. This is
 /// the headline number of the slab work: identical arithmetic, batched
 /// across robots so the dense kernels vectorize.
 fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
@@ -779,7 +661,7 @@ fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
     let readings = clean_readings(&system, &x1);
     let modes = ModeSet::one_reference_per_sensor(&system);
     let robot_counts: &[usize] = if fast { &[64] } else { &[64, 256] };
-    const LANES: [usize; 3] = [1, 4, 8];
+    const LANES: [usize; 2] = [1, 8];
     let mut rows: Vec<SlabRow> = Vec::new();
     for &robots in robot_counts {
         // One fleet per lane width, timing windows interleaved
@@ -1297,7 +1179,7 @@ fn check_fleet_gate(
     }
     let row = fleet
         .iter()
-        .filter(|r| r.requested == 1 && r.robots >= 64)
+        .filter(|r| r.threads == 1 && r.robots >= 64)
         .min_by_key(|r| r.robots)
         .expect("fleet gate requires a >=64-robot / 1-thread row");
     let rate = 1.0 / row.seconds;
@@ -1409,7 +1291,6 @@ fn bench_substrates(fast: bool) {
 /// The per-section result rows `write_results` renders, bundled so the
 /// signature doesn't grow an argument per bench section.
 struct SectionRows<'a> {
-    scaling: &'a [ScalingRow],
     fleet: &'a [FleetRow],
     slab: &'a [SlabRow],
     slab_groups: &'a [SlabGroupRow],
@@ -1422,7 +1303,6 @@ struct SectionRows<'a> {
 
 fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRows, fast: bool) {
     let SectionRows {
-        scaling,
         fleet,
         slab,
         slab_groups,
@@ -1444,23 +1324,10 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
     o.field_f64("detector_step_noop_us", detector.0 * 1e6);
     o.field_f64("detector_step_ring_us", detector.1 * 1e6);
     o.field_f64("telemetry_overhead_pct", detector.2);
-    let rows = roboads_core::obs::json::array_of(scaling.iter().map(|r| {
-        let mut row = JsonObject::new();
-        row.field_str("grain", "intra-step (dispatch-bound)");
-        row.field_u64("threads", r.requested as u64);
-        row.field_u64("effective_threads", r.effective as u64);
-        row.field_bool("clamped", r.effective < r.requested);
-        row.field_f64("engine_step_us", r.seconds * 1e6);
-        row.field_f64("speedup", scaling[0].seconds / r.seconds);
-        row.finish()
-    }));
-    o.field_raw("intra_step_scaling_complete_modes_7", &rows);
     let fleet_rows = roboads_core::obs::json::array_of(fleet.iter().map(|r| {
         let mut row = JsonObject::new();
         row.field_u64("robots", r.robots as u64);
-        row.field_u64("threads", r.requested as u64);
-        row.field_u64("effective_threads", r.effective as u64);
-        row.field_bool("clamped", r.effective < r.requested);
+        row.field_u64("threads", r.threads as u64);
         row.field_f64("robot_step_us", r.seconds * 1e6);
         row.field_f64("robot_steps_per_sec", 1.0 / r.seconds);
         row.finish()
@@ -1520,9 +1387,7 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
     let shard_rows = roboads_core::obs::json::array_of(shard.iter().map(|r| {
         let mut row = JsonObject::new();
         row.field_u64("robots", r.robots as u64);
-        row.field_u64("shards", r.requested as u64);
-        row.field_u64("effective_shards", r.effective as u64);
-        row.field_bool("clamped", r.effective < r.requested);
+        row.field_u64("shards", r.shards as u64);
         row.field_f64("robot_step_us", r.seconds * 1e6);
         row.field_f64("robot_steps_per_sec", 1.0 / r.seconds);
         row.field_f64("overhead_vs_engine_pct", r.overhead_vs_engine_pct);
@@ -1578,14 +1443,12 @@ fn main() {
     // stepping measured in the same run — both drift-safe.
     let (shard, shard_recovery) = bench_shard_scaling(fast);
     check_shard_gate(&shard, &shard_recovery);
-    let scaling = bench_scaling(fast);
     bench_substrates(fast);
     bench_simulation(fast);
     write_results(
         nuise,
         detector,
         &SectionRows {
-            scaling: &scaling,
             fleet: &fleet,
             slab: &slab,
             slab_groups: &slab_groups,

@@ -110,8 +110,8 @@ pub fn aggregate(name: &str, number: usize, evals: &[EvalResult]) -> ScenarioAgg
 
 /// Maps `jobs` through `f` on a `threads`-worker [`Pool`], preserving
 /// input order in the output (each job writes its pre-assigned slot —
-/// no sorting pass, and the same engine that runs the detector's own
-/// NUISE fan-out).
+/// no sorting pass, and the same pool type the fleet engine steps
+/// robots on).
 ///
 /// # Panics
 ///

@@ -19,7 +19,6 @@ use crate::{Path, Result, RrtStar};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mission {
     /// Start position (m).
     pub start: (f64, f64),

@@ -20,7 +20,6 @@ use crate::{ControlError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Path {
     waypoints: Vec<(f64, f64)>,
     /// Cumulative arc length at each waypoint; `cumulative[0] = 0`.

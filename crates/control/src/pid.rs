@@ -19,7 +19,6 @@ use crate::{ControlError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pid {
     kp: f64,
     ki: f64,

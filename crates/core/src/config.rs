@@ -5,7 +5,6 @@ use crate::{CoreError, Result};
 /// Sliding-window decision parameters: `criteria` positives within the
 /// last `window` iterations confirm an alarm (paper notation `c/w`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowConfig {
     /// Required number of positives `c`.
     pub criteria: usize,
@@ -22,7 +21,6 @@ impl WindowConfig {
 
 /// How the nonlinear model is linearized by the estimator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Linearization {
     /// Re-linearize at the current estimate every control iteration —
     /// the RoboADS approach.
@@ -50,7 +48,6 @@ pub enum Linearization {
 /// on consistency collapse, χ²-window activity, or an audited dormant
 /// mode beating the selected mode by `wake_margin`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ActivationPolicy {
     /// Every mode advances every iteration — Algorithm 1 verbatim, and
     /// bitwise-identical to the engine before the policy existed.
@@ -98,7 +95,6 @@ impl ActivationPolicy {
 /// assert_eq!(config.actuator_window.criteria, 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoboAdsConfig {
     /// Significance level for the sensor-misbehavior χ² tests.
     pub sensor_alpha: f64,
@@ -132,26 +128,13 @@ pub struct RoboAdsConfig {
     /// (the IMM transition prior; DESIGN.md §2f). `0.0` disables mixing
     /// (ablation).
     pub mode_mixing: f64,
-    /// Worker threads for the per-mode NUISE fan-out. `None` (the
-    /// default) lets the engine judge: banks whose estimated per-step
-    /// work falls below the pool's measured dispatch cost — every
-    /// built-in evaluation bank — run sequentially, and only genuinely
-    /// heavy banks widen to the machine's available parallelism.
-    /// `Some(n)` forces a width; `Some(1)` is the exact sequential
-    /// path. The engine never spawns more workers than it has modes,
-    /// and parallel output is bitwise identical to sequential (see
-    /// `DESIGN.md`, threading model). For many-robot deployments
-    /// prefer per-robot sequential engines batched by a
-    /// `FleetEngine`, which parallelizes at robot grain instead.
-    pub threads: Option<usize>,
     /// Lane width `K` of the fleet's SIMD-batched slab path: a
     /// `FleetEngine` whose robots share one system model and mode bank
     /// steps them `K` at a time through structure-of-arrays NUISE
     /// kernels (bitwise identical to per-robot stepping; see
-    /// `DESIGN.md` §13). `None` (the default) uses the tuned width 8;
-    /// `Some(1)` disables the slab path; otherwise must be 4 or 8 (the
-    /// widths the kernels are compiled for). Ignored outside fleet
-    /// batching.
+    /// `DESIGN.md` §13). `None` (the default) and `Some(8)` use the
+    /// width the kernels are compiled for; `Some(1)` disables the slab
+    /// path. Ignored outside fleet batching.
     pub slab_lanes: Option<usize>,
     /// Mode-bank activation schedule. [`ActivationPolicy::AlwaysFull`]
     /// (the default) steps every hypothesis every iteration;
@@ -175,7 +158,6 @@ impl RoboAdsConfig {
             compensate_actuator_anomalies: true,
             parsimony_rho: 0.05,
             mode_mixing: 0.02,
-            threads: None,
             slab_lanes: None,
             activation: ActivationPolicy::AlwaysFull,
         }
@@ -237,17 +219,11 @@ impl RoboAdsConfig {
                 value: format!("{}", self.mode_mixing),
             });
         }
-        if self.threads == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                name: "threads",
-                value: "0".into(),
-            });
-        }
         if let Some(lanes) = self.slab_lanes {
-            if !matches!(lanes, 1 | 4 | 8) {
+            if !matches!(lanes, 1 | 8) {
                 return Err(CoreError::InvalidConfig {
                     name: "slab_lanes",
-                    value: format!("{lanes} (must be 1, 4 or 8)"),
+                    value: format!("{lanes} (must be 1 or 8)"),
                 });
             }
         }
@@ -323,15 +299,8 @@ impl RoboAdsConfig {
         self
     }
 
-    /// Returns a copy pinning the NUISE fan-out to `threads` workers
-    /// (`1` = sequential; must be nonzero).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Returns a copy pinning the fleet slab lane width (`1` disables
-    /// the slab path; otherwise 4 or 8).
+    /// the slab path; otherwise 8).
     pub fn with_slab_lanes(mut self, lanes: usize) -> Self {
         self.slab_lanes = Some(lanes);
         self
@@ -417,23 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_knob_validates() {
-        assert!(RoboAdsConfig::paper_defaults().threads.is_none());
-        RoboAdsConfig::paper_defaults()
-            .with_threads(1)
-            .validate()
-            .unwrap();
-        RoboAdsConfig::paper_defaults()
-            .with_threads(8)
-            .validate()
-            .unwrap();
-        assert!(RoboAdsConfig::paper_defaults()
-            .with_threads(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn activation_knob_validates() {
         assert_eq!(
             RoboAdsConfig::paper_defaults().activation,
@@ -478,17 +430,27 @@ mod tests {
     #[test]
     fn slab_lane_knob_validates() {
         assert!(RoboAdsConfig::paper_defaults().slab_lanes.is_none());
-        for lanes in [1, 4, 8] {
+        for lanes in [1, 8] {
             RoboAdsConfig::paper_defaults()
                 .with_slab_lanes(lanes)
                 .validate()
                 .unwrap();
         }
-        for lanes in [0, 2, 3, 16] {
-            assert!(RoboAdsConfig::paper_defaults()
+        for lanes in [0, 2, 3, 4, 16] {
+            let err = RoboAdsConfig::paper_defaults()
                 .with_slab_lanes(lanes)
                 .validate()
-                .is_err());
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        name: "slab_lanes",
+                        ..
+                    }
+                ),
+                "lanes {lanes}: {err:?}"
+            );
         }
     }
 }

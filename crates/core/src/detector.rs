@@ -329,12 +329,6 @@ impl RoboAds {
         self.engine.modes()
     }
 
-    /// Effective intra-step NUISE fan-out width of the engine (`1` on
-    /// the sequential path — a fleet-eligible detector).
-    pub fn engine_threads(&self) -> usize {
-        self.engine.threads()
-    }
-
     /// Appends the detector's mutable state (iteration, engine,
     /// decision maker) to a snapshot buffer. The flight recorder is not
     /// snapshotted — reattach one after restore if needed; its contents

@@ -1,10 +1,7 @@
-use std::sync::Arc;
-
 use roboads_linalg::{EigenWorkspace, Matrix, Vector};
 use roboads_models::{RobotSystem, SensorSlice};
 use roboads_obs::wire;
 use roboads_obs::{Counter, Gauge, Histogram, Telemetry, Value};
-use roboads_pool::Pool;
 
 use crate::config::{ActivationPolicy, Linearization, RoboAdsConfig};
 use crate::mode::ModeSet;
@@ -67,12 +64,10 @@ pub(crate) enum SlabCommit {
 /// single state estimate that is refreshed from the selected mode each
 /// iteration.
 ///
-/// The per-mode NUISE runs are independent, so the engine fans them out
-/// over a persistent worker pool when [`RoboAdsConfig::threads`]
-/// resolves to more than one worker. Results are written into
-/// pre-assigned per-mode slots and consumed in mode order, so the
-/// parallel output is bitwise identical to the sequential path (see
-/// `DESIGN.md`, threading model).
+/// The bank steps sequentially on the calling thread: each mode is a
+/// few microseconds of small-matrix work, far below a pool dispatch, so
+/// parallelism lives at robot grain in [`crate::FleetEngine`] instead
+/// (see `DESIGN.md`, threading model).
 ///
 /// # Example
 ///
@@ -133,24 +128,18 @@ pub struct MultiModeEngine {
     /// Per-mode χ² critical values for the per-testing-sensor parsimony
     /// checks, aligned with each workspace's `testing_slices()`.
     testing_thresholds: Vec<Vec<f64>>,
-    /// Worker pool for the per-mode fan-out; `None` runs the exact
-    /// sequential path. Shared by clones of the engine (the pool is a
-    /// stateless job queue, so sharing is safe).
-    pool: Option<Arc<Pool>>,
     telemetry: Telemetry,
     instruments: EngineInstruments,
     /// The last step's output, written in place every iteration:
     /// per-mode NUISE slots, probabilities and selection all reuse this
-    /// storage, so a warmed-up sequential engine steps with zero heap
-    /// allocations. [`MultiModeEngine::step`] clones it;
+    /// storage, so a warmed-up engine steps with zero heap allocations.
+    /// [`MultiModeEngine::step`] clones it;
     /// [`MultiModeEngine::step_in_place`] hands out a reference.
     output: EngineOutput,
     /// Persistent per-step intermediates (implied-anomaly counts,
-    /// parsimony weights, pool result slots), cleared and refilled in
-    /// place each iteration.
+    /// parsimony weights), cleared and refilled in place each iteration.
     counts: Vec<usize>,
     weights: Vec<f64>,
-    pool_results: Vec<Result<usize>>,
     /// Resolved fleet slab lane width from
     /// [`RoboAdsConfig::slab_lanes`]: the K of the lane-batched NUISE
     /// path a [`crate::FleetEngine`] may run this engine's bank through
@@ -409,32 +398,11 @@ pub(crate) fn implied_anomaly_count(
     Ok(count)
 }
 
-/// Per-step work proxy below which `threads: None` resolves to the
-/// sequential intra-step path: pool dispatch costs tens of microseconds
-/// per step, so a small bank (every built-in mode set on the evaluation
-/// robots) loses by fanning modes out. The proxy sums `(n + m₂)³` over
-/// the bank — the cube of each mode's dominant matrix side.
-const INTRA_STEP_WORK_THRESHOLD: f64 = 50_000.0;
-
-/// Default fleet slab lane width when [`RoboAdsConfig::slab_lanes`] is
-/// `None`: wide enough for full AVX-512 `f64` lanes and two AVX2
-/// vectors per slab element, and the width the fleet benchmarks are
-/// tuned at.
+/// Fleet slab lane width when [`RoboAdsConfig::slab_lanes`] is `None`,
+/// and the only width the fleet instantiates the slab kernels at: wide
+/// enough for full AVX-512 `f64` lanes and two AVX2 vectors per slab
+/// element.
 pub(crate) const DEFAULT_SLAB_LANES: usize = 8;
-
-/// Estimated per-step floating-point work of a mode bank, in
-/// cubed-matrix-side units (see [`INTRA_STEP_WORK_THRESHOLD`]).
-fn intra_step_work(system: &RobotSystem, modes: &ModeSet) -> f64 {
-    let n = system.state_dim();
-    modes
-        .modes()
-        .iter()
-        .map(|m| {
-            let m2 = system.subset_dim(m.testing());
-            ((n + m2) as f64).powi(3)
-        })
-        .sum()
-}
 
 impl MultiModeEngine {
     /// Creates an engine from a validated mode set.
@@ -443,10 +411,6 @@ impl MultiModeEngine {
     /// operating point at which all built-in robots have full input
     /// rank — so degenerate hypotheses fail fast at construction rather
     /// than mid-mission.
-    ///
-    /// Construction also resolves the NUISE fan-out width from
-    /// [`RoboAdsConfig::threads`] (never more workers than modes) and,
-    /// when it exceeds one, spawns the persistent worker pool.
     ///
     /// # Errors
     ///
@@ -500,26 +464,6 @@ impl MultiModeEngine {
                 .collect();
             testing_thresholds.push(per_slice?);
         }
-        // `threads: None` is a request for the engine's judgment, not
-        // for maximum width: below the dispatch-cost threshold the
-        // sequential path wins outright (PR-measured pool dispatch is
-        // ~20 µs/step against ~2 µs per warm mode), so small banks run
-        // sequential and only genuinely heavy banks fan out.
-        let configured = config.threads.unwrap_or_else(|| {
-            if intra_step_work(&system, &modes) < INTRA_STEP_WORK_THRESHOLD {
-                1
-            } else {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            }
-        });
-        let threads = configured.min(modes.len()).max(1);
-        let pool = (threads > 1).then(|| {
-            Arc::new(Pool::with_thread_setup(threads, |i| {
-                roboads_obs::set_worker(i as u32 + 1)
-            }))
-        });
         let telemetry = Telemetry::disabled();
         let instruments = EngineInstruments::new(&telemetry, modes.len());
         let parsimony_scratch: Vec<ParsimonyScratch> = workspaces
@@ -547,13 +491,11 @@ impl MultiModeEngine {
             parsimony_scratch,
             actuator_threshold,
             testing_thresholds,
-            pool,
             telemetry,
             instruments,
             output,
             counts: Vec::with_capacity(mode_count),
             weights: Vec::with_capacity(mode_count),
-            pool_results: (0..mode_count).map(|_| Ok(0)).collect(),
             slab_lanes: config.slab_lanes.unwrap_or(DEFAULT_SLAB_LANES),
             activation: config.activation,
             active: vec![true; mode_count],
@@ -594,12 +536,6 @@ impl MultiModeEngine {
     /// The mode set.
     pub fn modes(&self) -> &ModeSet {
         &self.modes
-    }
-
-    /// Effective NUISE fan-out width: the number of pool workers, or `1`
-    /// on the sequential path.
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
     }
 
     /// Current shared state estimate `x̂_{k|k}`.
@@ -855,12 +791,10 @@ impl MultiModeEngine {
 
     /// Activation bookkeeping after a successful commit: consume the
     /// plan, mark skipped filters stale, and fold this iteration into
-    /// the quiescence streak (sleeping once it is long enough). Pooled
-    /// engines never sleep — the fan-out already assumes a heavy bank
-    /// where every mode is in contention.
+    /// the quiescence streak (sleeping once it is long enough).
     fn update_activation_after_commit(&mut self) {
         self.planned = false;
-        if matches!(self.activation, ActivationPolicy::AlwaysFull) || self.pool.is_some() {
+        if matches!(self.activation, ActivationPolicy::AlwaysFull) {
             return;
         }
         for (stale, &ran) in self.mode_stale.iter_mut().zip(&self.run_mask) {
@@ -900,11 +834,9 @@ impl MultiModeEngine {
     }
 
     /// Like [`MultiModeEngine::step`] but hands back a reference to the
-    /// engine-owned output instead of cloning it. A warmed-up engine on
-    /// the sequential path performs zero heap allocations per call (the
-    /// pool path still allocates its per-scope job boxes — a
-    /// mode-count-independent constant). The reference is valid until
-    /// the next step.
+    /// engine-owned output instead of cloning it. A warmed-up engine
+    /// performs zero heap allocations per call. The reference is valid
+    /// until the next step.
     ///
     /// # Errors
     ///
@@ -943,126 +875,55 @@ impl MultiModeEngine {
         &self.output
     }
 
+    /// Runs mode `m`'s NUISE step from its own filter state into its
+    /// pre-assigned workspace and output slot (persistent across steps),
+    /// then its parsimony checks; returns the implied-anomaly count.
+    fn run_mode(&mut self, m: usize, u_prev: &Vector, readings: &[Vector]) -> Result<usize> {
+        let out = &mut self.output.modes[m];
+        {
+            let _mode_span = self.telemetry.span("engine.nuise_mode");
+            let (x_m, p_m) = &self.mode_states[m];
+            nuise_step_into(
+                NuiseInput {
+                    system: &self.system,
+                    mode: &self.modes.modes()[m],
+                    x_prev: x_m,
+                    p_prev: p_m,
+                    u_prev,
+                    readings,
+                    linearization: &self.linearization,
+                    compensate: self.compensate,
+                },
+                &mut self.workspaces[m],
+                out,
+            )?;
+        }
+        implied_anomaly_count(
+            out,
+            self.actuator_threshold,
+            self.workspaces[m].testing_slices(),
+            &self.testing_thresholds[m],
+            &mut self.parsimony_scratch[m],
+        )
+    }
+
     fn step_inner(&mut self, u_prev: &Vector, readings: &[Vector]) -> Result<()> {
         let mode_count = self.modes.len();
         self.plan_step();
 
-        // NUISE fan-out. Each mode writes into its own pre-assigned
-        // workspace and output slot (persistent across steps), so the
-        // parallel path touches no shared mutable state and the results
-        // — consumed strictly in mode order below — are bitwise
-        // identical to the sequential path's.
-        {
-            let system = &self.system;
-            let modes = self.modes.modes();
-            let mode_states = &self.mode_states;
-            let linearization = &self.linearization;
-            let compensate = self.compensate;
-            let telemetry = &self.telemetry;
-            let actuator_threshold = self.actuator_threshold;
-            let testing_thresholds = &self.testing_thresholds;
-            let workspaces = &mut self.workspaces;
-            let scratches = &mut self.parsimony_scratch;
-            let outputs = &mut self.output.modes;
-            let counts = &mut self.counts;
-
-            let run_mode = |m: usize,
-                            ws: &mut NuiseWorkspace,
-                            scratch: &mut ParsimonyScratch,
-                            out: &mut NuiseOutput| {
-                {
-                    let _mode_span = telemetry.span("engine.nuise_mode");
-                    let (x_m, p_m) = &mode_states[m];
-                    nuise_step_into(
-                        NuiseInput {
-                            system,
-                            mode: &modes[m],
-                            x_prev: x_m,
-                            p_prev: p_m,
-                            u_prev,
-                            readings,
-                            linearization,
-                            compensate,
-                        },
-                        ws,
-                        out,
-                    )?;
-                }
-                implied_anomaly_count(
-                    out,
-                    actuator_threshold,
-                    ws.testing_slices(),
-                    &testing_thresholds[m],
-                    scratch,
-                )
+        // Per-mode NUISE in mode order with a short-circuit on the first
+        // failure. Modes the activation schedule parked are skipped
+        // (their count slot is a placeholder the zero weight makes
+        // irrelevant); under `AlwaysFull` every mode runs.
+        self.counts.clear();
+        for m in 0..mode_count {
+            let count = if self.run_mask[m] {
+                self.run_mode(m, u_prev, readings)?
+            } else {
+                0
             };
-
-            counts.clear();
-            match &self.pool {
-                None => {
-                    // Sequential path: iterate in mode order with the
-                    // seed's short-circuit on the first failure. Modes
-                    // the activation schedule parked are skipped (their
-                    // count slot is a placeholder the zero weight makes
-                    // irrelevant); under `AlwaysFull` every mode runs.
-                    let run_mask = &self.run_mask;
-                    for (m, ((ws, scratch), out)) in workspaces
-                        .iter_mut()
-                        .zip(scratches.iter_mut())
-                        .zip(outputs.iter_mut())
-                        .enumerate()
-                    {
-                        if run_mask[m] {
-                            counts.push(run_mode(m, ws, scratch, out)?);
-                        } else {
-                            counts.push(0);
-                        }
-                    }
-                }
-                Some(pool) => {
-                    let results = &mut self.pool_results;
-                    for r in results.iter_mut() {
-                        *r = Ok(0);
-                    }
-                    // One contiguous chunk of modes per worker: a NUISE
-                    // step is microseconds of work, so per-mode jobs
-                    // would drown in queue wakeups. Chunking keeps the
-                    // dispatch overhead at one job per worker while each
-                    // mode still writes only its own pre-assigned slots.
-                    let chunk = mode_count.div_ceil(pool.threads());
-                    pool.scoped(|scope| {
-                        for (chunk_idx, (((ws_chunk, sc_chunk), out_chunk), res_chunk)) in
-                            workspaces
-                                .chunks_mut(chunk)
-                                .zip(scratches.chunks_mut(chunk))
-                                .zip(outputs.chunks_mut(chunk))
-                                .zip(results.chunks_mut(chunk))
-                                .enumerate()
-                        {
-                            let run_mode = &run_mode;
-                            let base = chunk_idx * chunk;
-                            scope.execute(move || {
-                                for (j, (((ws, scratch), out), slot)) in ws_chunk
-                                    .iter_mut()
-                                    .zip(sc_chunk.iter_mut())
-                                    .zip(out_chunk.iter_mut())
-                                    .zip(res_chunk.iter_mut())
-                                    .enumerate()
-                                {
-                                    *slot = run_mode(base + j, ws, scratch, out);
-                                }
-                            });
-                        }
-                    });
-                    // Every job ran, but the reported failure is the
-                    // first in mode order — the same error the
-                    // sequential path would have returned.
-                    for r in results.iter_mut() {
-                        counts.push(std::mem::replace(r, Ok(0))?);
-                    }
-                }
-            }
-        };
+            self.counts.push(count);
+        }
 
         self.compute_weights();
         if !self.awake {
@@ -1078,32 +939,7 @@ impl MultiModeEngine {
                         continue;
                     }
                     self.run_mask[m] = true;
-                    let (x_m, p_m) = &self.mode_states[m];
-                    let out = &mut self.output.modes[m];
-                    {
-                        let _mode_span = self.telemetry.span("engine.nuise_mode");
-                        nuise_step_into(
-                            NuiseInput {
-                                system: &self.system,
-                                mode: &self.modes.modes()[m],
-                                x_prev: x_m,
-                                p_prev: p_m,
-                                u_prev,
-                                readings,
-                                linearization: &self.linearization,
-                                compensate: self.compensate,
-                            },
-                            &mut self.workspaces[m],
-                            out,
-                        )?;
-                    }
-                    self.counts[m] = implied_anomaly_count(
-                        out,
-                        self.actuator_threshold,
-                        self.workspaces[m].testing_slices(),
-                        &self.testing_thresholds[m],
-                        &mut self.parsimony_scratch[m],
-                    )?;
+                    self.counts[m] = self.run_mode(m, u_prev, readings)?;
                 }
                 self.compute_weights();
             }
@@ -1335,7 +1171,7 @@ impl MultiModeEngine {
     /// (DESIGN.md §18): selector, shared and per-mode filter states, the
     /// last committed output (the sleep scheduler and wake triggers read
     /// stale slots from it), and every activation-schedule field.
-    /// Workspaces, parsimony scratch/thresholds and the pool are
+    /// Workspaces and parsimony scratch/thresholds are
     /// construction-derived and belong to the restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         self.selector.snap_write(out);
@@ -1617,90 +1453,12 @@ mod tests {
             &RoboAdsConfig::paper_defaults(),
         )
         .unwrap();
-        // A single-mode engine never spawns workers, whatever the
-        // machine's parallelism.
-        assert_eq!(e.threads(), 1);
         let u = Vector::from_slice(&[0.05, 0.05]);
         let x1 = system.dynamics().step(&x0, &u);
         let out = e.step(&u, &clean_readings(&system, &x1)).unwrap();
         assert_eq!(out.selected, 0);
         assert!(out.selected_output().sensor_anomaly.is_empty());
         let _ = Mode::new(vec![0], vec![1]); // silence unused-import lint in some cfgs
-    }
-
-    #[test]
-    fn auto_threads_stay_sequential_for_small_banks() {
-        // `threads: None` must not pay the ~20 µs/step pool dispatch for
-        // banks whose whole NUISE sweep is a few microseconds: every
-        // built-in evaluation bank sits far below the work threshold.
-        let system = presets::khepera_system();
-        let modes = ModeSet::one_reference_per_sensor(&system);
-        assert!(intra_step_work(&system, &modes) < INTRA_STEP_WORK_THRESHOLD);
-        let complete = ModeSet::complete(&system);
-        assert!(intra_step_work(&system, &complete) < INTRA_STEP_WORK_THRESHOLD);
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let config = RoboAdsConfig::paper_defaults();
-        assert!(config.threads.is_none());
-        let e = MultiModeEngine::new(system.clone(), modes, x0.clone(), &config).unwrap();
-        assert_eq!(e.threads(), 1, "small bank must default to sequential");
-        // An explicit width is always honored (capped by the mode count).
-        let e = MultiModeEngine::new(
-            system,
-            ModeSet::complete(&presets::khepera_system()),
-            x0,
-            &config.with_threads(2),
-        )
-        .unwrap();
-        assert_eq!(e.threads(), 2);
-    }
-
-    #[test]
-    fn thread_width_never_exceeds_mode_count() {
-        let system = presets::khepera_system();
-        let modes = ModeSet::one_reference_per_sensor(&system);
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let config = RoboAdsConfig::paper_defaults().with_threads(16);
-        let e = MultiModeEngine::new(system, modes, x0, &config).unwrap();
-        assert_eq!(e.threads(), 3);
-    }
-
-    #[test]
-    fn parallel_steps_match_sequential_bitwise() {
-        // The engine-level contract behind `tests/determinism.rs`: same
-        // inputs, same outputs, bit for bit, regardless of fan-out.
-        let system = presets::khepera_system();
-        let modes = ModeSet::one_reference_per_sensor(&system);
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let mut seq = MultiModeEngine::new(
-            system.clone(),
-            modes.clone(),
-            x0.clone(),
-            &RoboAdsConfig::paper_defaults().with_threads(1),
-        )
-        .unwrap();
-        let mut par = MultiModeEngine::new(
-            system.clone(),
-            modes,
-            x0.clone(),
-            &RoboAdsConfig::paper_defaults().with_threads(3),
-        )
-        .unwrap();
-        assert_eq!(seq.threads(), 1);
-        assert_eq!(par.threads(), 3);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = x0;
-        for k in 0..20 {
-            x_true = system.dynamics().step(&x_true, &u);
-            let mut readings = clean_readings(&system, &x_true);
-            if k > 8 {
-                readings[0][0] += 0.08; // mid-run IPS corruption
-            }
-            let a = seq.step(&u, &readings).unwrap();
-            let b = par.step(&u, &readings).unwrap();
-            assert_eq!(a, b, "divergence at step {k}");
-        }
-        assert_eq!(seq.state_estimate(), par.state_estimate());
-        assert_eq!(seq.probabilities(), par.probabilities());
     }
 
     /// A lazy-activation engine over either the paper's 3-mode

@@ -1,19 +1,17 @@
 //! Fleet-scale batched detection: N independent [`RoboAds`] detectors
 //! stepped per control tick with dispatch amortized at *robot* grain.
 //!
-//! PR 2 measured why intra-step (per-mode) parallelism loses on the
+//! Per-mode parallelism inside one detector step loses on the
 //! evaluation banks: a pool dispatch costs tens of microseconds while a
 //! warm NUISE mode step costs ~2 µs, so fanning 3–7 modes out buys
 //! nothing. A fleet monitor has a much better unit of work — one whole
-//! robot's detector step (engine fan-out, decision maker, report
-//! refill, ~30 µs warm) — and hundreds of them per tick. The
-//! [`FleetEngine`] therefore:
+//! robot's detector step (mode bank, decision maker, report refill,
+//! ~30 µs warm) — and hundreds of them per tick. The [`FleetEngine`]
+//! therefore:
 //!
 //! * keeps a slab of per-robot cells (detector, caller-readable report
 //!   and result slot), pre-warmed so the steady state allocates nothing
 //!   on the sequential path;
-//! * forces every per-robot engine onto its sequential intra-step path
-//!   (`threads = Some(1)`) — parallelism lives at one grain only;
 //! * partitions the fleet into **model-signature groups**
 //!   ([`roboads_models::ModelSignature`] plus the engine-level config
 //!   discriminants) and runs one SIMD slab per group, so a
@@ -180,8 +178,6 @@ enum GroupKind {
     /// configured with `slab_lanes: Some(1)`, or not on per-iteration
     /// linearization.
     Scalar,
-    /// 4-lane slab scratch, one bank per pool job.
-    K4(Vec<SlabJob<4>>),
     /// 8-lane slab scratch, one bank per pool job.
     K8(Vec<SlabJob<8>>),
 }
@@ -336,15 +332,9 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Builds a fleet from per-robot detectors and a worker count
-    /// (clamped to at least 1; `1` means fully sequential ticks).
-    ///
-    /// Every detector is forced onto its sequential intra-step path:
-    /// the fleet parallelizes across robots, and nested per-mode
-    /// fan-out would multiply pool dispatches for work PR 2 measured as
-    /// dispatch-bound. Detectors built with `RoboAdsConfig::threads:
-    /// None` already resolve to sequential for the evaluation banks, so
-    /// this is a no-op there; an explicitly parallel detector cannot be
-    /// pushed into a fleet (see [`FleetEngine::push`]).
+    /// (clamped to at least 1; `1` means fully sequential ticks). The
+    /// fleet's pool is the only threading grain: each detector steps its
+    /// mode bank sequentially inside whichever job owns its robot.
     pub fn new(detectors: Vec<RoboAds>, threads: usize) -> Self {
         let threads = threads.max(1);
         let pool = (threads > 1).then(|| {
@@ -367,29 +357,9 @@ impl FleetEngine {
             instruments,
         };
         for d in detectors {
-            fleet.push_cell(d);
+            fleet.push(d);
         }
         fleet
-    }
-
-    fn push_cell(&mut self, detector: RoboAds) {
-        assert_eq!(
-            detector.engine_threads(),
-            1,
-            "fleet robots must use the sequential intra-step path \
-             (build them with threads: None or Some(1))"
-        );
-        let fleet = self.slots.len();
-        self.slots.push(self.cells.len());
-        self.cells.push(RobotCell {
-            detector,
-            report: DetectionReport::blank(),
-            result: Ok(()),
-            fleet,
-        });
-        // Fleet composition changed; re-partition the signature groups
-        // (and job sizing) on the next batch.
-        self.slab = SlabState::Unknown;
     }
 
     /// Robot `fleet_index`'s grouping key. Allocates (signature + mode
@@ -496,10 +466,7 @@ impl FleetEngine {
             } else {
                 slab_groups += 1;
                 slab_robots += len;
-                match lanes {
-                    4 => GroupKind::K4(self.build_group_jobs(start, len)),
-                    _ => GroupKind::K8(self.build_group_jobs(start, len)),
-                }
+                GroupKind::K8(self.build_group_jobs(start, len))
             };
             let active = self.cells[start].detector.engine().active_mask().to_vec();
             grouped.push(SlabGroup { len, kind, active });
@@ -562,7 +529,7 @@ impl FleetEngine {
                 for group in groups {
                     match group.kind {
                         GroupKind::Scalar => stats.2 += group.len,
-                        GroupKind::K4(_) | GroupKind::K8(_) => {
+                        GroupKind::K8(_) => {
                             stats.0 += 1;
                             stats.1 += group.len;
                         }
@@ -599,13 +566,18 @@ impl FleetEngine {
     /// Appends another robot to the fleet. The signature partition is
     /// re-resolved on the next batch (`fleet.regroup` event, refreshed
     /// grouping gauges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the detector was configured with an explicit intra-step
-    /// width greater than 1 — fleet parallelism is robot-grain only.
     pub fn push(&mut self, detector: RoboAds) {
-        self.push_cell(detector);
+        let fleet = self.slots.len();
+        self.slots.push(self.cells.len());
+        self.cells.push(RobotCell {
+            detector,
+            report: DetectionReport::blank(),
+            result: Ok(()),
+            fleet,
+        });
+        // Fleet composition changed; re-partition the signature groups
+        // (and job sizing) on the next batch.
+        self.slab = SlabState::Unknown;
     }
 
     /// Number of robots in the fleet.
@@ -785,7 +757,6 @@ impl FleetEngine {
                                 step_robot(cell, inputs, stamp);
                             }
                         }
-                        GroupKind::K4(jobs) => step_range_slab(&mut jobs[0], slice, inputs, stamp),
                         GroupKind::K8(jobs) => step_range_slab(&mut jobs[0], slice, inputs, stamp),
                     }
                 }
@@ -807,17 +778,6 @@ impl FleetEngine {
                                         for cell in cell_chunk {
                                             step_robot(cell, inputs, stamp);
                                         }
-                                    });
-                                }
-                            }
-                            GroupKind::K4(jobs) => {
-                                let chunk =
-                                    pool.chunk_size_aligned(slice.len(), MIN_ROBOTS_PER_JOB, 4);
-                                for (cell_chunk, job) in
-                                    slice.chunks_mut(chunk).zip(jobs.iter_mut())
-                                {
-                                    scope.execute(move || {
-                                        step_range_slab(job, cell_chunk, inputs, stamp)
                                     });
                                 }
                             }
@@ -1338,22 +1298,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "sequential intra-step path")]
-    fn explicitly_parallel_detectors_are_rejected() {
-        let system = presets::khepera_system();
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let modes = ModeSet::one_reference_per_sensor(&system);
-        let d = RoboAds::new(
-            system,
-            RoboAdsConfig::paper_defaults().with_threads(3),
-            x0,
-            modes,
-        )
-        .unwrap();
-        FleetEngine::new(vec![d], 1);
-    }
-
     /// Steps `fleet` once with clean inputs so the partition resolves.
     fn step_once(fleet: &mut FleetEngine, system: &RobotSystem) {
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
@@ -1483,7 +1427,7 @@ mod tests {
         let a = presets::khepera_system();
         let b = presets::khepera_system();
         let systems = [&a, &b, &a, &a, &b, &a, &a, &a, &a, &b, &a, &a];
-        let mut fleet = FleetEngine::new(systems.iter().map(|s| detector_for(s, 4)).collect(), 1);
+        let mut fleet = FleetEngine::new(systems.iter().map(|s| detector_for(s, 8)).collect(), 1);
         fleet.attach_recorder(RecorderConfig::default());
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let u = Vector::from_slice(&[0.06, 0.05]);
@@ -1514,7 +1458,7 @@ mod tests {
                 assert_eq!(fleet.detector(i).iteration(), expected.iteration);
             }
         }
-        // Group a (9 robots ≥ 4 lanes) slabs; group b (3 < 4) is scalar.
+        // Group a (9 robots ≥ 8 lanes) slabs; group b (3 < 8) is scalar.
         assert_eq!(fleet.slab_groups(), 1);
         assert_eq!(fleet.slab_robots(), 9);
         assert_eq!(fleet.scalar_robots(), 3);

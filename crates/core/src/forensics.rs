@@ -47,7 +47,6 @@ use crate::report::DetectionReport;
 
 /// One contiguous confirmed misbehavior: the unit of a forensic report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Incident {
     /// Start time (seconds from the first pushed report).
     pub start: f64,

@@ -18,7 +18,6 @@ use crate::{CoreError, Result};
 /// assert!(!mode.is_testing(1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mode {
     reference: Vec<usize>,
     testing: Vec<usize>,
@@ -77,7 +76,6 @@ impl Mode {
 /// also available for designers who accept the exponential cost, as is
 /// grouping for partial-state sensors.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModeSet {
     modes: Vec<Mode>,
 }

@@ -2,7 +2,6 @@ use roboads_linalg::{Matrix, Vector};
 
 /// A normalized anomaly estimate with its χ² test context.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnomalyEstimate {
     /// The anomaly-vector estimate (`d̂^s` or `d̂^a`).
     pub estimate: Vector,
@@ -37,7 +36,6 @@ impl AnomalyEstimate {
 /// sensor: from the selected mode when the sensor is in its testing set,
 /// otherwise from the most probable mode that does test it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorAnomaly {
     /// Sensor suite index.
     pub sensor: usize,
@@ -57,7 +55,6 @@ pub struct SensorAnomaly {
 /// abnormal workflow(s) and anomaly-vector estimates, plus every
 /// intermediate quantity the paper's Figure 6 plots).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionReport {
     /// Control iteration counter `k` (1-based, counted by the detector).
     pub iteration: u64,

@@ -36,7 +36,6 @@ use crate::{CoreError, Result};
 /// assert!(sel.probabilities()[1] > 0.9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModeSelector {
     probabilities: Vec<f64>,
     floor: f64,

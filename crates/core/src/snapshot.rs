@@ -26,8 +26,7 @@
 //!
 //! The encoding is hand-rolled little-endian bytes over
 //! [`roboads_obs::wire`] — floats travel as `f64::to_bits`, so the
-//! roundtrip is lossless for every value including NaN payloads, and
-//! the `serde` dependency stays vendoring-gated.
+//! roundtrip is lossless for every value including NaN payloads.
 
 use roboads_linalg::{Matrix, Vector};
 use roboads_obs::wire::{self, ByteReader};

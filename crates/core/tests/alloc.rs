@@ -4,8 +4,8 @@
 //! thread-local allocation counter; after one warm-up call populates
 //! the [`NuiseWorkspace`] scratch memory, a further `nuise_step_into`
 //! must perform **zero** heap allocations — the property the per-mode
-//! workspaces exist to guarantee (and the reason the fan-out can run
-//! at control-loop rates without allocator contention across workers).
+//! workspaces exist to guarantee (and the reason fleet workers can step
+//! robots at control-loop rates without allocator contention).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,12 +121,12 @@ fn warmed_up_sequential_fleet_batch_is_allocation_free() {
     // a parallel fleet adds only the pool's per-job boxes, O(workers).
     //
     // Asserted for every slab lane width: `1` is the scalar per-robot
-    // path, `4`/`8` the SIMD-batched slab path (load → batched run →
+    // path, `8` the SIMD-batched slab path (load → batched run →
     // scatter → commit, whose scratch is the per-job `SlabJob` bank
     // sized at first resolution). The robot count is deliberately not a
     // multiple of the lane width, so the warm path includes a masked
     // remainder tile.
-    for lanes in [1, 4, 8] {
+    for lanes in [1, 8] {
         let system = presets::khepera_system();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let u = Vector::from_slice(&[0.06, 0.05]);
@@ -199,10 +199,10 @@ fn warmed_up_grouped_fleet_batch_is_allocation_free() {
     // group-major and sized each group's slab bank, a mixed-signature
     // batch walks the groups with `split_at_mut` and reuses the per-job
     // scratch — zero heap traffic, exactly like the homogeneous fleet.
-    // Two pointer-distinct Khepera instances interleaved 11 + 9: at 4/8
+    // Two pointer-distinct Khepera instances interleaved 11 + 9: at 8
     // lanes both groups slab (with masked remainder tiles); at 1 both
     // run scalar.
-    for lanes in [1, 4, 8] {
+    for lanes in [1, 8] {
         let system_a = presets::khepera_system();
         let system_b = presets::khepera_system();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);

@@ -172,24 +172,22 @@ fn fleet_run_lanes(robots: usize, threads: usize, lanes: usize) -> Vec<Vec<Detec
 }
 
 /// The SIMD-batched slab path must be bitwise invisible: for every
-/// robot, the full report sequence with `slab_lanes ∈ {4, 8}` equals
-/// the scalar path's (`slab_lanes = 1`), at every batch size shape —
-/// a lone robot and one-short-of-a-tile (sub-tile fleets stay on the
-/// scalar path by design), a full tile plus masked tail (7 robots at
-/// 4 lanes), exactly one tile, and many tiles plus a remainder tail —
-/// and every robot-grain thread count.
+/// robot, the full report sequence with `slab_lanes = 8` equals the
+/// scalar path's (`slab_lanes = 1`), at every batch size shape — a
+/// lone robot and one-short-of-a-tile (sub-tile fleets stay on the
+/// scalar path by design), exactly one tile, one tile plus a masked
+/// tail (8 + 3), and many tiles plus a remainder tail — and every
+/// robot-grain thread count.
 #[test]
 fn slab_path_reports_match_scalar_path_exactly() {
-    for robots in [1, 7, 8, 67] {
+    for robots in [1, 7, 8, 11, 67] {
         let scalar = fleet_run_lanes(robots, 1, 1);
         for threads in [1, 2, 4] {
-            for lanes in [4, 8] {
-                let slab = fleet_run_lanes(robots, threads, lanes);
-                assert_eq!(
-                    scalar, slab,
-                    "slab divergence: robots={robots} threads={threads} lanes={lanes}"
-                );
-            }
+            let slab = fleet_run_lanes(robots, threads, 8);
+            assert_eq!(
+                scalar, slab,
+                "slab divergence: robots={robots} threads={threads}"
+            );
         }
     }
 }
@@ -371,16 +369,13 @@ fn mixed_fleet_robots_match_their_standalone_twins() {
                 .collect()
         };
         for threads in [1, 2, 4] {
-            for lanes in [4, 8] {
-                let got = mixed_fleet_run(&layout, &systems, threads, lanes);
-                for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {
-                    for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
-                        assert_eq!(
-                            ra, rb,
-                            "sizes={sizes:?} threads={threads} lanes={lanes} \
-                             robot={robot} diverged at step {k}"
-                        );
-                    }
+            let got = mixed_fleet_run(&layout, &systems, threads, 8);
+            for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {
+                for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
+                    assert_eq!(
+                        ra, rb,
+                        "sizes={sizes:?} threads={threads} robot={robot} diverged at step {k}"
+                    );
                 }
             }
         }
@@ -560,7 +555,7 @@ fn lazy_fleet_matches_standalone_lazy_detectors_bitwise() {
         let (expected, standalone_min) = lazy_run(robots, None);
         assert_eq!(standalone_min, 2, "standalone banks never slept");
         for threads in [1, 2] {
-            for lanes in [1, 4, 8] {
+            for lanes in [1, 8] {
                 let (got, fleet_min) = lazy_run(robots, Some((threads, lanes)));
                 assert_eq!(fleet_min, 2, "fleet banks never slept");
                 for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {

@@ -268,11 +268,9 @@ fn masked_slab_path_matches_masked_scalar_path_bitwise() {
         (sequences, missed)
     };
     let (scalar, scalar_missed) = run(1);
-    for lanes in [4, 8] {
-        let (slab, slab_missed) = run(lanes);
-        assert_eq!(slab, scalar, "slab lanes {lanes} diverged under masking");
-        assert_eq!(slab_missed, scalar_missed);
-    }
+    let (slab, slab_missed) = run(8);
+    assert_eq!(slab, scalar, "slab lanes diverged under masking");
+    assert_eq!(slab_missed, scalar_missed);
     // Sanity: the mask actually fired, and only for the missing robot.
     assert!(scalar_missed[MISSING][4..7].iter().all(|&m| m));
     assert!(scalar_missed[MISSING][..4].iter().all(|&m| !m));

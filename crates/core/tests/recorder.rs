@@ -297,7 +297,8 @@ fn fleet_recording_is_identical_across_scalar_and_slab_paths() {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let u = Vector::from_slice(&[0.06, 0.05]);
-    const ROBOTS: usize = 5;
+    // One 8-lane tile plus a masked 3-robot tail.
+    const ROBOTS: usize = 11;
     let run = |lanes: usize| {
         let config = RoboAdsConfig::paper_defaults().with_slab_lanes(lanes);
         let modes = ModeSet::one_reference_per_sensor(&system);
@@ -335,7 +336,7 @@ fn fleet_recording_is_identical_across_scalar_and_slab_paths() {
         fleet.take_capsules()
     };
     let scalar = run(1);
-    let slab = run(4);
+    let slab = run(8);
     assert_eq!(scalar.len(), ROBOTS, "every robot sealed its capsule");
     assert_eq!(
         scalar, slab,

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use roboads_core::obs::{RingBufferSink, Telemetry, WriterSink};
-use roboads_core::{ModeSet, RoboAds, RoboAdsConfig};
+use roboads_core::{FleetEngine, ModeSet, RoboAds, RoboAdsConfig, RobotInput};
 use roboads_linalg::Vector;
 use roboads_models::{presets, RobotSystem};
 
@@ -22,12 +22,9 @@ const ITERATIONS: usize = 30;
 fn run_clean(telemetry: Telemetry) -> RoboAds {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    // Sequential fan-out: the span-accounting assertion below (stage
-    // spans sum within their parent's wall clock) only holds when the
-    // per-mode NUISE spans do not run concurrently.
     let mut ads = RoboAds::new(
         system.clone(),
-        RoboAdsConfig::paper_defaults().with_threads(1),
+        RoboAdsConfig::paper_defaults(),
         x0.clone(),
         ModeSet::one_reference_per_sensor(&system),
     )
@@ -151,40 +148,54 @@ fn spoofed_run_logs_confirmed_alarm_events() {
 }
 
 #[test]
-fn parallel_nuise_spans_carry_worker_attribution() {
+fn fleet_pool_spans_carry_worker_attribution() {
     let ring = Arc::new(RingBufferSink::new(100_000));
+    let telemetry = Telemetry::new(ring.clone());
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let mut ads = RoboAds::new(
-        system.clone(),
-        RoboAdsConfig::paper_defaults().with_threads(3),
-        x0.clone(),
-        ModeSet::one_reference_per_sensor(&system),
-    )
-    .unwrap()
-    .with_telemetry(Telemetry::new(ring.clone()));
+    let detector = || {
+        RoboAds::new(
+            system.clone(),
+            RoboAdsConfig::paper_defaults(),
+            x0.clone(),
+            ModeSet::one_reference_per_sensor(&system),
+        )
+        .unwrap()
+    };
+    let mut fleet = FleetEngine::new((0..12).map(|_| detector()).collect(), 3);
+    fleet.set_telemetry(telemetry.clone());
+    // A standalone detector stepped on the calling thread alongside.
+    let mut local = detector().with_telemetry(telemetry);
     let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut x_true = x0;
+    let mut x_true = x0.clone();
     for _ in 0..5 {
         x_true = system.dynamics().step(&x_true, &u);
-        ads.step(&u, &clean_readings(&system, &x_true)).unwrap();
+        let readings = clean_readings(&system, &x_true);
+        let inputs = vec![
+            RobotInput {
+                u_prev: &u,
+                readings: &readings,
+            };
+            12
+        ];
+        fleet.step_batch(&inputs).unwrap();
+        local.step(&u, &readings).unwrap();
     }
     let spans = ring.spans();
-    let nuise: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "engine.nuise_mode")
-        .collect();
-    assert_eq!(nuise.len(), 5 * 3);
-    for s in &nuise {
+    let (pooled, caller): (Vec<_>, Vec<_>) = spans.iter().partition(|s| s.robot > 0);
+    assert!(!pooled.is_empty(), "no spans recorded for fleet robots");
+    for s in &pooled {
         assert!(
             (1..=3).contains(&s.worker),
-            "parallel NUISE span attributed to worker {}",
+            "fleet span {} attributed to worker {}",
+            s.name,
             s.worker
         );
     }
-    // Main-thread stages keep the default worker 0.
-    for s in spans.iter().filter(|s| s.name == "engine.step") {
-        assert_eq!(s.worker, 0);
+    // The calling thread keeps the default worker 0.
+    assert!(caller.iter().any(|s| s.name == "engine.step"));
+    for s in &caller {
+        assert_eq!(s.worker, 0, "caller span {}", s.name);
     }
 }
 

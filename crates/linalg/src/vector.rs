@@ -18,7 +18,6 @@ use crate::{LinalgError, Matrix, Result};
 /// assert_eq!(v.dot(&v), 25.0);
 /// ```
 #[derive(Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     data: Vec<f64>,
 }

@@ -39,7 +39,6 @@ use crate::{ModelError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bicycle {
     wheelbase: f64,
     max_steer: f64,

@@ -40,7 +40,6 @@ use crate::{ModelError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Omnidirectional {
     dt: f64,
 }

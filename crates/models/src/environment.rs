@@ -2,7 +2,6 @@ use crate::{ModelError, Result};
 
 /// An axis-aligned box obstacle inside the arena, in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Minimum corner x.
     pub min_x: f64,
@@ -86,7 +85,6 @@ impl Aabb {
 
 /// The result of a LiDAR raycast.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RaycastHit {
     /// Distance from the ray origin to the hit, meters.
     pub distance: f64,
@@ -112,7 +110,6 @@ pub struct RaycastHit {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Arena {
     width: f64,
     height: f64,

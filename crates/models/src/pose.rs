@@ -17,7 +17,6 @@ use crate::angle::{angle_difference, wrap_angle};
 /// assert_eq!(Pose2::from_vector(&v).unwrap(), p);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pose2 {
     /// X position in meters.
     pub x: f64,

@@ -29,7 +29,6 @@ use crate::{ModelError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeaconRange {
     beacons: Vec<(f64, f64)>,
     range_std: f64,

@@ -29,7 +29,6 @@ use crate::{ModelError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InertialNav {
     position_std: f64,
     heading_std: f64,

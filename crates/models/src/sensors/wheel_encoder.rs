@@ -34,7 +34,6 @@ use crate::{ModelError, Result};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WheelEncoderOdometry {
     position_std: f64,
     heading_std: f64,

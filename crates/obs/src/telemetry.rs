@@ -20,9 +20,9 @@ thread_local! {
 
 /// Registers the calling thread as telemetry worker `id`.
 ///
-/// The multi-mode engine's thread pool calls this once per worker (with
-/// ids `1..`) so that spans closed off the main thread — e.g.
-/// `engine.nuise_mode` — carry the worker that actually ran them.
+/// The fleet engine's thread pool calls this once per worker (with ids
+/// `1..`) so that spans closed off the main thread — e.g. a fleet
+/// robot's `engine.step` — carry the worker that actually ran them.
 pub fn set_worker(id: u32) {
     WORKER_ID.with(|w| w.set(id));
 }

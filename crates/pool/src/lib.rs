@@ -1,15 +1,15 @@
 //! A persistent, scoped worker pool built on `std::thread` only, so the
 //! tier-1 build keeps resolving `--offline`.
 //!
-//! The detection engine fans the per-mode NUISE filters out over this
-//! pool every step, so the design goals are:
+//! The fleet engine steps contiguous robot ranges over this pool every
+//! control tick, so the design goals are:
 //!
 //! * **persistent workers** — threads are spawned once in [`Pool::new`]
 //!   and parked on a condvar between steps; a step dispatch is a queue
 //!   push plus a wake-up, not a `thread::spawn`;
 //! * **scoped borrows** — [`Pool::scoped`] lets jobs borrow from the
-//!   caller's stack (the engine hands each worker `&mut` slices of its
-//!   per-mode workspaces), with the scope guaranteeing every job has
+//!   caller's stack (the fleet hands each worker `&mut` slices of its
+//!   robot cells), with the scope guaranteeing every job has
 //!   finished before those borrows expire;
 //! * **deterministic callers** — the pool itself imposes no ordering,
 //!   but jobs write into caller-chosen disjoint slots, so collecting
@@ -21,7 +21,7 @@
 //!
 //! Concurrent scopes on one pool are allowed (each scope tracks its own
 //! completion state), which is what lets a shared pool serve both the
-//! engine and the experiment harnesses.
+//! fleet engine and the experiment harnesses.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -95,8 +95,8 @@ impl Pool {
     }
 
     /// Like [`Pool::new`], but runs `setup(worker_index)` on each worker
-    /// thread before it starts taking jobs — the engine uses this to
-    /// register the worker with the telemetry layer so spans recorded
+    /// thread before it starts taking jobs — the fleet engine uses this
+    /// to register the worker with the telemetry layer so spans recorded
     /// off the main thread carry their worker's identity.
     pub fn with_thread_setup<S>(threads: usize, setup: S) -> Pool
     where

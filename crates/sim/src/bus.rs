@@ -47,7 +47,6 @@ pub const COMMAND_ID: u16 = 0x200;
 /// One bus frame: an arbitration id, the publishing workflow's name and
 /// a fixed-point payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     /// Arbitration id (lower wins on a real CAN bus; here it only keys
     /// the consumer's lookup).

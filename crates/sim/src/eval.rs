@@ -17,7 +17,6 @@ use crate::trace::{sensor_mode_code, Trace};
 
 /// The delay of one ground-truth condition transition.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransitionDelay {
     /// Time of the ground-truth transition, seconds.
     pub at: f64,
@@ -30,7 +29,6 @@ pub struct TransitionDelay {
 
 /// Aggregated evaluation of one run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvalResult {
     /// The scenario name.
     pub scenario: String,

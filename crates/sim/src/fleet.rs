@@ -259,9 +259,7 @@ impl FleetSimulationBuilder {
         self
     }
 
-    /// Overrides the detector configuration. `threads: None` is pinned
-    /// to the sequential intra-step path (fleet robots parallelize at
-    /// robot grain, never inside a step).
+    /// Overrides the detector configuration.
     pub fn config(mut self, config: RoboAdsConfig) -> Self {
         self.config = config;
         self
@@ -354,13 +352,6 @@ impl FleetSimulationBuilder {
         let theta0 = (ly - sy).atan2(lx - sx);
         let x0 = Vector::from_slice(&[sx, sy, theta0]);
 
-        // Pin the intra-step path to sequential up front so fleet
-        // construction cannot depend on the machine's core count.
-        let mut config = self.config.clone();
-        if config.threads.is_none() {
-            config.threads = Some(1);
-        }
-
         let duration = self.duration.unwrap_or_else(|| self.scenario.duration());
         let dt = presets::CONTROL_PERIOD;
         // One system instance per signature group. Group 0 reuses the
@@ -408,7 +399,7 @@ impl FleetSimulationBuilder {
             let group_system = &detector_systems[robot % detector_systems.len()];
             detectors.push(RoboAds::new(
                 group_system.clone(),
-                config.clone(),
+                self.config.clone(),
                 x0.clone(),
                 ModeSet::one_reference_per_sensor(group_system),
             )?);

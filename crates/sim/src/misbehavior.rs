@@ -6,7 +6,6 @@ use crate::{Result, SimError};
 /// Where a misbehavior acts: one sensing workflow or the actuation
 /// workflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Target {
     /// A sensing workflow, by sensor suite index.
     Sensor(usize),
@@ -21,7 +20,6 @@ pub enum Target {
 /// executed command — but *generated* at the workflow step where each
 /// Table-II scenario physically acts (tick counters, raw commands, …).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Corruption {
     /// Adds a constant vector (logic bombs, spoofing shifts).
     Bias(Vector),
@@ -66,7 +64,6 @@ pub enum Corruption {
 /// assert!(m.is_active(40));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Misbehavior {
     name: String,
     target: Target,

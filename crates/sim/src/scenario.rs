@@ -22,7 +22,6 @@ pub const DEFAULT_DURATION: usize = 200;
 /// Ground-truth misbehavior timeline derived from a scenario's
 /// misbehavior windows, used by the evaluation harness.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundTruth {
     misbehaviors: Vec<Misbehavior>,
 }
@@ -71,7 +70,6 @@ impl GroundTruth {
 /// assert!(!s.ground_truth().actuator_at(10));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scenario {
     number: usize,
     name: String,

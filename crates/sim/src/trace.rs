@@ -3,7 +3,6 @@ use roboads_linalg::Vector;
 
 /// Everything recorded about one control iteration of a simulation run.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Iteration index `k` (0-based).
     pub k: usize,
@@ -44,7 +43,6 @@ pub struct TraceRecord {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     records: Vec<TraceRecord>,
     dt: f64,

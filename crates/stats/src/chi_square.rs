@@ -18,7 +18,6 @@ use crate::{Result, StatsError};
 /// assert!((chi.inverse_cdf(0.5).unwrap() - 1.386).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChiSquared {
     dof: usize,
 }

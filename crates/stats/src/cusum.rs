@@ -27,7 +27,6 @@ use crate::{Result, StatsError};
 /// assert!(fired);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cusum {
     reference: f64,
     threshold: f64,

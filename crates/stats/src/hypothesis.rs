@@ -110,7 +110,6 @@ impl StatWorkspace {
 /// assert!(test.exceeds(40.0));   // far above the 12.84 threshold
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChiSquareTest {
     dof: usize,
     alpha: f64,

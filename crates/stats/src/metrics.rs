@@ -23,7 +23,6 @@
 /// assert!((c.false_positive_rate() - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfusionCounts {
     /// Alarms raised with the correct condition identified.
     pub true_positives: u64,
@@ -158,7 +157,6 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// assert!((r.mean_delay().unwrap() - 0.3).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionRate {
     /// Trials recorded.
     pub trials: u64,
@@ -205,7 +203,6 @@ impl DetectionRate {
 
 /// One operating point on a ROC curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RocPoint {
     /// False positive rate at this operating point.
     pub false_positive_rate: f64,
@@ -229,7 +226,6 @@ pub struct RocPoint {
 /// assert!(roc.area_under_curve() > 0.8);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RocCurve {
     points: Vec<RocPoint>,
 }

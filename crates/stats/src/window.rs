@@ -26,7 +26,6 @@ use crate::{Result, StatsError};
 /// assert_eq!(alarms, [false, false, false, false, false, true]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlidingWindow {
     criteria: usize,
     window: usize,

@@ -23,8 +23,7 @@
 //! a typed [`WireError`], never a panic.
 //!
 //! The codec is hand-rolled over [`roboads_obs::wire`] (the same
-//! lossless primitives the flight recorder and snapshots use); `serde`
-//! stays vendoring-gated.
+//! lossless primitives the flight recorder and snapshots use).
 
 mod codec;
 mod serve;

@@ -80,8 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 2. Replay every capsule bitwise from its serialized form. ---
-    let mut config = RoboAdsConfig::paper_defaults();
-    config.threads = Some(1); // the fleet pins intra-step parallelism
+    let config = RoboAdsConfig::paper_defaults();
     let mut replayed = 0usize;
     for capsule in &outcome.capsules {
         let path = dir.join(format!(

@@ -92,10 +92,7 @@ fn frame_faulted_fleet_seals_replayable_capsules_and_health_accounts_for_it() {
         assert_eq!(capsule.robot, i as u32);
         assert_eq!(capsule.kind, IncidentKind::Sensor);
         assert!(capsule.anchored_at_birth(), "robot {i}");
-        // The fleet pins intra-step parallelism to sequential; the twin
-        // must be configured identically for a bitwise pairing.
-        let mut config = RoboAdsConfig::paper_defaults();
-        config.threads = Some(1);
+        let config = RoboAdsConfig::paper_defaults();
         let mut twin = evaluation_detector(RobotKind::Khepera, &config).unwrap();
         let parsed = IncidentCapsule::from_jsonl(&capsule.to_jsonl()).unwrap();
         let replay = replay_capsule(&parsed, &mut twin).unwrap();

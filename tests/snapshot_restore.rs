@@ -176,11 +176,9 @@ fn open_chi2_window_survives_snapshot_at_every_onset_tick() {
 }
 
 /// Fleet twin construction shared by the ingest tests: `n` runner-exact
-/// detectors pinned to sequential stepping, wrapped in an engine and a
-/// stamped-frame ingest.
+/// detectors, wrapped in an engine and a stamped-frame ingest.
 fn fleet_twins(n: usize, policy: DeadlinePolicy) -> (FleetEngine, FleetIngest) {
-    let mut config = RoboAdsConfig::paper_defaults();
-    config.threads = Some(1);
+    let config = RoboAdsConfig::paper_defaults();
     let detectors: Vec<RoboAds> = (0..n).map(|_| twin(&config)).collect();
     let engine = FleetEngine::new(detectors, 1);
     let ingest = FleetIngest::for_fleet(&engine).with_policy(policy);
@@ -291,12 +289,10 @@ fn freshly_regrouped_heterogeneous_fleet_snapshots_bitwise() {
     let trace = trace_for(Scenario::clean());
     let records = &trace.records()[..24];
     let build = || {
-        let mut full = RoboAdsConfig::paper_defaults();
-        full.threads = Some(1);
-        let mut lazy = full
+        let full = RoboAdsConfig::paper_defaults();
+        let lazy = full
             .clone()
             .with_activation(ActivationPolicy::lazy_defaults());
-        lazy.threads = Some(1);
         let detectors = vec![twin(&full), twin(&lazy), twin(&full), twin(&lazy)];
         let engine = FleetEngine::new(detectors, 1);
         let ingest = FleetIngest::for_fleet(&engine);
