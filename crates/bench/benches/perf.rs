@@ -8,8 +8,10 @@
 //! batches; no external crates so the tier-1 build resolves offline).
 //! Besides the hot-path numbers this bench measures:
 //!
-//! * the *allocation-free* NUISE path (`nuise_step_into` with a warm
-//!   [`NuiseWorkspace`]) against the allocating reference,
+//! * the *allocation-free* NUISE path (a warm single-mode
+//!   [`MultiModeEngine::step_in_place`]: one pass of the engine's
+//!   one-lane NUISE kernel plus parsimony and selection) against the
+//!   allocating reference `nuise_step`,
 //! * robot-grain fleet *throughput* at 1/2/4 pool workers (widths
 //!   above the host's available parallelism are skipped; see
 //!   `DESIGN.md`, threading model),
@@ -30,9 +32,9 @@ use std::time::Instant;
 
 use roboads_core::obs::{json::JsonObject, RingBufferSink, Telemetry};
 use roboads_core::{
-    nuise_step, nuise_step_into, ActivationPolicy, DetectionReport, FleetEngine, FleetIngest,
-    Linearization, Mode, ModeSet, MultiModeEngine, NuiseInput, NuiseWorkspace, RecorderConfig,
-    RoboAds, RoboAdsConfig, RobotFactory, RobotInput, ShardConfig, ShardedFleet,
+    nuise_step, ActivationPolicy, DetectionReport, FleetEngine, FleetIngest, Linearization, Mode,
+    ModeSet, MultiModeEngine, NuiseInput, RecorderConfig, RoboAds, RoboAdsConfig, RobotFactory,
+    RobotInput, ShardConfig, ShardedFleet,
 };
 use roboads_linalg::{Matrix, Vector};
 use roboads_models::presets;
@@ -82,7 +84,8 @@ fn thread_grid() -> Vec<usize> {
     [1usize, 2, 4].into_iter().filter(|&t| t <= avail).collect()
 }
 
-/// Returns `(allocating µs, workspace µs)` for a single NUISE step.
+/// Returns `(allocating µs, engine µs)` for a single NUISE step: the
+/// allocating reference, and a warm single-mode engine step.
 fn bench_nuise(fast: bool) -> (f64, f64) {
     let system = presets::khepera_system();
     let mode = Mode::new(vec![0], vec![1, 2]);
@@ -109,13 +112,18 @@ fn bench_nuise(fast: bool) -> (f64, f64) {
     });
     report("nuise_step/khepera_single_mode", alloc);
 
-    let mut ws = NuiseWorkspace::new(&system, &mode);
-    let mut out = ws.new_output();
-    let workspace = time_median(batches, per_batch, || {
-        nuise_step_into(input, &mut ws, &mut out).unwrap();
+    let mut engine = MultiModeEngine::new(
+        system.clone(),
+        ModeSet::from_reference_groups(&system, &[mode.reference().to_vec()]),
+        x,
+        &RoboAdsConfig::paper_defaults(),
+    )
+    .unwrap();
+    let engine_step = time_median(batches, per_batch, || {
+        engine.step_in_place(&u, &readings).unwrap();
     });
-    report("nuise_step_into/khepera_single_mode", workspace);
-    (alloc, workspace)
+    report("engine_step_in_place/khepera_single_mode", engine_step);
+    (alloc, engine_step)
 }
 
 /// Returns `(disabled µs, ring-sink µs, overhead %)`.
@@ -1320,7 +1328,7 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
         std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
     );
     o.field_f64("nuise_step_us", nuise.0 * 1e6);
-    o.field_f64("nuise_step_into_us", nuise.1 * 1e6);
+    o.field_f64("engine_single_mode_step_us", nuise.1 * 1e6);
     o.field_f64("detector_step_noop_us", detector.0 * 1e6);
     o.field_f64("detector_step_ring_us", detector.1 * 1e6);
     o.field_f64("telemetry_overhead_pct", detector.2);

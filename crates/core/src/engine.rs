@@ -1,11 +1,12 @@
-use roboads_linalg::{EigenWorkspace, Matrix, Vector};
-use roboads_models::{RobotSystem, SensorSlice};
+use roboads_linalg::{Matrix, Vector};
+use roboads_models::RobotSystem;
 use roboads_obs::wire;
 use roboads_obs::{Counter, Gauge, Histogram, Telemetry, Value};
 
 use crate::config::{ActivationPolicy, Linearization, RoboAdsConfig};
 use crate::mode::ModeSet;
-use crate::nuise::{nuise_step_into, NuiseInput, NuiseOutput, NuiseWorkspace};
+use crate::nuise::{NuiseInput, NuiseOutput};
+use crate::nuise_slab::NuiseSlabWorkspace;
 use crate::selector::ModeSelector;
 use crate::{CoreError, Result};
 
@@ -115,19 +116,12 @@ pub struct MultiModeEngine {
     /// selected mode's estimate so they recover quickly once their
     /// reference is clean again (see `REANCHOR_FRACTION`).
     mode_states: Vec<(Vector, Matrix)>,
-    /// Per-mode NUISE scratch memory, reused every iteration so the
-    /// warmed-up hot path performs no heap allocation (see
-    /// [`NuiseWorkspace`]).
-    workspaces: Vec<NuiseWorkspace>,
-    /// Per-mode scratch for the parsimony significance checks,
-    /// index-aligned with `workspaces`.
-    parsimony_scratch: Vec<ParsimonyScratch>,
-    /// χ² critical value for the actuator parsimony check, at the
-    /// system's input dimension (computed once at construction).
-    actuator_threshold: f64,
-    /// Per-mode χ² critical values for the per-testing-sensor parsimony
-    /// checks, aligned with each workspace's `testing_slices()`.
-    testing_thresholds: Vec<Vec<f64>>,
+    /// Per-mode NUISE kernels: each mode steps as the one-lane
+    /// instantiation of the kernel the fleet runs eight lanes wide, with
+    /// the parsimony thresholds resolved at construction and scratch
+    /// reused every iteration, so the warmed-up hot path performs no
+    /// heap allocation.
+    workspaces: Vec<NuiseSlabWorkspace<1>>,
     telemetry: Telemetry,
     instruments: EngineInstruments,
     /// The last step's output, written in place every iteration:
@@ -253,10 +247,6 @@ impl EngineInstruments {
     }
 }
 
-/// Significance level at which an anomaly estimate counts as "implied"
-/// for the parsimony prior.
-const PARSIMONY_ALPHA: f64 = 0.01;
-
 /// A mode whose probability falls below this fraction of the uniform
 /// share has its filter state re-anchored to the selected mode's.
 const REANCHOR_FRACTION: f64 = 0.25;
@@ -287,116 +277,6 @@ const WAKE_CONSISTENCY: f64 = 1e-3;
 /// ~4 % measured when the instruments were introduced); sampling keeps
 /// the distributions while restoring the advertised budget.
 const HIST_SAMPLE_PERIOD: u64 = 16;
-
-/// χ² critical value for the parsimony significance checks. Evaluated
-/// only at construction — the engine caches the results per mode
-/// (`actuator_threshold`, `testing_thresholds`) so the quantile search
-/// stays out of the per-iteration hot path.
-fn parsimony_threshold(dof: usize) -> Result<f64> {
-    roboads_stats::ChiSquared::new(dof)
-        .and_then(|chi| chi.critical_value(PARSIMONY_ALPHA))
-        .map_err(|e| CoreError::Numeric(e.to_string()))
-}
-
-/// Per-mode scratch buffers for the parsimony significance checks, so
-/// [`implied_anomaly_count`] runs without heap allocation. Sized once at
-/// construction from the mode's `testing_slices()`.
-#[derive(Debug, Clone)]
-pub(crate) struct ParsimonyScratch {
-    /// Pseudo-inverse buffers for the actuator anomaly covariance
-    /// (input dimension).
-    actuator_eig: EigenWorkspace,
-    actuator_pinv: Matrix,
-    /// Per-testing-slice buffers, index-aligned with `testing_slices()`.
-    slices: Vec<SliceScratch>,
-}
-
-#[derive(Debug, Clone)]
-struct SliceScratch {
-    eig: EigenWorkspace,
-    pinv: Matrix,
-    d: Vector,
-    cov: Matrix,
-}
-
-impl ParsimonyScratch {
-    pub(crate) fn new(input_dim: usize, testing_slices: &[SensorSlice]) -> Self {
-        ParsimonyScratch {
-            actuator_eig: EigenWorkspace::new(input_dim),
-            actuator_pinv: Matrix::zeros(input_dim, input_dim),
-            slices: testing_slices
-                .iter()
-                .map(|s| SliceScratch {
-                    eig: EigenWorkspace::new(s.len),
-                    pinv: Matrix::zeros(s.len, s.len),
-                    d: Vector::zeros(s.len),
-                    cov: Matrix::zeros(s.len, s.len),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Number of active misbehaviors a mode's explanation of this
-/// iteration implies: one per testing sensor whose anomaly estimate
-/// is significant at the [`PARSIMONY_ALPHA`] level, plus one when
-/// the mode's own actuator anomaly estimate is — a hypothesis that
-/// needs a phantom input to absorb a sensor corruption must pay for
-/// it. (The *visibility* of a real actuator attack varies with
-/// reference quality, which would bias this weight toward blind
-/// modes; the decision maker compensates by sourcing the actuator
-/// test from the most precise innovation-consistent mode rather
-/// than the selected one.)
-///
-/// The statistics it tests are stored in `out`
-/// ([`NuiseOutput::actuator_statistic`],
-/// [`NuiseOutput::testing_statistics`]) for the decision maker, which
-/// would otherwise recompute the same pseudo-inverses.
-///
-/// Runs entirely in `scratch` (workspace pseudo-inverses and in-place
-/// segment/block extraction), producing statistics bitwise identical to
-/// the allocating `segment`/`block`/`pseudo_inverse` formulation.
-pub(crate) fn implied_anomaly_count(
-    out: &mut NuiseOutput,
-    actuator_threshold: f64,
-    testing_slices: &[SensorSlice],
-    testing_thresholds: &[f64],
-    scratch: &mut ParsimonyScratch,
-) -> Result<usize> {
-    debug_assert_eq!(out.testing_statistics.len(), testing_slices.len());
-    let mut count = 0;
-    // Own-actuator significance.
-    out.actuator_covariance
-        .pseudo_inverse_into(&mut scratch.actuator_eig, &mut scratch.actuator_pinv)?;
-    let a_stat = out
-        .actuator_anomaly
-        .quadratic_form(&scratch.actuator_pinv)
-        .map_err(|e| CoreError::Numeric(e.to_string()))?;
-    out.actuator_statistic = a_stat;
-    if a_stat > actuator_threshold {
-        count += 1;
-    }
-    // Per-testing-sensor significance.
-    for (((slice, &threshold), s), slot) in testing_slices
-        .iter()
-        .zip(testing_thresholds)
-        .zip(&mut scratch.slices)
-        .zip(out.testing_statistics.iter_mut())
-    {
-        out.sensor_anomaly.segment_into(slice.offset, &mut s.d);
-        out.sensor_covariance
-            .block_into(slice.offset, slice.offset, &mut s.cov);
-        s.cov.pseudo_inverse_into(&mut s.eig, &mut s.pinv)?;
-        let stat =
-            s.d.quadratic_form(&s.pinv)
-                .map_err(|e| CoreError::Numeric(e.to_string()))?;
-        *slot = stat;
-        if stat > threshold {
-            count += 1;
-        }
-    }
-    Ok(count)
-}
 
 /// Fleet slab lane width when [`RoboAdsConfig::slab_lanes`] is `None`,
 /// and the only width the fleet instantiates the slab kernels at: wide
@@ -442,6 +322,20 @@ impl MultiModeEngine {
                 value: format!("{initial_covariance}"),
             });
         }
+        if let Linearization::FrozenAt { state, input } = &linearization {
+            if state.len() != system.state_dim() || input.len() != system.input_dim() {
+                return Err(CoreError::InvalidConfig {
+                    name: "linearization",
+                    value: format!(
+                        "operating point of dimensions ({}, {}) for system ({}, {})",
+                        state.len(),
+                        input.len(),
+                        system.state_dim(),
+                        system.input_dim()
+                    ),
+                });
+            }
+        }
         let nominal_u = Vector::from_fn(system.input_dim(), |_| 0.1);
         modes.validate(&system, &initial_state, &nominal_u)?;
         let selector =
@@ -449,29 +343,18 @@ impl MultiModeEngine {
         let n = system.state_dim();
         let p0 = Matrix::identity(n) * initial_covariance;
         let mode_states = vec![(initial_state.clone(), p0.clone()); modes.len()];
-        let workspaces: Vec<NuiseWorkspace> = modes
+        let workspaces = modes
             .modes()
             .iter()
-            .map(|mode| NuiseWorkspace::new(&system, mode))
-            .collect();
-        let actuator_threshold = parsimony_threshold(system.input_dim().max(1))?;
-        let mut testing_thresholds = Vec::with_capacity(workspaces.len());
-        for ws in &workspaces {
-            let per_slice: Result<Vec<f64>> = ws
-                .testing_slices()
-                .iter()
-                .map(|slice| parsimony_threshold(slice.len))
-                .collect();
-            testing_thresholds.push(per_slice?);
-        }
+            .map(|mode| NuiseSlabWorkspace::new(&system, mode, &linearization))
+            .collect::<Result<Vec<_>>>()?;
         let telemetry = Telemetry::disabled();
         let instruments = EngineInstruments::new(&telemetry, modes.len());
-        let parsimony_scratch: Vec<ParsimonyScratch> = workspaces
-            .iter()
-            .map(|ws| ParsimonyScratch::new(system.input_dim(), ws.testing_slices()))
-            .collect();
         let output = EngineOutput {
-            modes: workspaces.iter().map(NuiseWorkspace::new_output).collect(),
+            modes: workspaces
+                .iter()
+                .map(NuiseSlabWorkspace::new_output)
+                .collect(),
             probabilities: vec![0.0; modes.len()],
             selected: 0,
             active: vec![true; modes.len()],
@@ -488,9 +371,6 @@ impl MultiModeEngine {
             state_covariance: p0,
             mode_states,
             workspaces,
-            parsimony_scratch,
-            actuator_threshold,
-            testing_thresholds,
             telemetry,
             instruments,
             output,
@@ -875,35 +755,24 @@ impl MultiModeEngine {
         &self.output
     }
 
-    /// Runs mode `m`'s NUISE step from its own filter state into its
-    /// pre-assigned workspace and output slot (persistent across steps),
-    /// then its parsimony checks; returns the implied-anomaly count.
+    /// Runs mode `m`'s NUISE step and parsimony checks from its own
+    /// filter state, through lane 0 of its kernel, into its output slot
+    /// (persistent across steps); returns the implied-anomaly count.
     fn run_mode(&mut self, m: usize, u_prev: &Vector, readings: &[Vector]) -> Result<usize> {
-        let out = &mut self.output.modes[m];
-        {
-            let _mode_span = self.telemetry.span("engine.nuise_mode");
-            let (x_m, p_m) = &self.mode_states[m];
-            nuise_step_into(
-                NuiseInput {
-                    system: &self.system,
-                    mode: &self.modes.modes()[m],
-                    x_prev: x_m,
-                    p_prev: p_m,
-                    u_prev,
-                    readings,
-                    linearization: &self.linearization,
-                    compensate: self.compensate,
-                },
-                &mut self.workspaces[m],
-                out,
-            )?;
-        }
-        implied_anomaly_count(
-            out,
-            self.actuator_threshold,
-            self.workspaces[m].testing_slices(),
-            &self.testing_thresholds[m],
-            &mut self.parsimony_scratch[m],
+        let _mode_span = self.telemetry.span("engine.nuise_mode");
+        let (x_m, p_m) = &self.mode_states[m];
+        self.workspaces[m].step(
+            NuiseInput {
+                system: &self.system,
+                mode: &self.modes.modes()[m],
+                x_prev: x_m,
+                p_prev: p_m,
+                u_prev,
+                readings,
+                linearization: &self.linearization,
+                compensate: self.compensate,
+            },
+            &mut self.output.modes[m],
         )
     }
 
@@ -1145,14 +1014,10 @@ impl MultiModeEngine {
         &self.linearization
     }
 
-    /// χ² critical value for the actuator parsimony check.
-    pub(crate) fn actuator_threshold(&self) -> f64 {
-        self.actuator_threshold
-    }
-
-    /// Mode `m`'s per-testing-slice χ² critical values.
-    pub(crate) fn testing_thresholds(&self, m: usize) -> &[f64] {
-        &self.testing_thresholds[m]
+    /// The per-mode NUISE kernels, in mode order (the fleet widens them
+    /// to its slab tiles).
+    pub(crate) fn kernels(&self) -> &[NuiseSlabWorkspace<1>] {
+        &self.workspaces
     }
 
     /// Mode `m`'s filter state and output slot, for the fleet slab path
@@ -1171,7 +1036,7 @@ impl MultiModeEngine {
     /// (DESIGN.md §18): selector, shared and per-mode filter states, the
     /// last committed output (the sleep scheduler and wake triggers read
     /// stale slots from it), and every activation-schedule field.
-    /// Workspaces and parsimony scratch/thresholds are
+    /// The per-mode kernels (scratch and parsimony thresholds) are
     /// construction-derived and belong to the restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         self.selector.snap_write(out);

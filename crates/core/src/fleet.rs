@@ -156,7 +156,8 @@ struct GroupKey {
     compensate: bool,
     lanes: usize,
     /// Whether the engine relinearizes per iteration — the only
-    /// linearization policy the slab kernels implement. Non-eligible
+    /// linearization policy the fleet slabs (a frozen operating point
+    /// is per-robot model state this key does not carry). Non-eligible
     /// robots still group (scalar groups step contiguously) but never
     /// slab.
     per_iteration: bool,
@@ -391,12 +392,7 @@ impl FleetEngine {
         };
         (0..job_count)
             .map(|_| SlabJob {
-                bank: rep
-                    .modes()
-                    .modes()
-                    .iter()
-                    .map(|mode| NuiseSlabWorkspace::new(rep.system(), mode))
-                    .collect(),
+                bank: rep.kernels().iter().map(|k| k.widened()).collect(),
             })
             .collect()
     }
@@ -1049,13 +1045,7 @@ fn step_tile<const K: usize>(
         }
         let ran = {
             let eng = cells[0].detector.engine();
-            ws.run(
-                eng.system(),
-                eng.compensate(),
-                eng.actuator_threshold(),
-                eng.testing_thresholds(m),
-                &mode_lanes,
-            )
+            ws.run(eng.system(), eng.compensate(), &mode_lanes)
         };
         for (l, cell) in cells.iter_mut().enumerate() {
             if ran[l] {

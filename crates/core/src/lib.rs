@@ -13,12 +13,15 @@
 //!   [`RoboAds::step`] the planned commands `u_{k−1}` and the received
 //!   per-sensor readings `z_k`.
 //! * **Multi-mode estimation engine** ([`MultiModeEngine`]) — one
-//!   [`nuise_step`] (Algorithm 2) per *mode*, where a [`Mode`] is a
+//!   NUISE step (Algorithm 2) per *mode*, where a [`Mode`] is a
 //!   hypothesis partitioning the sensor suite into clean *reference*
 //!   sensors (used for estimation) and potentially-corrupted *testing*
 //!   sensors (cross-validated against the estimate). Each NUISE run
 //!   produces state estimates, actuator and sensor anomaly-vector
-//!   estimates with covariances, and a mode likelihood.
+//!   estimates with covariances, and a mode likelihood. Every mode of
+//!   every engine runs one in-place, allocation-free kernel (the fleet
+//!   runs the same kernel eight robots wide); [`nuise_step`] is the
+//!   allocating reference oracle it is pinned against bit for bit.
 //! * **Mode selector** ([`ModeSelector`]) — maintains the normalized
 //!   mode probabilities `μ_m ← max(N_m·μ_m, ε)` and picks the most
 //!   likely hypothesis.
@@ -90,7 +93,7 @@ pub use fleet::{FleetEngine, RobotInput};
 pub use health::{FleetHealth, RobotHealth};
 pub use ingest::{DeadlinePolicy, FleetIngest, SlotState, SwapSummary};
 pub use mode::{Mode, ModeSet};
-pub use nuise::{nuise_step, nuise_step_into, NuiseInput, NuiseOutput, NuiseWorkspace};
+pub use nuise::{nuise_step, NuiseInput, NuiseOutput};
 pub use recorder::{
     replay_capsule, CapsuleIncident, DecisionDigest, FlightRecorder, IncidentCapsule, IncidentKind,
     RecorderConfig, ReplayOutcome, TickRecord, CAPSULE_VERSION,

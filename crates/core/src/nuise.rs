@@ -28,8 +28,8 @@
 //! with that `S`; the crate's tests verify unbiasedness, covariance
 //! consistency and PSD-ness over long runs.
 
-use roboads_linalg::{EigenWorkspace, LuWorkspace, Matrix, Vector};
-use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
+use roboads_linalg::{Matrix, Vector};
+use roboads_models::{wrap_angle, RobotSystem};
 
 use crate::config::Linearization;
 use crate::mode::Mode;
@@ -85,18 +85,26 @@ pub struct NuiseOutput {
     /// Reference-sensor innovation `ν_k` (diagnostics).
     pub innovation: Vector,
     /// Normalized actuator statistic `d̂ᵃᵀ(Pᵃ)†d̂ᵃ` of this output.
-    /// Written by the engine's implied-anomaly pass (scalar or slab),
-    /// which the decision maker's actuator test then reuses; a bare
-    /// NUISE step leaves it at `0.0`. Travelling with the estimates
+    /// Written by the kernel's implied-anomaly pass, which the decision
+    /// maker's actuator test then reuses; the [`nuise_step`] oracle
+    /// leaves it at `0.0`. Travelling with the estimates
     /// keeps a dormant mode's stale output and stale statistic together.
     pub actuator_statistic: f64,
     /// Normalized per-testing-sensor statistics `d̂ˢ_sᵀ(Pˢ_ss)†d̂ˢ_s`,
     /// one per testing slice in the mode's testing order (empty for a
     /// mode that tests nothing). Written alongside
     /// [`NuiseOutput::actuator_statistic`] and read by the decision
-    /// maker's per-sensor views; zeros from a bare NUISE step.
+    /// maker's per-sensor views; zeros from the [`nuise_step`] oracle.
     pub testing_statistics: Vec<f64>,
 }
+
+/// Error message of a singular reference innovation covariance `R*₂`.
+pub(crate) const SINGULAR_INNOVATION: &str = "reference innovation covariance is singular";
+
+/// Error message of a rank-deficient `C₂·G` (the mode cannot estimate
+/// the actuator anomaly).
+pub(crate) const RANK_DEFICIENT: &str =
+    "rank(C2*G) < input dimension: mode cannot estimate actuator anomalies";
 
 /// Model-evaluation helper honoring the linearization strategy: RoboADS
 /// re-linearizes every iteration and evaluates the nonlinear `f`/`h`;
@@ -171,14 +179,20 @@ fn stack_readings(readings: &[Vector], subset: &[usize]) -> Vector {
     Vector::concat_all(parts)
 }
 
-/// Executes one NUISE step (Algorithm 2).
+/// Executes one NUISE step (Algorithm 2), allocating every
+/// intermediate — the **reference oracle**. The engine and the fleet
+/// run the in-place lane-batched kernel instead (`nuise_slab.rs`; the
+/// engine at one lane), which the test suites pin against this function
+/// with exact `==`. It leaves the parsimony statistics of the output at
+/// zero.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BadReadings`] when the supplied readings do not
-/// match the sensor suite, [`CoreError::Numeric`] when a gain matrix is
-/// singular (prevented up front by [`crate::ModeSet::validate`]), and
-/// propagates linear-algebra failures.
+/// Returns [`CoreError::BadReadings`] when the supplied command or
+/// readings do not match the system, [`CoreError::Numeric`] when a gain
+/// matrix is singular (prevented up front by
+/// [`crate::ModeSet::validate`]), and propagates linear-algebra
+/// failures.
 pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     let NuiseInput {
         system,
@@ -191,7 +205,7 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
         compensate,
     } = input;
 
-    validate_readings(system, readings)?;
+    validate_readings(system, u_prev, readings)?;
     let lin = Lin {
         system,
         strategy: linearization,
@@ -217,15 +231,13 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     let r2_star = (&c2.congruence(&p_tilde)? + &r2).symmetrized()?;
     let r2_star_inv = r2_star
         .inverse()
-        .map_err(|_| CoreError::Numeric("reference innovation covariance is singular".into()))?;
+        .map_err(|_| CoreError::Numeric(SINGULAR_INNOVATION.into()))?;
 
     let f_mat = &c2 * &g; // m₂ × q
     let normal = (&f_mat.transpose() * &(&r2_star_inv * &f_mat)).symmetrized()?;
-    let normal_inv = normal.inverse().map_err(|_| {
-        CoreError::Numeric(
-            "rank(C2*G) < input dimension: mode cannot estimate actuator anomalies".into(),
-        )
-    })?;
+    let normal_inv = normal
+        .inverse()
+        .map_err(|_| CoreError::Numeric(RANK_DEFICIENT.into()))?;
     let m2 = &normal_inv * &(&f_mat.transpose() * &r2_star_inv); // q × m₂
 
     let nu_tilde = wrap_components(&z2 - &lin.h(reference, &x_bar), &angular2);
@@ -345,417 +357,6 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     })
 }
 
-/// Preallocated per-mode scratch for [`nuise_step_into`].
-///
-/// Sized once at construction from the system dimensions and the mode's
-/// reference/testing partition, a workspace makes every subsequent
-/// [`nuise_step_into`] call **allocation-free** with the
-/// [`Linearization::PerIteration`] strategy: subset layouts, noise
-/// covariances and angular-component lists are cached, and every
-/// intermediate matrix of Algorithm 2 lives in a reusable buffer
-/// (including the LU and Jacobi-eigen factorizations).
-///
-/// The workspace-based path produces **bitwise-identical** outputs to
-/// the allocating [`nuise_step`]: every in-place kernel in
-/// `roboads_linalg` replicates the exact loop structure and
-/// accumulation order of its allocating counterpart, and the tests in
-/// this module pin the equivalence with exact `==` comparisons.
-#[derive(Debug, Clone)]
-pub struct NuiseWorkspace {
-    // Cached per-mode constants.
-    ref_slices: Vec<SensorSlice>,
-    test_slices: Vec<SensorSlice>,
-    angular2: Vec<usize>,
-    angular1: Vec<usize>,
-    r2: Matrix,
-    r1: Matrix,
-    noise_scale: f64,
-    n: usize,
-    q_dim: usize,
-    m2_dim: usize,
-    m1_dim: usize,
-    // Vector scratch.
-    z2: Vector,
-    z1: Vector,
-    h2: Vector,
-    h1: Vector,
-    nu_tilde: Vector,
-    tmp_n: Vector,
-    // Model evaluation scratch.
-    a_mat: Matrix,  // n × n
-    g_mat: Matrix,  // n × q
-    x_bar: Vector,  // n
-    x_pred: Vector, // n
-    c2: Matrix,     // m₂ × n
-    c1: Matrix,     // m₁ × n
-    // n × n scratch.
-    p_tilde: Matrix,
-    j_comp: Matrix,
-    a_bar: Matrix,
-    q_bar: Matrix,
-    p_pred: Matrix,
-    j_upd: Matrix,
-    cross: Matrix,
-    tmp_nn_a: Matrix,
-    tmp_nn_b: Matrix,
-    // m₂ × m₂ scratch.
-    r2_star: Matrix,
-    r2_star_inv: Matrix,
-    p_nu: Matrix,
-    p_nu_pinv: Matrix,
-    tmp_m2m2_a: Matrix,
-    tmp_m2m2_b: Matrix,
-    // Mixed-shape scratch.
-    f_mat: Matrix,      // m₂ × q
-    f_mat_t: Matrix,    // q × m₂
-    tmp_m2q: Matrix,    // m₂ × q
-    tmp_qm2: Matrix,    // q × m₂
-    m2_gain: Matrix,    // q × m₂ (the paper's M₂)
-    normal: Matrix,     // q × q
-    normal_inv: Matrix, // q × q
-    gm2: Matrix,        // n × m₂
-    s_mat: Matrix,      // n × m₂
-    l_gain: Matrix,     // n × m₂
-    tmp_nm2_a: Matrix,  // n × m₂
-    tmp_nm2_b: Matrix,  // n × m₂
-    // Congruence scratches (cols × rows of the left factor).
-    sc_n_m2: Matrix, // n × m₂
-    sc_n_n: Matrix,  // n × n
-    sc_m2_n: Matrix, // m₂ × n
-    sc_n_m1: Matrix, // n × m₁
-    // Reusable factorizations.
-    lu_m2: LuWorkspace,
-    lu_q: LuWorkspace,
-    eigen: EigenWorkspace,
-}
-
-impl NuiseWorkspace {
-    /// Builds the scratch space for running `mode` against `system`.
-    pub fn new(system: &RobotSystem, mode: &Mode) -> Self {
-        let n = system.state_dim();
-        let q_dim = system.input_dim();
-        let m2_dim = system.subset_dim(mode.reference());
-        let m1_dim = system.subset_dim(mode.testing());
-        let r2 = system.noise_subset(mode.reference());
-        let r1 = if mode.testing().is_empty() {
-            Matrix::zeros(0, 0)
-        } else {
-            system.noise_subset(mode.testing())
-        };
-        let noise_scale = (r2.trace() / r2.rows().max(1) as f64).max(f64::MIN_POSITIVE);
-        NuiseWorkspace {
-            ref_slices: system.subset_slices(mode.reference()),
-            test_slices: system.subset_slices(mode.testing()),
-            angular2: system.angular_components_subset(mode.reference()),
-            angular1: system.angular_components_subset(mode.testing()),
-            r2,
-            r1,
-            noise_scale,
-            n,
-            q_dim,
-            m2_dim,
-            m1_dim,
-            z2: Vector::zeros(m2_dim),
-            z1: Vector::zeros(m1_dim),
-            h2: Vector::zeros(m2_dim),
-            h1: Vector::zeros(m1_dim),
-            nu_tilde: Vector::zeros(m2_dim),
-            tmp_n: Vector::zeros(n),
-            a_mat: Matrix::zeros(n, n),
-            g_mat: Matrix::zeros(n, q_dim),
-            x_bar: Vector::zeros(n),
-            x_pred: Vector::zeros(n),
-            c2: Matrix::zeros(m2_dim, n),
-            c1: Matrix::zeros(m1_dim, n),
-            p_tilde: Matrix::zeros(n, n),
-            j_comp: Matrix::zeros(n, n),
-            a_bar: Matrix::zeros(n, n),
-            q_bar: Matrix::zeros(n, n),
-            p_pred: Matrix::zeros(n, n),
-            j_upd: Matrix::zeros(n, n),
-            cross: Matrix::zeros(n, n),
-            tmp_nn_a: Matrix::zeros(n, n),
-            tmp_nn_b: Matrix::zeros(n, n),
-            r2_star: Matrix::zeros(m2_dim, m2_dim),
-            r2_star_inv: Matrix::zeros(m2_dim, m2_dim),
-            p_nu: Matrix::zeros(m2_dim, m2_dim),
-            p_nu_pinv: Matrix::zeros(m2_dim, m2_dim),
-            tmp_m2m2_a: Matrix::zeros(m2_dim, m2_dim),
-            tmp_m2m2_b: Matrix::zeros(m2_dim, m2_dim),
-            f_mat: Matrix::zeros(m2_dim, q_dim),
-            f_mat_t: Matrix::zeros(q_dim, m2_dim),
-            tmp_m2q: Matrix::zeros(m2_dim, q_dim),
-            tmp_qm2: Matrix::zeros(q_dim, m2_dim),
-            m2_gain: Matrix::zeros(q_dim, m2_dim),
-            normal: Matrix::zeros(q_dim, q_dim),
-            normal_inv: Matrix::zeros(q_dim, q_dim),
-            gm2: Matrix::zeros(n, m2_dim),
-            s_mat: Matrix::zeros(n, m2_dim),
-            l_gain: Matrix::zeros(n, m2_dim),
-            tmp_nm2_a: Matrix::zeros(n, m2_dim),
-            tmp_nm2_b: Matrix::zeros(n, m2_dim),
-            sc_n_m2: Matrix::zeros(n, m2_dim),
-            sc_n_n: Matrix::zeros(n, n),
-            sc_m2_n: Matrix::zeros(m2_dim, n),
-            sc_n_m1: Matrix::zeros(n, m1_dim),
-            lu_m2: LuWorkspace::new(m2_dim),
-            lu_q: LuWorkspace::new(q_dim),
-            eigen: EigenWorkspace::new(m2_dim),
-        }
-    }
-
-    /// Cached slice layout of the mode's testing set (offsets into the
-    /// stacked `sensor_anomaly`/`sensor_covariance`).
-    pub fn testing_slices(&self) -> &[SensorSlice] {
-        &self.test_slices
-    }
-
-    /// A zeroed [`NuiseOutput`] with every buffer pre-sized for this
-    /// workspace's mode, ready for [`nuise_step_into`].
-    pub fn new_output(&self) -> NuiseOutput {
-        NuiseOutput {
-            state_estimate: Vector::zeros(self.n),
-            state_covariance: Matrix::zeros(self.n, self.n),
-            actuator_anomaly: Vector::zeros(self.q_dim),
-            actuator_covariance: Matrix::zeros(self.q_dim, self.q_dim),
-            sensor_anomaly: Vector::zeros(self.m1_dim),
-            sensor_covariance: Matrix::zeros(self.m1_dim, self.m1_dim),
-            likelihood: 0.0,
-            consistency: 0.0,
-            innovation: Vector::zeros(self.m2_dim),
-            actuator_statistic: 0.0,
-            testing_statistics: vec![0.0; self.test_slices.len()],
-        }
-    }
-}
-
-/// Executes one NUISE step into preallocated buffers — the engine's hot
-/// path. Bitwise-identical to [`nuise_step`] (see [`NuiseWorkspace`]),
-/// but performs **zero heap allocations** in steady state with the
-/// [`Linearization::PerIteration`] strategy. The §V-G frozen baseline
-/// delegates to the allocating path (it is not a hot path).
-///
-/// `ws` and `out` must have been built for the same `(system, mode)`
-/// pair as `input` (use [`NuiseWorkspace::new`] and
-/// [`NuiseWorkspace::new_output`]); `out` is fully overwritten on
-/// success and unspecified on error.
-///
-/// # Errors
-///
-/// Identical to [`nuise_step`].
-pub fn nuise_step_into(
-    input: NuiseInput<'_>,
-    ws: &mut NuiseWorkspace,
-    out: &mut NuiseOutput,
-) -> Result<()> {
-    if !matches!(input.linearization, Linearization::PerIteration) {
-        *out = nuise_step(input)?;
-        return Ok(());
-    }
-    let NuiseInput {
-        system,
-        mode: _,
-        x_prev,
-        p_prev,
-        u_prev,
-        readings,
-        linearization: _,
-        compensate,
-    } = input;
-
-    validate_readings(system, readings)?;
-
-    let q = system.process_noise();
-    for slice in &ws.ref_slices {
-        ws.z2.as_mut_slice()[slice.offset..slice.offset + slice.len]
-            .copy_from_slice(readings[slice.sensor].as_slice());
-    }
-
-    // --- Step 1: actuator anomaly estimation (Alg. 2 lines 2–6). ---
-    system
-        .dynamics()
-        .state_jacobian_into(x_prev, u_prev, &mut ws.a_mat);
-    system
-        .dynamics()
-        .input_jacobian_into(x_prev, u_prev, &mut ws.g_mat);
-    system.dynamics().step_into(x_prev, u_prev, &mut ws.x_bar);
-    system.jacobian_subset_into(&ws.ref_slices, &ws.x_bar, &mut ws.c2);
-
-    // P̃ = (A·P·Aᵀ + Q).symmetrized()
-    p_prev.mul_transpose_into(&ws.a_mat, &mut ws.tmp_nn_a);
-    ws.a_mat.mul_into(&ws.tmp_nn_a, &mut ws.p_tilde);
-    ws.p_tilde += q;
-    ws.p_tilde
-        .symmetrize_in_place()
-        .expect("square by construction");
-
-    // R*₂ = (C₂·P̃·C₂ᵀ + R₂).symmetrized(), then its inverse.
-    ws.c2
-        .congruence_into(&ws.p_tilde, &mut ws.sc_n_m2, &mut ws.r2_star)?;
-    ws.r2_star += &ws.r2;
-    ws.r2_star.symmetrize_in_place()?;
-    ws.lu_m2
-        .factorize(&ws.r2_star)
-        .and_then(|()| ws.lu_m2.inverse_into(&mut ws.r2_star_inv))
-        .map_err(|_| CoreError::Numeric("reference innovation covariance is singular".into()))?;
-
-    // M₂ = (Fᵀ·R*⁻¹·F)⁻¹·Fᵀ·R*⁻¹ with F = C₂·G.
-    ws.c2.mul_into(&ws.g_mat, &mut ws.f_mat);
-    ws.f_mat.transpose_into(&mut ws.f_mat_t);
-    ws.r2_star_inv.mul_into(&ws.f_mat, &mut ws.tmp_m2q);
-    ws.f_mat_t.mul_into(&ws.tmp_m2q, &mut ws.normal);
-    ws.normal.symmetrize_in_place()?;
-    ws.lu_q
-        .factorize(&ws.normal)
-        .and_then(|()| ws.lu_q.inverse_into(&mut ws.normal_inv))
-        .map_err(|_| {
-            CoreError::Numeric(
-                "rank(C2*G) < input dimension: mode cannot estimate actuator anomalies".into(),
-            )
-        })?;
-    ws.f_mat_t.mul_into(&ws.r2_star_inv, &mut ws.tmp_qm2);
-    ws.normal_inv.mul_into(&ws.tmp_qm2, &mut ws.m2_gain);
-
-    // ν̃ = wrap(z₂ − h(ref, x̄)), d̂ᵃ = M₂·ν̃, Pᵃ = (Fᵀ·R*⁻¹·F)⁻¹.
-    system.measure_subset_into(&ws.ref_slices, &ws.x_bar, &mut ws.h2);
-    ws.nu_tilde.copy_from(&ws.z2);
-    ws.nu_tilde -= &ws.h2;
-    for &i in &ws.angular2 {
-        ws.nu_tilde[i] = wrap_angle(ws.nu_tilde[i]);
-    }
-    ws.m2_gain
-        .mul_vec_into(&ws.nu_tilde, &mut out.actuator_anomaly);
-    out.actuator_covariance.copy_from(&ws.normal_inv);
-
-    // --- Step 2: compensated state prediction (lines 7–10). ---
-    // Same first-order-equivalent compensation as `nuise_step` (see the
-    // implementation note there); this path only mirrors the math.
-    if compensate {
-        ws.g_mat.mul_vec_into(&out.actuator_anomaly, &mut ws.tmp_n);
-        ws.x_pred.copy_from(&ws.x_bar);
-        ws.x_pred += &ws.tmp_n;
-        ws.g_mat.mul_into(&ws.m2_gain, &mut ws.gm2);
-        // J = I − G·M₂·C₂
-        ws.gm2.mul_into(&ws.c2, &mut ws.tmp_nn_a);
-        ws.j_comp.set_identity();
-        ws.j_comp -= &ws.tmp_nn_a;
-        ws.j_comp.mul_into(&ws.a_mat, &mut ws.a_bar);
-        // Q̄ = (J·Q·Jᵀ + G·M₂·R₂·M₂ᵀ·Gᵀ).symmetrized()
-        ws.j_comp
-            .congruence_into(q, &mut ws.sc_n_n, &mut ws.q_bar)?;
-        ws.gm2
-            .congruence_into(&ws.r2, &mut ws.sc_m2_n, &mut ws.tmp_nn_b)?;
-        ws.q_bar += &ws.tmp_nn_b;
-        ws.q_bar.symmetrize_in_place()?;
-        // S = −G·M₂·R₂ (sign-corrected, see module docs).
-        ws.gm2.mul_into(&ws.r2, &mut ws.s_mat);
-        ws.s_mat.negate();
-    } else {
-        ws.x_pred.copy_from(&ws.x_bar);
-        ws.a_bar.copy_from(&ws.a_mat);
-        ws.q_bar.copy_from(q);
-        ws.s_mat.fill(0.0);
-    }
-    ws.a_bar
-        .congruence_into(p_prev, &mut ws.sc_n_n, &mut ws.p_pred)?;
-    ws.p_pred += &ws.q_bar;
-    ws.p_pred.symmetrize_in_place()?;
-
-    // --- Step 3: correlated-noise state update (lines 11–14). ---
-    system.measure_subset_into(&ws.ref_slices, &ws.x_pred, &mut ws.h2);
-    out.innovation.copy_from(&ws.z2);
-    out.innovation -= &ws.h2;
-    for &i in &ws.angular2 {
-        out.innovation[i] = wrap_angle(out.innovation[i]);
-    }
-    // Pν = ((C₂·P·C₂ᵀ + R₂) + (C₂S + (C₂S)ᵀ)).symmetrized()
-    ws.c2.mul_into(&ws.s_mat, &mut ws.tmp_m2m2_a);
-    ws.c2
-        .congruence_into(&ws.p_pred, &mut ws.sc_n_m2, &mut ws.p_nu)?;
-    ws.p_nu += &ws.r2;
-    ws.tmp_m2m2_a.transpose_into(&mut ws.tmp_m2m2_b);
-    ws.tmp_m2m2_a += &ws.tmp_m2m2_b;
-    ws.p_nu += &ws.tmp_m2m2_a;
-    ws.p_nu.symmetrize_in_place()?;
-    // Pseudo-inverse on the informative spectrum (see `nuise_step` for
-    // why Pν is structurally singular and the cutoff carries an
-    // absolute noise-scale floor).
-    ws.eigen.factorize(&ws.p_nu)?;
-    let cutoff = (1e-9 * ws.noise_scale).max(1e-10 * ws.eigen.max_eigenvalue().abs());
-    ws.eigen.spectral_map_into(
-        |l| if l.abs() > cutoff { 1.0 / l } else { 0.0 },
-        &mut ws.p_nu_pinv,
-    );
-    let nu_rank = ws
-        .eigen
-        .eigenvalues()
-        .as_slice()
-        .iter()
-        .filter(|l| l.abs() > cutoff)
-        .count();
-    let nu_pdet = ws
-        .eigen
-        .eigenvalues()
-        .as_slice()
-        .iter()
-        .filter(|l| l.abs() > cutoff)
-        .product::<f64>();
-    // L = (P·C₂ᵀ + S)·Pν†
-    ws.p_pred.mul_transpose_into(&ws.c2, &mut ws.tmp_nm2_a);
-    ws.tmp_nm2_a += &ws.s_mat;
-    ws.tmp_nm2_a.mul_into(&ws.p_nu_pinv, &mut ws.l_gain);
-    ws.l_gain.mul_vec_into(&out.innovation, &mut ws.tmp_n);
-    out.state_estimate.copy_from(&ws.x_pred);
-    out.state_estimate += &ws.tmp_n;
-    for &i in system.dynamics().angular_state_components() {
-        out.state_estimate[i] = wrap_angle(out.state_estimate[i]);
-    }
-    // J = I − L·C₂, Pˣ = (J·P·Jᵀ + L·R₂·Lᵀ − (JSLᵀ + (JSLᵀ)ᵀ)).symmetrized()
-    ws.l_gain.mul_into(&ws.c2, &mut ws.tmp_nn_a);
-    ws.j_upd.set_identity();
-    ws.j_upd -= &ws.tmp_nn_a;
-    ws.j_upd.mul_into(&ws.s_mat, &mut ws.tmp_nm2_b);
-    ws.tmp_nm2_b.mul_transpose_into(&ws.l_gain, &mut ws.cross);
-    ws.j_upd
-        .congruence_into(&ws.p_pred, &mut ws.sc_n_n, &mut out.state_covariance)?;
-    ws.l_gain
-        .congruence_into(&ws.r2, &mut ws.sc_m2_n, &mut ws.tmp_nn_a)?;
-    out.state_covariance += &ws.tmp_nn_a;
-    ws.cross.transpose_into(&mut ws.tmp_nn_b);
-    ws.cross += &ws.tmp_nn_b;
-    out.state_covariance -= &ws.cross;
-    out.state_covariance.symmetrize_in_place()?;
-
-    // --- Step 4: testing-sensor anomaly estimation (lines 15–16). ---
-    if !ws.test_slices.is_empty() {
-        for slice in &ws.test_slices {
-            ws.z1.as_mut_slice()[slice.offset..slice.offset + slice.len]
-                .copy_from_slice(readings[slice.sensor].as_slice());
-        }
-        system.jacobian_subset_into(&ws.test_slices, &out.state_estimate, &mut ws.c1);
-        system.measure_subset_into(&ws.test_slices, &out.state_estimate, &mut ws.h1);
-        out.sensor_anomaly.copy_from(&ws.z1);
-        out.sensor_anomaly -= &ws.h1;
-        for &i in &ws.angular1 {
-            out.sensor_anomaly[i] = wrap_angle(out.sensor_anomaly[i]);
-        }
-        ws.c1.congruence_into(
-            &out.state_covariance,
-            &mut ws.sc_n_m1,
-            &mut out.sensor_covariance,
-        )?;
-        out.sensor_covariance += &ws.r1;
-        out.sensor_covariance.symmetrize_in_place()?;
-    }
-
-    // --- Step 5: mode likelihood (lines 17–20). ---
-    let (likelihood, consistency) =
-        mode_likelihood(&out.innovation, &ws.p_nu_pinv, nu_rank, nu_pdet)?;
-    out.likelihood = likelihood;
-    out.consistency = consistency;
-    Ok(())
-}
-
 /// Degenerate-Gaussian likelihood of `ν` under covariance `P` (Alg. 2
 /// line 20): `exp(−νᵀP†ν/2) / ((2π)^{n/2}·|P|₊^{1/2})` with
 /// `n = rank(P)` — plus the **dimension-free consistency**: the χ²(n)
@@ -778,13 +379,42 @@ fn mode_likelihood(nu: &Vector, pinv: &Matrix, rank: usize, pdet: f64) -> Result
     let stat = nu.quadratic_form(pinv)?.max(0.0);
     let norm = (2.0 * std::f64::consts::PI).powf(rank as f64 / 2.0) * pdet.abs().sqrt();
     let density = (-0.5 * stat).exp() / norm.max(f64::MIN_POSITIVE);
-    let consistency = roboads_stats::ChiSquared::new(rank)
-        .and_then(|chi| chi.survival(stat))
-        .map_err(|e| CoreError::Numeric(e.to_string()))?;
-    Ok((density, consistency))
+    Ok((density, chi2_consistency(rank, stat)?))
 }
 
-pub(crate) fn validate_readings(system: &RobotSystem, readings: &[Vector]) -> Result<()> {
+/// The χ²(`rank`) survival p-value of a normalized innovation
+/// statistic — the mode consistency.
+pub(crate) fn chi2_consistency(rank: usize, stat: f64) -> Result<f64> {
+    roboads_stats::ChiSquared::new(rank)
+        .and_then(|chi| chi.survival(stat))
+        .map_err(|e| CoreError::Numeric(e.to_string()))
+}
+
+/// Rejects a command or a set of readings that does not fit the system:
+/// a wrong-length or non-finite command `u_{k−1}`, a wrong reading
+/// count, a wrong-length reading, or a non-finite reading. The one input
+/// check of Algorithm 2, shared by [`nuise_step`] and the in-place
+/// kernel, so malformed input is a [`CoreError::BadReadings`] on every
+/// path and never reaches the model functions.
+pub(crate) fn validate_readings(
+    system: &RobotSystem,
+    u_prev: &Vector,
+    readings: &[Vector],
+) -> Result<()> {
+    if u_prev.len() != system.input_dim() {
+        return Err(CoreError::BadReadings {
+            reason: format!(
+                "command has {} components, expected {}",
+                u_prev.len(),
+                system.input_dim()
+            ),
+        });
+    }
+    if !u_prev.is_finite() {
+        return Err(CoreError::BadReadings {
+            reason: "command is not finite".into(),
+        });
+    }
     if readings.len() != system.sensor_count() {
         return Err(CoreError::BadReadings {
             reason: format!(
@@ -817,9 +447,41 @@ pub(crate) fn validate_readings(system: &RobotSystem, readings: &[Vector]) -> Re
     Ok(())
 }
 
+/// The allocating oracle of the kernel's whole per-mode step:
+/// [`nuise_step`] plus the implied-anomaly count through the allocating
+/// `segment`/`block`/`pseudo_inverse` formulation, with the tested
+/// statistics stored in the output where the kernel stores them.
+#[cfg(test)]
+pub(crate) fn oracle_step(
+    input: NuiseInput<'_>,
+    actuator_threshold: f64,
+    testing_thresholds: &[f64],
+) -> Result<(NuiseOutput, usize)> {
+    let mut out = nuise_step(input)?;
+    out.actuator_statistic = out
+        .actuator_anomaly
+        .quadratic_form(&out.actuator_covariance.pseudo_inverse()?)?;
+    let mut count = usize::from(out.actuator_statistic > actuator_threshold);
+    let slices = input.system.subset_slices(input.mode.testing());
+    for ((slice, &threshold), stat) in slices
+        .iter()
+        .zip(testing_thresholds)
+        .zip(&mut out.testing_statistics)
+    {
+        let d = out.sensor_anomaly.segment(slice.offset, slice.len);
+        let cov = out
+            .sensor_covariance
+            .block(slice.offset, slice.offset, slice.len, slice.len);
+        *stat = d.quadratic_form(&cov.pseudo_inverse()?)?;
+        count += usize::from(*stat > threshold);
+    }
+    Ok((out, count))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nuise_slab::NuiseSlabWorkspace;
     use roboads_models::presets;
 
     fn khepera_setup() -> (RobotSystem, Mode, Vector, Matrix, Vector) {
@@ -1033,104 +695,104 @@ mod tests {
         assert!(matches!(err, CoreError::BadReadings { .. }));
     }
 
+    /// The allocating oracle of `ws`'s step, at `ws`'s parsimony
+    /// thresholds.
+    fn oracle(ws: &NuiseSlabWorkspace<1>, input: NuiseInput<'_>) -> Result<(NuiseOutput, usize)> {
+        let (actuator_threshold, testing_thresholds) = ws.parsimony_thresholds();
+        oracle_step(input, actuator_threshold, testing_thresholds)
+    }
+
     #[test]
     fn workspace_step_is_bitwise_identical_to_allocating_step() {
         let (system, _, x0, p0, u) = khepera_setup();
-        // Cover every reference/testing partition shape, including the
-        // empty-testing mode, over a multi-step trajectory so the
-        // workspace is exercised warm (reuse) as well as cold.
+        // Every reference/testing partition shape (including the
+        // empty-testing mode), both compensation settings and both
+        // linearizations, over a multi-step trajectory so the workspace
+        // is exercised warm (reuse) as well as cold.
         let modes = [
             Mode::new(vec![0], vec![1, 2]),
             Mode::new(vec![1], vec![0, 2]),
             Mode::new(vec![2], vec![0, 1]),
             Mode::new(vec![0, 1, 2], vec![]),
         ];
-        for mode in &modes {
-            let mut ws = NuiseWorkspace::new(&system, mode);
-            let mut out = ws.new_output();
-            let mut x_est = x0.clone();
-            let mut p = p0.clone();
-            let mut x_true = x0.clone();
-            for k in 0..20 {
-                x_true = system.dynamics().step(&x_true, &u);
-                let mut readings = clean_readings(&system, &x_true);
-                if k > 10 {
-                    readings[1][0] += 0.05; // exercise nonzero anomalies
+        let frozen = Linearization::FrozenAt {
+            state: x0.clone(),
+            input: Vector::from_slice(&[0.1, 0.1]),
+        };
+        for linearization in [Linearization::PerIteration, frozen] {
+            for mode in &modes {
+                for compensate in [true, false] {
+                    let mut ws =
+                        NuiseSlabWorkspace::<1>::new(&system, mode, &linearization).unwrap();
+                    let mut out = ws.new_output();
+                    let mut x_est = x0.clone();
+                    let mut p = p0.clone();
+                    let mut x_true = x0.clone();
+                    for k in 0..20 {
+                        x_true = system.dynamics().step(&x_true, &u);
+                        let mut readings = clean_readings(&system, &x_true);
+                        if k > 10 {
+                            readings[1][0] += 0.05; // exercise nonzero anomalies
+                        }
+                        let input = NuiseInput {
+                            system: &system,
+                            mode,
+                            x_prev: &x_est,
+                            p_prev: &p,
+                            u_prev: &u,
+                            readings: &readings,
+                            linearization: &linearization,
+                            compensate,
+                        };
+                        let (reference, count) = oracle(&ws, input).unwrap();
+                        assert_eq!(ws.step(input, &mut out).unwrap(), count);
+                        assert_eq!(
+                            out, reference,
+                            "{linearization:?} mode {mode:?} compensate {compensate} \
+                             diverged at step {k}"
+                        );
+                        x_est = reference.state_estimate;
+                        p = reference.state_covariance;
+                    }
                 }
-                let input = NuiseInput {
-                    system: &system,
-                    mode,
-                    x_prev: &x_est,
-                    p_prev: &p,
-                    u_prev: &u,
-                    readings: &readings,
-                    linearization: &Linearization::PerIteration,
-                    compensate: true,
-                };
-                let reference = nuise_step(input).unwrap();
-                nuise_step_into(input, &mut ws, &mut out).unwrap();
-                assert_eq!(out, reference, "mode {mode:?} diverged at step {k}");
-                x_est = reference.state_estimate;
-                p = reference.state_covariance;
             }
         }
     }
 
     #[test]
-    fn workspace_step_matches_without_compensation_and_frozen() {
+    fn workspace_step_propagates_the_oracle_errors() {
         let (system, mode, x0, p0, u) = khepera_setup();
-        let x1 = system.dynamics().step(&x0, &u);
-        let readings = clean_readings(&system, &x1);
-        let mut ws = NuiseWorkspace::new(&system, &mode);
+        let mut ws =
+            NuiseSlabWorkspace::<1>::new(&system, &mode, &Linearization::PerIteration).unwrap();
         let mut out = ws.new_output();
-        for linearization in [
-            Linearization::PerIteration,
-            Linearization::FrozenAt {
-                state: x0.clone(),
-                input: u.clone(),
-            },
-        ] {
-            for compensate in [true, false] {
-                let input = NuiseInput {
-                    system: &system,
-                    mode: &mode,
-                    x_prev: &x0,
-                    p_prev: &p0,
-                    u_prev: &u,
-                    readings: &readings,
-                    linearization: &linearization,
-                    compensate,
-                };
-                let reference = nuise_step(input).unwrap();
-                nuise_step_into(input, &mut ws, &mut out).unwrap();
-                assert_eq!(out, reference);
-            }
-        }
-    }
-
-    #[test]
-    fn workspace_step_propagates_bad_readings() {
-        let (system, mode, x0, p0, u) = khepera_setup();
-        let mut ws = NuiseWorkspace::new(&system, &mode);
-        let mut out = ws.new_output();
-        let mut readings = clean_readings(&system, &x0);
-        readings.pop();
-        let err = nuise_step_into(
-            NuiseInput {
+        let before = out.clone();
+        let readings = clean_readings(&system, &x0);
+        let mut short = readings.clone();
+        short.pop();
+        let nan_p = Matrix::identity(3) * f64::NAN;
+        let cases = [
+            (&p0, Vector::from_slice(&[0.06]), &readings),
+            (&p0, Vector::from_slice(&[f64::NAN, 0.05]), &readings),
+            (&p0, u.clone(), &short),
+            // A non-finite prior passes input validation and fails in
+            // the numeric core.
+            (&nan_p, u.clone(), &readings),
+        ];
+        for (p_prev, u_prev, readings) in cases {
+            let input = NuiseInput {
                 system: &system,
                 mode: &mode,
                 x_prev: &x0,
-                p_prev: &p0,
-                u_prev: &u,
-                readings: &readings,
+                p_prev,
+                u_prev: &u_prev,
+                readings,
                 linearization: &Linearization::PerIteration,
                 compensate: true,
-            },
-            &mut ws,
-            &mut out,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::BadReadings { .. }));
+            };
+            let expected = oracle(&ws, input).unwrap_err();
+            assert_eq!(ws.step(input, &mut out).unwrap_err(), expected);
+            assert_eq!(out, before, "a failed step leaves the output untouched");
+        }
     }
 
     #[test]

@@ -1,43 +1,94 @@
-//! Lane-batched NUISE: K robots' same-mode steps in one pass over
+//! Algorithm 2 as one lane-batched kernel: K robots' same-mode NUISE
+//! steps, plus the engine's implied-anomaly count, in one pass over
 //! structure-of-arrays slabs.
 //!
-//! A fleet of robots sharing one system model and mode bank runs the
-//! *same* NUISE control flow per tick; only the numbers differ. This
-//! module mirrors [`crate::nuise::nuise_step_into`] operation for
-//! operation on [`MatrixSlab`]/[`VectorSlab`] storage, so the dense
-//! kernels vectorize across robots instead of running K times over
-//! matrices too small to vectorize within.
+//! This is the only in-place NUISE implementation. The engine runs
+//! every mode of every robot through it at K = 1 (one robot per lane,
+//! [`NuiseSlabWorkspace::step`]); the fleet runs signature groups of
+//! robots at K = 8, so the dense kernels vectorize across robots instead
+//! of running over matrices too small to vectorize within. The
+//! allocating [`crate::nuise::nuise_step`] is the reference oracle both
+//! are pinned against.
 //!
 //! # Bitwise contract
 //!
-//! For every lane that completes without numeric failure, the scattered
-//! [`NuiseOutput`] is **bitwise identical** to what the scalar
-//! [`nuise_step_into`] would have produced for that robot: the slab
+//! For every lane that completes, the scattered [`NuiseOutput`] is
+//! **bitwise identical** to what `nuise_step` returns for that robot,
+//! and the parsimony statistics and implied-anomaly count equal the
+//! allocating `segment`/`block`/`pseudo_inverse` formulation. The slab
 //! kernels replicate the scalar loop structure and accumulation order
-//! per lane (see `roboads_linalg::slab`), the per-lane model
-//! evaluations are the same pure functions, and every data-dependent
-//! scalar decision (LU singularity, Jacobi convergence, spectrum
-//! cutoffs, χ² errors) is taken per lane exactly where the scalar path
-//! takes it. Lanes that *do* fail are reported via the returned flags
-//! and hold garbage; the fleet path re-runs those robots through the
-//! scalar estimator, which reproduces the exact scalar error.
-//!
-//! [`nuise_step_into`]: crate::nuise::nuise_step_into
-//! [`MatrixSlab`]: roboads_linalg::MatrixSlab
-//! [`VectorSlab`]: roboads_linalg::VectorSlab
+//! per lane (see `roboads_linalg::slab`), the per-lane model evaluations
+//! are the same pure functions, and every data-dependent scalar
+//! decision (LU singularity, Jacobi convergence, spectrum cutoffs, χ²
+//! errors) is taken per lane exactly where `nuise_step` takes it. A lane
+//! that fails holds garbage; its first failure is recorded, and
+//! [`NuiseSlabWorkspace::lane_error`] turns it into exactly the error
+//! `nuise_step` returns.
 // Same convention as `roboads_linalg::slab`: lane loops stay in index
 // form so every kernel reads uniformly against its scalar twin.
 #![allow(clippy::needless_range_loop)]
 
-use roboads_linalg::{EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab};
+use std::sync::Arc;
+
+use roboads_linalg::{
+    EigenSlabWorkspace, LinalgError, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab,
+    JACOBI_MAX_SWEEPS,
+};
 use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
 
+use crate::config::Linearization;
 use crate::mode::Mode;
-use crate::nuise::{validate_readings, NuiseOutput};
-use crate::Result;
+use crate::nuise::{
+    chi2_consistency, validate_readings, NuiseInput, NuiseOutput, RANK_DEFICIENT,
+    SINGULAR_INNOVATION,
+};
+use crate::{CoreError, Result};
 
-/// Per-testing-slice parsimony scratch, the slab analogue of the
-/// engine's `SliceScratch`.
+/// A lane's first failure inside [`NuiseSlabWorkspace::run`], in the
+/// order `nuise_step` checks for them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LaneFailure {
+    /// `R*₂` is singular.
+    SingularInnovation,
+    /// `rank(C₂G)` is below the input dimension.
+    RankDeficient,
+    /// A Jacobi eigendecomposition hit the sweep cap (the innovation
+    /// covariance, or one of the parsimony covariances).
+    NoConvergence,
+    /// The χ² survival function rejected the consistency statistic.
+    ChiSquared { rank: usize, stat: f64 },
+}
+
+impl LaneFailure {
+    fn into_error(self) -> CoreError {
+        match self {
+            LaneFailure::SingularInnovation => CoreError::Numeric(SINGULAR_INNOVATION.into()),
+            LaneFailure::RankDeficient => CoreError::Numeric(RANK_DEFICIENT.into()),
+            LaneFailure::NoConvergence => LinalgError::NoConvergence {
+                sweeps: JACOBI_MAX_SWEEPS,
+            }
+            .into(),
+            LaneFailure::ChiSquared { rank, stat } => chi2_consistency(rank, stat)
+                .expect_err("the χ² evaluation is a pure function of (rank, stat)"),
+        }
+    }
+}
+
+/// Clears lane `l`'s flag, recording `reason` if it is the lane's first
+/// failure.
+fn fail<const K: usize>(
+    ok: &mut [bool; K],
+    failure: &mut [Option<LaneFailure>; K],
+    l: usize,
+    reason: LaneFailure,
+) {
+    if ok[l] {
+        ok[l] = false;
+        failure[l] = Some(reason);
+    }
+}
+
+/// Per-testing-slice parsimony scratch.
 #[derive(Debug, Clone)]
 struct SlabSliceScratch<const K: usize> {
     eig: EigenSlabWorkspace<K>,
@@ -51,31 +102,177 @@ struct SlabSliceScratch<const K: usize> {
     statistic: [f64; K],
 }
 
-/// Preallocated scratch for stepping K robots through one mode's NUISE
-/// update in a single lane-batched pass.
-///
-/// Mirrors every buffer of [`crate::nuise::NuiseWorkspace`] as a slab,
-/// plus output slabs (the scalar path writes straight into a
-/// [`NuiseOutput`]; the slab path scatters per lane afterwards) and the
-/// engine's parsimony scratch, so the whole
-/// NUISE-plus-implied-anomaly-count pipeline runs lane-batched. After
-/// construction, [`load_lane`] + [`run`] + [`scatter_lane`] perform no
-/// heap allocation.
-///
-/// [`load_lane`]: NuiseSlabWorkspace::load_lane
-/// [`run`]: NuiseSlabWorkspace::run
-/// [`scatter_lane`]: NuiseSlabWorkspace::scatter_lane
-#[derive(Debug, Clone)]
-pub(crate) struct NuiseSlabWorkspace<const K: usize> {
-    // Cached per-mode constants (identical to NuiseWorkspace's).
+/// Significance level at which an anomaly estimate counts as "implied"
+/// for the engine's parsimony prior.
+const PARSIMONY_ALPHA: f64 = 0.01;
+
+/// χ² critical value for the parsimony significance checks. Evaluated
+/// only when a mode's [`ModeLayout`] is built, so the quantile search
+/// stays out of the per-iteration hot path.
+fn parsimony_threshold(dof: usize) -> Result<f64> {
+    roboads_stats::ChiSquared::new(dof)
+        .and_then(|chi| chi.critical_value(PARSIMONY_ALPHA))
+        .map_err(|e| CoreError::Numeric(e.to_string()))
+}
+
+/// The kernel's per-mode constants: the mode's sensor layout, noise
+/// blocks, dimensions and parsimony thresholds. Built once per engine
+/// mode and shared behind an [`Arc`] by every workspace of that mode —
+/// the engine's one-lane kernel, every clone of it, and the fleet's
+/// eight-lane banks — so cloning a detector copies none of it.
+#[derive(Debug)]
+struct ModeLayout {
     ref_slices: Vec<SensorSlice>,
     test_slices: Vec<SensorSlice>,
     angular2: Vec<usize>,
     angular1: Vec<usize>,
     r2: Matrix,
     r1: Matrix,
+    /// Absolute floor of the innovation spectrum cutoff (mean `R₂`
+    /// diagonal; see `nuise_step`).
     noise_scale: f64,
+    n: usize,
+    q_dim: usize,
     m2_dim: usize,
+    m1_dim: usize,
+    /// χ² critical value of the actuator parsimony check, at the
+    /// system's input dimension.
+    actuator_threshold: f64,
+    /// χ² critical values of the per-testing-slice parsimony checks,
+    /// aligned with `test_slices`.
+    testing_thresholds: Vec<f64>,
+}
+
+impl ModeLayout {
+    fn new(system: &RobotSystem, mode: &Mode) -> Result<Self> {
+        let r2 = system.noise_subset(mode.reference());
+        let r1 = if mode.testing().is_empty() {
+            Matrix::zeros(0, 0)
+        } else {
+            system.noise_subset(mode.testing())
+        };
+        let noise_scale = (r2.trace() / r2.rows().max(1) as f64).max(f64::MIN_POSITIVE);
+        let test_slices = system.subset_slices(mode.testing());
+        let testing_thresholds = test_slices
+            .iter()
+            .map(|slice| parsimony_threshold(slice.len))
+            .collect::<Result<_>>()?;
+        Ok(ModeLayout {
+            ref_slices: system.subset_slices(mode.reference()),
+            angular2: system.angular_components_subset(mode.reference()),
+            angular1: system.angular_components_subset(mode.testing()),
+            r2,
+            r1,
+            noise_scale,
+            n: system.state_dim(),
+            q_dim: system.input_dim(),
+            m2_dim: system.subset_dim(mode.reference()),
+            m1_dim: system.subset_dim(mode.testing()),
+            actuator_threshold: parsimony_threshold(system.input_dim().max(1))?,
+            testing_thresholds,
+            test_slices,
+        })
+    }
+}
+
+/// The §V-G linearize-once model ([`Linearization::FrozenAt`]): every
+/// model quantity NUISE needs, evaluated once at the operating point
+/// `(x₀, u₀)` (pure functions, so the values are the ones `nuise_step`
+/// recomputes each call). Per-lane evaluations apply the affine
+/// expansion in place with the operation order of `nuise.rs`'s `Lin`.
+#[derive(Debug, Clone)]
+struct FrozenModel {
+    state: Vector,
+    input: Vector,
+    f0: Vector,
+    a0: Matrix,
+    g0: Matrix,
+    /// `h(x₀)` and `C(x₀)` of the reference subset.
+    h2_0: Vector,
+    c2_0: Matrix,
+    /// `h(x₀)` and `C(x₀)` of the testing subset.
+    h1_0: Vector,
+    c1_0: Matrix,
+    // Scratch: x − x₀, u − u₀ and G₀(u − u₀).
+    dx: Vector,
+    du: Vector,
+    g_du: Vector,
+}
+
+impl FrozenModel {
+    fn new(system: &RobotSystem, layout: &ModeLayout, state: &Vector, input: &Vector) -> Self {
+        let (n, q) = (layout.n, layout.q_dim);
+        let mut frozen = FrozenModel {
+            state: state.clone(),
+            input: input.clone(),
+            f0: Vector::zeros(n),
+            a0: Matrix::zeros(n, n),
+            g0: Matrix::zeros(n, q),
+            h2_0: Vector::zeros(layout.m2_dim),
+            c2_0: Matrix::zeros(layout.m2_dim, n),
+            h1_0: Vector::zeros(layout.m1_dim),
+            c1_0: Matrix::zeros(layout.m1_dim, n),
+            dx: Vector::zeros(n),
+            du: Vector::zeros(q),
+            g_du: Vector::zeros(n),
+        };
+        let dynamics = system.dynamics();
+        dynamics.step_into(state, input, &mut frozen.f0);
+        dynamics.state_jacobian_into(state, input, &mut frozen.a0);
+        dynamics.input_jacobian_into(state, input, &mut frozen.g0);
+        system.measure_subset_into(&layout.ref_slices, state, &mut frozen.h2_0);
+        system.jacobian_subset_into(&layout.ref_slices, state, &mut frozen.c2_0);
+        system.measure_subset_into(&layout.test_slices, state, &mut frozen.h1_0);
+        system.jacobian_subset_into(&layout.test_slices, state, &mut frozen.c1_0);
+        frozen
+    }
+
+    /// `f(x, u) = (f₀ + A₀(x − x₀)) + G₀(u − u₀)`.
+    fn step_into(&mut self, x: &Vector, u: &Vector, out: &mut Vector) {
+        self.dx.copy_from(x);
+        self.dx -= &self.state;
+        self.a0.mul_vec_into(&self.dx, out);
+        *out += &self.f0;
+        self.du.copy_from(u);
+        self.du -= &self.input;
+        self.g0.mul_vec_into(&self.du, &mut self.g_du);
+        *out += &self.g_du;
+    }
+
+    /// `h(x) = h₀ + C₀(x − x₀)` for the reference (`testing = false`)
+    /// or testing subset.
+    fn measure_into(&mut self, testing: bool, x: &Vector, out: &mut Vector) {
+        let (h0, c0) = if testing {
+            (&self.h1_0, &self.c1_0)
+        } else {
+            (&self.h2_0, &self.c2_0)
+        };
+        self.dx.copy_from(x);
+        self.dx -= &self.state;
+        c0.mul_vec_into(&self.dx, out);
+        *out += h0;
+    }
+}
+
+/// Preallocated scratch for stepping K robots through one mode's NUISE
+/// update in a single lane-batched pass.
+///
+/// Holds every intermediate of Algorithm 2 as a slab, output slabs
+/// scattered per lane afterwards, and the parsimony scratch, so the
+/// whole NUISE-plus-implied-anomaly-count pipeline runs lane-batched.
+/// After construction, [`load_lane`] + [`run`] + [`scatter_lane`]
+/// perform no heap allocation, under either [`Linearization`]. At
+/// `K = 1` the three are the engine's per-mode [`step`].
+///
+/// [`step`]: NuiseSlabWorkspace::step
+/// [`load_lane`]: NuiseSlabWorkspace::load_lane
+/// [`run`]: NuiseSlabWorkspace::run
+/// [`scatter_lane`]: NuiseSlabWorkspace::scatter_lane
+#[derive(Debug, Clone)]
+pub(crate) struct NuiseSlabWorkspace<const K: usize> {
+    layout: Arc<ModeLayout>,
+    /// `Some` for the §V-G frozen linearization.
+    frozen: Option<FrozenModel>,
     // Per-lane inputs.
     p_prev: MatrixSlab<K>,
     z2: VectorSlab<K>,
@@ -83,30 +280,29 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     // Vector scratch.
     h2: VectorSlab<K>,
     h1: VectorSlab<K>,
-    nu_tilde: VectorSlab<K>,
     tmp_n: VectorSlab<K>,
-    x_bar: VectorSlab<K>,
+    /// `x̄ = f(x̂, u)`, compensated in place into `x̂_{k|k−1}` (step 2).
     x_pred: VectorSlab<K>,
     // Model evaluation slabs.
     a_mat: MatrixSlab<K>, // n × n
     g_mat: MatrixSlab<K>, // n × q
     c2: MatrixSlab<K>,    // m₂ × n
     c1: MatrixSlab<K>,    // m₁ × n
-    // n × n scratch.
-    p_tilde: MatrixSlab<K>,
-    j_comp: MatrixSlab<K>,
+    // n × n scratch. Buffers whose lifetimes do not overlap are shared:
+    // `p_tilde` (step 1) then `p_pred` (steps 2–3), the compensation
+    // projector `I − G·M₂·C₂` (step 2) then the update projector
+    // `I − L·C₂` (step 3); `tmp_nn_a` doubles as the n × n congruence
+    // scratch.
+    p_tilde_pred: MatrixSlab<K>,
+    j_proj: MatrixSlab<K>,
     a_bar: MatrixSlab<K>,
     q_bar: MatrixSlab<K>,
-    p_pred: MatrixSlab<K>,
-    j_upd: MatrixSlab<K>,
-    cross: MatrixSlab<K>,
     tmp_nn_a: MatrixSlab<K>,
     tmp_nn_b: MatrixSlab<K>,
-    // m₂ × m₂ scratch.
-    r2_star: MatrixSlab<K>,
-    r2_star_inv: MatrixSlab<K>,
-    p_nu: MatrixSlab<K>,
-    p_nu_pinv: MatrixSlab<K>,
+    // m₂ × m₂ scratch, shared the same way: `R*₂` and its inverse
+    // (step 1), then `Pν` and its pseudo-inverse (steps 3 and 5).
+    r2_star_p_nu: MatrixSlab<K>,
+    r2_star_inv_p_nu_pinv: MatrixSlab<K>,
     tmp_m2m2_a: MatrixSlab<K>,
     tmp_m2m2_b: MatrixSlab<K>,
     // Mixed-shape scratch.
@@ -116,15 +312,12 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     tmp_qm2: MatrixSlab<K>,    // q × m₂
     m2_gain: MatrixSlab<K>,    // q × m₂
     normal: MatrixSlab<K>,     // q × q
-    normal_inv: MatrixSlab<K>, // q × q
+    normal_inv: MatrixSlab<K>, // q × q, = Pᵃ (scattered as-is)
     gm2: MatrixSlab<K>,        // n × m₂
     s_mat: MatrixSlab<K>,      // n × m₂
     l_gain: MatrixSlab<K>,     // n × m₂
-    tmp_nm2_a: MatrixSlab<K>,  // n × m₂
-    tmp_nm2_b: MatrixSlab<K>,  // n × m₂
+    tmp_nm2: MatrixSlab<K>,    // n × m₂, also a congruence scratch
     // Congruence scratches.
-    sc_n_m2: MatrixSlab<K>, // n × m₂
-    sc_n_n: MatrixSlab<K>,  // n × n
     sc_m2_n: MatrixSlab<K>, // m₂ × n
     sc_n_m1: MatrixSlab<K>, // n × m₁
     // Lane-batched factorizations.
@@ -140,13 +333,13 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     eval_h2: Vector,
     eval_c1: Matrix,
     eval_h1: Vector,
-    // Output slabs, scattered per lane after `run`.
+    // Output slabs, scattered per lane after `run` (with `normal_inv`).
     out_state_estimate: VectorSlab<K>,
     out_state_covariance: MatrixSlab<K>,
     out_actuator_anomaly: VectorSlab<K>,
-    out_actuator_covariance: MatrixSlab<K>,
     out_sensor_anomaly: VectorSlab<K>,
     out_sensor_covariance: MatrixSlab<K>,
+    /// `ν̃` (step 1), then the innovation `ν` (step 3).
     out_innovation: VectorSlab<K>,
     likelihood: [f64; K],
     consistency: [f64; K],
@@ -156,26 +349,48 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     pars_slices: Vec<SlabSliceScratch<K>>,
     actuator_statistic: [f64; K],
     counts: [usize; K],
+    /// Each lane's first failure in the last `run`.
+    failure: [Option<LaneFailure>; K],
 }
 
 impl<const K: usize> NuiseSlabWorkspace<K> {
-    /// Builds the slab scratch for running `mode` against `system`
-    /// across K lanes. Sizing mirrors
-    /// [`crate::nuise::NuiseWorkspace::new`].
-    pub(crate) fn new(system: &RobotSystem, mode: &Mode) -> Self {
-        let n = system.state_dim();
-        let q_dim = system.input_dim();
-        let m2_dim = system.subset_dim(mode.reference());
-        let m1_dim = system.subset_dim(mode.testing());
-        let r2 = system.noise_subset(mode.reference());
-        let r1 = if mode.testing().is_empty() {
-            Matrix::zeros(0, 0)
-        } else {
-            system.noise_subset(mode.testing())
+    /// Builds the kernel for running `mode` against `system` under
+    /// `linearization` across K lanes.
+    ///
+    /// # Errors
+    ///
+    /// A χ² error while resolving the parsimony thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Linearization::FrozenAt`] operating point does not
+    /// match the system's state and input dimensions (the engine checks
+    /// this at construction).
+    pub(crate) fn new(
+        system: &RobotSystem,
+        mode: &Mode,
+        linearization: &Linearization,
+    ) -> Result<Self> {
+        let layout = ModeLayout::new(system, mode)?;
+        let frozen = match linearization {
+            Linearization::PerIteration => None,
+            Linearization::FrozenAt { state, input } => {
+                Some(FrozenModel::new(system, &layout, state, input))
+            }
         };
-        let noise_scale = (r2.trace() / r2.rows().max(1) as f64).max(f64::MIN_POSITIVE);
-        let test_slices = system.subset_slices(mode.testing());
-        let pars_slices = test_slices
+        Ok(Self::with_layout(Arc::new(layout), frozen))
+    }
+
+    /// The same mode's kernel at lane width `L`, sharing this kernel's
+    /// constants (the fleet widens each engine mode to its slab tiles).
+    pub(crate) fn widened<const L: usize>(&self) -> NuiseSlabWorkspace<L> {
+        NuiseSlabWorkspace::with_layout(Arc::clone(&self.layout), self.frozen.clone())
+    }
+
+    fn with_layout(layout: Arc<ModeLayout>, frozen: Option<FrozenModel>) -> Self {
+        let (n, q_dim, m2_dim, m1_dim) = (layout.n, layout.q_dim, layout.m2_dim, layout.m1_dim);
+        let pars_slices = layout
+            .test_slices
             .iter()
             .map(|s| SlabSliceScratch {
                 eig: EigenSlabWorkspace::new(s.len),
@@ -188,40 +403,27 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             })
             .collect();
         NuiseSlabWorkspace {
-            ref_slices: system.subset_slices(mode.reference()),
-            test_slices,
-            angular2: system.angular_components_subset(mode.reference()),
-            angular1: system.angular_components_subset(mode.testing()),
-            r2,
-            r1,
-            noise_scale,
-            m2_dim,
+            layout,
+            frozen,
             p_prev: MatrixSlab::zeros(n, n),
             z2: VectorSlab::zeros(m2_dim),
             z1: VectorSlab::zeros(m1_dim),
             h2: VectorSlab::zeros(m2_dim),
             h1: VectorSlab::zeros(m1_dim),
-            nu_tilde: VectorSlab::zeros(m2_dim),
             tmp_n: VectorSlab::zeros(n),
-            x_bar: VectorSlab::zeros(n),
             x_pred: VectorSlab::zeros(n),
             a_mat: MatrixSlab::zeros(n, n),
             g_mat: MatrixSlab::zeros(n, q_dim),
             c2: MatrixSlab::zeros(m2_dim, n),
             c1: MatrixSlab::zeros(m1_dim, n),
-            p_tilde: MatrixSlab::zeros(n, n),
-            j_comp: MatrixSlab::zeros(n, n),
+            p_tilde_pred: MatrixSlab::zeros(n, n),
+            j_proj: MatrixSlab::zeros(n, n),
             a_bar: MatrixSlab::zeros(n, n),
             q_bar: MatrixSlab::zeros(n, n),
-            p_pred: MatrixSlab::zeros(n, n),
-            j_upd: MatrixSlab::zeros(n, n),
-            cross: MatrixSlab::zeros(n, n),
             tmp_nn_a: MatrixSlab::zeros(n, n),
             tmp_nn_b: MatrixSlab::zeros(n, n),
-            r2_star: MatrixSlab::zeros(m2_dim, m2_dim),
-            r2_star_inv: MatrixSlab::zeros(m2_dim, m2_dim),
-            p_nu: MatrixSlab::zeros(m2_dim, m2_dim),
-            p_nu_pinv: MatrixSlab::zeros(m2_dim, m2_dim),
+            r2_star_p_nu: MatrixSlab::zeros(m2_dim, m2_dim),
+            r2_star_inv_p_nu_pinv: MatrixSlab::zeros(m2_dim, m2_dim),
             tmp_m2m2_a: MatrixSlab::zeros(m2_dim, m2_dim),
             tmp_m2m2_b: MatrixSlab::zeros(m2_dim, m2_dim),
             f_mat: MatrixSlab::zeros(m2_dim, q_dim),
@@ -234,10 +436,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             gm2: MatrixSlab::zeros(n, m2_dim),
             s_mat: MatrixSlab::zeros(n, m2_dim),
             l_gain: MatrixSlab::zeros(n, m2_dim),
-            tmp_nm2_a: MatrixSlab::zeros(n, m2_dim),
-            tmp_nm2_b: MatrixSlab::zeros(n, m2_dim),
-            sc_n_m2: MatrixSlab::zeros(n, m2_dim),
-            sc_n_n: MatrixSlab::zeros(n, n),
+            tmp_nm2: MatrixSlab::zeros(n, m2_dim),
             sc_m2_n: MatrixSlab::zeros(m2_dim, n),
             sc_n_m1: MatrixSlab::zeros(n, m1_dim),
             lu_m2: LuSlabWorkspace::new(m2_dim),
@@ -253,7 +452,6 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             out_state_estimate: VectorSlab::zeros(n),
             out_state_covariance: MatrixSlab::zeros(n, n),
             out_actuator_anomaly: VectorSlab::zeros(q_dim),
-            out_actuator_covariance: MatrixSlab::zeros(q_dim, q_dim),
             out_sensor_anomaly: VectorSlab::zeros(m1_dim),
             out_sensor_covariance: MatrixSlab::zeros(m1_dim, m1_dim),
             out_innovation: VectorSlab::zeros(m2_dim),
@@ -264,20 +462,62 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             pars_slices,
             actuator_statistic: [0.0; K],
             counts: [0; K],
+            failure: [None; K],
         }
+    }
+
+    /// The parsimony χ² critical values: the actuator check's, and one
+    /// per testing slice.
+    #[cfg(test)]
+    pub(crate) fn parsimony_thresholds(&self) -> (f64, &[f64]) {
+        (
+            self.layout.actuator_threshold,
+            &self.layout.testing_thresholds,
+        )
+    }
+
+    /// A zeroed [`NuiseOutput`] with every buffer sized for this
+    /// workspace's mode, ready for [`scatter_lane`](Self::scatter_lane).
+    pub(crate) fn new_output(&self) -> NuiseOutput {
+        let l = &*self.layout;
+        let (n, q_dim, m1_dim) = (l.n, l.q_dim, l.m1_dim);
+        NuiseOutput {
+            state_estimate: Vector::zeros(n),
+            state_covariance: Matrix::zeros(n, n),
+            actuator_anomaly: Vector::zeros(q_dim),
+            actuator_covariance: Matrix::zeros(q_dim, q_dim),
+            sensor_anomaly: Vector::zeros(m1_dim),
+            sensor_covariance: Matrix::zeros(m1_dim, m1_dim),
+            likelihood: 0.0,
+            consistency: 0.0,
+            innovation: Vector::zeros(l.m2_dim),
+            actuator_statistic: 0.0,
+            testing_statistics: vec![0.0; l.test_slices.len()],
+        }
+    }
+
+    /// Evaluates `h₂` at `eval_x` into lane `lane` of `h2`.
+    fn load_reference_measurement(&mut self, lane: usize, system: &RobotSystem) {
+        match &mut self.frozen {
+            None => {
+                system.measure_subset_into(&self.layout.ref_slices, &self.eval_x, &mut self.eval_h2)
+            }
+            Some(frozen) => frozen.measure_into(false, &self.eval_x, &mut self.eval_h2),
+        }
+        self.h2.load_lane(lane, &self.eval_h2);
     }
 
     /// Loads one robot's inputs into lane `lane`: validates and gathers
     /// the readings, evaluates the per-robot model quantities of NUISE
-    /// step 1 (`A`, `G`, `x̄`, `C₂` — pure functions, evaluated exactly
-    /// as the scalar path evaluates them) and stores the previous
+    /// step 1 (`A`, `G`, `x̄`, `C₂`, `h₂(x̄)` — pure functions, evaluated
+    /// exactly as `nuise_step` evaluates them) and stores the previous
     /// covariance.
     ///
     /// # Errors
     ///
-    /// [`crate::CoreError::BadReadings`] exactly when the scalar
-    /// [`crate::nuise::nuise_step_into`] would reject the readings; the
-    /// lane must then be excluded from [`run`](NuiseSlabWorkspace::run).
+    /// [`crate::CoreError::BadReadings`] exactly when `nuise_step`
+    /// would reject the command or readings; the lane must then be
+    /// excluded from [`run`](NuiseSlabWorkspace::run).
     pub(crate) fn load_lane(
         &mut self,
         lane: usize,
@@ -287,55 +527,62 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         u_prev: &Vector,
         readings: &[Vector],
     ) -> Result<()> {
-        validate_readings(system, readings)?;
-        for slice in &self.ref_slices {
+        validate_readings(system, u_prev, readings)?;
+        for slice in &self.layout.ref_slices {
             let src = readings[slice.sensor].as_slice();
             for (c, &v) in src.iter().enumerate() {
                 self.z2.at_mut(slice.offset + c)[lane] = v;
             }
         }
-        for slice in &self.test_slices {
+        for slice in &self.layout.test_slices {
             let src = readings[slice.sensor].as_slice();
             for (c, &v) in src.iter().enumerate() {
                 self.z1.at_mut(slice.offset + c)[lane] = v;
             }
         }
         self.p_prev.load_lane(lane, p_prev);
-        system
-            .dynamics()
-            .state_jacobian_into(x_prev, u_prev, &mut self.eval_nn);
-        self.a_mat.load_lane(lane, &self.eval_nn);
-        system
-            .dynamics()
-            .input_jacobian_into(x_prev, u_prev, &mut self.eval_nq);
-        self.g_mat.load_lane(lane, &self.eval_nq);
-        system
-            .dynamics()
-            .step_into(x_prev, u_prev, &mut self.eval_x);
-        self.x_bar.load_lane(lane, &self.eval_x);
-        system.jacobian_subset_into(&self.ref_slices, &self.eval_x, &mut self.eval_c2);
-        self.c2.load_lane(lane, &self.eval_c2);
-        system.measure_subset_into(&self.ref_slices, &self.eval_x, &mut self.eval_h2);
-        self.h2.load_lane(lane, &self.eval_h2);
+        match &mut self.frozen {
+            None => {
+                let dynamics = system.dynamics();
+                dynamics.state_jacobian_into(x_prev, u_prev, &mut self.eval_nn);
+                self.a_mat.load_lane(lane, &self.eval_nn);
+                dynamics.input_jacobian_into(x_prev, u_prev, &mut self.eval_nq);
+                self.g_mat.load_lane(lane, &self.eval_nq);
+                dynamics.step_into(x_prev, u_prev, &mut self.eval_x);
+                system.jacobian_subset_into(
+                    &self.layout.ref_slices,
+                    &self.eval_x,
+                    &mut self.eval_c2,
+                );
+                self.c2.load_lane(lane, &self.eval_c2);
+            }
+            Some(frozen) => {
+                self.a_mat.load_lane(lane, &frozen.a0);
+                self.g_mat.load_lane(lane, &frozen.g0);
+                frozen.step_into(x_prev, u_prev, &mut self.eval_x);
+                self.c2.load_lane(lane, &frozen.c2_0);
+            }
+        }
+        self.x_pred.load_lane(lane, &self.eval_x);
+        self.load_reference_measurement(lane, system);
         Ok(())
     }
 
     /// Runs Algorithm 2 plus the engine's implied-anomaly count for
     /// every lane marked in `active`, lane-batched. Returns per-lane
-    /// success flags (a subset of `active`): a cleared flag means the
-    /// scalar path would have returned an error for that robot
-    /// (singular gain, non-converged eigendecomposition, χ² failure) —
-    /// its lane holds garbage and the robot must be re-run through the
-    /// scalar estimator.
+    /// success flags (a subset of `active`): a cleared flag means
+    /// `nuise_step` returns an error for that robot (singular gain,
+    /// non-converged eigendecomposition, χ² failure) —
+    /// [`lane_error`](Self::lane_error) names it, and the lane holds
+    /// garbage.
     pub(crate) fn run(
         &mut self,
         system: &RobotSystem,
         compensate: bool,
-        actuator_threshold: f64,
-        testing_thresholds: &[f64],
         active: &[bool; K],
     ) -> [bool; K] {
         let mut ok = *active;
+        let mut failure = [None; K];
         let q = system.process_noise();
 
         // --- Step 1: actuator anomaly estimation (Alg. 2 lines 2–6).
@@ -343,32 +590,37 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         // P̃ = (A·P·Aᵀ + Q).symmetrized()
         self.p_prev
             .mul_transpose_into(&self.a_mat, &mut self.tmp_nn_a);
-        self.a_mat.mul_into(&self.tmp_nn_a, &mut self.p_tilde);
-        self.p_tilde.add_assign_broadcast(q);
-        self.p_tilde
+        self.a_mat.mul_into(&self.tmp_nn_a, &mut self.p_tilde_pred);
+        self.p_tilde_pred.add_assign_broadcast(q);
+        self.p_tilde_pred
             .symmetrize_in_place()
             .expect("square by construction");
 
         // R*₂ = (C₂·P̃·C₂ᵀ + R₂).symmetrized(), then its inverse.
         self.c2
-            .congruence_into(&self.p_tilde, &mut self.sc_n_m2, &mut self.r2_star)
+            .congruence_into(
+                &self.p_tilde_pred,
+                &mut self.tmp_nm2,
+                &mut self.r2_star_p_nu,
+            )
             .expect("shapes fixed at construction");
-        self.r2_star.add_assign_broadcast(&self.r2);
-        self.r2_star
+        self.r2_star_p_nu.add_assign_broadcast(&self.layout.r2);
+        self.r2_star_p_nu
             .symmetrize_in_place()
             .expect("square by construction");
-        self.lu_m2.factorize(&self.r2_star);
+        self.lu_m2.factorize(&self.r2_star_p_nu);
         for l in 0..K {
             if self.lu_m2.singular()[l] {
-                ok[l] = false;
+                fail(&mut ok, &mut failure, l, LaneFailure::SingularInnovation);
             }
         }
-        self.lu_m2.inverse_into(&mut self.r2_star_inv);
+        self.lu_m2.inverse_into(&mut self.r2_star_inv_p_nu_pinv);
 
         // M₂ = (Fᵀ·R*⁻¹·F)⁻¹·Fᵀ·R*⁻¹ with F = C₂·G.
         self.c2.mul_into(&self.g_mat, &mut self.f_mat);
         self.f_mat.transpose_into(&mut self.f_mat_t);
-        self.r2_star_inv.mul_into(&self.f_mat, &mut self.tmp_m2q);
+        self.r2_star_inv_p_nu_pinv
+            .mul_into(&self.f_mat, &mut self.tmp_m2q);
         self.f_mat_t.mul_into(&self.tmp_m2q, &mut self.normal);
         self.normal
             .symmetrize_in_place()
@@ -376,62 +628,67 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         self.lu_q.factorize(&self.normal);
         for l in 0..K {
             if self.lu_q.singular()[l] {
-                ok[l] = false;
+                fail(&mut ok, &mut failure, l, LaneFailure::RankDeficient);
             }
         }
         self.lu_q.inverse_into(&mut self.normal_inv);
-        self.f_mat_t.mul_into(&self.r2_star_inv, &mut self.tmp_qm2);
+        self.f_mat_t
+            .mul_into(&self.r2_star_inv_p_nu_pinv, &mut self.tmp_qm2);
         self.normal_inv.mul_into(&self.tmp_qm2, &mut self.m2_gain);
 
-        // ν̃ = wrap(z₂ − h(ref, x̄)), d̂ᵃ = M₂·ν̃, Pᵃ = (Fᵀ·R*⁻¹·F)⁻¹.
-        self.nu_tilde.copy_from(&self.z2);
-        self.nu_tilde -= &self.h2;
-        for &i in &self.angular2 {
-            let g = self.nu_tilde.at_mut(i);
+        // ν̃ = wrap(z₂ − h(ref, x̄)), d̂ᵃ = M₂·ν̃, Pᵃ = (Fᵀ·R*⁻¹·F)⁻¹
+        // (already in `normal_inv`).
+        self.out_innovation.copy_from(&self.z2);
+        self.out_innovation -= &self.h2;
+        for &i in &self.layout.angular2 {
+            let g = self.out_innovation.at_mut(i);
             for v in g.iter_mut() {
                 *v = wrap_angle(*v);
             }
         }
         self.m2_gain
-            .mul_vec_into(&self.nu_tilde, &mut self.out_actuator_anomaly);
-        self.out_actuator_covariance.copy_from(&self.normal_inv);
+            .mul_vec_into(&self.out_innovation, &mut self.out_actuator_anomaly);
 
         // --- Step 2: compensated state prediction (lines 7–10). ---
+        // The first-order-equivalent compensation of `nuise_step` (see
+        // the implementation note there).
         if compensate {
             self.g_mat
                 .mul_vec_into(&self.out_actuator_anomaly, &mut self.tmp_n);
-            self.x_pred.copy_from(&self.x_bar);
             self.x_pred += &self.tmp_n;
             self.g_mat.mul_into(&self.m2_gain, &mut self.gm2);
+            // J = I − G·M₂·C₂
             self.gm2.mul_into(&self.c2, &mut self.tmp_nn_a);
-            self.j_comp.set_identity();
-            self.j_comp -= &self.tmp_nn_a;
-            self.j_comp.mul_into(&self.a_mat, &mut self.a_bar);
-            self.j_comp
-                .congruence_broadcast_into(q, &mut self.sc_n_n, &mut self.q_bar)
+            self.j_proj.set_identity();
+            self.j_proj -= &self.tmp_nn_a;
+            self.j_proj.mul_into(&self.a_mat, &mut self.a_bar);
+            // Q̄ = (J·Q·Jᵀ + G·M₂·R₂·M₂ᵀ·Gᵀ).symmetrized()
+            self.j_proj
+                .congruence_broadcast_into(q, &mut self.tmp_nn_a, &mut self.q_bar)
                 .expect("shapes fixed at construction");
             self.gm2
-                .congruence_broadcast_into(&self.r2, &mut self.sc_m2_n, &mut self.tmp_nn_b)
+                .congruence_broadcast_into(&self.layout.r2, &mut self.sc_m2_n, &mut self.tmp_nn_b)
                 .expect("shapes fixed at construction");
             self.q_bar += &self.tmp_nn_b;
             self.q_bar
                 .symmetrize_in_place()
                 .expect("square by construction");
-            self.gm2.mul_broadcast_into(&self.r2, &mut self.s_mat);
+            // S = −G·M₂·R₂ (sign-corrected, see `nuise.rs`).
+            self.gm2
+                .mul_broadcast_into(&self.layout.r2, &mut self.s_mat);
             self.s_mat.negate();
         } else {
-            self.x_pred.copy_from(&self.x_bar);
             self.a_bar.copy_from(&self.a_mat);
-            // The scalar path copies Q; `broadcast_from` (not
-            // fill+add, which would turn −0.0 entries into +0.0).
+            // `nuise_step` copies Q; `broadcast_from` (not fill+add,
+            // which would turn −0.0 entries into +0.0).
             self.q_bar.broadcast_from(q);
             self.s_mat.fill(0.0);
         }
         self.a_bar
-            .congruence_into(&self.p_prev, &mut self.sc_n_n, &mut self.p_pred)
+            .congruence_into(&self.p_prev, &mut self.tmp_nn_a, &mut self.p_tilde_pred)
             .expect("shapes fixed at construction");
-        self.p_pred += &self.q_bar;
-        self.p_pred
+        self.p_tilde_pred += &self.q_bar;
+        self.p_tilde_pred
             .symmetrize_in_place()
             .expect("square by construction");
 
@@ -443,12 +700,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                 continue;
             }
             self.x_pred.store_lane(l, &mut self.eval_x);
-            system.measure_subset_into(&self.ref_slices, &self.eval_x, &mut self.eval_h2);
-            self.h2.load_lane(l, &self.eval_h2);
+            self.load_reference_measurement(l, system);
         }
         self.out_innovation.copy_from(&self.z2);
         self.out_innovation -= &self.h2;
-        for &i in &self.angular2 {
+        for &i in &self.layout.angular2 {
             let g = self.out_innovation.at_mut(i);
             for v in g.iter_mut() {
                 *v = wrap_angle(*v);
@@ -457,29 +713,34 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         // Pν = ((C₂·P·C₂ᵀ + R₂) + (C₂S + (C₂S)ᵀ)).symmetrized()
         self.c2.mul_into(&self.s_mat, &mut self.tmp_m2m2_a);
         self.c2
-            .congruence_into(&self.p_pred, &mut self.sc_n_m2, &mut self.p_nu)
+            .congruence_into(
+                &self.p_tilde_pred,
+                &mut self.tmp_nm2,
+                &mut self.r2_star_p_nu,
+            )
             .expect("shapes fixed at construction");
-        self.p_nu.add_assign_broadcast(&self.r2);
+        self.r2_star_p_nu.add_assign_broadcast(&self.layout.r2);
         self.tmp_m2m2_a.transpose_into(&mut self.tmp_m2m2_b);
         self.tmp_m2m2_a += &self.tmp_m2m2_b;
-        self.p_nu += &self.tmp_m2m2_a;
-        self.p_nu
+        self.r2_star_p_nu += &self.tmp_m2m2_a;
+        self.r2_star_p_nu
             .symmetrize_in_place()
             .expect("square by construction");
-        // Pseudo-inverse on the informative spectrum (see the scalar
-        // path for why Pν is structurally singular and the cutoff
-        // carries an absolute noise-scale floor). Failed lanes are
-        // inactive so their NaN spectra cannot drag the sweep count.
-        let converged = self.eigen.factorize(&self.p_nu, &ok);
+        // Pseudo-inverse on the informative spectrum (see `nuise_step`
+        // for why Pν is structurally singular and the cutoff carries an
+        // absolute noise-scale floor). Failed lanes are inactive so
+        // their NaN spectra cannot drag the sweep count.
+        let converged = self.eigen.factorize(&self.r2_star_p_nu, &ok);
         for l in 0..K {
-            if ok[l] && !converged[l] {
-                ok[l] = false;
+            if !converged[l] {
+                fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
             }
         }
         let mut cutoff = [0.0f64; K];
         for (l, c) in cutoff.iter_mut().enumerate() {
             if ok[l] {
-                *c = (1e-9 * self.noise_scale).max(1e-10 * self.eigen.max_eigenvalue(l).abs());
+                *c = (1e-9 * self.layout.noise_scale)
+                    .max(1e-10 * self.eigen.max_eigenvalue(l).abs());
             }
         }
         self.eigen.spectral_map_into(
@@ -490,7 +751,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                     0.0
                 }
             },
-            &mut self.p_nu_pinv,
+            &mut self.r2_star_inv_p_nu_pinv,
         );
         let mut nu_rank = [0usize; K];
         let mut nu_pdet = [1.0f64; K];
@@ -498,7 +759,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             if !ok[l] {
                 continue;
             }
-            for k in 0..self.m2_dim {
+            for k in 0..self.layout.m2_dim {
                 let lam = self.eigen.eigenvalues().at(k)[l];
                 if lam.abs() > cutoff[l] {
                     nu_rank[l] += 1;
@@ -507,10 +768,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             }
         }
         // L = (P·C₂ᵀ + S)·Pν†
-        self.p_pred
-            .mul_transpose_into(&self.c2, &mut self.tmp_nm2_a);
-        self.tmp_nm2_a += &self.s_mat;
-        self.tmp_nm2_a.mul_into(&self.p_nu_pinv, &mut self.l_gain);
+        self.p_tilde_pred
+            .mul_transpose_into(&self.c2, &mut self.tmp_nm2);
+        self.tmp_nm2 += &self.s_mat;
+        self.tmp_nm2
+            .mul_into(&self.r2_star_inv_p_nu_pinv, &mut self.l_gain);
         self.l_gain
             .mul_vec_into(&self.out_innovation, &mut self.tmp_n);
         self.out_state_estimate.copy_from(&self.x_pred);
@@ -523,31 +785,32 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         }
         // J = I − L·C₂, Pˣ = (J·P·Jᵀ + L·R₂·Lᵀ − (JSLᵀ + (JSLᵀ)ᵀ)).symmetrized()
         self.l_gain.mul_into(&self.c2, &mut self.tmp_nn_a);
-        self.j_upd.set_identity();
-        self.j_upd -= &self.tmp_nn_a;
-        self.j_upd.mul_into(&self.s_mat, &mut self.tmp_nm2_b);
-        self.tmp_nm2_b
-            .mul_transpose_into(&self.l_gain, &mut self.cross);
-        self.j_upd
+        self.j_proj.set_identity();
+        self.j_proj -= &self.tmp_nn_a;
+        // The cross term J·S·Lᵀ lives in `tmp_nn_b`.
+        self.j_proj.mul_into(&self.s_mat, &mut self.tmp_nm2);
+        self.tmp_nm2
+            .mul_transpose_into(&self.l_gain, &mut self.tmp_nn_b);
+        self.j_proj
             .congruence_into(
-                &self.p_pred,
-                &mut self.sc_n_n,
+                &self.p_tilde_pred,
+                &mut self.tmp_nn_a,
                 &mut self.out_state_covariance,
             )
             .expect("shapes fixed at construction");
         self.l_gain
-            .congruence_broadcast_into(&self.r2, &mut self.sc_m2_n, &mut self.tmp_nn_a)
+            .congruence_broadcast_into(&self.layout.r2, &mut self.sc_m2_n, &mut self.tmp_nn_a)
             .expect("shapes fixed at construction");
         self.out_state_covariance += &self.tmp_nn_a;
-        self.cross.transpose_into(&mut self.tmp_nn_b);
-        self.cross += &self.tmp_nn_b;
-        self.out_state_covariance -= &self.cross;
+        self.tmp_nn_b.transpose_into(&mut self.tmp_nn_a);
+        self.tmp_nn_b += &self.tmp_nn_a;
+        self.out_state_covariance -= &self.tmp_nn_b;
         self.out_state_covariance
             .symmetrize_in_place()
             .expect("square by construction");
 
         // --- Step 4: testing-sensor anomaly estimation (lines 15–16).
-        if !self.test_slices.is_empty() {
+        if !self.layout.test_slices.is_empty() {
             // z₁ was gathered at load time; C₁/h₁ at the fresh state
             // estimate are per-robot model evaluations.
             for l in 0..K {
@@ -555,14 +818,30 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                     continue;
                 }
                 self.out_state_estimate.store_lane(l, &mut self.eval_x);
-                system.jacobian_subset_into(&self.test_slices, &self.eval_x, &mut self.eval_c1);
-                self.c1.load_lane(l, &self.eval_c1);
-                system.measure_subset_into(&self.test_slices, &self.eval_x, &mut self.eval_h1);
+                match &mut self.frozen {
+                    None => {
+                        system.jacobian_subset_into(
+                            &self.layout.test_slices,
+                            &self.eval_x,
+                            &mut self.eval_c1,
+                        );
+                        self.c1.load_lane(l, &self.eval_c1);
+                        system.measure_subset_into(
+                            &self.layout.test_slices,
+                            &self.eval_x,
+                            &mut self.eval_h1,
+                        );
+                    }
+                    Some(frozen) => {
+                        self.c1.load_lane(l, &frozen.c1_0);
+                        frozen.measure_into(true, &self.eval_x, &mut self.eval_h1);
+                    }
+                }
                 self.h1.load_lane(l, &self.eval_h1);
             }
             self.out_sensor_anomaly.copy_from(&self.z1);
             self.out_sensor_anomaly -= &self.h1;
-            for &i in &self.angular1 {
+            for &i in &self.layout.angular1 {
                 let g = self.out_sensor_anomaly.at_mut(i);
                 for v in g.iter_mut() {
                     *v = wrap_angle(*v);
@@ -575,14 +854,17 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                     &mut self.out_sensor_covariance,
                 )
                 .expect("shapes fixed at construction");
-            self.out_sensor_covariance.add_assign_broadcast(&self.r1);
+            self.out_sensor_covariance
+                .add_assign_broadcast(&self.layout.r1);
             self.out_sensor_covariance
                 .symmetrize_in_place()
                 .expect("square by construction");
         }
 
         // --- Step 5: mode likelihood (lines 17–20). ---
-        let stat_all = self.out_innovation.quadratic_form(&self.p_nu_pinv);
+        let stat_all = self
+            .out_innovation
+            .quadratic_form(&self.r2_star_inv_p_nu_pinv);
         for l in 0..K {
             if !ok[l] {
                 continue;
@@ -596,20 +878,36 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             let norm = (2.0 * std::f64::consts::PI).powf(nu_rank[l] as f64 / 2.0)
                 * nu_pdet[l].abs().sqrt();
             self.likelihood[l] = (-0.5 * stat).exp() / norm.max(f64::MIN_POSITIVE);
-            match roboads_stats::ChiSquared::new(nu_rank[l]).and_then(|chi| chi.survival(stat)) {
+            match chi2_consistency(nu_rank[l], stat) {
                 Ok(c) => self.consistency[l] = c,
-                Err(_) => ok[l] = false,
+                Err(_) => fail(
+                    &mut ok,
+                    &mut failure,
+                    l,
+                    LaneFailure::ChiSquared {
+                        rank: nu_rank[l],
+                        stat,
+                    },
+                ),
             }
         }
 
-        // --- Implied anomaly count (the engine's parsimony prior),
-        // lane-batched to mirror `implied_anomaly_count` bit for bit.
-        let conv = self
-            .pars_actuator_eig
-            .factorize(&self.out_actuator_covariance, &ok);
+        // --- Implied anomaly count (the engine's parsimony prior): the
+        // number of active misbehaviors this mode's explanation implies —
+        // one per testing sensor whose anomaly estimate is significant at
+        // the `PARSIMONY_ALPHA` level, plus one when the mode's own
+        // actuator anomaly estimate is: a hypothesis that needs a phantom
+        // input to absorb a sensor corruption must pay for it. (The
+        // visibility of a real actuator attack varies with reference
+        // quality, which would bias this weight toward blind modes; the
+        // decision maker compensates by sourcing the actuator test from
+        // the most precise innovation-consistent mode.) The tested
+        // statistics travel with the output, so the decision maker does
+        // not recompute the same pseudo-inverses.
+        let conv = self.pars_actuator_eig.factorize(&self.normal_inv, &ok);
         for l in 0..K {
-            if ok[l] && !conv[l] {
-                ok[l] = false;
+            if !conv[l] {
+                fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
             }
         }
         let mut cut_a = [0.0f64; K];
@@ -631,14 +929,16 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         self.actuator_statistic = self
             .out_actuator_anomaly
             .quadratic_form(&self.pars_actuator_pinv);
+        let layout = &*self.layout;
         for l in 0..K {
-            self.counts[l] = usize::from(ok[l] && self.actuator_statistic[l] > actuator_threshold);
+            self.counts[l] =
+                usize::from(ok[l] && self.actuator_statistic[l] > layout.actuator_threshold);
         }
         let pars_slices = &mut self.pars_slices;
         let sensor_anomaly = &self.out_sensor_anomaly;
         let sensor_covariance = &self.out_sensor_covariance;
         let counts = &mut self.counts;
-        for (s, &threshold) in pars_slices.iter_mut().zip(testing_thresholds) {
+        for (s, &threshold) in pars_slices.iter_mut().zip(&layout.testing_thresholds) {
             for i in 0..s.len {
                 *s.d.at_mut(i) = *sensor_anomaly.at(s.offset + i);
             }
@@ -649,8 +949,8 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             }
             let conv = s.eig.factorize(&s.cov, &ok);
             for l in 0..K {
-                if ok[l] && !conv[l] {
-                    ok[l] = false;
+                if !conv[l] {
+                    fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
                 }
             }
             let mut cut = [0.0f64; K];
@@ -677,15 +977,21 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                 }
             }
         }
+        self.failure = failure;
         ok
     }
 
+    /// The error `nuise_step` returns for lane `lane`'s robot, if the
+    /// lane failed in the last [`run`](Self::run); `None` for a lane that
+    /// completed or was inactive.
+    pub(crate) fn lane_error(&self, lane: usize) -> Option<CoreError> {
+        self.failure[lane].map(LaneFailure::into_error)
+    }
+
     /// Copies lane `lane`'s results into `out` (which must be sized for
-    /// this workspace's mode, e.g. the engine's per-mode output slot),
-    /// including the parsimony statistics the scalar
-    /// `implied_anomaly_count` would have stored there.
-    /// Only meaningful for lanes whose [`run`](NuiseSlabWorkspace::run)
-    /// flag was set.
+    /// this workspace's mode, e.g. by [`new_output`](Self::new_output)),
+    /// including the parsimony statistics. Only meaningful for lanes
+    /// whose [`run`](NuiseSlabWorkspace::run) flag was set.
     pub(crate) fn scatter_lane(&self, lane: usize, out: &mut NuiseOutput) {
         self.out_state_estimate
             .store_lane(lane, &mut out.state_estimate);
@@ -693,7 +999,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             .store_lane(lane, &mut out.state_covariance);
         self.out_actuator_anomaly
             .store_lane(lane, &mut out.actuator_anomaly);
-        self.out_actuator_covariance
+        self.normal_inv
             .store_lane(lane, &mut out.actuator_covariance);
         self.out_sensor_anomaly
             .store_lane(lane, &mut out.sensor_anomaly);
@@ -715,15 +1021,41 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     }
 }
 
+impl NuiseSlabWorkspace<1> {
+    /// One robot's NUISE step plus its implied-anomaly count through
+    /// lane 0 — the engine's per-mode step. Writes `out` and returns the
+    /// count; on error `out` is untouched.
+    ///
+    /// `input.mode` and `input.linearization` must be the ones the
+    /// workspace was built for.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error [`crate::nuise::nuise_step`] returns for
+    /// `input`.
+    pub(crate) fn step(&mut self, input: NuiseInput<'_>, out: &mut NuiseOutput) -> Result<usize> {
+        self.load_lane(
+            0,
+            input.system,
+            input.x_prev,
+            input.p_prev,
+            input.u_prev,
+            input.readings,
+        )?;
+        self.run(input.system, input.compensate, &[true]);
+        if let Some(e) = self.lane_error(0) {
+            return Err(e);
+        }
+        self.scatter_lane(0, out);
+        Ok(self.count(0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Linearization;
-    use crate::engine::{implied_anomaly_count, ParsimonyScratch};
-    use crate::nuise::{nuise_step_into, NuiseInput, NuiseWorkspace};
+    use crate::nuise::oracle_step;
     use roboads_models::presets;
-
-    const K: usize = 4;
 
     fn clean_readings(system: &RobotSystem, x: &Vector) -> Vec<Vector> {
         (0..system.sensor_count())
@@ -731,130 +1063,121 @@ mod tests {
             .collect()
     }
 
-    /// The slab pipeline must reproduce the scalar NUISE step and the
-    /// scalar implied-anomaly count bit for bit, per lane, over warm
-    /// multi-step trajectories with distinct per-lane states, for every
-    /// reference/testing partition shape and both compensation settings.
-    #[test]
-    fn slab_run_is_bitwise_identical_to_scalar_step() {
-        let system = presets::khepera_system();
-        let modes = [
+    fn modes() -> [Mode; 4] {
+        [
             Mode::new(vec![0], vec![1, 2]),
             Mode::new(vec![1], vec![0, 2]),
             Mode::new(vec![2], vec![0, 1]),
             Mode::new(vec![0, 1, 2], vec![]),
-        ];
-        let actuator_threshold = 9.21; // any positive constant works: both paths share it
-        for mode in &modes {
-            for compensate in [true, false] {
-                let mut ws = NuiseWorkspace::new(&system, mode);
-                let testing_thresholds: Vec<f64> = ws
-                    .testing_slices()
-                    .iter()
-                    .map(|s| 2.0 + s.len as f64)
-                    .collect();
-                let mut scratch = ParsimonyScratch::new(system.input_dim(), ws.testing_slices());
-                let mut slab = NuiseSlabWorkspace::<K>::new(&system, mode);
-                let mut reference = ws.new_output();
-                let mut scattered = ws.new_output();
-                let mut x_est: Vec<Vector> = (0..K)
-                    .map(|l| Vector::from_slice(&[0.4 + 0.1 * l as f64, 0.5, 0.1 * l as f64]))
-                    .collect();
-                let mut p: Vec<Matrix> = (0..K)
-                    .map(|l| Matrix::identity(3) * (1e-4 * (l + 1) as f64))
-                    .collect();
-                let mut x_true = x_est.clone();
-                let u: Vec<Vector> = (0..K)
-                    .map(|l| Vector::from_slice(&[0.05 + 0.01 * l as f64, 0.05]))
-                    .collect();
-                for k in 0..15 {
-                    let mut all_readings = Vec::new();
-                    for l in 0..K {
-                        x_true[l] = system.dynamics().step(&x_true[l], &u[l]);
-                        let mut readings = clean_readings(&system, &x_true[l]);
-                        if k > 7 {
-                            readings[1][0] += 0.05 * (l + 1) as f64;
+        ]
+    }
+
+    /// The K-lane pipeline reproduces the allocating oracle (NUISE
+    /// output, parsimony statistics and implied-anomaly count) bit for
+    /// bit, per lane, over warm multi-step trajectories with distinct
+    /// per-lane states, for every reference/testing partition shape,
+    /// both compensation settings and both linearizations.
+    fn slab_run_matches_oracle<const K: usize>() {
+        let system = presets::khepera_system();
+        let frozen = Linearization::FrozenAt {
+            state: Vector::from_slice(&[0.45, 0.5, 0.05]),
+            input: Vector::from_slice(&[0.1, 0.1]),
+        };
+        for linearization in [Linearization::PerIteration, frozen] {
+            for mode in &modes() {
+                for compensate in [true, false] {
+                    let mut slab =
+                        NuiseSlabWorkspace::<K>::new(&system, mode, &linearization).unwrap();
+                    let (act, testing) = slab.parsimony_thresholds();
+                    let testing = testing.to_vec();
+                    let mut scattered = slab.new_output();
+                    let mut x_est: Vec<Vector> = (0..K)
+                        .map(|l| Vector::from_slice(&[0.4 + 0.1 * l as f64, 0.5, 0.1 * l as f64]))
+                        .collect();
+                    let mut p: Vec<Matrix> = (0..K)
+                        .map(|l| Matrix::identity(3) * (1e-4 * (l + 1) as f64))
+                        .collect();
+                    let mut x_true = x_est.clone();
+                    let u: Vec<Vector> = (0..K)
+                        .map(|l| Vector::from_slice(&[0.05 + 0.01 * l as f64, 0.05]))
+                        .collect();
+                    for k in 0..15 {
+                        let mut all_readings = Vec::new();
+                        for l in 0..K {
+                            x_true[l] = system.dynamics().step(&x_true[l], &u[l]);
+                            let mut readings = clean_readings(&system, &x_true[l]);
+                            if k > 7 {
+                                readings[1][0] += 0.05 * (l + 1) as f64;
+                            }
+                            all_readings.push(readings);
                         }
-                        all_readings.push(readings);
-                    }
-                    for l in 0..K {
-                        slab.load_lane(l, &system, &x_est[l], &p[l], &u[l], &all_readings[l])
-                            .unwrap();
-                    }
-                    let ok = slab.run(
-                        &system,
-                        compensate,
-                        actuator_threshold,
-                        &testing_thresholds,
-                        &[true; K],
-                    );
-                    assert_eq!(ok, [true; K], "mode {mode:?} step {k}");
-                    for l in 0..K {
-                        nuise_step_into(
-                            NuiseInput {
+                        for l in 0..K {
+                            slab.load_lane(l, &system, &x_est[l], &p[l], &u[l], &all_readings[l])
+                                .unwrap();
+                        }
+                        let ok = slab.run(&system, compensate, &[true; K]);
+                        assert_eq!(ok, [true; K], "mode {mode:?} step {k}");
+                        for l in 0..K {
+                            let input = NuiseInput {
                                 system: &system,
                                 mode,
                                 x_prev: &x_est[l],
                                 p_prev: &p[l],
                                 u_prev: &u[l],
                                 readings: &all_readings[l],
-                                linearization: &Linearization::PerIteration,
+                                linearization: &linearization,
                                 compensate,
-                            },
-                            &mut ws,
-                            &mut reference,
-                        )
-                        .unwrap();
-                        let expected_count = implied_anomaly_count(
-                            &mut reference,
-                            actuator_threshold,
-                            ws.testing_slices(),
-                            &testing_thresholds,
-                            &mut scratch,
-                        )
-                        .unwrap();
-                        slab.scatter_lane(l, &mut scattered);
-                        assert_eq!(
-                            scattered, reference,
-                            "mode {mode:?} lane {l} diverged at step {k}"
-                        );
-                        assert_eq!(slab.count(l), expected_count, "mode {mode:?} lane {l}");
-                        x_est[l] = reference.state_estimate.clone();
-                        p[l] = reference.state_covariance.clone();
+                            };
+                            let (reference, expected_count) =
+                                oracle_step(input, act, &testing).unwrap();
+                            slab.scatter_lane(l, &mut scattered);
+                            assert_eq!(
+                                scattered, reference,
+                                "{linearization:?} mode {mode:?} lane {l} diverged at step {k}"
+                            );
+                            assert_eq!(slab.count(l), expected_count, "mode {mode:?} lane {l}");
+                            x_est[l] = reference.state_estimate;
+                            p[l] = reference.state_covariance;
+                        }
                     }
                 }
             }
         }
     }
 
+    #[test]
+    fn slab_run_is_bitwise_identical_to_the_oracle_at_one_lane() {
+        slab_run_matches_oracle::<1>();
+    }
+
+    #[test]
+    fn slab_run_is_bitwise_identical_to_the_oracle_at_eight_lanes() {
+        slab_run_matches_oracle::<8>();
+    }
+
     /// A partially-active tile (the fleet's remainder tail) must leave
     /// inactive lanes out while the active lanes stay bitwise-pinned.
-    #[test]
-    fn masked_lanes_do_not_perturb_active_lanes() {
+    fn masked_lanes_do_not_perturb_active_lanes<const K: usize>() {
         let system = presets::khepera_system();
         let mode = Mode::new(vec![0], vec![1, 2]);
-        let mut ws = NuiseWorkspace::new(&system, &mode);
-        let testing_thresholds: Vec<f64> = ws
-            .testing_slices()
-            .iter()
-            .map(|s| 2.0 + s.len as f64)
-            .collect();
-        let mut slab = NuiseSlabWorkspace::<K>::new(&system, &mode);
-        let mut reference = ws.new_output();
-        let mut scattered = ws.new_output();
+        let linearization = Linearization::PerIteration;
+        let mut slab = NuiseSlabWorkspace::<K>::new(&system, &mode, &linearization).unwrap();
+        let (act, testing) = slab.parsimony_thresholds();
+        let testing = testing.to_vec();
+        let mut scattered = slab.new_output();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.3]);
         let p0 = Matrix::identity(3) * 1e-4;
         let u = Vector::from_slice(&[0.06, 0.05]);
         let x1 = system.dynamics().step(&x0, &u);
         let readings = clean_readings(&system, &x1);
         let mut active = [false; K];
-        for l in 0..2 {
+        for l in 0..K.div_ceil(2) {
             slab.load_lane(l, &system, &x0, &p0, &u, &readings).unwrap();
             active[l] = true;
         }
-        let ok = slab.run(&system, true, 9.21, &testing_thresholds, &active);
+        let ok = slab.run(&system, true, &active);
         assert_eq!(ok, active);
-        nuise_step_into(
+        let (reference, _) = oracle_step(
             NuiseInput {
                 system: &system,
                 mode: &mode,
@@ -862,43 +1185,86 @@ mod tests {
                 p_prev: &p0,
                 u_prev: &u,
                 readings: &readings,
-                linearization: &Linearization::PerIteration,
+                linearization: &linearization,
                 compensate: true,
             },
-            &mut ws,
-            &mut reference,
+            act,
+            &testing,
         )
         .unwrap();
-        // Scattered lanes carry the parsimony statistics too.
-        let mut scratch = ParsimonyScratch::new(system.input_dim(), ws.testing_slices());
-        implied_anomaly_count(
-            &mut reference,
-            9.21,
-            ws.testing_slices(),
-            &testing_thresholds,
-            &mut scratch,
-        )
-        .unwrap();
-        for l in 0..2 {
-            slab.scatter_lane(l, &mut scattered);
-            assert_eq!(scattered, reference, "lane {l}");
+        for l in 0..K {
+            assert!(slab.lane_error(l).is_none(), "lane {l}");
+            if active[l] {
+                slab.scatter_lane(l, &mut scattered);
+                assert_eq!(scattered, reference, "lane {l}");
+            }
         }
     }
 
-    /// Bad readings must be rejected at load time with the scalar error.
     #[test]
-    fn load_lane_rejects_bad_readings() {
+    fn masked_lanes_do_not_perturb_active_lanes_at_one_and_eight_lanes() {
+        masked_lanes_do_not_perturb_active_lanes::<1>();
+        masked_lanes_do_not_perturb_active_lanes::<8>();
+    }
+
+    /// Bad readings and bad commands are rejected at load time with the
+    /// oracle's error.
+    fn load_lane_rejects_bad_inputs<const K: usize>() {
         let system = presets::khepera_system();
         let mode = Mode::new(vec![0], vec![1, 2]);
-        let mut slab = NuiseSlabWorkspace::<K>::new(&system, &mode);
+        let mut slab =
+            NuiseSlabWorkspace::<K>::new(&system, &mode, &Linearization::PerIteration).unwrap();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.3]);
         let p0 = Matrix::identity(3) * 1e-4;
         let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut readings = clean_readings(&system, &x0);
-        readings[0][0] = f64::NAN;
-        let err = slab
-            .load_lane(1, &system, &x0, &p0, &u, &readings)
-            .unwrap_err();
-        assert!(matches!(err, crate::CoreError::BadReadings { .. }));
+        let readings = clean_readings(&system, &x0);
+        let mut nan_reading = readings.clone();
+        nan_reading[0][0] = f64::NAN;
+        let lane = K - 1;
+        for (u, readings) in [
+            (u.clone(), nan_reading),
+            (Vector::from_slice(&[0.06]), readings.clone()),
+            (Vector::from_slice(&[0.06, f64::INFINITY]), readings),
+        ] {
+            let err = slab
+                .load_lane(lane, &system, &x0, &p0, &u, &readings)
+                .unwrap_err();
+            assert!(matches!(err, CoreError::BadReadings { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn load_lane_rejects_bad_inputs_at_one_and_eight_lanes() {
+        load_lane_rejects_bad_inputs::<1>();
+        load_lane_rejects_bad_inputs::<8>();
+    }
+
+    #[test]
+    fn lane_failures_convert_to_the_oracle_errors() {
+        let cases = [
+            (
+                LaneFailure::SingularInnovation,
+                SINGULAR_INNOVATION.to_string(),
+            ),
+            (LaneFailure::RankDeficient, RANK_DEFICIENT.to_string()),
+            (
+                LaneFailure::NoConvergence,
+                LinalgError::NoConvergence {
+                    sweeps: JACOBI_MAX_SWEEPS,
+                }
+                .to_string(),
+            ),
+        ];
+        for (failure, message) in cases {
+            assert_eq!(failure.into_error(), CoreError::Numeric(message));
+        }
+        let chi = LaneFailure::ChiSquared {
+            rank: 2,
+            stat: f64::INFINITY,
+        };
+        assert_eq!(
+            chi.into_error(),
+            chi2_consistency(2, f64::INFINITY).unwrap_err()
+        );
     }
 }

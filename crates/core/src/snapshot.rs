@@ -16,9 +16,10 @@
 //!   twin-reconstruction discipline of [`crate::replay_capsule`]. The
 //!   header's shape checks (mode count, state dimensions) catch a
 //!   mismatched twin early.
-//! * **Scratch** ([`crate::nuise::NuiseWorkspace`] internals, χ² test
-//!   caches, slab tiles): rebuilt deterministically and never carries
-//!   state across iterations.
+//! * **Scratch** (the per-mode NUISE kernels — one lane in each engine,
+//!   eight in each fleet slab tile — and the χ² threshold caches):
+//!   rebuilt deterministically and never carries state across
+//!   iterations.
 //! * **The flight recorder**: its ring contents never influence a
 //!   future step's outputs, and a fresh recorder re-attaches cleanly.
 //! * **Fleet partition state**: the signature grouping re-resolves

@@ -1,16 +1,17 @@
 //! Proves the NUISE hot path is allocation-free in steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator with a
-//! thread-local allocation counter; after one warm-up call populates
-//! the [`NuiseWorkspace`] scratch memory, a further `nuise_step_into`
-//! must perform **zero** heap allocations — the property the per-mode
-//! workspaces exist to guarantee (and the reason fleet workers can step
-//! robots at control-loop rates without allocator contention).
+//! thread-local allocation counter; after warm-up calls populate the
+//! engine's per-mode kernel scratch, a further step must perform
+//! **zero** heap allocations — the property the per-mode kernels exist
+//! to guarantee (and the reason fleet workers can step robots at
+//! control-loop rates without allocator contention).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use roboads_core::{nuise_step, nuise_step_into, NuiseInput, NuiseWorkspace, RoboAdsConfig};
+use roboads_core::baseline::LinearizedOnceDetector;
+use roboads_core::{nuise_step, DetectionReport, MultiModeEngine, NuiseInput, RoboAdsConfig};
 use roboads_core::{FleetEngine, Linearization, ModeSet, RecorderConfig, RoboAds, RobotInput};
 use roboads_linalg::{Matrix, Vector};
 use roboads_models::presets;
@@ -57,9 +58,11 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn warmed_up_nuise_step_into_is_allocation_free() {
+fn warmed_up_engine_mode_step_is_allocation_free() {
+    // Every mode of the complete bank, each as a single-mode engine, so
+    // the measured step is one mode's kernel pass (load, run, scatter,
+    // parsimony) plus the engine's selection tail.
     let system = presets::khepera_system();
-    let modes = ModeSet::complete(&system);
     let config = RoboAdsConfig::paper_defaults();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let p0 = Matrix::identity(3) * config.initial_covariance;
@@ -68,45 +71,85 @@ fn warmed_up_nuise_step_into_is_allocation_free() {
     let readings: Vec<Vector> = (0..system.sensor_count())
         .map(|i| system.sensor(i).unwrap().measure(&x1))
         .collect();
-    let linearization = Linearization::PerIteration;
 
-    for (m, mode) in modes.modes().iter().enumerate() {
-        let mut ws = NuiseWorkspace::new(&system, mode);
-        let mut out = ws.new_output();
-        let input = NuiseInput {
-            system: &system,
-            mode,
-            x_prev: &x0,
-            p_prev: &p0,
-            u_prev: &u,
-            readings: &readings,
-            linearization: &linearization,
-            compensate: config.compensate_actuator_anomalies,
-        };
-
+    for (m, mode) in ModeSet::complete(&system).modes().iter().enumerate() {
         // Sanity: the counter actually sees the allocating reference
         // implementation at work.
         let reference_allocs = allocations_during(|| {
-            nuise_step(input).unwrap();
+            nuise_step(NuiseInput {
+                system: &system,
+                mode,
+                x_prev: &x0,
+                p_prev: &p0,
+                u_prev: &u,
+                readings: &readings,
+                linearization: &Linearization::PerIteration,
+                compensate: config.compensate_actuator_anomalies,
+            })
+            .unwrap();
         });
         assert!(
             reference_allocs > 0,
             "counting allocator failed to observe the allocating path"
         );
 
-        // Warm-up: first call may still fault in lazily-sized output
-        // storage.
-        nuise_step_into(input, &mut ws, &mut out).unwrap();
+        let modes = ModeSet::from_reference_groups(&system, &[mode.reference().to_vec()]);
+        let mut engine = MultiModeEngine::new(system.clone(), modes, x0.clone(), &config).unwrap();
+        // Warm-up: the first call may still size lazily-grown storage.
+        engine.step_in_place(&u, &readings).unwrap();
 
         // Steady state: zero heap traffic.
         let steady_allocs = allocations_during(|| {
             for _ in 0..3 {
-                nuise_step_into(input, &mut ws, &mut out).unwrap();
+                engine.step_in_place(&u, &readings).unwrap();
             }
         });
         assert_eq!(
             steady_allocs, 0,
-            "mode {m}: warmed-up nuise_step_into allocated {steady_allocs} times"
+            "mode {m}: warmed-up engine mode step allocated {steady_allocs} times"
+        );
+    }
+}
+
+#[test]
+fn warmed_up_linearized_once_step_is_allocation_free() {
+    // The §V-G baseline (`Linearization::FrozenAt`) runs through the same
+    // kernel as RoboADS proper, with the affine model evaluated in
+    // place, so it is just as allocation-free once warm.
+    let system = presets::khepera_system();
+    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
+    let u = Vector::from_slice(&[0.03, 0.09]);
+    let mut ads = LinearizedOnceDetector::new(
+        system.clone(),
+        RoboAdsConfig::paper_defaults(),
+        x0.clone(),
+        ModeSet::one_reference_per_sensor(&system),
+    )
+    .unwrap()
+    .into_inner();
+    let mut report = DetectionReport::blank();
+    let mut x_true = x0;
+    let next_readings = |x: &mut Vector| -> Vec<Vector> {
+        *x = system.dynamics().step(x, &u);
+        (0..system.sensor_count())
+            .map(|i| system.sensor(i).unwrap().measure(x))
+            .collect()
+    };
+
+    // Warm-up: a turning mission drifts away from the frozen operating
+    // point, so the report reaches its alarm-bearing steady shape.
+    for _ in 0..40 {
+        let readings = next_readings(&mut x_true);
+        ads.step_into(&u, &readings, &mut report).unwrap();
+    }
+    for k in 0..3 {
+        let readings = next_readings(&mut x_true);
+        let steady_allocs = allocations_during(|| {
+            ads.step_into(&u, &readings, &mut report).unwrap();
+        });
+        assert_eq!(
+            steady_allocs, 0,
+            "tick {k}: warmed-up linearize-once step allocated {steady_allocs} times"
         );
     }
 }
@@ -290,7 +333,7 @@ fn warmed_up_lazy_wake_sleep_cycle_is_allocation_free() {
     // re-sleep all reuse the filter states and scratch sized at
     // construction. Warm up with one complete sleep → wake → re-sleep
     // cycle, then assert a second identical cycle allocates zero times.
-    use roboads_core::{ActivationPolicy, DetectionReport};
+    use roboads_core::ActivationPolicy;
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let u = Vector::from_slice(&[0.06, 0.05]);

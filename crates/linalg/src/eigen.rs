@@ -32,8 +32,11 @@ pub struct SymmetricEigen {
     eigenvectors: Matrix,
 }
 
-/// Maximum number of full Jacobi sweeps before reporting non-convergence.
-const MAX_SWEEPS: usize = 64;
+/// Maximum number of full Jacobi sweeps before reporting
+/// non-convergence; shared by every Jacobi implementation in the crate
+/// (allocating, workspace and slab), so a lane-batched failure flag maps
+/// to the same [`LinalgError::NoConvergence`] the scalar paths return.
+pub const JACOBI_MAX_SWEEPS: usize = 64;
 
 /// Off-diagonal magnitude (relative to the Frobenius norm) considered zero.
 const CONVERGENCE_TOL: f64 = 1e-14;
@@ -64,7 +67,7 @@ impl SymmetricEigen {
         let mut v = Matrix::identity(n);
         let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
 
-        for _sweep in 0..MAX_SWEEPS {
+        for _sweep in 0..JACOBI_MAX_SWEEPS {
             let mut off = 0.0;
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -115,7 +118,9 @@ impl SymmetricEigen {
                 }
             }
         }
-        Err(LinalgError::NoConvergence { sweeps: MAX_SWEEPS })
+        Err(LinalgError::NoConvergence {
+            sweeps: JACOBI_MAX_SWEEPS,
+        })
     }
 
     /// The eigenvalues (unsorted, matching eigenvector columns).

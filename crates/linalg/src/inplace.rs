@@ -15,7 +15,7 @@
 
 use std::ops::{AddAssign, SubAssign};
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result, Vector, JACOBI_MAX_SWEEPS};
 
 fn assert_shape(op: &str, got: (usize, usize), want: (usize, usize)) {
     assert!(
@@ -553,9 +553,8 @@ pub struct EigenWorkspace {
     eigenvalues: Vector,
 }
 
-/// Sweep cap and convergence tolerance, kept equal to
-/// [`crate::SymmetricEigen`]'s.
-const MAX_SWEEPS: usize = 64;
+/// Convergence tolerance, kept equal to [`crate::SymmetricEigen`]'s (the
+/// sweep cap is the shared [`JACOBI_MAX_SWEEPS`]).
 const CONVERGENCE_TOL: f64 = 1e-14;
 
 impl EigenWorkspace {
@@ -615,7 +614,7 @@ impl EigenWorkspace {
         let a = self.a.as_mut_slice();
         let v = self.v.as_mut_slice();
 
-        for _sweep in 0..MAX_SWEEPS {
+        for _sweep in 0..JACOBI_MAX_SWEEPS {
             let mut off = 0.0;
             for i in 0..n {
                 for &aij in &a[i * n + i + 1..(i + 1) * n] {
@@ -670,7 +669,9 @@ impl EigenWorkspace {
                 }
             }
         }
-        Err(LinalgError::NoConvergence { sweeps: MAX_SWEEPS })
+        Err(LinalgError::NoConvergence {
+            sweeps: JACOBI_MAX_SWEEPS,
+        })
     }
 
     /// Eigenvalues of the last decomposition (unsorted, matching

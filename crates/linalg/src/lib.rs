@@ -50,7 +50,7 @@ pub mod slab;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use eigen::SymmetricEigen;
+pub use eigen::{SymmetricEigen, JACOBI_MAX_SWEEPS};
 pub use error::LinalgError;
 pub use inplace::{EigenWorkspace, LuWorkspace};
 pub use lu::Lu;

@@ -38,16 +38,15 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::pseudo::RANK_TOL;
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result, Vector, JACOBI_MAX_SWEEPS};
 use std::ops::{AddAssign, SubAssign};
 
 /// Relative pivot threshold; equal to the scalar `LuWorkspace`'s for
 /// identical per-lane singularity classification.
 const PIVOT_TOL: f64 = 1e-13;
 
-/// Jacobi sweep cap and convergence tolerance; equal to the scalar
-/// `EigenWorkspace`'s.
-const MAX_SWEEPS: usize = 64;
+/// Jacobi convergence tolerance; equal to the scalar `EigenWorkspace`'s
+/// (the sweep cap is the shared [`JACOBI_MAX_SWEEPS`]).
 const CONVERGENCE_TOL: f64 = 1e-14;
 
 fn assert_shape(op: &str, got: (usize, usize), want: (usize, usize)) {
@@ -901,7 +900,7 @@ impl<const K: usize> EigenSlabWorkspace<K> {
             done[l] = !active[l];
         }
 
-        for _sweep in 0..MAX_SWEEPS {
+        for _sweep in 0..JACOBI_MAX_SWEEPS {
             // Sweep-top convergence check, per lane (i asc, j asc sum
             // order as in the scalar path).
             let mut off = [0.0f64; K];

@@ -3,6 +3,9 @@
 //! randomized shapes and values — including injected exact zeros (the
 //! zero-skip branches), singular LU lanes and masked eigen lanes.
 //!
+//! Every case runs at both widths the NUISE kernel is instantiated at:
+//! K = 1 (the engine's per-mode step) and K = 8 (the fleet's tiles).
+//!
 //! Uses a self-contained splitmix64 generator so the suite runs in the
 //! offline tier-1 build with no external packages.
 // Index-form lane loops, matching the convention of the kernels under
@@ -95,11 +98,9 @@ fn assert_lane_vec_eq<const K: usize>(
     }
 }
 
-const K: usize = 8;
 const SHAPES: &[(usize, usize, usize)] = &[(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (5, 5, 4)];
 
-#[test]
-fn products_match_scalar_bitwise_per_lane() {
+fn products_match_scalar_bitwise_per_lane<const K: usize>() {
     let mut rng = Rng(0x51ab_0001);
     for &(m, n, p) in SHAPES {
         for _round in 0..8 {
@@ -156,8 +157,7 @@ fn products_match_scalar_bitwise_per_lane() {
     }
 }
 
-#[test]
-fn congruence_matches_scalar_bitwise_per_lane() {
+fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
     let mut rng = Rng(0x51ab_0002);
     for &(m, n, _) in SHAPES {
         for _round in 0..8 {
@@ -191,8 +191,7 @@ fn congruence_matches_scalar_bitwise_per_lane() {
     }
 }
 
-#[test]
-fn elementwise_ops_match_scalar_bitwise_per_lane() {
+fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
     let mut rng = Rng(0x51ab_0003);
     for &(m, n, _) in SHAPES {
         let a: Vec<Matrix> = (0..K).map(|_| rng.matrix(m, n)).collect();
@@ -255,8 +254,7 @@ fn elementwise_ops_match_scalar_bitwise_per_lane() {
     }
 }
 
-#[test]
-fn lu_matches_scalar_bitwise_per_lane_including_singular() {
+fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
     let mut rng = Rng(0x51ab_0004);
     for n in 1..=5 {
         for round in 0..8 {
@@ -307,8 +305,7 @@ fn lu_matches_scalar_bitwise_per_lane_including_singular() {
     }
 }
 
-#[test]
-fn eigen_matches_scalar_bitwise_per_lane_with_mask() {
+fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
     let mut rng = Rng(0x51ab_0005);
     for n in 1..=5 {
         for round in 0..6 {
@@ -316,9 +313,13 @@ fn eigen_matches_scalar_bitwise_per_lane_with_mask() {
             let slab = load::<K>(&mats);
             let mut active = [true; K];
             // Mask a couple of lanes so their (stale) buffers cannot
-            // perturb the live lanes.
-            active[round % K] = false;
-            active[(round + 3) % K] = false;
+            // perturb the live lanes (at one lane, every other round).
+            if K > 1 {
+                active[round % K] = false;
+                active[(round + 3) % K] = false;
+            } else {
+                active[0] = round % 2 == 0;
+            }
             let mut ws = EigenSlabWorkspace::<K>::new(n);
             let converged = ws.factorize(&slab, &active);
 
@@ -377,8 +378,7 @@ fn eigen_matches_scalar_bitwise_per_lane_with_mask() {
     }
 }
 
-#[test]
-fn eigen_spectral_map_zero_skip_matches_scalar() {
+fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
     // A map that returns 0.0 for most eigenvalues exercises the
     // masked-accumulate path (the scalar zero-skip `continue`).
     let mut rng = Rng(0x51ab_0006);
@@ -399,8 +399,7 @@ fn eigen_spectral_map_zero_skip_matches_scalar() {
     }
 }
 
-#[test]
-fn identity_fill_copy_roundtrip() {
+fn identity_fill_copy_roundtrip<const K: usize>() {
     let mut rng = Rng(0x51ab_0007);
     let mats: Vec<Matrix> = (0..K).map(|_| rng.matrix(3, 3)).collect();
     let slab = load::<K>(&mats);
@@ -416,3 +415,32 @@ fn identity_fill_copy_roundtrip() {
     copy.fill(2.5);
     assert_eq!(*copy.at(1, 2), [2.5; K]);
 }
+
+/// Instantiates each generic case as `<case>::k1` and `<case>::k8`.
+macro_rules! at_both_widths {
+    ($($case:ident),* $(,)?) => {
+        $(
+            mod $case {
+                #[test]
+                fn k1() {
+                    super::$case::<1>();
+                }
+
+                #[test]
+                fn k8() {
+                    super::$case::<8>();
+                }
+            }
+        )*
+    };
+}
+
+at_both_widths!(
+    products_match_scalar_bitwise_per_lane,
+    congruence_matches_scalar_bitwise_per_lane,
+    elementwise_ops_match_scalar_bitwise_per_lane,
+    lu_matches_scalar_bitwise_per_lane_including_singular,
+    eigen_matches_scalar_bitwise_per_lane_with_mask,
+    eigen_spectral_map_zero_skip_matches_scalar,
+    identity_fill_copy_roundtrip,
+);

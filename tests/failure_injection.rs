@@ -3,7 +3,12 @@
 //! leave the detector usable — a dependable-systems detector must not be
 //! the least dependable component in the loop.
 
-use roboads::core::{CoreError, ModeSet, RoboAds, RoboAdsConfig};
+use std::sync::Arc;
+
+use roboads::core::{
+    snapshot_detector, CoreError, FleetEngine, ModeSet, RoboAds, RoboAdsConfig, RobotFactory,
+    RobotInput, ShardConfig, ShardedFleet, StampedFrame,
+};
 use roboads::linalg::Vector;
 use roboads::models::presets;
 
@@ -74,15 +79,228 @@ fn wrong_reading_count_and_dimension_are_rejected() {
 fn infinite_command_is_reported_not_propagated() {
     let (system, mut ads, x0, _) = detector();
     let readings = clean_readings(&system, &x0);
-    let bad_u = Vector::from_slice(&[f64::INFINITY, 0.05]);
-    // The estimator must not silently produce NaN estimates.
-    match ads.step(&bad_u, &readings) {
-        Err(_) => {}
-        Ok(report) => {
-            assert!(
-                !report.state_estimate.is_finite() || report.actuator_anomaly.exceeds,
-                "an infinite command must surface somewhere visible"
+    // A non-finite command is an input fault: rejected up front as a
+    // typed error, never run through the filter (where it would burn
+    // the Jacobi sweep cap and surface as a numeric failure).
+    for bad_u in [
+        Vector::from_slice(&[f64::INFINITY, 0.05]),
+        Vector::from_slice(&[0.06, f64::NAN]),
+    ] {
+        let err = ads.step(&bad_u, &readings).unwrap_err();
+        assert!(matches!(err, CoreError::BadReadings { .. }), "{err}");
+        assert_eq!(ads.iteration(), 0);
+        assert_eq!(ads.state_estimate(), &x0);
+    }
+}
+
+#[test]
+fn wrong_length_command_is_rejected_and_detector_recovers() {
+    let (system, mut ads, x0, u) = detector();
+    let mut x_true = x0;
+    for _ in 0..3 {
+        x_true = system.dynamics().step(&x_true, &u);
+        ads.step(&u, &clean_readings(&system, &x_true)).unwrap();
+    }
+    let estimate_before = ads.state_estimate().clone();
+    let readings = clean_readings(&system, &x_true);
+    for bad_u in [
+        Vector::zeros(0),
+        Vector::from_slice(&[0.06]),
+        Vector::from_slice(&[0.06, 0.05, 0.01]),
+    ] {
+        let err = ads.step(&bad_u, &readings).unwrap_err();
+        assert!(matches!(err, CoreError::BadReadings { .. }), "{err}");
+    }
+    assert_eq!(ads.iteration(), 3);
+    assert_eq!(ads.state_estimate(), &estimate_before);
+    for _ in 0..3 {
+        x_true = system.dynamics().step(&x_true, &u);
+        let report = ads.step(&u, &clean_readings(&system, &x_true)).unwrap();
+        assert!(!report.sensor_alarm);
+    }
+}
+
+/// A fleet whose robots all drive the same command, each from its own
+/// start, so every lane carries distinct numbers: the starts, and the
+/// clean readings of every robot at every tick (`[tick][robot]`).
+fn fleet_trajectory(
+    system: &roboads::models::RobotSystem,
+    robots: usize,
+    ticks: usize,
+    u: &Vector,
+) -> (Vec<Vector>, Vec<Vec<Vec<Vector>>>) {
+    let starts: Vec<Vector> = (0..robots)
+        .map(|r| Vector::from_slice(&[0.5 + 0.05 * r as f64, 0.5, 0.1]))
+        .collect();
+    let mut states = starts.clone();
+    let readings = (0..ticks)
+        .map(|_| {
+            states
+                .iter_mut()
+                .map(|x| {
+                    *x = system.dynamics().step(x, u);
+                    clean_readings(system, x)
+                })
+                .collect()
+        })
+        .collect();
+    (starts, readings)
+}
+
+#[test]
+fn wrong_length_command_fails_only_its_fleet_lane() {
+    const ROBOTS: usize = 16;
+    const TICKS: usize = 6;
+    const BAD_ROBOT: usize = 5;
+    const BAD_TICK: usize = 3;
+    let system = presets::khepera_system();
+    let u = Vector::from_slice(&[0.06, 0.05]);
+    let short_u = Vector::from_slice(&[0.06]);
+    let (starts, readings) = fleet_trajectory(&system, ROBOTS, TICKS, &u);
+    let run = |inject: bool| {
+        let mut fleet = FleetEngine::new(
+            starts
+                .iter()
+                .map(|x0| RoboAds::with_defaults(system.clone(), x0.clone()).unwrap())
+                .collect(),
+            1,
+        );
+        let mut outcomes = Vec::new();
+        for (k, tick) in readings.iter().enumerate() {
+            let inputs: Vec<RobotInput> = (0..ROBOTS)
+                .map(|r| RobotInput {
+                    u_prev: if inject && r == BAD_ROBOT && k == BAD_TICK {
+                        &short_u
+                    } else {
+                        &u
+                    },
+                    readings: &tick[r],
+                })
+                .collect();
+            let batch = fleet.step_batch(&inputs);
+            assert_eq!(batch.is_err(), inject && k == BAD_TICK, "tick {k}");
+            assert_eq!(fleet.slab_robots(), ROBOTS, "every robot rides a slab tile");
+            outcomes.push(
+                (0..ROBOTS)
+                    .map(|r| {
+                        let detector = fleet.detector(r);
+                        (
+                            fleet.result(r).clone(),
+                            detector.iteration(),
+                            detector.state_estimate().clone(),
+                            snapshot_detector(detector),
+                        )
+                    })
+                    .collect::<Vec<_>>(),
             );
+        }
+        outcomes
+    };
+    let clean = run(false);
+    let injected = run(true);
+    for k in 0..TICKS {
+        for r in 0..ROBOTS {
+            let (result, iteration, estimate, state) = &injected[k][r];
+            if r == BAD_ROBOT && k >= BAD_TICK {
+                if k == BAD_TICK {
+                    assert!(
+                        matches!(result, Err(CoreError::BadReadings { .. })),
+                        "{result:?}"
+                    );
+                    // The rejected iteration did not advance the robot.
+                    assert_eq!(*iteration, injected[k - 1][r].1);
+                    assert_eq!(estimate, &injected[k - 1][r].2);
+                } else {
+                    assert!(result.is_ok());
+                }
+                continue;
+            }
+            assert!(result.is_ok(), "robot {r} tick {k}: {result:?}");
+            assert!(state == &clean[k][r].3, "robot {r} perturbed at tick {k}");
+        }
+    }
+}
+
+#[test]
+fn wrong_length_command_frame_is_a_per_robot_error_through_shard_recovery() {
+    const ROBOTS: usize = 16;
+    const TICKS: usize = 6;
+    const BAD_ROBOT: u64 = 5;
+    const BAD_TICK: usize = 3;
+    let system = presets::khepera_system();
+    let u = Vector::from_slice(&[0.06, 0.05]);
+    let (starts, readings) = fleet_trajectory(&system, ROBOTS, TICKS, &u);
+    let factory: RobotFactory = {
+        let system = system.clone();
+        Arc::new(move |id| RoboAds::with_defaults(system.clone(), starts[id as usize].clone()))
+    };
+    let ids: Vec<u64> = (0..ROBOTS as u64).collect();
+    let mut fleet = ShardedFleet::new(
+        &ids,
+        factory,
+        ShardConfig {
+            shards: 1,
+            snapshot_period: 3,
+            ..ShardConfig::default()
+        },
+    )
+    .unwrap();
+    for (k, tick) in readings.iter().enumerate() {
+        for &id in &ids {
+            // The hostile frame: a one-component command, accepted and
+            // journaled like any other.
+            let command = if id == BAD_ROBOT && k == BAD_TICK {
+                vec![0.06]
+            } else {
+                u.as_slice().to_vec()
+            };
+            let frame = StampedFrame {
+                robot: id,
+                sensor: None,
+                tick: k as u64,
+                values: command,
+            };
+            assert!(fleet.offer_frame(&frame).unwrap());
+            for (s, reading) in tick[id as usize].iter().enumerate() {
+                let frame = StampedFrame {
+                    robot: id,
+                    sensor: Some(s as u32),
+                    tick: k as u64,
+                    values: reading.as_slice().to_vec(),
+                };
+                assert!(fleet.offer_frame(&frame).unwrap());
+            }
+        }
+        let step = fleet.step();
+        assert_eq!(step.is_err(), k == BAD_TICK, "tick {k}");
+        if k == BAD_TICK {
+            assert!(matches!(
+                fleet.result(BAD_ROBOT),
+                Some(Err(CoreError::BadReadings { .. }))
+            ));
+            // Crash the shard right after the hostile tick: recovery
+            // restores the tick-3 snapshot and replays the journaled
+            // hostile frame through the same rejection.
+            let live: Vec<Vec<u8>> = ids
+                .iter()
+                .map(|&id| snapshot_detector(fleet.detector(id).unwrap()))
+                .collect();
+            fleet.recover_shard(0).unwrap();
+            for (&id, before) in ids.iter().zip(&live) {
+                assert!(
+                    &snapshot_detector(fleet.detector(id).unwrap()) == before,
+                    "robot {id} diverged through recovery"
+                );
+            }
+            assert!(matches!(
+                fleet.result(BAD_ROBOT),
+                Some(Err(CoreError::BadReadings { .. }))
+            ));
+        }
+        for &id in &ids {
+            if !(id == BAD_ROBOT && k == BAD_TICK) {
+                assert!(fleet.result(id).unwrap().is_ok(), "robot {id} tick {k}");
+            }
         }
     }
 }
