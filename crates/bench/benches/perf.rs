@@ -194,13 +194,16 @@ struct FleetRow {
     seconds: f64,
 }
 
-/// One slab-vs-scalar fleet sample at a fixed robot count, 1 thread.
+/// One slab-vs-scalar sample at a fixed robot count, 1 thread.
 struct SlabRow {
     robots: usize,
-    lanes: usize,
+    /// `standalone` (the robots swept one by one through
+    /// `RoboAds::step_into`, the scalar baseline) or `slab` (one
+    /// 8-lane fleet group).
+    leg: &'static str,
     seconds: f64,
-    /// Per-robot-step speedup over the scalar (`lanes = 1`) row of the
-    /// same run — the batching win of the SoA kernels alone.
+    /// Per-robot-step speedup over the `standalone` row of the same
+    /// run — the batching win of the SoA kernels alone.
     speedup_vs_scalar: f64,
 }
 
@@ -208,16 +211,46 @@ struct SlabRow {
 /// spread across model-signature groups) at a fixed robot count,
 /// 8 lanes, 1 thread.
 struct SlabGroupRow {
-    /// Fleet shape: `all_scalar`, `homogeneous`, `two_group` or
+    /// Fleet shape: `standalone`, `homogeneous`, `two_group` or
     /// `odd_one_out`.
     label: &'static str,
     robots: usize,
     /// Distinct model signatures in the fleet.
     groups: usize,
     seconds: f64,
-    /// Per-robot-step speedup over the `all_scalar` leg of the same
+    /// Per-robot-step speedup over the `standalone` leg of the same
     /// run.
     speedup_vs_scalar: f64,
+}
+
+/// One timed leg of the slab sections: a fleet, or the same robots as
+/// standalone detectors swept one by one through
+/// [`RoboAds::step_into`] — the scalar baseline a slab tile must beat.
+enum Leg {
+    Fleet(FleetEngine),
+    Standalone(Vec<(RoboAds, DetectionReport)>),
+}
+
+impl Leg {
+    fn standalone(robots: Vec<RoboAds>) -> Self {
+        Leg::Standalone(
+            robots
+                .into_iter()
+                .map(|ads| (ads, DetectionReport::blank()))
+                .collect(),
+        )
+    }
+
+    fn step(&mut self, inputs: &[RobotInput]) {
+        match self {
+            Leg::Fleet(fleet) => fleet.step_batch(inputs).unwrap(),
+            Leg::Standalone(robots) => {
+                for ((ads, report), input) in robots.iter_mut().zip(inputs) {
+                    ads.step_into(input.u_prev, input.readings, report).unwrap();
+                }
+            }
+        }
+    }
 }
 
 /// Fleet throughput: N warm detectors stepped through one
@@ -655,12 +688,13 @@ fn check_recorder_gate(row: &RecorderRow) {
     );
 }
 
-/// Slab-vs-scalar fleet throughput, measured **back to back in the same
-/// run** at 1 thread so host drift cannot masquerade as a kernel win:
-/// for each robot count, a scalar fleet (`slab_lanes = 1`, the
-/// per-robot path) and then an SoA slab fleet at 8 lanes. This is
-/// the headline number of the slab work: identical arithmetic, batched
-/// across robots so the dense kernels vectorize.
+/// Slab-vs-scalar throughput, measured **back to back in the same run**
+/// at 1 thread so host drift cannot masquerade as a kernel win: for
+/// each robot count, the robots as standalone detectors swept one by
+/// one through `step_into` (the per-robot path) and then as one 8-lane
+/// slab fleet group. This is the headline number of the slab work:
+/// identical arithmetic, batched across robots so the dense kernels
+/// vectorize.
 fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
@@ -669,28 +703,30 @@ fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
     let readings = clean_readings(&system, &x1);
     let modes = ModeSet::one_reference_per_sensor(&system);
     let robot_counts: &[usize] = if fast { &[64] } else { &[64, 256] };
-    const LANES: [usize; 2] = [1, 8];
+    const LEGS: [&str; 2] = ["standalone", "slab"];
     let mut rows: Vec<SlabRow> = Vec::new();
     for &robots in robot_counts {
-        // One fleet per lane width, timing windows interleaved
-        // round-robin: slow host-speed drift (shared cores, frequency
-        // scaling) then hits every lane width equally and cancels out
-        // of the speedup ratios, which is what the slab gate checks.
-        let mut fleets: Vec<FleetEngine> = LANES
-            .iter()
-            .map(|&lanes| {
-                let config = RoboAdsConfig::paper_defaults().with_slab_lanes(lanes);
-                FleetEngine::new(
-                    (0..robots)
-                        .map(|_| {
-                            RoboAds::new(system.clone(), config.clone(), x0.clone(), modes.clone())
-                                .unwrap()
-                        })
-                        .collect(),
-                    1,
-                )
-            })
-            .collect();
+        // Timing windows interleaved round-robin across the legs: slow
+        // host-speed drift (shared cores, frequency scaling) then hits
+        // both equally and cancels out of the speedup ratio, which is
+        // what the slab gate checks.
+        let detectors = || -> Vec<RoboAds> {
+            (0..robots)
+                .map(|_| {
+                    RoboAds::new(
+                        system.clone(),
+                        RoboAdsConfig::paper_defaults(),
+                        x0.clone(),
+                        modes.clone(),
+                    )
+                    .unwrap()
+                })
+                .collect()
+        };
+        let mut legs = [
+            Leg::standalone(detectors()),
+            Leg::Fleet(FleetEngine::new(detectors(), 1)),
+        ];
         let inputs: Vec<RobotInput> = (0..robots)
             .map(|_| RobotInput {
                 u_prev: &u,
@@ -699,43 +735,40 @@ fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
             .collect();
         let per_batch = (if fast { 32 } else { 512 } / robots).max(1);
         let rounds = if fast { 3 } else { 16 };
-        for fleet in &mut fleets {
+        for leg in &mut legs {
             for _ in 0..per_batch {
-                fleet.step_batch(&inputs).unwrap();
+                leg.step(&inputs);
             }
         }
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); LANES.len()];
+        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); LEGS.len()];
         for _ in 0..rounds {
-            for (lane_samples, fleet) in samples.iter_mut().zip(fleets.iter_mut()) {
+            for (leg_samples, leg) in samples.iter_mut().zip(legs.iter_mut()) {
                 let start = Instant::now();
                 for _ in 0..per_batch {
-                    fleet.step_batch(&inputs).unwrap();
+                    leg.step(&inputs);
                 }
-                lane_samples.push(start.elapsed().as_secs_f64() / per_batch as f64);
+                leg_samples.push(start.elapsed().as_secs_f64() / per_batch as f64);
             }
         }
         let mut scalar_seconds = f64::NAN;
-        for (lane_samples, &lanes) in samples.iter_mut().zip(LANES.iter()) {
-            lane_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            let seconds = lane_samples[lane_samples.len() / 2] / robots as f64;
-            if lanes == 1 {
+        for (leg_samples, &leg) in samples.iter_mut().zip(LEGS.iter()) {
+            leg_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            let seconds = leg_samples[leg_samples.len() / 2] / robots as f64;
+            if leg == "standalone" {
                 scalar_seconds = seconds;
             }
             let speedup = scalar_seconds / seconds;
-            report(
-                &format!("slab_fleet/robots={robots} lanes={lanes}"),
-                seconds,
-            );
-            if lanes > 1 {
+            report(&format!("slab_fleet/robots={robots} {leg}"), seconds);
+            if leg == "slab" {
                 println!(
                     "{:<44} {:>9.2} x",
-                    format!("slab speedup robots={robots} lanes={lanes}"),
+                    format!("slab speedup robots={robots}"),
                     speedup
                 );
             }
             rows.push(SlabRow {
                 robots,
-                lanes,
+                leg,
                 seconds,
                 speedup_vs_scalar: speedup,
             });
@@ -748,14 +781,15 @@ fn bench_slab_throughput(fast: bool) -> Vec<SlabRow> {
 /// different model-signature shapes, all legs back to back (interleaved
 /// timing windows, same drift-cancelling scheme as the slab section):
 ///
-/// * `all_scalar` — `slab_lanes = 1`, the per-robot baseline;
+/// * `standalone` — the robots swept one by one through `step_into`,
+///   the per-robot baseline;
 /// * `homogeneous` — one signature, the whole fleet in one 8-lane slab
 ///   (the pre-grouping best case);
 /// * `two_group` — two signatures dealt alternately, two slabs (the
 ///   mixed Khepera-firmware fleet shape);
 /// * `odd_one_out` — one robot with its own signature amid N−1 shared
 ///   ones. Pre-grouping this was the pathological case: the odd robot
-///   collapsed the whole fleet to `all_scalar` throughput (~1.0×);
+///   collapsed the whole fleet to per-robot throughput (~1.0×);
 ///   per-group slabs keep the N−1 group batched, so it must retain
 ///   nearly the homogeneous speedup.
 fn bench_slab_groups(fast: bool) -> Vec<SlabGroupRow> {
@@ -765,37 +799,38 @@ fn bench_slab_groups(fast: bool) -> Vec<SlabGroupRow> {
     let x1 = base.dynamics().step(&x0, &u);
     let readings = clean_readings(&base, &x1);
     let robots = if fast { 64 } else { 256 };
-    // (label, lanes, signature count, robot -> signature group).
-    type Shape = (&'static str, usize, usize, fn(usize, usize) -> usize);
+    // (label, signature count, robot -> signature group).
+    type Shape = (&'static str, usize, fn(usize, usize) -> usize);
     const SHAPES: [Shape; 4] = [
-        ("all_scalar", 1, 1, |_, _| 0),
-        ("homogeneous", 8, 1, |_, _| 0),
-        ("two_group", 8, 2, |i, _| i % 2),
-        ("odd_one_out", 8, 2, |i, n| usize::from(i == n / 2)),
+        ("standalone", 1, |_, _| 0),
+        ("homogeneous", 1, |_, _| 0),
+        ("two_group", 2, |i, _| i % 2),
+        ("odd_one_out", 2, |i, n| usize::from(i == n / 2)),
     ];
-    let mut fleets: Vec<FleetEngine> = SHAPES
+    let mut legs: Vec<Leg> = SHAPES
         .iter()
-        .map(|&(_, lanes, signatures, group_of)| {
+        .map(|&(label, signatures, group_of)| {
             // Fresh, pointer-distinct (numerically identical) preset
             // instances per signature group — the realistic per-unit
             // model-provisioning shape.
             let systems: Vec<_> = (0..signatures).map(|_| presets::khepera_system()).collect();
-            let config = RoboAdsConfig::paper_defaults().with_slab_lanes(lanes);
-            FleetEngine::new(
-                (0..robots)
-                    .map(|i| {
-                        let system = &systems[group_of(i, robots)];
-                        RoboAds::new(
-                            system.clone(),
-                            config.clone(),
-                            x0.clone(),
-                            ModeSet::one_reference_per_sensor(system),
-                        )
-                        .unwrap()
-                    })
-                    .collect(),
-                1,
-            )
+            let detectors = (0..robots)
+                .map(|i| {
+                    let system = &systems[group_of(i, robots)];
+                    RoboAds::new(
+                        system.clone(),
+                        RoboAdsConfig::paper_defaults(),
+                        x0.clone(),
+                        ModeSet::one_reference_per_sensor(system),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            if label == "standalone" {
+                Leg::standalone(detectors)
+            } else {
+                Leg::Fleet(FleetEngine::new(detectors, 1))
+            }
         })
         .collect();
     let inputs: Vec<RobotInput> = (0..robots)
@@ -806,32 +841,32 @@ fn bench_slab_groups(fast: bool) -> Vec<SlabGroupRow> {
         .collect();
     let per_batch = (if fast { 32 } else { 512 } / robots).max(1);
     let rounds = if fast { 3 } else { 16 };
-    for fleet in &mut fleets {
+    for leg in &mut legs {
         for _ in 0..per_batch {
-            fleet.step_batch(&inputs).unwrap();
+            leg.step(&inputs);
         }
     }
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); SHAPES.len()];
     for _ in 0..rounds {
-        for (shape_samples, fleet) in samples.iter_mut().zip(fleets.iter_mut()) {
+        for (shape_samples, leg) in samples.iter_mut().zip(legs.iter_mut()) {
             let start = Instant::now();
             for _ in 0..per_batch {
-                fleet.step_batch(&inputs).unwrap();
+                leg.step(&inputs);
             }
             shape_samples.push(start.elapsed().as_secs_f64() / per_batch as f64);
         }
     }
     let mut scalar_seconds = f64::NAN;
     let mut rows = Vec::with_capacity(SHAPES.len());
-    for (shape_samples, &(label, _, signatures, _)) in samples.iter_mut().zip(SHAPES.iter()) {
+    for (shape_samples, &(label, signatures, _)) in samples.iter_mut().zip(SHAPES.iter()) {
         shape_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let seconds = shape_samples[shape_samples.len() / 2] / robots as f64;
-        if label == "all_scalar" {
+        if label == "standalone" {
             scalar_seconds = seconds;
         }
         let speedup = scalar_seconds / seconds;
         report(&format!("slab_groups/robots={robots} {label}"), seconds);
-        if label != "all_scalar" {
+        if label != "standalone" {
             println!(
                 "{:<44} {:>9.2} x",
                 format!("slab_groups speedup robots={robots} {label}"),
@@ -1206,27 +1241,27 @@ fn check_fleet_gate(
         detector_step_s * 1e6
     );
     // Slab leg of the gate: the SoA path must never be slower than the
-    // scalar fleet it replaces (the full bench's acceptance bar is
+    // per-robot path it replaces (the full bench's acceptance bar is
     // 1.3x; the smoke gate only guards against the slab path silently
     // degenerating, so it sits at parity to stay noise-proof).
     let slab_row = slab
         .iter()
-        .filter(|r| r.lanes == 8 && r.robots >= 64)
+        .filter(|r| r.leg == "slab" && r.robots >= 64)
         .min_by_key(|r| r.robots)
-        .expect("fleet gate requires a >=64-robot / 8-lane slab row");
+        .expect("fleet gate requires a >=64-robot slab row");
     println!(
-        "slab gate: {:.2}x vs scalar at {} robots / 8 lanes (floor 1.00)",
+        "slab gate: {:.2}x vs standalone at {} robots / 8 lanes (floor 1.00)",
         slab_row.speedup_vs_scalar, slab_row.robots
     );
     assert!(
         slab_row.speedup_vs_scalar >= 1.0,
-        "slab throughput regression: {:.2}x vs the scalar fleet path at {} robots — \
+        "slab throughput regression: {:.2}x vs standalone detectors at {} robots — \
          the lane-batched kernels are slower than the per-robot path they replace",
         slab_row.speedup_vs_scalar,
         slab_row.robots
     );
     // Mixed-fleet leg: one odd robot amid N−1 shared-signature ones
-    // must retain ≥ 1.3x over all-scalar. Pre-grouping this shape ran
+    // must retain ≥ 1.3x over the standalone sweep. Pre-grouping this shape ran
     // at ~1.0x (the odd robot collapsed the fleet to the scalar path);
     // post-grouping the N−1 group keeps its slab, whose homogeneous
     // speedup is ~1.5x, so 1.3 is a real floor with noise headroom.
@@ -1235,13 +1270,13 @@ fn check_fleet_gate(
         .find(|r| r.label == "odd_one_out")
         .expect("fleet gate requires the odd_one_out slab-groups row");
     println!(
-        "slab-groups gate: {:.2}x vs all-scalar at {} robots, one odd robot (floor 1.30)",
+        "slab-groups gate: {:.2}x vs standalone at {} robots, one odd robot (floor 1.30)",
         odd.speedup_vs_scalar, odd.robots
     );
     assert!(
         odd.speedup_vs_scalar >= 1.3,
         "heterogeneous slab regression: one odd robot in a {}-robot fleet retains only \
-         {:.2}x over all-scalar (floor 1.30) — the signature partition is no longer \
+         {:.2}x over standalone detectors (floor 1.30) — the signature partition is no longer \
          keeping the majority group on the slab path",
         odd.robots,
         odd.speedup_vs_scalar
@@ -1345,7 +1380,7 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
         let mut row = JsonObject::new();
         row.field_u64("robots", r.robots as u64);
         row.field_u64("threads", 1);
-        row.field_u64("slab_lanes", r.lanes as u64);
+        row.field_str("leg", r.leg);
         row.field_f64("robot_step_us", r.seconds * 1e6);
         row.field_f64("robot_steps_per_sec", 1.0 / r.seconds);
         row.field_f64("speedup_vs_scalar", r.speedup_vs_scalar);

@@ -128,14 +128,6 @@ pub struct RoboAdsConfig {
     /// (the IMM transition prior; DESIGN.md §2f). `0.0` disables mixing
     /// (ablation).
     pub mode_mixing: f64,
-    /// Lane width `K` of the fleet's SIMD-batched slab path: a
-    /// `FleetEngine` whose robots share one system model and mode bank
-    /// steps them `K` at a time through structure-of-arrays NUISE
-    /// kernels (bitwise identical to per-robot stepping; see
-    /// `DESIGN.md` §13). `None` (the default) and `Some(8)` use the
-    /// width the kernels are compiled for; `Some(1)` disables the slab
-    /// path. Ignored outside fleet batching.
-    pub slab_lanes: Option<usize>,
     /// Mode-bank activation schedule. [`ActivationPolicy::AlwaysFull`]
     /// (the default) steps every hypothesis every iteration;
     /// [`ActivationPolicy::TopK`] parks improbable hypotheses while the
@@ -158,7 +150,6 @@ impl RoboAdsConfig {
             compensate_actuator_anomalies: true,
             parsimony_rho: 0.05,
             mode_mixing: 0.02,
-            slab_lanes: None,
             activation: ActivationPolicy::AlwaysFull,
         }
     }
@@ -218,14 +209,6 @@ impl RoboAdsConfig {
                 name: "mode_mixing",
                 value: format!("{}", self.mode_mixing),
             });
-        }
-        if let Some(lanes) = self.slab_lanes {
-            if !matches!(lanes, 1 | 8) {
-                return Err(CoreError::InvalidConfig {
-                    name: "slab_lanes",
-                    value: format!("{lanes} (must be 1 or 8)"),
-                });
-            }
         }
         if let ActivationPolicy::TopK {
             k,
@@ -296,13 +279,6 @@ impl RoboAdsConfig {
     /// Returns a copy with a different probability mixing rate.
     pub fn with_mode_mixing(mut self, mixing: f64) -> Self {
         self.mode_mixing = mixing;
-        self
-    }
-
-    /// Returns a copy pinning the fleet slab lane width (`1` disables
-    /// the slab path; otherwise 8).
-    pub fn with_slab_lanes(mut self, lanes: usize) -> Self {
-        self.slab_lanes = Some(lanes);
         self
     }
 
@@ -423,33 +399,6 @@ mod tests {
                     .validate()
                     .is_err(),
                 "{bad:?} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn slab_lane_knob_validates() {
-        assert!(RoboAdsConfig::paper_defaults().slab_lanes.is_none());
-        for lanes in [1, 8] {
-            RoboAdsConfig::paper_defaults()
-                .with_slab_lanes(lanes)
-                .validate()
-                .unwrap();
-        }
-        for lanes in [0, 2, 3, 4, 16] {
-            let err = RoboAdsConfig::paper_defaults()
-                .with_slab_lanes(lanes)
-                .validate()
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CoreError::InvalidConfig {
-                        name: "slab_lanes",
-                        ..
-                    }
-                ),
-                "lanes {lanes}: {err:?}"
             );
         }
     }

@@ -3,7 +3,7 @@ use roboads_models::RobotSystem;
 
 use crate::config::RoboAdsConfig;
 use crate::decision::DecisionMaker;
-use crate::engine::{EngineOutput, MultiModeEngine, SlabCommit};
+use crate::engine::{EngineOutput, MultiModeEngine};
 use crate::mode::ModeSet;
 use crate::recorder::{FlightRecorder, RecorderConfig};
 use crate::report::DetectionReport;
@@ -151,9 +151,9 @@ impl RoboAds {
     /// under; `report` must be the report the inputs just produced.
     ///
     /// This is a separate hook rather than part of [`RoboAds::step_into`]
-    /// because the fleet's slab path commits reports without re-entering
-    /// `step_into` — both paths (and the sim runner) call this after a
-    /// successful step so every recorded robot sees every tick.
+    /// because only the caller knows the stamp: the fleet (on its slab
+    /// tiles and per-robot groups alike) and the sim runner call this
+    /// after a successful step so every recorded robot sees every tick.
     pub fn record_tick(
         &mut self,
         stamp: u64,
@@ -200,6 +200,19 @@ impl RoboAds {
         report: &mut DetectionReport,
     ) -> Result<()> {
         self.engine.step_in_place(u_prev, readings)?;
+        self.complete_iteration(report)
+    }
+
+    /// The decision-and-report tail of an iteration whose engine step
+    /// committed: the χ² decision on the engine's output, the decision
+    /// windows fed back to the activation scheduler, and the report
+    /// refill. [`RoboAds::step_into`] and the fleet's slab tiles both
+    /// end an iteration here.
+    ///
+    /// # Errors
+    ///
+    /// A decision-maker error; `report` may then hold a partial verdict.
+    pub(crate) fn complete_iteration(&mut self, report: &mut DetectionReport) -> Result<()> {
         self.decision.assess_report(
             self.engine.system(),
             self.engine.modes(),
@@ -225,54 +238,6 @@ impl RoboAds {
         Ok(())
     }
 
-    /// Completes an iteration whose per-mode NUISE outputs were
-    /// scattered into the engine by the fleet's lane-batched slab path
-    /// (see [`MultiModeEngine::commit_slab_step`]): runs the engine's
-    /// selection/commit tail with the supplied implied-anomaly `counts`,
-    /// then the same decision-and-report tail as [`RoboAds::step_into`].
-    /// Given bitwise-identical mode outputs and counts, the resulting
-    /// detector state and report are bitwise identical to `step_into`'s.
-    ///
-    /// Returns [`SlabCommit::NeedsScalar`] — with the detector
-    /// completely untouched — when a sleeping bank's fresh results trip
-    /// a wake trigger: the dormant modes must run within this same
-    /// iteration, so the fleet re-runs the robot through
-    /// [`RoboAds::step_into`] (bitwise identical for the modes the slab
-    /// already computed).
-    ///
-    /// # Errors
-    ///
-    /// As [`RoboAds::step_into`].
-    pub(crate) fn commit_slab_step<I: IntoIterator<Item = usize>>(
-        &mut self,
-        counts: I,
-        report: &mut DetectionReport,
-    ) -> Result<SlabCommit> {
-        if self.engine.commit_slab_step(counts)? == SlabCommit::NeedsScalar {
-            return Ok(SlabCommit::NeedsScalar);
-        }
-        self.decision.assess_report(
-            self.engine.system(),
-            self.engine.modes(),
-            self.engine.last_output(),
-            report,
-        )?;
-        self.engine
-            .note_decision_activity(self.decision.windows_active());
-        self.iteration += 1;
-        let out = self.engine.last_output();
-        report.iteration = self.iteration;
-        report.selected_mode = out.selected;
-        report.mode_probabilities.clear();
-        report
-            .mode_probabilities
-            .extend_from_slice(&out.probabilities);
-        report
-            .state_estimate
-            .assign(&out.selected_output().state_estimate);
-        Ok(SlabCommit::Committed)
-    }
-
     /// Number of currently active (non-dormant) estimator modes — the
     /// bank size under [`crate::ActivationPolicy::AlwaysFull`], fewer
     /// while a lazy bank is parked (see `DESIGN.md` §17).
@@ -286,12 +251,12 @@ impl RoboAds {
         self.engine.bank_awake()
     }
 
-    /// The underlying engine (fleet slab path).
+    /// The underlying engine (fleet grouping and slab tiles).
     pub(crate) fn engine(&self) -> &MultiModeEngine {
         &self.engine
     }
 
-    /// Mutable access to the underlying engine (fleet slab path).
+    /// Mutable access to the underlying engine (fleet slab tiles).
     pub(crate) fn engine_mut(&mut self) -> &mut MultiModeEngine {
         &mut self.engine
     }

@@ -1,11 +1,21 @@
+//! The multi-mode estimation engine (Algorithm 1 lines 4–9) and the one
+//! iteration driver every robot steps through: [`step_tile`] plans each
+//! robot's activation schedule, runs each mode's NUISE kernel over the
+//! tile's lanes, and commits each robot. A standalone engine is a
+//! one-lane tile on its own kernels; a fleet slab group runs tiles of
+//! eight robots on kernels widened from a representative's (see
+//! `DESIGN.md` §13).
+
+use roboads_linalg::health::HealthSnapshot;
 use roboads_linalg::{Matrix, Vector};
 use roboads_models::RobotSystem;
 use roboads_obs::wire;
-use roboads_obs::{Counter, Gauge, Histogram, Telemetry, Value};
+use roboads_obs::{Counter, Gauge, Histogram, OwnedSpan, RobotScope, Telemetry, Value};
 
 use crate::config::{ActivationPolicy, Linearization, RoboAdsConfig};
+use crate::fleet::RobotInput;
 use crate::mode::ModeSet;
-use crate::nuise::{NuiseInput, NuiseOutput};
+use crate::nuise::NuiseOutput;
 use crate::nuise_slab::NuiseSlabWorkspace;
 use crate::selector::ModeSelector;
 use crate::{CoreError, Result};
@@ -43,21 +53,6 @@ impl EngineOutput {
     pub fn active_count(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
-}
-
-/// Verdict of [`MultiModeEngine::commit_slab_step`]: whether the
-/// lane-batched iteration could be committed, or must be replayed on
-/// the scalar path because a sleeping bank tripped a wake trigger and
-/// its dormant modes have to run within the same iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SlabCommit {
-    /// The iteration was committed; engine state advanced.
-    Committed,
-    /// Nothing was committed; the caller must re-run the iteration via
-    /// the scalar [`MultiModeEngine::step_in_place`] path, which wakes
-    /// the bank mid-step and produces bitwise-identical results for
-    /// the modes the slab had already evaluated.
-    NeedsScalar,
 }
 
 /// The multi-mode estimation engine (Algorithm 1 lines 4–9): a bank of
@@ -116,8 +111,8 @@ pub struct MultiModeEngine {
     /// selected mode's estimate so they recover quickly once their
     /// reference is clean again (see `REANCHOR_FRACTION`).
     mode_states: Vec<(Vector, Matrix)>,
-    /// Per-mode NUISE kernels: each mode steps as the one-lane
-    /// instantiation of the kernel the fleet runs eight lanes wide, with
+    /// Per-mode NUISE kernels: a standalone step is the one-lane tile of
+    /// [`step_tile`], the driver the fleet runs eight lanes wide, with
     /// the parsimony thresholds resolved at construction and scratch
     /// reused every iteration, so the warmed-up hot path performs no
     /// heap allocation.
@@ -130,15 +125,12 @@ pub struct MultiModeEngine {
     /// [`MultiModeEngine::step`] clones it;
     /// [`MultiModeEngine::step_in_place`] hands out a reference.
     output: EngineOutput,
-    /// Persistent per-step intermediates (implied-anomaly counts,
-    /// parsimony weights), cleared and refilled in place each iteration.
+    /// Persistent per-step intermediates: each mode's implied-anomaly
+    /// count (written when the mode runs; a skipped mode's stale count
+    /// is never read) and the parsimony weights, refilled in place each
+    /// iteration.
     counts: Vec<usize>,
     weights: Vec<f64>,
-    /// Resolved fleet slab lane width from
-    /// [`RoboAdsConfig::slab_lanes`]: the K of the lane-batched NUISE
-    /// path a [`crate::FleetEngine`] may run this engine's bank through
-    /// (`1` disables it). Unused by single-robot stepping.
-    slab_lanes: usize,
     /// Mode-bank activation schedule (DESIGN.md §17).
     activation: ActivationPolicy,
     /// Per-mode activation flags: `false` parks a hypothesis (its filter
@@ -153,8 +145,8 @@ pub struct MultiModeEngine {
     awake: bool,
     /// Latch: [`MultiModeEngine::plan_step`] ran for the current
     /// iteration and the commit has not consumed it yet. Makes planning
-    /// idempotent so the fleet slab path's scalar fallback re-runs the
-    /// same schedule instead of advancing the audit twice.
+    /// idempotent so a retry of a failed iteration re-runs the same
+    /// schedule instead of advancing the audit twice.
     planned: bool,
     /// `true` for modes whose filter state missed the previous
     /// iteration: they must be re-anchored to the shared estimate
@@ -278,12 +270,6 @@ const WAKE_CONSISTENCY: f64 = 1e-3;
 /// the distributions while restoring the advertised budget.
 const HIST_SAMPLE_PERIOD: u64 = 16;
 
-/// Fleet slab lane width when [`RoboAdsConfig::slab_lanes`] is `None`,
-/// and the only width the fleet instantiates the slab kernels at: wide
-/// enough for full AVX-512 `f64` lanes and two AVX2 vectors per slab
-/// element.
-pub(crate) const DEFAULT_SLAB_LANES: usize = 8;
-
 impl MultiModeEngine {
     /// Creates an engine from a validated mode set.
     ///
@@ -374,9 +360,8 @@ impl MultiModeEngine {
             telemetry,
             instruments,
             output,
-            counts: Vec::with_capacity(mode_count),
+            counts: vec![0; mode_count],
             weights: Vec::with_capacity(mode_count),
-            slab_lanes: config.slab_lanes.unwrap_or(DEFAULT_SLAB_LANES),
             activation: config.activation,
             active: vec![true; mode_count],
             run_mask: vec![true; mode_count],
@@ -468,12 +453,6 @@ impl MultiModeEngine {
         &self.active
     }
 
-    /// Whether mode `m` advances this iteration (fleet slab lane
-    /// masking; valid after [`MultiModeEngine::plan_step`]).
-    pub(crate) fn runs_mode(&self, m: usize) -> bool {
-        self.run_mask[m]
-    }
-
     /// Decision-layer feedback closing the χ²-window wake trigger: the
     /// detector reports after each verdict whether either sliding
     /// window currently holds a positive. Any activity vetoes
@@ -491,14 +470,13 @@ impl MultiModeEngine {
     }
 
     /// Decides which modes advance this iteration (DESIGN.md §17).
-    /// Idempotent until the iteration commits, so the fleet may call it
-    /// before loading slab lanes and the scalar fallback re-runs the
-    /// identical schedule. While the bank is asleep this (a) consumes a
-    /// pending χ²-window wake, or (b) advances the audit countdown and,
-    /// on audit ticks, re-anchors the next dormant mode (round-robin)
-    /// to the shared estimate so it can probe the current readings from
-    /// a live prior.
-    pub(crate) fn plan_step(&mut self) {
+    /// Idempotent until the iteration commits, so retrying a failed
+    /// iteration re-runs the identical schedule. While the bank is
+    /// asleep this (a) consumes a pending χ²-window wake, or (b)
+    /// advances the audit countdown and, on audit ticks, re-anchors the
+    /// next dormant mode (round-robin) to the shared estimate so it can
+    /// probe the current readings from a live prior.
+    fn plan_step(&mut self) {
         if self.planned {
             return;
         }
@@ -633,14 +611,18 @@ impl MultiModeEngine {
         });
     }
 
-    /// Edge-triggered wake conditions evaluated on the current
-    /// iteration's live outputs (weights already computed): residual
-    /// growth on any active mode, or an audited dormant mode beating
-    /// the selected mode's parsimony weight by the configured margin.
+    /// Edge-triggered wake conditions of a sleeping bank, evaluated on
+    /// the current iteration's live outputs (weights already computed):
+    /// residual growth on any active mode, or an audited dormant mode
+    /// beating the selected mode's parsimony weight by the configured
+    /// margin.
     fn lazy_wake_reason(&self) -> Option<&'static str> {
         let ActivationPolicy::TopK { wake_margin, .. } = self.activation else {
             return None;
         };
+        if self.awake {
+            return None;
+        }
         for (m, out) in self.output.modes.iter().enumerate() {
             if self.active[m] && out.consistency < WAKE_CONSISTENCY {
                 return Some("consistency");
@@ -724,12 +706,40 @@ impl MultiModeEngine {
     /// unchanged, but the engine-owned output buffer may hold partial
     /// results from the failed iteration.
     pub fn step_in_place(&mut self, u_prev: &Vector, readings: &[Vector]) -> Result<&EngineOutput> {
-        let _step_span = self.telemetry.owned_span("engine.step");
-        let health_before = roboads_linalg::health::snapshot();
-        let result = self.step_inner(u_prev, readings);
-        let breakdowns = roboads_linalg::health::snapshot()
-            .since(&health_before)
-            .cholesky_failures;
+        // The kernels move out for the call so the driver can borrow them
+        // alongside the rest of the engine (a move, no allocation).
+        let mut kernels = std::mem::take(&mut self.workspaces);
+        let mut tile = EngineTile {
+            engine: self,
+            input: RobotInput { u_prev, readings },
+            result: Ok(()),
+        };
+        step_tile(&mut kernels, &mut tile);
+        let result = tile.result;
+        self.workspaces = kernels;
+        result.map(|()| &self.output)
+    }
+
+    /// The output of the last successful step — the same storage
+    /// [`MultiModeEngine::step_in_place`] returns. Unspecified before
+    /// the first successful step or after a failed one.
+    pub fn last_output(&self) -> &EngineOutput {
+        &self.output
+    }
+
+    /// Ends this engine's part of an iteration: commits it when every
+    /// mode it ran succeeded (`failure` is `None`), and accounts for the
+    /// step in the instruments either way. `health` is the linalg health
+    /// snapshot at the end of the previous lane's commit (or the tile's
+    /// start), so each breakdown is counted once.
+    fn commit(&mut self, failure: Option<CoreError>, health: &mut HealthSnapshot) -> Result<()> {
+        let result = match failure {
+            Some(e) => Err(e),
+            None => self.select_and_commit(),
+        };
+        let now = roboads_linalg::health::snapshot();
+        let breakdowns = now.since(health).cholesky_failures;
+        *health = now;
         if breakdowns > 0 {
             self.instruments.cholesky_failures.add(breakdowns);
         }
@@ -744,87 +754,13 @@ impl MultiModeEngine {
             }
             Err(_) => {}
         }
-        result?;
-        Ok(&self.output)
+        result
     }
 
-    /// The output of the last successful step — the same storage
-    /// [`MultiModeEngine::step_in_place`] returns. Unspecified before
-    /// the first successful step or after a failed one.
-    pub fn last_output(&self) -> &EngineOutput {
-        &self.output
-    }
-
-    /// Runs mode `m`'s NUISE step and parsimony checks from its own
-    /// filter state, through lane 0 of its kernel, into its output slot
-    /// (persistent across steps); returns the implied-anomaly count.
-    fn run_mode(&mut self, m: usize, u_prev: &Vector, readings: &[Vector]) -> Result<usize> {
-        let _mode_span = self.telemetry.span("engine.nuise_mode");
-        let (x_m, p_m) = &self.mode_states[m];
-        self.workspaces[m].step(
-            NuiseInput {
-                system: &self.system,
-                mode: &self.modes.modes()[m],
-                x_prev: x_m,
-                p_prev: p_m,
-                u_prev,
-                readings,
-                linearization: &self.linearization,
-                compensate: self.compensate,
-            },
-            &mut self.output.modes[m],
-        )
-    }
-
-    fn step_inner(&mut self, u_prev: &Vector, readings: &[Vector]) -> Result<()> {
-        let mode_count = self.modes.len();
-        self.plan_step();
-
-        // Per-mode NUISE in mode order with a short-circuit on the first
-        // failure. Modes the activation schedule parked are skipped
-        // (their count slot is a placeholder the zero weight makes
-        // irrelevant); under `AlwaysFull` every mode runs.
-        self.counts.clear();
-        for m in 0..mode_count {
-            let count = if self.run_mask[m] {
-                self.run_mode(m, u_prev, readings)?
-            } else {
-                0
-            };
-            self.counts.push(count);
-        }
-
-        self.compute_weights();
-        if !self.awake {
-            if let Some(reason) = self.lazy_wake_reason() {
-                // Wake *within* this iteration: the dormant modes
-                // re-anchor to the shared estimate from the previous
-                // tick — still pre-anomaly — and run against the same
-                // readings, so the full bank weighs in on the very
-                // iteration that triggered the wake.
-                self.wake(reason);
-                for m in 0..mode_count {
-                    if self.run_mask[m] {
-                        continue;
-                    }
-                    self.run_mask[m] = true;
-                    self.counts[m] = self.run_mode(m, u_prev, readings)?;
-                }
-                self.compute_weights();
-            }
-        }
-        self.select_and_commit()
-    }
-
-    /// The tail of a control iteration, shared by the per-robot path
-    /// ([`MultiModeEngine::step_inner`]) and the fleet's lane-batched
-    /// slab path ([`MultiModeEngine::commit_slab_step`]): mode
-    /// selection from the parsimony weights
-    /// ([`MultiModeEngine::compute_weights`] must have run) over the
-    /// per-mode outputs already sitting in `self.output.modes`,
-    /// reporting-state refresh, and re-anchoring. Both producers
-    /// deliver bitwise-identical outputs and counts, so everything
-    /// downstream of here is producer-independent.
+    /// The tail of a control iteration: mode selection from the
+    /// parsimony weights ([`MultiModeEngine::compute_weights`] must have
+    /// run) over the per-mode outputs [`step_tile`] scattered into
+    /// `self.output.modes`, reporting-state refresh, and re-anchoring.
     ///
     /// Mode probabilities are updated with the dimension-free
     /// consistency p-values, not the raw densities: densities of
@@ -943,67 +879,8 @@ impl MultiModeEngine {
         Ok(())
     }
 
-    /// Completes a control iteration whose per-mode NUISE outputs were
-    /// produced *externally* — by the fleet's lane-batched slab path
-    /// scattering into [`MultiModeEngine::mode_output_mut`] — with the
-    /// matching implied-anomaly `counts` (one per mode, in mode order).
-    /// Runs the same selection/commit tail and instrument accounting as
-    /// [`MultiModeEngine::step_in_place`], so the resulting engine state
-    /// is indistinguishable from a scalar step that produced the same
-    /// outputs. The per-mode NUISE spans are absent on this path (the
-    /// batched kernels cross robot boundaries); the `engine.step` span
-    /// and all counters are preserved.
-    ///
-    /// A sleeping engine whose fresh active-mode results trip a wake
-    /// trigger cannot be completed here: the dormant modes must run
-    /// *this* iteration (the scalar path's mid-step wake), and the slab
-    /// has already consumed the inputs. In that case nothing is
-    /// committed — the filter states, selector, and activation state
-    /// are exactly as they were before the call — and
-    /// [`SlabCommit::NeedsScalar`] tells the fleet to re-run the whole
-    /// iteration through [`MultiModeEngine::step_in_place`]. Because
-    /// the slab kernels are bitwise-pinned to the scalar kernels, the
-    /// re-run reproduces the active modes' outputs exactly and then
-    /// wakes the rest of the bank, so the committed state matches a
-    /// robot that was never batched.
-    pub(crate) fn commit_slab_step<I: IntoIterator<Item = usize>>(
-        &mut self,
-        counts: I,
-    ) -> Result<SlabCommit> {
-        let _step_span = self.telemetry.owned_span("engine.step");
-        let health_before = roboads_linalg::health::snapshot();
-        self.counts.clear();
-        self.counts.extend(counts);
-        debug_assert_eq!(self.counts.len(), self.modes.len());
-        self.compute_weights();
-        if !self.awake && self.lazy_wake_reason().is_some() {
-            // Abort before mutating anything: the scalar fallback
-            // replays the full iteration from the pre-step state.
-            return Ok(SlabCommit::NeedsScalar);
-        }
-        let result = self.select_and_commit();
-        let breakdowns = roboads_linalg::health::snapshot()
-            .since(&health_before)
-            .cholesky_failures;
-        if breakdowns > 0 {
-            self.instruments.cholesky_failures.add(breakdowns);
-        }
-        match &result {
-            Ok(()) => self.instruments.steps.incr(),
-            Err(CoreError::Numeric(msg)) => {
-                self.instruments.numeric_failures.incr();
-                let msg = msg.clone();
-                self.telemetry.event("engine.numeric_failure", || {
-                    vec![("error", Value::Text(msg))]
-                });
-            }
-            Err(_) => {}
-        }
-        result.map(|()| SlabCommit::Committed)
-    }
-
     /// Whether NUISE step 2 compensates the predicted state with the
-    /// estimated actuator anomaly (fleet slab path input).
+    /// estimated actuator anomaly (part of the fleet's group key).
     pub(crate) fn compensate(&self) -> bool {
         self.compensate
     }
@@ -1018,18 +895,6 @@ impl MultiModeEngine {
     /// to its slab tiles).
     pub(crate) fn kernels(&self) -> &[NuiseSlabWorkspace<1>] {
         &self.workspaces
-    }
-
-    /// Mode `m`'s filter state and output slot, for the fleet slab path
-    /// to read lane inputs from and scatter results into before
-    /// [`MultiModeEngine::commit_slab_step`].
-    pub(crate) fn mode_output_mut(&mut self, m: usize) -> &mut NuiseOutput {
-        &mut self.output.modes[m]
-    }
-
-    /// Resolved fleet slab lane width (see the field docs).
-    pub(crate) fn slab_lanes(&self) -> usize {
-        self.slab_lanes
     }
 
     /// Appends the engine's complete mutable state to a snapshot buffer
@@ -1126,6 +991,190 @@ impl MultiModeEngine {
         self.active_count = rd.u64()? as usize;
         self.commits = rd.u64()?;
         Ok(())
+    }
+}
+
+/// The robots one [`step_tile`] call advances: up to `K` lanes, each a
+/// [`MultiModeEngine`] with this iteration's input and a place for its
+/// verdict. A standalone engine is a one-lane tile; a fleet slab group
+/// steps in tiles of eight robots.
+pub(crate) trait Tile<'i> {
+    /// Number of lanes (at most the kernels' width `K`).
+    fn lanes(&self) -> usize;
+    /// Lane `l`'s command and readings, or the error its iteration ends
+    /// with when it has none (a robot that missed the tick).
+    fn input(&self, l: usize) -> Result<RobotInput<'i>>;
+    /// Lane `l`'s engine.
+    fn engine(&mut self, l: usize) -> &mut MultiModeEngine;
+    /// The robot context lane `l`'s own work is recorded under; `None`
+    /// keeps the caller's.
+    fn scope(&self, _l: usize) -> Option<RobotScope> {
+        None
+    }
+    /// Ends lane `l`'s iteration with `result`; on `Ok` its engine has
+    /// committed.
+    fn finish(&mut self, l: usize, result: Result<()>);
+}
+
+/// One control iteration (Algorithm 1 lines 4–9) for every lane of
+/// `tile`, through `bank` (one kernel per mode, in mode order):
+///
+/// 1. every lane with an input plans its activation schedule;
+/// 2. each mode loads the lanes that run it, runs once, and scatters
+///    each lane's output and implied-anomaly count into its engine;
+/// 3. every lane weighs its modes; a sleeping bank whose fresh results
+///    trip a wake wakes, and a second pass of step 2, masked to the
+///    woken lanes, runs the modes they have not run yet;
+/// 4. every lane commits (selection, re-anchoring, instruments) and
+///    `tile` finishes it.
+///
+/// A lane that fails at load or inside a kernel takes the kernel's
+/// typed error — by the kernel's bitwise contract, the error a
+/// standalone step returns — and sits out the later modes. Engine state
+/// only changes at commit, so a failed lane's filter is left as it was.
+pub(crate) fn step_tile<'i, const K: usize>(
+    bank: &mut [NuiseSlabWorkspace<K>],
+    tile: &mut impl Tile<'i>,
+) {
+    let lanes = tile.lanes();
+    let mut inputs = [None; K];
+    let mut failures: [Option<CoreError>; K] = [const { None }; K];
+    let mut step_spans: [Option<OwnedSpan>; K] = [const { None }; K];
+    for l in 0..lanes {
+        let _scope = tile.scope(l);
+        match tile.input(l) {
+            Ok(input) => {
+                inputs[l] = Some(input);
+                let engine = tile.engine(l);
+                // A step that panicked leaves its engine without kernels.
+                assert_eq!(bank.len(), engine.modes.len(), "one kernel per mode");
+                step_spans[l] = Some(engine.telemetry.owned_span("engine.step"));
+                engine.plan_step();
+            }
+            Err(e) => tile.finish(l, Err(e)),
+        }
+    }
+    let mut health = roboads_linalg::health::snapshot();
+    for (m, ws) in bank.iter_mut().enumerate() {
+        run_mode(ws, m, tile, &inputs, &mut failures, None);
+    }
+    // A sleeping bank whose fresh results trip a wake wakes *within*
+    // this iteration: its dormant modes re-anchor to the shared estimate
+    // from the previous tick — still pre-anomaly — and run against the
+    // same readings, so the full bank weighs in on the very iteration
+    // that triggered the wake.
+    let mut woken = [false; K];
+    for l in 0..lanes {
+        if inputs[l].is_some() && failures[l].is_none() {
+            let _scope = tile.scope(l);
+            let engine = tile.engine(l);
+            engine.compute_weights();
+            if let Some(reason) = engine.lazy_wake_reason() {
+                engine.wake(reason);
+                woken[l] = true;
+            }
+        }
+    }
+    if woken.contains(&true) {
+        for (m, ws) in bank.iter_mut().enumerate() {
+            run_mode(ws, m, tile, &inputs, &mut failures, Some(&woken));
+        }
+    }
+    for l in 0..lanes {
+        if inputs[l].is_none() {
+            continue;
+        }
+        let _scope = tile.scope(l);
+        let engine = tile.engine(l);
+        if woken[l] && failures[l].is_none() {
+            engine.compute_weights();
+        }
+        let result = engine.commit(failures[l].take(), &mut health);
+        step_spans[l] = None;
+        tile.finish(l, result);
+    }
+}
+
+/// Runs mode `m`'s kernel over the live lanes that run it — each lane's
+/// schedule, or with `woken` the woken lanes whose mode `m` has not run
+/// yet: loads them, runs once, and scatters each lane's output and
+/// implied-anomaly count into its engine, marking the mode run. A lane
+/// that fails takes the kernel's error and leaves the live set.
+fn run_mode<'i, const K: usize>(
+    ws: &mut NuiseSlabWorkspace<K>,
+    m: usize,
+    tile: &mut impl Tile<'i>,
+    inputs: &[Option<RobotInput<'i>>; K],
+    failures: &mut [Option<CoreError>; K],
+    woken: Option<&[bool; K]>,
+) {
+    let mut active = [false; K];
+    for l in 0..tile.lanes() {
+        let ran = tile.engine(l).run_mask[m];
+        active[l] = inputs[l].is_some()
+            && failures[l].is_none()
+            && woken.map_or(ran, |woken| woken[l] && !ran);
+    }
+    // Lanes mask per mode: a sleeping robot's audit adds one dormant
+    // mode on its own round-robin schedule. A mode no lane runs skips
+    // the whole tile — the quiescent fleet win.
+    if !active.contains(&true) {
+        return;
+    }
+    // A one-lane kernel steps one robot, so its pass is that robot's
+    // per-mode span; wider tiles cross robots and record none.
+    let _mode_span = (K == 1).then(|| tile.engine(0).telemetry.owned_span("engine.nuise_mode"));
+    for (l, input) in inputs.iter().enumerate() {
+        let Some(input) = input.filter(|_| active[l]) else {
+            continue;
+        };
+        let engine = tile.engine(l);
+        engine.run_mask[m] = true;
+        let (x_m, p_m) = &engine.mode_states[m];
+        if let Err(e) = ws.load_lane(l, &engine.system, x_m, p_m, input.u_prev, input.readings) {
+            failures[l] = Some(e);
+            active[l] = false;
+        }
+    }
+    let rep = tile.engine(0);
+    ws.run(&rep.system, rep.compensate, &active);
+    for l in 0..tile.lanes() {
+        if !active[l] {
+            continue;
+        }
+        match ws.lane_error(l) {
+            Some(e) => failures[l] = Some(e),
+            None => {
+                let engine = tile.engine(l);
+                ws.scatter_lane(l, &mut engine.output.modes[m]);
+                engine.counts[m] = ws.count(l);
+            }
+        }
+    }
+}
+
+/// A standalone engine as a one-lane tile.
+struct EngineTile<'e, 'i> {
+    engine: &'e mut MultiModeEngine,
+    input: RobotInput<'i>,
+    result: Result<()>,
+}
+
+impl<'i> Tile<'i> for EngineTile<'_, 'i> {
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn input(&self, _: usize) -> Result<RobotInput<'i>> {
+        Ok(self.input)
+    }
+
+    fn engine(&mut self, _: usize) -> &mut MultiModeEngine {
+        self.engine
+    }
+
+    fn finish(&mut self, _: usize, result: Result<()>) {
+        self.result = result;
     }
 }
 

@@ -17,7 +17,8 @@
 //!   discriminants) and runs one SIMD slab per group, so a
 //!   heterogeneous fleet keeps the lane-batched win for every group
 //!   that fills a tile while odd robots run scalar individually (see
-//!   `DESIGN.md` §16);
+//!   `DESIGN.md` §16); a tile and a standalone detector run the same
+//!   iteration driver (`engine::step_tile`), at 8 lanes and at 1;
 //! * submits pool jobs per *group* over contiguous lane-aligned robot
 //!   ranges ([`roboads_pool::Pool::chunk_size_aligned`] with a minimum
 //!   chunk floor), so per-tick dispatch overhead is O(workers), not
@@ -37,7 +38,7 @@ use roboads_pool::Pool;
 
 use crate::config::{ActivationPolicy, Linearization};
 use crate::detector::RoboAds;
-use crate::engine::SlabCommit;
+use crate::engine::{step_tile, MultiModeEngine, Tile};
 use crate::mode::ModeSet;
 use crate::nuise_slab::NuiseSlabWorkspace;
 use crate::recorder::RecorderConfig;
@@ -48,6 +49,11 @@ use crate::{CoreError, Result};
 /// dispatch ~20 µs, so a job must carry at least a handful of robots
 /// before the wake-up pays for itself.
 const MIN_ROBOTS_PER_JOB: usize = 4;
+
+/// Lanes of a slab tile, the one width the fleet runs the NUISE kernels
+/// at: wide enough for full AVX-512 `f64` lanes and two AVX2 vectors per
+/// slab element.
+const SLAB_LANES: usize = 8;
 
 /// One robot's inputs for a fleet tick: the planned command of the
 /// previous iteration and the fresh readings of every sensing workflow,
@@ -88,6 +94,14 @@ impl<'i, 'a> Inputs<'i, 'a> {
             Inputs::Masked(inputs) => inputs[i].as_ref(),
         }
     }
+
+    /// Robot `i`'s input, or the [`CoreError::MissedDeadline`] its
+    /// iteration ends with.
+    fn of(&self, i: usize) -> Result<RobotInput<'a>> {
+        self.get(i)
+            .copied()
+            .ok_or(CoreError::MissedDeadline { robot: i })
+    }
 }
 
 /// Per-robot cell of the fleet slab: everything one robot's step
@@ -104,6 +118,18 @@ struct RobotCell {
     /// telemetry span, recorder stamp and error report maps back
     /// through this id.
     fleet: usize,
+}
+
+impl RobotCell {
+    /// Stores the robot's outcome for the batch, recording the tick when
+    /// the iteration completed.
+    fn finish(&mut self, result: Result<()>, inputs: Inputs<'_, '_>, stamp: u64) {
+        if let (Ok(()), Some(input)) = (&result, inputs.get(self.fleet)) {
+            self.detector
+                .record_tick(stamp, input.u_prev, input.readings, &self.report);
+        }
+        self.result = result;
+    }
 }
 
 /// One pool job's slab scratch for the lane-batched fleet path: one
@@ -154,7 +180,6 @@ struct GroupKey {
     signature: ModelSignature,
     modes: ModeSet,
     compensate: bool,
-    lanes: usize,
     /// Whether the engine relinearizes per iteration — the only
     /// linearization policy the fleet slabs (a frozen operating point
     /// is per-robot model state this key does not carry). Non-eligible
@@ -175,12 +200,11 @@ struct GroupKey {
 /// How one signature group executes its robots each tick.
 #[derive(Debug)]
 enum GroupKind {
-    /// Per-robot scalar stepping: the group is smaller than one tile,
-    /// configured with `slab_lanes: Some(1)`, or not on per-iteration
-    /// linearization.
+    /// Per-robot stepping through [`RoboAds::step_into`]: the group is
+    /// smaller than one tile or not on per-iteration linearization.
     Scalar,
     /// 8-lane slab scratch, one bank per pool job.
-    K8(Vec<SlabJob<8>>),
+    K8(Vec<SlabJob<SLAB_LANES>>),
 }
 
 /// One signature group of the resolved partition: a contiguous run of
@@ -226,8 +250,8 @@ struct FleetInstruments {
     slab_groups: Gauge,
     /// Robots stepped through slab tiles.
     slab_robots: Gauge,
-    /// Robots stepped per-robot (sub-tile groups, `lanes == 1`, or
-    /// non-per-iteration linearization).
+    /// Robots stepped per-robot (sub-tile groups or non-per-iteration
+    /// linearization).
     scalar_robots: Gauge,
     /// Re-partitions forced by membership changes (the first, lazy
     /// partition is construction, not a regroup).
@@ -260,22 +284,20 @@ impl FleetInstruments {
 /// fleet is partitioned into **model-signature groups**: robots sharing
 /// one [`roboads_models::ModelSignature`] (same dynamics/sensor `Arc`s
 /// and bitwise-equal process noise), mode bank, compensation setting,
-/// per-iteration linearization and configured lane width
-/// ([`crate::RoboAdsConfig::slab_lanes`], default 8). Each group whose
-/// robot count fills at least one `K`-lane tile is stepped through
+/// per-iteration linearization and activation schedule. Each group whose
+/// robot count fills at least one 8-lane tile is stepped through
 /// structure-of-arrays NUISE kernels that vectorize *across robots*;
 /// the rest run the per-robot path. The small-fleet rule is
 /// **per group**: a 40-robot fleet of five signatures with one 8-robot
-/// group slabs that group — a group below its own lane width would run
-/// every batch on a single mostly-masked tile, so it (and only it)
-/// stays scalar, regardless of the fleet total.
+/// group slabs that group — a group below one tile would run every
+/// batch on a single mostly-masked tile, so it (and only it) stays
+/// scalar, regardless of the fleet total.
 ///
-/// Results are bitwise identical to the per-robot path in every case:
-/// the slab kernels replicate the scalar arithmetic per lane, and any
-/// lane that hits a numeric failure falls back to the scalar estimator
-/// from its untouched filter state, reproducing the exact scalar
-/// outcome within its group while other groups' lanes are untouched
-/// (see `DESIGN.md` §13, §16).
+/// Results are bitwise identical to standalone detectors in every case:
+/// tiles and standalone robots run the same iteration driver, the slab
+/// kernels replicate the scalar arithmetic per lane, and a lane that
+/// fails carries exactly the standalone error while the tile's other
+/// lanes, and other groups, are untouched (see `DESIGN.md` §13, §16).
 ///
 /// # Example
 ///
@@ -371,7 +393,6 @@ impl FleetEngine {
             signature: e.system().signature(),
             modes: e.modes().clone(),
             compensate: e.compensate(),
-            lanes: e.slab_lanes(),
             per_iteration: matches!(e.linearization(), Linearization::PerIteration),
             activation: e.activation().into(),
             active: e.active_mask().to_vec(),
@@ -453,10 +474,8 @@ impl FleetEngine {
         let mut grouped = Vec::with_capacity(ranges.len());
         for &(start, len) in &ranges {
             let rep = self.cells[start].detector.engine();
-            let lanes = rep.slab_lanes();
-            let eligible = lanes > 1
-                && matches!(rep.linearization(), Linearization::PerIteration)
-                && len >= lanes;
+            let eligible =
+                matches!(rep.linearization(), Linearization::PerIteration) && len >= SLAB_LANES;
             let kind = if !eligible {
                 GroupKind::Scalar
             } else {
@@ -551,10 +570,9 @@ impl FleetEngine {
         self.group_stats().1
     }
 
-    /// Robots currently stepped per-robot: members of sub-tile groups,
-    /// `slab_lanes: Some(1)` configs, or non-per-iteration
-    /// linearizations (see [`FleetEngine::slab_groups`] for the
-    /// lazy-resolution caveat).
+    /// Robots currently stepped per-robot: members of sub-tile groups or
+    /// of non-per-iteration linearizations (see
+    /// [`FleetEngine::slab_groups`] for the lazy-resolution caveat).
     pub fn scalar_robots(&self) -> usize {
         self.group_stats().2
     }
@@ -778,8 +796,11 @@ impl FleetEngine {
                                 }
                             }
                             GroupKind::K8(jobs) => {
-                                let chunk =
-                                    pool.chunk_size_aligned(slice.len(), MIN_ROBOTS_PER_JOB, 8);
+                                let chunk = pool.chunk_size_aligned(
+                                    slice.len(),
+                                    MIN_ROBOTS_PER_JOB,
+                                    SLAB_LANES,
+                                );
                                 for (cell_chunk, job) in
                                     slice.chunks_mut(chunk).zip(jobs.iter_mut())
                                 {
@@ -950,19 +971,13 @@ fn step_robot(cell: &mut RobotCell, inputs: Inputs<'_, '_>, stamp: u64) {
     // skipped on unwind and leak this robot's id into every later span
     // the worker closes.
     let _robot = roboads_obs::robot_scope(cell.fleet as u32 + 1);
-    cell.result = match inputs.get(cell.fleet) {
-        Some(input) => cell
-            .detector
-            .step_into(input.u_prev, input.readings, &mut cell.report),
-        // Missed the tick boundary: skip the iteration, leaving
-        // detector state and report untouched.
-        None => Err(CoreError::MissedDeadline { robot: cell.fleet }),
-    };
-    if cell.result.is_ok() {
-        let input = inputs.get(cell.fleet).expect("ok result implies input");
+    // A robot that missed the tick boundary skips the iteration, leaving
+    // detector state and report untouched.
+    let result = inputs.of(cell.fleet).and_then(|input| {
         cell.detector
-            .record_tick(stamp, input.u_prev, input.readings, &cell.report);
-    }
+            .step_into(input.u_prev, input.readings, &mut cell.report)
+    });
+    cell.finish(result, inputs, stamp);
 }
 
 /// Steps one job's contiguous robot range (all cells of one signature
@@ -975,131 +990,49 @@ fn step_range_slab<const K: usize>(
     inputs: Inputs<'_, '_>,
     stamp: u64,
 ) {
-    for tile in cells.chunks_mut(K) {
-        step_tile(&mut job.bank, tile, inputs, stamp);
+    for cells in cells.chunks_mut(K) {
+        step_tile(
+            &mut job.bank,
+            &mut FleetTile {
+                cells,
+                inputs,
+                stamp,
+            },
+        );
     }
 }
 
-/// Steps one ≤K-robot tile: loads each robot's per-mode inputs into the
-/// slab lanes, runs every mode's lane-batched NUISE pass, scatters the
-/// per-mode outputs back into each robot's engine, and commits each
-/// robot's selection/decision tail. Tiles never span signature groups,
-/// so every lane of a tile shares the representative cell's models,
-/// mode bank and thresholds; each lane's input lookup, span id, record
-/// stamp and error index map back through its cell's fleet index. A
-/// lane that fails anywhere (bad readings at load, numeric failure
-/// inside a batched kernel) is masked out of the remaining slab work
-/// and its robot re-runs the *scalar* detector step from its untouched
-/// filter state — reproducing the exact per-robot result and error,
-/// since engine state only mutates at commit time.
-fn step_tile<const K: usize>(
-    bank: &mut [NuiseSlabWorkspace<K>],
-    cells: &mut [RobotCell],
-    inputs: Inputs<'_, '_>,
+/// A ≤K-robot slab tile of one signature group. Every lane shares the
+/// first cell's models, mode bank and thresholds; each lane's input
+/// lookup, span id, record stamp and error index map back through its
+/// cell's fleet index.
+struct FleetTile<'c, 'i, 'a> {
+    cells: &'c mut [RobotCell],
+    inputs: Inputs<'i, 'a>,
     stamp: u64,
-) {
-    // A lane is `present` when its robot delivered a complete input set
-    // this tick (always true on the dense path); a missing lane is
-    // masked out of every batched kernel *and* skips the scalar
-    // fallback — there is nothing to run, the robot's iteration simply
-    // does not happen.
-    let mut present = [false; K];
-    let mut lane_ok = [false; K];
-    for (l, cell) in cells.iter_mut().enumerate() {
-        present[l] = inputs.get(cell.fleet).is_some();
-        lane_ok[l] = present[l];
-        // Fix each robot's activation schedule before lane loading, so
-        // the per-mode lane masks below and any scalar fallback re-run
-        // see the identical plan (the plan is latched until commit).
-        cell.detector.engine_mut().plan_step();
+}
+
+impl<'a> Tile<'a> for FleetTile<'_, '_, 'a> {
+    fn lanes(&self) -> usize {
+        self.cells.len()
     }
-    for (m, ws) in bank.iter_mut().enumerate() {
-        // Lanes advancing mode `m` this tick: the group shares one
-        // active set (it is in the group key), but a sleeping robot's
-        // round-robin audit adds one dormant mode per audit tick, and
-        // cursors may disagree across lanes — mask per mode rather
-        // than splinter the partition. A mode no lane runs skips its
-        // whole tile; that skip is where the quiescent fleet win
-        // comes from.
-        let mut mode_lanes = [false; K];
-        for (l, cell) in cells.iter().enumerate() {
-            mode_lanes[l] = lane_ok[l] && cell.detector.engine().runs_mode(m);
-        }
-        if !mode_lanes.iter().any(|&r| r) {
-            continue;
-        }
-        for (l, cell) in cells.iter().enumerate() {
-            if !mode_lanes[l] {
-                continue;
-            }
-            let input = inputs.get(cell.fleet).expect("ok lane is present");
-            let eng = cell.detector.engine();
-            let (x_m, p_m) = eng.mode_state(m);
-            if ws
-                .load_lane(l, eng.system(), x_m, p_m, input.u_prev, input.readings)
-                .is_err()
-            {
-                lane_ok[l] = false;
-                mode_lanes[l] = false;
-            }
-        }
-        let ran = {
-            let eng = cells[0].detector.engine();
-            ws.run(eng.system(), eng.compensate(), &mode_lanes)
-        };
-        for (l, cell) in cells.iter_mut().enumerate() {
-            if ran[l] {
-                ws.scatter_lane(l, cell.detector.engine_mut().mode_output_mut(m));
-            } else if mode_lanes[l] {
-                // Numeric failure inside the batched kernel: mask the
-                // robot out of the remaining slab work; it re-runs
-                // scalar below.
-                lane_ok[l] = false;
-            }
-        }
+
+    fn input(&self, l: usize) -> Result<RobotInput<'a>> {
+        self.inputs.of(self.cells[l].fleet)
     }
-    for (l, cell) in cells.iter_mut().enumerate() {
-        // RAII reset (not a manual set/clear pair): the scalar fallback
-        // below runs inside a pool job that catches panics, and a leaked
-        // robot id would mislabel every later span on the worker.
-        let _robot = roboads_obs::robot_scope(cell.fleet as u32 + 1);
-        cell.result = if lane_ok[l] {
-            // Stale counts of skipped modes are harmless: the engine
-            // zero-weights every mode outside its run mask before they
-            // are read.
-            match cell
-                .detector
-                .commit_slab_step(bank.iter().map(|ws| ws.count(l)), &mut cell.report)
-            {
-                Ok(SlabCommit::Committed) => Ok(()),
-                // The fresh active-mode results tripped a wake: the
-                // dormant modes must run *this* iteration, and only the
-                // scalar path still has the inputs. Nothing was
-                // committed, so the re-run from the untouched filter
-                // state reproduces the slab's arithmetic exactly and
-                // then wakes the bank mid-step.
-                Ok(SlabCommit::NeedsScalar) => {
-                    let input = inputs.get(cell.fleet).expect("ok lane is present");
-                    cell.detector
-                        .step_into(input.u_prev, input.readings, &mut cell.report)
-                }
-                Err(e) => Err(e),
-            }
-        } else if present[l] {
-            let input = inputs.get(cell.fleet).expect("failed lane is present");
-            cell.detector
-                .step_into(input.u_prev, input.readings, &mut cell.report)
-        } else {
-            Err(CoreError::MissedDeadline { robot: cell.fleet })
-        };
-        // Record on either completed path (slab commit or scalar
-        // fallback) — the slab path bypasses `step_into`, so recording
-        // must hang off the fleet, not the detector's step.
-        if cell.result.is_ok() {
-            let input = inputs.get(cell.fleet).expect("ok result implies input");
-            cell.detector
-                .record_tick(stamp, input.u_prev, input.readings, &cell.report);
-        }
+
+    fn engine(&mut self, l: usize) -> &mut MultiModeEngine {
+        self.cells[l].detector.engine_mut()
+    }
+
+    fn scope(&self, l: usize) -> Option<roboads_obs::RobotScope> {
+        Some(roboads_obs::robot_scope(self.cells[l].fleet as u32 + 1))
+    }
+
+    fn finish(&mut self, l: usize, result: Result<()>) {
+        let cell = &mut self.cells[l];
+        let result = result.and_then(|()| cell.detector.complete_iteration(&mut cell.report));
+        cell.finish(result, self.inputs, self.stamp);
     }
 }
 
@@ -1116,16 +1049,10 @@ mod tests {
         RoboAds::with_defaults(system, x0).unwrap()
     }
 
-    fn detector_for(system: &RobotSystem, lanes: usize) -> RoboAds {
+    fn detector_for(system: &RobotSystem) -> RoboAds {
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let modes = ModeSet::one_reference_per_sensor(system);
-        RoboAds::new(
-            system.clone(),
-            RoboAdsConfig::paper_defaults().with_slab_lanes(lanes),
-            x0,
-            modes,
-        )
-        .unwrap()
+        RoboAds::new(system.clone(), RoboAdsConfig::paper_defaults(), x0, modes).unwrap()
     }
 
     fn clean_readings(system: &RobotSystem, x: &Vector) -> Vec<Vector> {
@@ -1313,8 +1240,8 @@ mod tests {
         // odd robot runs scalar.
         let shared = presets::khepera_system();
         let odd = presets::khepera_system();
-        let mut detectors: Vec<RoboAds> = (0..8).map(|_| detector_for(&shared, 8)).collect();
-        detectors.push(detector_for(&odd, 8));
+        let mut detectors: Vec<RoboAds> = (0..8).map(|_| detector_for(&shared)).collect();
+        detectors.push(detector_for(&odd));
         let mut fleet = FleetEngine::new(detectors, 1);
         assert_eq!(fleet.slab_groups(), 0, "partition is lazy");
         step_once(&mut fleet, &shared);
@@ -1340,7 +1267,7 @@ mod tests {
                 if *left > 0 {
                     *left -= 1;
                     dealt = true;
-                    detectors.push(detector_for(&systems[g], 8));
+                    detectors.push(detector_for(&systems[g]));
                 }
             }
             if !dealt {
@@ -1361,12 +1288,12 @@ mod tests {
         // must not share a slab: the kernels specialize on those.
         let system = presets::khepera_system();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let mut detectors: Vec<RoboAds> = (0..8).map(|_| detector_for(&system, 8)).collect();
+        let mut detectors: Vec<RoboAds> = (0..8).map(|_| detector_for(&system)).collect();
         for _ in 0..8 {
             detectors.push(
                 RoboAds::new(
                     system.clone(),
-                    RoboAdsConfig::paper_defaults().with_slab_lanes(8),
+                    RoboAdsConfig::paper_defaults(),
                     x0.clone(),
                     ModeSet::complete(&system),
                 )
@@ -1386,7 +1313,7 @@ mod tests {
         let ring = Arc::new(RingBufferSink::new(1024));
         let telemetry = Telemetry::new(ring.clone());
         let system = presets::khepera_system();
-        let mut fleet = FleetEngine::new((0..8).map(|_| detector_for(&system, 8)).collect(), 1);
+        let mut fleet = FleetEngine::new((0..8).map(|_| detector_for(&system)).collect(), 1);
         fleet.set_telemetry(telemetry.clone());
         step_once(&mut fleet, &system);
         let m = telemetry.metrics();
@@ -1396,7 +1323,7 @@ mod tests {
         // Pushing a robot invalidates the partition; the next batch
         // re-partitions, bumps the regroup counter, emits the event and
         // refreshes the gauges.
-        fleet.push(detector_for(&system, 8));
+        fleet.push(detector_for(&system));
         assert_eq!(fleet.slab_groups(), 0, "invalidated until the next batch");
         step_once(&mut fleet, &system);
         assert_eq!(m.counter_value("fleet.regroups"), Some(1));
@@ -1417,12 +1344,12 @@ mod tests {
         let a = presets::khepera_system();
         let b = presets::khepera_system();
         let systems = [&a, &b, &a, &a, &b, &a, &a, &a, &a, &b, &a, &a];
-        let mut fleet = FleetEngine::new(systems.iter().map(|s| detector_for(s, 8)).collect(), 1);
+        let mut fleet = FleetEngine::new(systems.iter().map(|s| detector_for(s)).collect(), 1);
         fleet.attach_recorder(RecorderConfig::default());
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let u = Vector::from_slice(&[0.06, 0.05]);
         let mut x_true = x0;
-        let mut twins: Vec<RoboAds> = systems.iter().map(|s| detector_for(s, 1)).collect();
+        let mut twins: Vec<RoboAds> = systems.iter().map(|s| detector_for(s)).collect();
         for k in 0..6 {
             x_true = a.dynamics().step(&x_true, &u);
             let mut readings = clean_readings(&a, &x_true);

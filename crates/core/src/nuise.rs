@@ -106,6 +106,10 @@ pub(crate) const SINGULAR_INNOVATION: &str = "reference innovation covariance is
 pub(crate) const RANK_DEFICIENT: &str =
     "rank(C2*G) < input dimension: mode cannot estimate actuator anomalies";
 
+/// Error message of an update that left the state estimate or its
+/// covariance non-finite.
+pub(crate) const NON_FINITE_ESTIMATE: &str = "updated state estimate or covariance is not finite";
+
 /// Model-evaluation helper honoring the linearization strategy: RoboADS
 /// re-linearizes every iteration and evaluates the nonlinear `f`/`h`;
 /// the §V-G baseline freezes the Jacobians at one operating point and
@@ -191,8 +195,8 @@ fn stack_readings(readings: &[Vector], subset: &[usize]) -> Vector {
 /// Returns [`CoreError::BadReadings`] when the supplied command or
 /// readings do not match the system, [`CoreError::Numeric`] when a gain
 /// matrix is singular (prevented up front by
-/// [`crate::ModeSet::validate`]), and propagates linear-algebra
-/// failures.
+/// [`crate::ModeSet::validate`]) or when the updated state estimate or
+/// covariance is not finite, and propagates linear-algebra failures.
 pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     let NuiseInput {
         system,
@@ -341,6 +345,13 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
 
     // --- Step 5: mode likelihood (lines 17–20). ---
     let (likelihood, consistency) = mode_likelihood(&nu, &p_nu_pinv, nu_rank, nu_pdet)?;
+    // The filter is derived for finite states and covariances only. A
+    // finite but extreme reading can still overflow the update (an IPS
+    // fix of 1e308 drives x̂ to NaN, and the NaN innovation then reads
+    // as perfectly consistent), so such a step fails instead.
+    if !(x_new.is_finite() && p_new.is_finite()) {
+        return Err(CoreError::Numeric(NON_FINITE_ESTIMATE.into()));
+    }
 
     Ok(NuiseOutput {
         state_estimate: x_new,

@@ -2,11 +2,11 @@
 //! steps, plus the engine's implied-anomaly count, in one pass over
 //! structure-of-arrays slabs.
 //!
-//! This is the only in-place NUISE implementation. The engine runs
-//! every mode of every robot through it at K = 1 (one robot per lane,
-//! [`NuiseSlabWorkspace::step`]); the fleet runs signature groups of
-//! robots at K = 8, so the dense kernels vectorize across robots instead
-//! of running over matrices too small to vectorize within. The
+//! This is the only in-place NUISE implementation. The engine's
+//! iteration driver runs every mode of a standalone robot through it at
+//! K = 1, and the fleet's signature groups at K = 8, so the dense
+//! kernels vectorize across robots instead of running over matrices too
+//! small to vectorize within. The
 //! allocating [`crate::nuise::nuise_step`] is the reference oracle both
 //! are pinned against.
 //!
@@ -39,7 +39,7 @@ use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
 use crate::config::Linearization;
 use crate::mode::Mode;
 use crate::nuise::{
-    chi2_consistency, validate_readings, NuiseInput, NuiseOutput, RANK_DEFICIENT,
+    chi2_consistency, validate_readings, NuiseOutput, NON_FINITE_ESTIMATE, RANK_DEFICIENT,
     SINGULAR_INNOVATION,
 };
 use crate::{CoreError, Result};
@@ -57,6 +57,8 @@ enum LaneFailure {
     NoConvergence,
     /// The χ² survival function rejected the consistency statistic.
     ChiSquared { rank: usize, stat: f64 },
+    /// The updated state estimate or covariance is not finite.
+    NonFinite,
 }
 
 impl LaneFailure {
@@ -70,6 +72,7 @@ impl LaneFailure {
             .into(),
             LaneFailure::ChiSquared { rank, stat } => chi2_consistency(rank, stat)
                 .expect_err("the χ² evaluation is a pure function of (rank, stat)"),
+            LaneFailure::NonFinite => CoreError::Numeric(NON_FINITE_ESTIMATE.into()),
         }
     }
 }
@@ -261,10 +264,8 @@ impl FrozenModel {
 /// scattered per lane afterwards, and the parsimony scratch, so the
 /// whole NUISE-plus-implied-anomaly-count pipeline runs lane-batched.
 /// After construction, [`load_lane`] + [`run`] + [`scatter_lane`]
-/// perform no heap allocation, under either [`Linearization`]. At
-/// `K = 1` the three are the engine's per-mode [`step`].
+/// perform no heap allocation, under either [`Linearization`].
 ///
-/// [`step`]: NuiseSlabWorkspace::step
 /// [`load_lane`]: NuiseSlabWorkspace::load_lane
 /// [`run`]: NuiseSlabWorkspace::run
 /// [`scatter_lane`]: NuiseSlabWorkspace::scatter_lane
@@ -572,7 +573,8 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     /// every lane marked in `active`, lane-batched. Returns per-lane
     /// success flags (a subset of `active`): a cleared flag means
     /// `nuise_step` returns an error for that robot (singular gain,
-    /// non-converged eigendecomposition, χ² failure) —
+    /// non-converged eigendecomposition, χ² failure, non-finite
+    /// update) —
     /// [`lane_error`](Self::lane_error) names it, and the lane holds
     /// garbage.
     pub(crate) fn run(
@@ -891,6 +893,26 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                 ),
             }
         }
+        // Finite results only, checked where `nuise_step` checks them (see
+        // there for how a finite reading can overflow the update).
+        let mut finite = [true; K];
+        for i in 0..self.layout.n {
+            let x = self.out_state_estimate.at(i);
+            for l in 0..K {
+                finite[l] &= x[l].is_finite();
+            }
+            for j in 0..self.layout.n {
+                let p = self.out_state_covariance.at(i, j);
+                for l in 0..K {
+                    finite[l] &= p[l].is_finite();
+                }
+            }
+        }
+        for l in 0..K {
+            if !finite[l] {
+                fail(&mut ok, &mut failure, l, LaneFailure::NonFinite);
+            }
+        }
 
         // --- Implied anomaly count (the engine's parsimony prior): the
         // number of active misbehaviors this mode's explanation implies —
@@ -1021,10 +1043,12 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     }
 }
 
+#[cfg(test)]
 impl NuiseSlabWorkspace<1> {
     /// One robot's NUISE step plus its implied-anomaly count through
-    /// lane 0 — the engine's per-mode step. Writes `out` and returns the
-    /// count; on error `out` is untouched.
+    /// lane 0 — the load → run → scatter sequence the engine's one-lane
+    /// tiles run per mode. Writes `out` and returns the count; on error
+    /// `out` is untouched.
     ///
     /// `input.mode` and `input.linearization` must be the ones the
     /// workspace was built for.
@@ -1033,7 +1057,11 @@ impl NuiseSlabWorkspace<1> {
     ///
     /// Exactly the error [`crate::nuise::nuise_step`] returns for
     /// `input`.
-    pub(crate) fn step(&mut self, input: NuiseInput<'_>, out: &mut NuiseOutput) -> Result<usize> {
+    pub(crate) fn step(
+        &mut self,
+        input: crate::nuise::NuiseInput<'_>,
+        out: &mut NuiseOutput,
+    ) -> Result<usize> {
         self.load_lane(
             0,
             input.system,
@@ -1054,7 +1082,7 @@ impl NuiseSlabWorkspace<1> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nuise::oracle_step;
+    use crate::nuise::{oracle_step, NuiseInput};
     use roboads_models::presets;
 
     fn clean_readings(system: &RobotSystem, x: &Vector) -> Vec<Vector> {
@@ -1239,6 +1267,60 @@ mod tests {
         load_lane_rejects_bad_inputs::<8>();
     }
 
+    /// A finite reading large enough to overflow the update fails its
+    /// lane inside `run` with the oracle's error, while the other lanes
+    /// stay bitwise-pinned.
+    fn overflowing_reading_fails_its_lane_like_the_oracle<const K: usize>() {
+        let system = presets::khepera_system();
+        let mode = Mode::new(vec![0], vec![1, 2]);
+        let linearization = Linearization::PerIteration;
+        let mut slab = NuiseSlabWorkspace::<K>::new(&system, &mode, &linearization).unwrap();
+        let (act, testing) = slab.parsimony_thresholds();
+        let testing = testing.to_vec();
+        let mut scattered = slab.new_output();
+        let x0 = Vector::from_slice(&[0.5, 0.5, 0.3]);
+        let p0 = Matrix::identity(3) * 1e-4;
+        let u = Vector::from_slice(&[0.06, 0.05]);
+        let readings = clean_readings(&system, &system.dynamics().step(&x0, &u));
+        let mut hostile = readings.clone();
+        hostile[0][0] = 1e308;
+        let poisoned = K - 1;
+        for l in 0..K {
+            let z = if l == poisoned { &hostile } else { &readings };
+            slab.load_lane(l, &system, &x0, &p0, &u, z).unwrap();
+        }
+        let ok = slab.run(&system, true, &[true; K]);
+        for l in 0..K {
+            let input = NuiseInput {
+                system: &system,
+                mode: &mode,
+                x_prev: &x0,
+                p_prev: &p0,
+                u_prev: &u,
+                readings: if l == poisoned { &hostile } else { &readings },
+                linearization: &linearization,
+                compensate: true,
+            };
+            let oracle = oracle_step(input, act, &testing);
+            if l == poisoned {
+                assert!(!ok[l]);
+                let expected = CoreError::Numeric(NON_FINITE_ESTIMATE.into());
+                assert_eq!(oracle.unwrap_err(), expected);
+                assert_eq!(slab.lane_error(l), Some(expected));
+            } else {
+                assert!(ok[l], "lane {l}");
+                slab.scatter_lane(l, &mut scattered);
+                assert_eq!(scattered, oracle.unwrap().0, "lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_reading_fails_its_lane_like_the_oracle_at_one_and_eight_lanes() {
+        overflowing_reading_fails_its_lane_like_the_oracle::<1>();
+        overflowing_reading_fails_its_lane_like_the_oracle::<8>();
+    }
+
     #[test]
     fn lane_failures_convert_to_the_oracle_errors() {
         let cases = [
@@ -1247,6 +1329,7 @@ mod tests {
                 SINGULAR_INNOVATION.to_string(),
             ),
             (LaneFailure::RankDeficient, RANK_DEFICIENT.to_string()),
+            (LaneFailure::NonFinite, NON_FINITE_ESTIMATE.to_string()),
             (
                 LaneFailure::NoConvergence,
                 LinalgError::NoConvergence {

@@ -11,7 +11,7 @@
 //! What is deliberately *not* in a snapshot:
 //!
 //! * **Construction config** (models, mode bank, thresholds, floors,
-//!   activation policy, lane widths): the restore target is built by
+//!   activation policy): the restore target is built by
 //!   the same constructor call as the original — exactly the
 //!   twin-reconstruction discipline of [`crate::replay_capsule`]. The
 //!   header's shape checks (mode count, state dimensions) catch a

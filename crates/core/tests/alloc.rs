@@ -163,23 +163,30 @@ fn warmed_up_sequential_fleet_batch_is_allocation_free() {
     // (threads = 1, the per-robot code path all configurations share);
     // a parallel fleet adds only the pool's per-job boxes, O(workers).
     //
-    // Asserted for every slab lane width: `1` is the scalar per-robot
-    // path, `8` the SIMD-batched slab path (load → batched run →
-    // scatter → commit, whose scratch is the per-job `SlabJob` bank
-    // sized at first resolution). The robot count is deliberately not a
-    // multiple of the lane width, so the warm path includes a masked
-    // remainder tile.
-    for lanes in [1, 8] {
+    // Asserted on both stepping paths: robots that each have their own
+    // system form one-robot signature groups, stepped per robot (the
+    // scalar path); robots sharing one system form one group on the
+    // SIMD-batched slab path (load → batched run → scatter → commit,
+    // whose scratch is the per-job `SlabJob` bank sized at first
+    // resolution). The robot count is deliberately not a multiple of
+    // the lane width, so the warm path includes a masked remainder
+    // tile.
+    for shared in [false, true] {
         let system = presets::khepera_system();
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let u = Vector::from_slice(&[0.06, 0.05]);
         const ROBOTS: usize = 11;
         let modes = ModeSet::one_reference_per_sensor(&system);
-        let config = RoboAdsConfig::paper_defaults().with_slab_lanes(lanes);
+        let config = RoboAdsConfig::paper_defaults();
         let mut fleet = FleetEngine::new(
             (0..ROBOTS)
                 .map(|_| {
-                    RoboAds::new(system.clone(), config.clone(), x0.clone(), modes.clone()).unwrap()
+                    let robot = if shared {
+                        system.clone()
+                    } else {
+                        presets::khepera_system()
+                    };
+                    RoboAds::new(robot, config.clone(), x0.clone(), modes.clone()).unwrap()
                 })
                 .collect(),
             1,
@@ -227,9 +234,15 @@ fn warmed_up_sequential_fleet_batch_is_allocation_free() {
                 fleet.step_batch(&inputs).unwrap();
             }
         });
+        let stepped = if shared {
+            fleet.slab_robots()
+        } else {
+            fleet.scalar_robots()
+        };
+        assert_eq!(stepped, ROBOTS, "shared = {shared}: wrong stepping path");
         assert_eq!(
             steady_allocs, 0,
-            "warmed-up fleet step_batch (slab_lanes = {lanes}) \
+            "warmed-up fleet step_batch (shared = {shared}) \
              allocated {steady_allocs} times"
         );
     }
@@ -242,34 +255,36 @@ fn warmed_up_grouped_fleet_batch_is_allocation_free() {
     // group-major and sized each group's slab bank, a mixed-signature
     // batch walks the groups with `split_at_mut` and reuses the per-job
     // scratch — zero heap traffic, exactly like the homogeneous fleet.
-    // Two pointer-distinct Khepera instances interleaved 11 + 9: at 8
-    // lanes both groups slab (with masked remainder tiles); at 1 both
-    // run scalar.
-    for lanes in [1, 8] {
-        let system_a = presets::khepera_system();
-        let system_b = presets::khepera_system();
+    // Pointer-distinct Khepera instances, interleaved so the reorder
+    // genuinely permutes cells: two groups of 11 + 9 both slab (with
+    // masked remainder tiles); four groups of 5, each below one tile,
+    // all run scalar.
+    for slab in [false, true] {
+        let systems: Vec<_> = (0..4).map(|_| presets::khepera_system()).collect();
+        let system_a = &systems[0];
         let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let u = Vector::from_slice(&[0.06, 0.05]);
         const ROBOTS: usize = 20;
         let detector_for = |system: &roboads_models::RobotSystem| {
             RoboAds::new(
                 system.clone(),
-                RoboAdsConfig::paper_defaults().with_slab_lanes(lanes),
+                RoboAdsConfig::paper_defaults(),
                 x0.clone(),
                 ModeSet::one_reference_per_sensor(system),
             )
             .unwrap()
         };
-        // Interleaved: robots 0,2,4,… group a (11 robots), 1,3,5,…,17
-        // group b (9 robots) — the reorder genuinely permutes cells.
+        // Slab: robots 0,2,4,… group a (11 robots), 1,3,5,…,17 group b
+        // (9 robots). Scalar: robot i in group i % 4.
         let mut fleet = FleetEngine::new(
             (0..ROBOTS)
                 .map(|i| {
-                    detector_for(if i % 2 == 0 || i >= 18 {
-                        &system_a
-                    } else {
-                        &system_b
-                    })
+                    let group = match (slab, i % 2 == 0 || i >= 18) {
+                        (true, true) => 0,
+                        (true, false) => 1,
+                        (false, _) => i % 4,
+                    };
+                    detector_for(&systems[group])
                 })
                 .collect(),
             1,
@@ -293,7 +308,7 @@ fn warmed_up_grouped_fleet_batch_is_allocation_free() {
             ];
             fleet.step_batch(&inputs).unwrap();
         }
-        if lanes > 1 {
+        if slab {
             assert_eq!(fleet.slab_groups(), 2);
             assert_eq!(fleet.slab_robots(), ROBOTS);
         } else {
@@ -319,7 +334,7 @@ fn warmed_up_grouped_fleet_batch_is_allocation_free() {
         });
         assert_eq!(
             steady_allocs, 0,
-            "warmed-up grouped fleet step_batch (slab_lanes = {lanes}) \
+            "warmed-up grouped fleet step_batch (slab = {slab}) \
              allocated {steady_allocs} times"
         );
     }

@@ -13,8 +13,12 @@
 //! robots are genuinely distinct mid-run: a cross-robot state leak or
 //! an off-by-one in the chunked scheduler shows up as a mismatch.
 
+use std::sync::Arc;
+
+use roboads_core::obs::{RingBufferSink, Telemetry};
 use roboads_core::{
-    ActivationPolicy, DetectionReport, FleetEngine, ModeSet, RoboAds, RoboAdsConfig, RobotInput,
+    ActivationPolicy, CoreError, DetectionReport, FleetEngine, ModeSet, RoboAds, RoboAdsConfig,
+    RobotInput,
 };
 use roboads_linalg::Vector;
 use roboads_models::{presets, RobotSystem};
@@ -47,6 +51,15 @@ fn detector() -> RoboAds {
     RoboAds::with_defaults(system, x0).unwrap()
 }
 
+/// `robots` default detectors sharing one system, so a fleet of them is
+/// one signature group and slabs once it fills a tile. (Each
+/// `presets::khepera_system()` call builds pointer-distinct models, so
+/// detectors built from separate calls never share a slab.)
+fn shared_detectors(robots: usize) -> Vec<RoboAds> {
+    let system = presets::khepera_system();
+    (0..robots).map(|_| detector_for(&system)).collect()
+}
+
 /// Per-robot report sequences from N standalone detectors.
 fn standalone_runs(robots: usize) -> Vec<Vec<DetectionReport>> {
     let system = presets::khepera_system();
@@ -70,7 +83,7 @@ fn standalone_runs(robots: usize) -> Vec<Vec<DetectionReport>> {
 fn fleet_run(robots: usize, threads: usize) -> Vec<Vec<DetectionReport>> {
     let system = presets::khepera_system();
     let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut fleet = FleetEngine::new((0..robots).map(|_| detector()).collect(), threads);
+    let mut fleet = FleetEngine::new(shared_detectors(robots), threads);
     let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let mut sequences: Vec<Vec<DetectionReport>> = vec![Vec::with_capacity(STEPS); robots];
     for k in 0..STEPS {
@@ -126,64 +139,18 @@ fn fleet_runs_are_reproducible_across_invocations() {
     assert_eq!(fleet_run(8, 2), fleet_run(8, 2));
 }
 
-/// A detector with a pinned fleet slab lane width (`1` disables the
-/// SIMD-batched path entirely).
-fn detector_with_lanes(lanes: usize) -> RoboAds {
-    let system = presets::khepera_system();
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let modes = ModeSet::one_reference_per_sensor(&system);
-    RoboAds::new(
-        system,
-        RoboAdsConfig::paper_defaults().with_slab_lanes(lanes),
-        x0,
-        modes,
-    )
-    .unwrap()
-}
-
-/// As [`fleet_run`] but with an explicit slab lane width.
-fn fleet_run_lanes(robots: usize, threads: usize, lanes: usize) -> Vec<Vec<DetectionReport>> {
-    let system = presets::khepera_system();
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut fleet = FleetEngine::new(
-        (0..robots).map(|_| detector_with_lanes(lanes)).collect(),
-        threads,
-    );
-    let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let mut sequences: Vec<Vec<DetectionReport>> = vec![Vec::with_capacity(STEPS); robots];
-    for k in 0..STEPS {
-        x_true = system.dynamics().step(&x_true, &u);
-        let all_readings: Vec<Vec<Vector>> = (0..robots)
-            .map(|robot| robot_readings(&system, &x_true, robot, k))
-            .collect();
-        let inputs: Vec<RobotInput> = all_readings
-            .iter()
-            .map(|readings| RobotInput {
-                u_prev: &u,
-                readings,
-            })
-            .collect();
-        fleet.step_batch(&inputs).unwrap();
-        for (robot, seq) in sequences.iter_mut().enumerate() {
-            seq.push(fleet.report(robot).clone());
-        }
-    }
-    sequences
-}
-
 /// The SIMD-batched slab path must be bitwise invisible: for every
-/// robot, the full report sequence with `slab_lanes = 8` equals the
-/// scalar path's (`slab_lanes = 1`), at every batch size shape — a
-/// lone robot and one-short-of-a-tile (sub-tile fleets stay on the
-/// scalar path by design), exactly one tile, one tile plus a masked
-/// tail (8 + 3), and many tiles plus a remainder tail — and every
-/// robot-grain thread count.
+/// robot, the full report sequence of a one-signature fleet equals a
+/// standalone detector's, at every batch size shape — a lone robot and
+/// one-short-of-a-tile (sub-tile groups step per robot by design),
+/// exactly one tile, one tile plus a masked tail (8 + 3), and many
+/// tiles plus a remainder tail — and every robot-grain thread count.
 #[test]
 fn slab_path_reports_match_scalar_path_exactly() {
     for robots in [1, 7, 8, 11, 67] {
-        let scalar = fleet_run_lanes(robots, 1, 1);
+        let scalar = standalone_runs(robots);
         for threads in [1, 2, 4] {
-            let slab = fleet_run_lanes(robots, threads, 8);
+            let slab = fleet_run(robots, threads);
             assert_eq!(
                 scalar, slab,
                 "slab divergence: robots={robots} threads={threads}"
@@ -192,69 +159,143 @@ fn slab_path_reports_match_scalar_path_exactly() {
     }
 }
 
-/// A robot whose readings fail validation mid-fleet must fall out of
-/// its slab tile and reproduce the exact scalar error and side effects,
-/// while every other lane of the tile advances normally.
+/// Steps standalone detectors through one fleet-shaped tick: each robot
+/// its own `step_into`, returning the per-robot results.
+fn standalone_batch(
+    detectors: &mut [RoboAds],
+    reports: &mut [DetectionReport],
+    inputs: &[RobotInput],
+) -> Vec<Result<(), CoreError>> {
+    detectors
+        .iter_mut()
+        .zip(reports.iter_mut())
+        .zip(inputs)
+        .map(|((ads, report), input)| ads.step_into(input.u_prev, input.readings, report))
+        .collect()
+}
+
+/// Per-tick, per-robot `(result, iteration, report)` of a run.
+type Outcomes = Vec<Vec<(Result<(), CoreError>, u64, DetectionReport)>>;
+
+/// A robot whose iteration fails mid-tile — at lane load (a NaN reading)
+/// or inside a batched kernel (a finite IPS reading of 1e160, whose χ²
+/// statistic overflows) — must end with exactly the standalone error,
+/// count the same numeric failures, and recover on the next tick, while
+/// every other lane of its tile (including a masked tail tile) advances
+/// bitwise like a standalone detector.
 #[test]
-fn slab_lane_failure_falls_back_to_scalar_per_robot() {
-    let run = |lanes: usize| {
-        let system = presets::khepera_system();
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let robots = 9;
-        let mut fleet =
-            FleetEngine::new((0..robots).map(|_| detector_with_lanes(lanes)).collect(), 1);
-        let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let mut outcomes = Vec::new();
-        for k in 0..8 {
-            x_true = system.dynamics().step(&x_true, &u);
-            let all_readings: Vec<Vec<Vector>> = (0..robots)
-                .map(|robot| {
-                    let mut readings = robot_readings(&system, &x_true, robot, k);
-                    if robot == 3 && k == 5 {
-                        readings[0][0] = f64::NAN;
-                    }
-                    readings
-                })
+fn slab_lane_failure_is_the_standalone_error_and_spares_its_neighbours() {
+    const ROBOTS: usize = 9; // one full tile plus a one-lane tail tile
+    const FAULTED: [usize; 2] = [3, 8];
+    const FAULT_TICK: usize = 5;
+    for fault in [f64::NAN, 1e160] {
+        let run = |fleet: bool| -> (Outcomes, u64, usize) {
+            let system = presets::khepera_system();
+            let u = Vector::from_slice(&[0.06, 0.05]);
+            let ring = Arc::new(RingBufferSink::new(100_000));
+            let telemetry = Telemetry::new(ring.clone());
+            let mut detectors: Vec<RoboAds> = (0..ROBOTS)
+                .map(|_| detector_for(&system).with_telemetry(telemetry.clone()))
                 .collect();
-            let inputs: Vec<RobotInput> = all_readings
-                .iter()
-                .map(|readings| RobotInput {
-                    u_prev: &u,
-                    readings,
-                })
-                .collect();
-            let batch = fleet.step_batch(&inputs);
-            assert_eq!(batch.is_err(), k == 5, "lanes={lanes} step {k}");
-            outcomes.push(
-                (0..robots)
-                    .map(|r| {
-                        (
-                            fleet.result(r).is_ok(),
-                            fleet.detector(r).iteration(),
-                            fleet.report(r).clone(),
-                        )
+            let mut reports = vec![DetectionReport::blank(); ROBOTS];
+            let mut engine = fleet.then(|| {
+                let mut engine = FleetEngine::new(std::mem::take(&mut detectors), 1);
+                engine.set_telemetry(telemetry.clone());
+                engine
+            });
+            let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
+            let mut outcomes = Vec::new();
+            for k in 0..8 {
+                x_true = system.dynamics().step(&x_true, &u);
+                let all_readings: Vec<Vec<Vector>> = (0..ROBOTS)
+                    .map(|robot| {
+                        let mut readings = robot_readings(&system, &x_true, robot, k);
+                        if FAULTED.contains(&robot) && k == FAULT_TICK {
+                            readings[0][0] = fault;
+                        }
+                        readings
                     })
-                    .collect::<Vec<_>>(),
-            );
-        }
-        outcomes
-    };
-    let scalar = run(1);
-    let slab = run(8);
-    // The failed robot's error step leaves a partial report on both
-    // paths (contents unspecified); everything else must be identical.
-    for (k, (sc, sl)) in scalar.iter().zip(&slab).enumerate() {
-        for (r, (a, b)) in sc.iter().zip(sl).enumerate() {
-            assert_eq!(a.0, b.0, "result mismatch robot {r} step {k}");
-            assert_eq!(a.1, b.1, "iteration mismatch robot {r} step {k}");
-            if a.0 {
-                assert_eq!(a.2, b.2, "report mismatch robot {r} step {k}");
+                    .collect();
+                let inputs: Vec<RobotInput> = all_readings
+                    .iter()
+                    .map(|readings| RobotInput {
+                        u_prev: &u,
+                        readings,
+                    })
+                    .collect();
+                outcomes.push(match &mut engine {
+                    Some(engine) => {
+                        let batch = engine.step_batch(&inputs);
+                        assert_eq!(batch.is_err(), k == FAULT_TICK, "fault {fault} step {k}");
+                        (0..ROBOTS)
+                            .map(|r| {
+                                (
+                                    engine.result(r).clone(),
+                                    engine.detector(r).iteration(),
+                                    engine.report(r).clone(),
+                                )
+                            })
+                            .collect()
+                    }
+                    None => standalone_batch(&mut detectors, &mut reports, &inputs)
+                        .into_iter()
+                        .zip(&detectors)
+                        .zip(&reports)
+                        .map(|((result, ads), report)| (result, ads.iteration(), report.clone()))
+                        .collect(),
+                });
+            }
+            if let Some(engine) = &engine {
+                assert_eq!(engine.slab_groups(), 1, "the fleet must run its slab path");
+            }
+            let failures = telemetry
+                .metrics()
+                .counter_value("engine.numeric_failures")
+                .unwrap();
+            let events = ring
+                .events()
+                .iter()
+                .filter(|e| e.name == "engine.numeric_failure")
+                .count();
+            (outcomes, failures, events)
+        };
+        let (standalone, standalone_failures, standalone_events) = run(false);
+        let (slab, slab_failures, slab_events) = run(true);
+        // A failed robot's report holds a partial verdict on both sides
+        // (contents unspecified); everything else must be identical.
+        for (k, (sa, sl)) in standalone.iter().zip(&slab).enumerate() {
+            for (r, (a, b)) in sa.iter().zip(sl).enumerate() {
+                assert_eq!(a.0, b.0, "fault {fault}: result of robot {r} at step {k}");
+                assert_eq!(
+                    a.1, b.1,
+                    "fault {fault}: iteration of robot {r} at step {k}"
+                );
+                if a.0.is_ok() {
+                    assert_eq!(a.2, b.2, "fault {fault}: report of robot {r} at step {k}");
+                }
             }
         }
+        assert_eq!(slab_failures, standalone_failures, "fault {fault}");
+        assert_eq!(slab_events, standalone_events, "fault {fault}");
+        // The faulted robots failed once with a typed error, then
+        // recovered; a NaN fails validation, 1e160 the χ² evaluation.
+        for &r in &FAULTED {
+            match &standalone[FAULT_TICK][r].0 {
+                Err(CoreError::BadReadings { .. }) => assert!(fault.is_nan()),
+                Err(CoreError::Numeric(_)) => assert!(fault.is_finite()),
+                other => panic!("fault {fault}: robot {r} ended with {other:?}"),
+            }
+            assert_eq!(
+                standalone[7][r].1, 7,
+                "fault {fault}: robot {r} did not recover"
+            );
+        }
+        let expected_failures = if fault.is_nan() { 0 } else { FAULTED.len() };
+        assert_eq!(
+            standalone_failures, expected_failures as u64,
+            "fault {fault}"
+        );
     }
-    // Sanity: robot 3 failed exactly once and skipped that iteration.
-    assert!(!scalar[5][3].0);
-    assert_eq!(scalar[7][3].1, 7);
 }
 
 // ---------------------------------------------------------------------
@@ -287,16 +328,10 @@ fn deal_groups(sizes: &[usize]) -> Vec<usize> {
     layout
 }
 
-fn detector_for(system: &RobotSystem, lanes: usize) -> RoboAds {
+fn detector_for(system: &RobotSystem) -> RoboAds {
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let modes = ModeSet::one_reference_per_sensor(system);
-    RoboAds::new(
-        system.clone(),
-        RoboAdsConfig::paper_defaults().with_slab_lanes(lanes),
-        x0,
-        modes,
-    )
-    .unwrap()
+    RoboAds::new(system.clone(), RoboAdsConfig::paper_defaults(), x0, modes).unwrap()
 }
 
 /// Per-robot report sequences from a mixed fleet: robot `i` belongs to
@@ -305,15 +340,11 @@ fn mixed_fleet_run(
     layout: &[usize],
     systems: &[RobotSystem],
     threads: usize,
-    lanes: usize,
 ) -> Vec<Vec<DetectionReport>> {
     let physics = &systems[0]; // presets are bitwise-identical constants
     let u = Vector::from_slice(&[0.06, 0.05]);
     let mut fleet = FleetEngine::new(
-        layout
-            .iter()
-            .map(|&g| detector_for(&systems[g], lanes))
-            .collect(),
+        layout.iter().map(|&g| detector_for(&systems[g])).collect(),
         threads,
     );
     let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
@@ -340,8 +371,8 @@ fn mixed_fleet_run(
 
 /// Every robot of a mixed fleet — group sizes spanning a lone robot, a
 /// sub-tile group, exactly one tile, and many tiles — must be bitwise
-/// identical to its standalone twin at every thread count and lane
-/// width. Sub-tile groups run scalar (per-group small-fleet rule), the
+/// identical to its standalone twin at every thread count. Sub-tile
+/// groups run scalar (per-group small-fleet rule), the
 /// rest slab; neither may perturb a bit.
 #[test]
 fn mixed_fleet_robots_match_their_standalone_twins() {
@@ -356,7 +387,7 @@ fn mixed_fleet_robots_match_their_standalone_twins() {
                 .iter()
                 .enumerate()
                 .map(|(robot, &g)| {
-                    let mut ads = detector_for(&systems[g], 1);
+                    let mut ads = detector_for(&systems[g]);
                     let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
                     let mut reports = Vec::with_capacity(STEPS);
                     for k in 0..STEPS {
@@ -369,7 +400,7 @@ fn mixed_fleet_robots_match_their_standalone_twins() {
                 .collect()
         };
         for threads in [1, 2, 4] {
-            let got = mixed_fleet_run(&layout, &systems, threads, 8);
+            let got = mixed_fleet_run(&layout, &systems, threads);
             for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {
                 for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
                     assert_eq!(
@@ -382,25 +413,24 @@ fn mixed_fleet_robots_match_their_standalone_twins() {
     }
 }
 
-/// A NaN divergence inside one signature group's tile must fall only
-/// that robot back to scalar; lanes of *other groups* — stepped through
-/// entirely separate slab scratch — stay bitwise untouched.
+/// A NaN reading inside one signature group's tile must fail only that
+/// robot, exactly as a standalone detector fails; lanes of *other
+/// groups* — stepped through entirely separate slab scratch — stay
+/// bitwise untouched.
 #[test]
 fn nan_in_one_group_leaves_other_groups_lanes_untouched() {
     let sizes = [8usize, 8];
     let layout = deal_groups(&sizes);
     let poisoned = layout.iter().position(|&g| g == 0).unwrap(); // a group-0 robot
-    let run = |lanes: usize| {
+                                                                 // `fleet == false` steps the same robots as standalone detectors.
+    let run = |fleet: bool| {
         let systems: Vec<RobotSystem> = sizes.iter().map(|_| presets::khepera_system()).collect();
         let physics = systems[0].clone();
         let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut fleet = FleetEngine::new(
-            layout
-                .iter()
-                .map(|&g| detector_for(&systems[g], lanes))
-                .collect(),
-            1,
-        );
+        let mut detectors: Vec<RoboAds> =
+            layout.iter().map(|&g| detector_for(&systems[g])).collect();
+        let mut reports = vec![DetectionReport::blank(); layout.len()];
+        let mut engine = fleet.then(|| FleetEngine::new(std::mem::take(&mut detectors), 1));
         let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let mut outcomes = Vec::new();
         for k in 0..8 {
@@ -421,24 +451,34 @@ fn nan_in_one_group_leaves_other_groups_lanes_untouched() {
                     readings,
                 })
                 .collect();
-            let batch = fleet.step_batch(&inputs);
-            assert_eq!(batch.is_err(), k == 5, "lanes={lanes} step {k}");
-            outcomes.push(
-                (0..layout.len())
-                    .map(|r| {
-                        (
-                            fleet.result(r).is_ok(),
-                            fleet.detector(r).iteration(),
-                            fleet.report(r).clone(),
-                        )
+            outcomes.push(match &mut engine {
+                Some(engine) => {
+                    let batch = engine.step_batch(&inputs);
+                    assert_eq!(batch.is_err(), k == 5, "step {k}");
+                    (0..layout.len())
+                        .map(|r| {
+                            (
+                                engine.result(r).is_ok(),
+                                engine.detector(r).iteration(),
+                                engine.report(r).clone(),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                }
+                None => standalone_batch(&mut detectors, &mut reports, &inputs)
+                    .into_iter()
+                    .zip(&detectors)
+                    .zip(&reports)
+                    .map(|((result, ads), report)| {
+                        (result.is_ok(), ads.iteration(), report.clone())
                     })
-                    .collect::<Vec<_>>(),
-            );
+                    .collect(),
+            });
         }
         outcomes
     };
-    let scalar = run(1);
-    let slab = run(8);
+    let scalar = run(false);
+    let slab = run(true);
     for (k, (sc, sl)) in scalar.iter().zip(&slab).enumerate() {
         for (r, (a, b)) in sc.iter().zip(sl).enumerate() {
             assert_eq!(a.0, b.0, "result mismatch robot {r} step {k}");
@@ -462,20 +502,17 @@ fn nan_in_one_group_leaves_other_groups_lanes_untouched() {
 // Lazy activation (DESIGN.md §17): fleets of TopK robots sleep, wake and
 // re-sleep at *different* ticks (phase-offset attacks), which exercises
 // the activation-keyed slab repartition, per-mode lane masks and the
-// wake-tick scalar fallback. All of it must stay bitwise invisible.
+// in-tile wake pass. All of it must stay bitwise invisible.
 // ---------------------------------------------------------------------
 
 const LAZY_STEPS: usize = 45;
 
-fn lazy_detector(lanes: usize) -> RoboAds {
-    let system = presets::khepera_system();
+fn lazy_detector(system: &RobotSystem) -> RoboAds {
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let modes = ModeSet::one_reference_per_sensor(&system);
+    let modes = ModeSet::one_reference_per_sensor(system);
     RoboAds::new(
-        system,
-        RoboAdsConfig::paper_defaults()
-            .with_slab_lanes(lanes)
-            .with_activation(ActivationPolicy::lazy_defaults()),
+        system.clone(),
+        RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::lazy_defaults()),
         x0,
         modes,
     )
@@ -495,11 +532,12 @@ fn lazy_robot_readings(system: &RobotSystem, x: &Vector, robot: usize, k: usize)
 }
 
 /// Per-robot lazy report sequences, standalone (`None`) or fleet-stepped
-/// with the given thread count and lane width. Also returns the minimum
-/// `active_modes` observed across the run, to prove dormancy happened.
+/// with the given thread count, on one shared system or one system per
+/// robot. Also returns the minimum `active_modes` observed across the
+/// run, to prove dormancy happened.
 fn lazy_run(
     robots: usize,
-    fleet_shape: Option<(usize, usize)>,
+    fleet_shape: Option<(usize, bool)>,
 ) -> (Vec<Vec<DetectionReport>>, usize) {
     let system = presets::khepera_system();
     let u = Vector::from_slice(&[0.06, 0.05]);
@@ -508,7 +546,7 @@ fn lazy_run(
     match fleet_shape {
         None => {
             for (robot, seq) in sequences.iter_mut().enumerate() {
-                let mut ads = lazy_detector(1);
+                let mut ads = lazy_detector(&presets::khepera_system());
                 let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
                 for k in 0..LAZY_STEPS {
                     x_true = system.dynamics().step(&x_true, &u);
@@ -518,9 +556,18 @@ fn lazy_run(
                 }
             }
         }
-        Some((threads, lanes)) => {
-            let mut fleet =
-                FleetEngine::new((0..robots).map(|_| lazy_detector(lanes)).collect(), threads);
+        Some((threads, shared)) => {
+            // A shared system makes one slab group; a system per robot
+            // makes one-robot groups, each stepped per robot.
+            let detectors = if shared {
+                let system = presets::khepera_system();
+                (0..robots).map(|_| lazy_detector(&system)).collect()
+            } else {
+                (0..robots)
+                    .map(|_| lazy_detector(&presets::khepera_system()))
+                    .collect()
+            };
+            let mut fleet = FleetEngine::new(detectors, threads);
             let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
             for k in 0..LAZY_STEPS {
                 x_true = system.dynamics().step(&x_true, &u);
@@ -555,14 +602,14 @@ fn lazy_fleet_matches_standalone_lazy_detectors_bitwise() {
         let (expected, standalone_min) = lazy_run(robots, None);
         assert_eq!(standalone_min, 2, "standalone banks never slept");
         for threads in [1, 2] {
-            for lanes in [1, 8] {
-                let (got, fleet_min) = lazy_run(robots, Some((threads, lanes)));
+            for shared in [false, true] {
+                let (got, fleet_min) = lazy_run(robots, Some((threads, shared)));
                 assert_eq!(fleet_min, 2, "fleet banks never slept");
                 for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {
                     for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
                         assert_eq!(
                             ra, rb,
-                            "robots={robots} threads={threads} lanes={lanes} \
+                            "robots={robots} threads={threads} shared={shared} \
                              robot={robot} diverged at step {k}"
                         );
                     }
@@ -570,4 +617,67 @@ fn lazy_fleet_matches_standalone_lazy_detectors_bitwise() {
             }
         }
     }
+}
+
+/// The in-tile wake pass: sleeping robots of one slab tile whose active
+/// modes lose consistency wake within the iteration and run their
+/// dormant modes against the same readings inside the tile — on audit
+/// and non-audit ticks alike — while their neighbours stay asleep, all
+/// bitwise like standalone lazy detectors.
+#[test]
+fn mid_step_wake_inside_a_slab_tile_matches_standalone_detectors() {
+    const ROBOTS: usize = 11; // one full tile plus a masked tail tile
+    let system = presets::khepera_system();
+    let u = Vector::from_slice(&[0.06, 0.05]);
+    // Every third robot gets mutually inconsistent readings on all
+    // sensors for three ticks, starting at a robot-dependent tick so the
+    // collapse lands on every phase of the audit schedule.
+    let readings_at = |x: &Vector, robot: usize, k: usize| {
+        let mut readings = clean_readings(&system, x);
+        let onset = 20 + robot % 4;
+        if robot % 3 == 1 && (onset..onset + 3).contains(&k) {
+            readings[0][0] += 0.6;
+            readings[1][0] -= 0.5;
+            readings[2][0] += 0.4;
+        }
+        readings
+    };
+    let ring = Arc::new(RingBufferSink::new(100_000));
+    let mut fleet = FleetEngine::new((0..ROBOTS).map(|_| lazy_detector(&system)).collect(), 1);
+    fleet.set_telemetry(Telemetry::new(ring.clone()));
+    let mut standalone: Vec<RoboAds> = (0..ROBOTS).map(|_| lazy_detector(&system)).collect();
+    let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
+    for k in 0..32 {
+        x_true = system.dynamics().step(&x_true, &u);
+        let all_readings: Vec<Vec<Vector>> = (0..ROBOTS)
+            .map(|robot| readings_at(&x_true, robot, k))
+            .collect();
+        let inputs: Vec<RobotInput> = all_readings
+            .iter()
+            .map(|readings| RobotInput {
+                u_prev: &u,
+                readings,
+            })
+            .collect();
+        fleet.step_batch(&inputs).unwrap();
+        for (robot, ads) in standalone.iter_mut().enumerate() {
+            let expected = ads.step(&u, &all_readings[robot]).unwrap();
+            assert_eq!(
+                fleet.report(robot),
+                &expected,
+                "robot {robot} diverged at step {k}"
+            );
+        }
+    }
+    let consistency_wakes =
+        ring.events()
+            .iter()
+            .filter(|e| {
+                e.name == "engine.bank_wake" && e.fields.iter().any(|(key, value)| {
+                    *key == "reason"
+                        && matches!(value, roboads_core::obs::Value::Text(r) if r == "consistency")
+                })
+            })
+            .count();
+    assert!(consistency_wakes > 0, "no robot woke mid-step");
 }

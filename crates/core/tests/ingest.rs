@@ -42,17 +42,10 @@ fn robot_readings(system: &RobotSystem, x: &Vector, robot: usize, k: usize) -> V
     readings
 }
 
-fn detector_with_lanes(lanes: usize) -> RoboAds {
-    let system = presets::khepera_system();
+fn detector_for(system: &RobotSystem) -> RoboAds {
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let modes = ModeSet::one_reference_per_sensor(&system);
-    RoboAds::new(
-        system,
-        RoboAdsConfig::paper_defaults().with_slab_lanes(lanes),
-        x0,
-        modes,
-    )
-    .unwrap()
+    let modes = ModeSet::one_reference_per_sensor(system);
+    RoboAds::new(system.clone(), RoboAdsConfig::paper_defaults(), x0, modes).unwrap()
 }
 
 fn detector() -> RoboAds {
@@ -225,18 +218,25 @@ fn hold_last_steps_the_delayed_robot_on_held_values() {
 
 /// The masked slab path: an 8-robot homogeneous fleet on the SIMD lanes
 /// with one robot missing mid-run must produce, for every robot, the
-/// exact reports of the scalar (`slab_lanes = 1`) fleet fed the same
-/// masked batches — missing lanes are masked out of the batched
-/// kernels, never run on stale lane data.
+/// exact reports of a scalar fleet — every robot its own one-robot
+/// signature group, stepped per robot — fed the same masked batches:
+/// missing lanes are masked out of the batched kernels, never run on
+/// stale lane data.
 #[test]
 fn masked_slab_path_matches_masked_scalar_path_bitwise() {
     const ROBOTS: usize = 8;
     const MISSING: usize = 3;
     let system = presets::khepera_system();
     let u = Vector::from_slice(&[0.06, 0.05]);
-    let run = |lanes: usize| -> (Vec<Vec<DetectionReport>>, Vec<Vec<bool>>) {
-        let mut fleet =
-            FleetEngine::new((0..ROBOTS).map(|_| detector_with_lanes(lanes)).collect(), 1);
+    let run = |shared: bool| -> (Vec<Vec<DetectionReport>>, Vec<Vec<bool>>) {
+        let detectors = if shared {
+            (0..ROBOTS).map(|_| detector_for(&system)).collect()
+        } else {
+            (0..ROBOTS)
+                .map(|_| detector_for(&presets::khepera_system()))
+                .collect()
+        };
+        let mut fleet = FleetEngine::new(detectors, 1);
         let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
         let mut sequences: Vec<Vec<DetectionReport>> =
             (0..ROBOTS).map(|_| Vec::with_capacity(STEPS)).collect();
@@ -265,10 +265,16 @@ fn masked_slab_path_matches_masked_scalar_path_bitwise() {
                 ));
             }
         }
+        let stepped = if shared {
+            fleet.slab_robots()
+        } else {
+            fleet.scalar_robots()
+        };
+        assert_eq!(stepped, ROBOTS, "shared={shared}: wrong stepping path");
         (sequences, missed)
     };
-    let (scalar, scalar_missed) = run(1);
-    let (slab, slab_missed) = run(8);
+    let (scalar, scalar_missed) = run(false);
+    let (slab, slab_missed) = run(true);
     assert_eq!(slab, scalar, "slab lanes diverged under masking");
     assert_eq!(slab_missed, scalar_missed);
     // Sanity: the mask actually fired, and only for the missing robot.

@@ -291,21 +291,28 @@ fn replay_requires_a_birth_anchored_pairing() {
 #[test]
 fn fleet_recording_is_identical_across_scalar_and_slab_paths() {
     // The recorder hooks live on both the scalar per-robot path and the
-    // SIMD slab commit path; a fleet recorded through either must seal
+    // SIMD slab tiles; a fleet recorded through either must seal
     // bitwise-identical capsules, each stamped with its robot index and
-    // the engine's internal tick (no ingest in this test).
+    // the engine's internal tick (no ingest in this test). The scalar
+    // fleet gives every robot its own system, so every signature group
+    // is a single robot, stepped per robot.
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let u = Vector::from_slice(&[0.06, 0.05]);
     // One 8-lane tile plus a masked 3-robot tail.
     const ROBOTS: usize = 11;
-    let run = |lanes: usize| {
-        let config = RoboAdsConfig::paper_defaults().with_slab_lanes(lanes);
+    let run = |shared: bool| {
+        let config = RoboAdsConfig::paper_defaults();
         let modes = ModeSet::one_reference_per_sensor(&system);
         let mut fleet = FleetEngine::new(
             (0..ROBOTS)
                 .map(|_| {
-                    RoboAds::new(system.clone(), config.clone(), x0.clone(), modes.clone()).unwrap()
+                    let robot = if shared {
+                        system.clone()
+                    } else {
+                        presets::khepera_system()
+                    };
+                    RoboAds::new(robot, config.clone(), x0.clone(), modes.clone()).unwrap()
                 })
                 .collect(),
             1,
@@ -335,8 +342,8 @@ fn fleet_recording_is_identical_across_scalar_and_slab_paths() {
         fleet.finish_recorders();
         fleet.take_capsules()
     };
-    let scalar = run(1);
-    let slab = run(8);
+    let scalar = run(false);
+    let slab = run(true);
     assert_eq!(scalar.len(), ROBOTS, "every robot sealed its capsule");
     assert_eq!(
         scalar, slab,
@@ -350,7 +357,7 @@ fn fleet_recording_is_identical_across_scalar_and_slab_paths() {
         // Each robot's capsule replays bitwise on a twin.
         let mut twin = RoboAds::new(
             system.clone(),
-            RoboAdsConfig::paper_defaults().with_slab_lanes(1),
+            RoboAdsConfig::paper_defaults(),
             x0.clone(),
             ModeSet::one_reference_per_sensor(&system),
         )

@@ -15,7 +15,7 @@ use crate::{ModelError, Result};
 /// precondition for batching their detectors lane-wise. This is the
 /// grouping key the fleet engine partitions heterogeneous fleets by
 /// (combined with its own config discriminants: mode bank,
-/// compensation, linearization policy, lane width); it subsumes
+/// compensation, linearization policy, activation state); it subsumes
 /// [`RobotSystem::shares_models`], which is exactly signature equality.
 ///
 /// The signature is identity-based on purpose: two *separately

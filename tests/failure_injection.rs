@@ -120,6 +120,38 @@ fn wrong_length_command_is_rejected_and_detector_recovers() {
     }
 }
 
+/// IPS `x` readings that are finite but overflow the filter update. They
+/// pass input validation (the wire codec carries raw `f64`s), so
+/// Algorithm 2 itself must fail them: 1e308 drives the state estimate
+/// to NaN, 1e160 overflows the χ² statistic.
+const OVERFLOWING_READINGS: [f64; 2] = [1e308, 1e160];
+
+#[test]
+fn overflowing_finite_reading_is_a_typed_error_and_detector_recovers() {
+    for value in OVERFLOWING_READINGS {
+        let (system, mut ads, x0, u) = detector();
+        let mut x_true = x0;
+        for k in 0..40 {
+            x_true = system.dynamics().step(&x_true, &u);
+            let mut readings = clean_readings(&system, &x_true);
+            if k == 2 {
+                readings[0][0] = value;
+                let iteration = ads.iteration();
+                let estimate = ads.state_estimate().clone();
+                let err = ads.step(&u, &readings).unwrap_err();
+                assert!(matches!(err, CoreError::Numeric(_)), "{value}: {err}");
+                assert_eq!(ads.iteration(), iteration);
+                assert_eq!(ads.state_estimate(), &estimate);
+                continue;
+            }
+            let report = ads.step(&u, &readings).unwrap();
+            assert!(report.state_estimate.is_finite(), "{value}: tick {k}");
+            assert!(ads.state_covariance().is_finite(), "{value}: tick {k}");
+        }
+        assert_eq!(ads.iteration(), 39);
+    }
+}
+
 /// A fleet whose robots all drive the same command, each from its own
 /// start, so every lane carries distinct numbers: the starts, and the
 /// clean readings of every robot at every tick (`[tick][robot]`).
@@ -149,13 +181,37 @@ fn fleet_trajectory(
 
 #[test]
 fn wrong_length_command_fails_only_its_fleet_lane() {
+    hostile_input_fails_only_its_fleet_lane(
+        |u, _| *u = Vector::from_slice(&[u[0]]),
+        |e| matches!(e, CoreError::BadReadings { .. }),
+    );
+}
+
+#[test]
+fn overflowing_finite_reading_fails_only_its_fleet_lane() {
+    for value in OVERFLOWING_READINGS {
+        hostile_input_fails_only_its_fleet_lane(
+            |_, readings| readings[0][0] = value,
+            |e| matches!(e, CoreError::Numeric(_)),
+        );
+    }
+}
+
+/// One robot of a 16-robot slab fleet gets a hostile input at one tick
+/// (`corrupt` rewrites its command and readings): that robot's result is
+/// the `expected` typed error and it does not advance, it recovers on
+/// the next tick with a finite estimate, and every other robot stays
+/// snapshot-identical to a clean run.
+fn hostile_input_fails_only_its_fleet_lane(
+    corrupt: impl Fn(&mut Vector, &mut [Vector]),
+    expected: fn(&CoreError) -> bool,
+) {
     const ROBOTS: usize = 16;
     const TICKS: usize = 6;
     const BAD_ROBOT: usize = 5;
     const BAD_TICK: usize = 3;
     let system = presets::khepera_system();
     let u = Vector::from_slice(&[0.06, 0.05]);
-    let short_u = Vector::from_slice(&[0.06]);
     let (starts, readings) = fleet_trajectory(&system, ROBOTS, TICKS, &u);
     let run = |inject: bool| {
         let mut fleet = FleetEngine::new(
@@ -167,14 +223,22 @@ fn wrong_length_command_fails_only_its_fleet_lane() {
         );
         let mut outcomes = Vec::new();
         for (k, tick) in readings.iter().enumerate() {
+            let mut bad_u = u.clone();
+            let mut bad_readings = tick[BAD_ROBOT].clone();
+            corrupt(&mut bad_u, &mut bad_readings);
             let inputs: Vec<RobotInput> = (0..ROBOTS)
-                .map(|r| RobotInput {
-                    u_prev: if inject && r == BAD_ROBOT && k == BAD_TICK {
-                        &short_u
+                .map(|r| {
+                    if inject && r == BAD_ROBOT && k == BAD_TICK {
+                        RobotInput {
+                            u_prev: &bad_u,
+                            readings: &bad_readings,
+                        }
                     } else {
-                        &u
-                    },
-                    readings: &tick[r],
+                        RobotInput {
+                            u_prev: &u,
+                            readings: &tick[r],
+                        }
+                    }
                 })
                 .collect();
             let batch = fleet.step_batch(&inputs);
@@ -201,11 +265,12 @@ fn wrong_length_command_fails_only_its_fleet_lane() {
     for k in 0..TICKS {
         for r in 0..ROBOTS {
             let (result, iteration, estimate, state) = &injected[k][r];
+            assert!(estimate.is_finite(), "robot {r} tick {k}");
             if r == BAD_ROBOT && k >= BAD_TICK {
                 if k == BAD_TICK {
                     assert!(
-                        matches!(result, Err(CoreError::BadReadings { .. })),
-                        "{result:?}"
+                        result.as_ref().is_err_and(expected),
+                        "unexpected outcome {result:?}"
                     );
                     // The rejected iteration did not advance the robot.
                     assert_eq!(*iteration, injected[k - 1][r].1);
@@ -223,6 +288,39 @@ fn wrong_length_command_fails_only_its_fleet_lane() {
 
 #[test]
 fn wrong_length_command_frame_is_a_per_robot_error_through_shard_recovery() {
+    hostile_frame_is_a_per_robot_error_through_shard_recovery(
+        |sensor, values| {
+            if sensor.is_none() {
+                values.truncate(1);
+            }
+        },
+        |e| matches!(e, CoreError::BadReadings { .. }),
+    );
+}
+
+#[test]
+fn overflowing_reading_frame_is_a_per_robot_error_through_shard_recovery() {
+    for value in OVERFLOWING_READINGS {
+        hostile_frame_is_a_per_robot_error_through_shard_recovery(
+            move |sensor, values| {
+                if sensor == Some(0) {
+                    values[0] = value;
+                }
+            },
+            |e| matches!(e, CoreError::Numeric(_)),
+        );
+    }
+}
+
+/// One robot's frames at one tick are rewritten by `corrupt` (given the
+/// frame's sensor, `None` for the command): the hostile frame is
+/// accepted and journaled like any other, the robot's result is the
+/// `expected` typed error, a shard crash right after replays it through
+/// the same error bitwise, and every tick after it succeeds.
+fn hostile_frame_is_a_per_robot_error_through_shard_recovery(
+    corrupt: impl Fn(Option<u32>, &mut Vec<f64>),
+    expected: fn(&CoreError) -> bool,
+) {
     const ROBOTS: usize = 16;
     const TICKS: usize = 6;
     const BAD_ROBOT: u64 = 5;
@@ -245,42 +343,40 @@ fn wrong_length_command_frame_is_a_per_robot_error_through_shard_recovery() {
         },
     )
     .unwrap();
+    let frame = |id: u64, k: usize, sensor: Option<u32>, values: &[f64]| {
+        let mut values = values.to_vec();
+        if id == BAD_ROBOT && k == BAD_TICK {
+            corrupt(sensor, &mut values);
+        }
+        StampedFrame {
+            robot: id,
+            sensor,
+            tick: k as u64,
+            values,
+        }
+    };
     for (k, tick) in readings.iter().enumerate() {
         for &id in &ids {
-            // The hostile frame: a one-component command, accepted and
-            // journaled like any other.
-            let command = if id == BAD_ROBOT && k == BAD_TICK {
-                vec![0.06]
-            } else {
-                u.as_slice().to_vec()
-            };
-            let frame = StampedFrame {
-                robot: id,
-                sensor: None,
-                tick: k as u64,
-                values: command,
-            };
-            assert!(fleet.offer_frame(&frame).unwrap());
+            assert!(fleet
+                .offer_frame(&frame(id, k, None, u.as_slice()))
+                .unwrap());
             for (s, reading) in tick[id as usize].iter().enumerate() {
-                let frame = StampedFrame {
-                    robot: id,
-                    sensor: Some(s as u32),
-                    tick: k as u64,
-                    values: reading.as_slice().to_vec(),
-                };
-                assert!(fleet.offer_frame(&frame).unwrap());
+                assert!(fleet
+                    .offer_frame(&frame(id, k, Some(s as u32), reading.as_slice()))
+                    .unwrap());
             }
         }
         let step = fleet.step();
         assert_eq!(step.is_err(), k == BAD_TICK, "tick {k}");
         if k == BAD_TICK {
-            assert!(matches!(
-                fleet.result(BAD_ROBOT),
-                Some(Err(CoreError::BadReadings { .. }))
-            ));
+            let result = fleet.result(BAD_ROBOT).unwrap();
+            assert!(
+                result.as_ref().is_err_and(expected),
+                "unexpected outcome {result:?}"
+            );
             // Crash the shard right after the hostile tick: recovery
             // restores the tick-3 snapshot and replays the journaled
-            // hostile frame through the same rejection.
+            // hostile frame through the same error.
             let live: Vec<Vec<u8>> = ids
                 .iter()
                 .map(|&id| snapshot_detector(fleet.detector(id).unwrap()))
@@ -292,14 +388,16 @@ fn wrong_length_command_frame_is_a_per_robot_error_through_shard_recovery() {
                     "robot {id} diverged through recovery"
                 );
             }
-            assert!(matches!(
-                fleet.result(BAD_ROBOT),
-                Some(Err(CoreError::BadReadings { .. }))
-            ));
+            let result = fleet.result(BAD_ROBOT).unwrap();
+            assert!(
+                result.as_ref().is_err_and(expected),
+                "unexpected outcome after recovery {result:?}"
+            );
         }
         for &id in &ids {
             if !(id == BAD_ROBOT && k == BAD_TICK) {
                 assert!(fleet.result(id).unwrap().is_ok(), "robot {id} tick {k}");
+                assert!(fleet.detector(id).unwrap().state_estimate().is_finite());
             }
         }
     }

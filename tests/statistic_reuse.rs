@@ -14,9 +14,6 @@ use roboads::linalg::Vector;
 use roboads::sim::{evaluation_detector, RobotKind, Scenario, SimulationBuilder};
 use roboads::stats::normalized_statistic;
 
-/// Slab lane width of the fleet path under test.
-const LANES: usize = 8;
-
 /// One robot's recorded inputs: `(u_prev, readings)` per tick.
 type Inputs = Vec<(Vector, Vec<Vector>)>;
 
@@ -143,11 +140,7 @@ fn fleet_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> us
 #[test]
 fn decision_statistics_equal_recomputed_ones_on_both_paths() {
     let runs = table2_inputs();
-    let full = evaluation_detector(
-        RobotKind::Khepera,
-        &RoboAdsConfig::paper_defaults().with_slab_lanes(LANES),
-    )
-    .unwrap();
+    let full = evaluation_detector(RobotKind::Khepera, &RoboAdsConfig::paper_defaults()).unwrap();
     assert_eq!(scalar_path(&full, &runs, "full"), 0);
     assert_eq!(fleet_path(&full, &runs, "full"), 0);
 
@@ -157,13 +150,11 @@ fn decision_statistics_equal_recomputed_ones_on_both_paths() {
     // output.
     let lazy = evaluation_detector(
         RobotKind::Khepera,
-        &RoboAdsConfig::paper_defaults()
-            .with_slab_lanes(LANES)
-            .with_activation(ActivationPolicy::TopK {
-                k: 1,
-                audit_period: 4,
-                wake_margin: 3.0,
-            }),
+        &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::TopK {
+            k: 1,
+            audit_period: 4,
+            wake_margin: 3.0,
+        }),
     )
     .unwrap();
     assert!(
