@@ -89,23 +89,6 @@ impl DecisionInstruments {
     }
 }
 
-/// The decision maker's verdict for one iteration.
-#[derive(Debug, Clone)]
-pub struct Decision {
-    /// Aggregate sensor anomaly of the selected mode with test context.
-    pub sensor_anomaly: AnomalyEstimate,
-    /// Actuator anomaly of the selected mode with test context.
-    pub actuator_anomaly: AnomalyEstimate,
-    /// Window-confirmed sensor alarm.
-    pub sensor_alarm: bool,
-    /// Identified misbehaving sensors (empty unless `sensor_alarm`).
-    pub misbehaving_sensors: Vec<usize>,
-    /// Window-confirmed actuator alarm.
-    pub actuator_alarm: bool,
-    /// Per-sensor anomaly views covering the whole suite.
-    pub per_sensor: Vec<SensorAnomaly>,
-}
-
 impl DecisionMaker {
     /// Creates a decision maker from the detector configuration and the
     /// actuator dimension.
@@ -173,36 +156,6 @@ impl DecisionMaker {
             .or_insert_with(|| StatWorkspace::new(dim))
     }
 
-    /// Assesses one engine iteration.
-    ///
-    /// `engine_out` must come from a [`crate::MultiModeEngine`] step:
-    /// the actuator test and the per-sensor views read the per-mode
-    /// statistics the engine's parsimony pass stored in each output
-    /// ([`crate::NuiseOutput::actuator_statistic`],
-    /// [`crate::NuiseOutput::testing_statistics`]) instead of
-    /// recomputing them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numeric failures from the statistic computations.
-    pub fn assess(
-        &mut self,
-        system: &RobotSystem,
-        modes: &ModeSet,
-        engine_out: &EngineOutput,
-    ) -> Result<Decision> {
-        let mut report = DetectionReport::blank();
-        self.assess_report(system, modes, engine_out, &mut report)?;
-        Ok(Decision {
-            sensor_anomaly: report.sensor_anomaly,
-            actuator_anomaly: report.actuator_anomaly,
-            sensor_alarm: report.sensor_alarm,
-            misbehaving_sensors: report.misbehaving_sensors,
-            actuator_alarm: report.actuator_alarm,
-            per_sensor: report.per_sensor,
-        })
-    }
-
     /// Assesses one engine iteration directly into `report`'s decision
     /// fields (`sensor_anomaly`, `actuator_anomaly`, the alarms,
     /// `misbehaving_sensors`, `per_sensor`), reusing the report's
@@ -211,16 +164,20 @@ impl DecisionMaker {
     /// fields (`iteration`, `selected_mode`, `mode_probabilities`,
     /// `state_estimate`) are left untouched — the caller owns them.
     ///
-    /// Values are bitwise identical to [`DecisionMaker::assess`]'s (the
-    /// in-place statistic paths replicate the allocating formulations
-    /// exactly).
+    /// `engine_out` must come from a [`crate::MultiModeEngine`] step:
+    /// the actuator test and the per-sensor views read the per-mode
+    /// statistics the engine's parsimony pass stored in each output
+    /// ([`crate::NuiseOutput::actuator_statistic`],
+    /// [`crate::NuiseOutput::testing_statistics`]) instead of
+    /// recomputing them. The in-place statistic paths replicate the
+    /// allocating formulations bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates numeric failures from the statistic computations; the
     /// report may then hold a partially updated verdict and should be
     /// discarded. The sliding windows advance only if every statistic
-    /// they consume was computed, exactly as in `assess`.
+    /// they consume was computed.
     pub fn assess_report(
         &mut self,
         system: &RobotSystem,
@@ -594,6 +551,18 @@ mod tests {
         (system, engine, dm, x0)
     }
 
+    /// One decision-maker iteration into a fresh report.
+    fn assess(
+        dm: &mut DecisionMaker,
+        system: &RobotSystem,
+        modes: &ModeSet,
+        out: &EngineOutput,
+    ) -> DetectionReport {
+        let mut report = DetectionReport::blank();
+        dm.assess_report(system, modes, out, &mut report).unwrap();
+        report
+    }
+
     fn clean_readings(system: &RobotSystem, x: &Vector) -> Vec<Vector> {
         (0..system.sensor_count())
             .map(|i| system.sensor(i).unwrap().measure(x))
@@ -608,7 +577,7 @@ mod tests {
         for _ in 0..20 {
             x_true = system.dynamics().step(&x_true, &u);
             let out = engine.step(&u, &clean_readings(&system, &x_true)).unwrap();
-            let d = dm.assess(&system, engine.modes(), &out).unwrap();
+            let d = assess(&mut dm, &system, engine.modes(), &out);
             assert!(!d.sensor_alarm);
             assert!(!d.actuator_alarm);
             assert!(d.misbehaving_sensors.is_empty());
@@ -628,7 +597,7 @@ mod tests {
             let mut readings = clean_readings(&system, &x_true);
             readings[0][0] += 0.07; // IPS logic bomb (scenario #3 scale)
             let out = engine.step(&u, &readings).unwrap();
-            let d = dm.assess(&system, engine.modes(), &out).unwrap();
+            let d = assess(&mut dm, &system, engine.modes(), &out);
             if d.misbehaving_sensors == vec![0] && identified_at.is_none() {
                 identified_at = Some(k);
             }
@@ -647,7 +616,7 @@ mod tests {
         for k in 0..12 {
             x_true = system.dynamics().step(&x_true, &(&u + &bias));
             let out = engine.step(&u, &clean_readings(&system, &x_true)).unwrap();
-            let d = dm.assess(&system, engine.modes(), &out).unwrap();
+            let d = assess(&mut dm, &system, engine.modes(), &out);
             if d.actuator_alarm && alarm_at.is_none() {
                 alarm_at = Some(k);
             }
@@ -670,7 +639,7 @@ mod tests {
                 readings[1][1] += 0.2; // one-iteration encoder glitch
             }
             let out = engine.step(&u, &readings).unwrap();
-            let d = dm.assess(&system, engine.modes(), &out).unwrap();
+            let d = assess(&mut dm, &system, engine.modes(), &out);
             assert!(!d.sensor_alarm, "glitch should not confirm at k={k}");
         }
     }
@@ -687,7 +656,7 @@ mod tests {
             readings[1][0] += 0.06; // encoder
             readings[2][1] += 0.08; // lidar
             let out = engine.step(&u, &readings).unwrap();
-            let d = dm.assess(&system, engine.modes(), &out).unwrap();
+            let d = assess(&mut dm, &system, engine.modes(), &out);
             last = d.misbehaving_sensors;
         }
         assert_eq!(last, vec![1, 2], "should identify WE + LiDAR (S4)");
@@ -754,7 +723,7 @@ mod tests {
                 (Vector::zeros(2), 1e-2, 1.0),
             ],
         );
-        let d = dm.assess(&system, &modes, &out).unwrap();
+        let d = assess(&mut dm, &system, &modes, &out);
         assert!(d.actuator_anomaly.statistic > d.actuator_anomaly.threshold);
         assert!(
             !d.actuator_anomaly.exceeds,
@@ -778,7 +747,7 @@ mod tests {
                 (Vector::from_slice(&[0.03, -0.08]), 1e-2, 1.0),
             ],
         );
-        let d = dm.assess(&system, &modes, &agreeing).unwrap();
+        let d = assess(&mut dm, &system, &modes, &agreeing);
         assert!(d.actuator_anomaly.exceeds);
 
         // A blind (loose-covariance) disagreement cannot veto.
@@ -793,7 +762,7 @@ mod tests {
                 (Vector::zeros(2), 1e-2, 1e-9), // inconsistent: not qualifying
             ],
         );
-        let d = dm.assess(&system, &modes, &blind_opposition).unwrap();
+        let d = assess(&mut dm, &system, &modes, &blind_opposition);
         assert!(d.actuator_anomaly.exceeds);
     }
 

@@ -429,20 +429,7 @@ impl FleetEngine {
         if !matches!(self.slab, SlabState::Unknown) {
             return;
         }
-        // Partition fleet indices by key. A HashMap only deduplicates;
-        // group order is first appearance in fleet order, so the
-        // partition (and therefore job shapes and error ordering) is
-        // deterministic.
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
-        for fleet in 0..self.slots.len() {
-            let key = Self::group_key(&self.cells[self.slots[fleet]]);
-            let g = *by_key.entry(key).or_insert_with(|| {
-                members.push(Vec::new());
-                members.len() - 1
-            });
-            members[g].push(fleet);
-        }
+        let members = self.signature_groups();
 
         // Reorder cells group-major (stable: fleet order within each
         // group) and rebuild the fleet-index -> cell map.
@@ -872,6 +859,9 @@ impl FleetEngine {
     /// group's slab tiles never split across shards (`DESIGN.md` §16,
     /// §18).
     pub(crate) fn signature_groups(&self) -> Vec<Vec<usize>> {
+        // A HashMap only deduplicates; group order is first appearance
+        // in fleet order, so the partition (and therefore job shapes
+        // and error ordering) is deterministic.
         let mut members: Vec<Vec<usize>> = Vec::new();
         let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
         for fleet in 0..self.slots.len() {

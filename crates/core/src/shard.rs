@@ -172,7 +172,7 @@ impl std::fmt::Debug for ShardedFleet {
 
 impl ShardedFleet {
     /// Builds a sharded fleet: each robot id is hashed onto its home
-    /// shard ([`splitmix64`]`(id) % shards`), its detector built via
+    /// shard (`splitmix64(id) % shards`), its detector built via
     /// `factory`, and each shard gets its own [`FleetEngine`] and
     /// [`FleetIngest`] pair.
     ///

@@ -137,80 +137,6 @@ impl Cholesky {
         Ok(y)
     }
 
-    /// Solves `A·x = b` into `out` without allocating; bitwise
-    /// identical to [`Cholesky::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b` or `out` has
-    /// the wrong length.
-    pub fn solve_into(&self, b: &Vector, out: &mut Vector) -> Result<()> {
-        let n = self.dim();
-        if b.len() != n || out.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_solve_into",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        out.copy_from(b);
-        for i in 0..n {
-            for j in 0..i {
-                let lij = self.l[(i, j)];
-                out[i] -= lij * out[j];
-            }
-            out[i] /= self.l[(i, i)];
-        }
-        for i in (0..n).rev() {
-            for j in (i + 1)..n {
-                let lji = self.l[(j, i)];
-                out[i] -= lji * out[j];
-            }
-            out[i] /= self.l[(i, i)];
-        }
-        Ok(())
-    }
-
-    /// Writes the inverse of `A` into `out`, using `col` as scratch;
-    /// bitwise identical to [`Cholesky::inverse`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `out` or `col` has
-    /// the wrong shape.
-    pub fn inverse_into(&self, col: &mut Vector, out: &mut Matrix) -> Result<()> {
-        let n = self.dim();
-        if out.shape() != (n, n) || col.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_inverse_into",
-                lhs: (n, n),
-                rhs: out.shape(),
-            });
-        }
-        for j in 0..n {
-            col.fill(0.0);
-            col[j] = 1.0;
-            for i in 0..n {
-                for jj in 0..i {
-                    let lij = self.l[(i, jj)];
-                    col[i] -= lij * col[jj];
-                }
-                col[i] /= self.l[(i, i)];
-            }
-            for i in (0..n).rev() {
-                for jj in (i + 1)..n {
-                    let lji = self.l[(jj, i)];
-                    col[i] -= lji * col[jj];
-                }
-                col[i] /= self.l[(i, i)];
-            }
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        Ok(())
-    }
-
     /// Computes the inverse of `A`.
     pub fn inverse(&self) -> Result<Matrix> {
         let n = self.dim();
@@ -292,26 +218,6 @@ mod tests {
         let x_chol = a.cholesky().unwrap().solve(&b).unwrap();
         let x_lu = a.lu().unwrap().solve(&b).unwrap();
         assert!((&x_chol - &x_lu).norm() < 1e-12);
-    }
-
-    #[test]
-    fn solve_into_and_inverse_into_match_allocating_versions() {
-        let a =
-            Matrix::from_rows(&[&[6.0, 3.0, 4.0], &[3.0, 6.0, 5.0], &[4.0, 5.0, 10.0]]).unwrap();
-        let c = a.cholesky().unwrap();
-        let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
-        let mut x = Vector::zeros(3);
-        c.solve_into(&b, &mut x).unwrap();
-        assert_eq!(x, c.solve(&b).unwrap());
-
-        let mut col = Vector::zeros(3);
-        let mut inv = Matrix::zeros(3, 3);
-        c.inverse_into(&mut col, &mut inv).unwrap();
-        assert_eq!(inv, c.inverse().unwrap());
-
-        assert!(c.solve_into(&Vector::zeros(2), &mut x).is_err());
-        let mut bad = Matrix::zeros(2, 2);
-        assert!(c.inverse_into(&mut col, &mut bad).is_err());
     }
 
     #[test]

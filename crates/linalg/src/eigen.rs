@@ -38,8 +38,10 @@ pub struct SymmetricEigen {
 /// to the same [`LinalgError::NoConvergence`] the scalar paths return.
 pub const JACOBI_MAX_SWEEPS: usize = 64;
 
-/// Off-diagonal magnitude (relative to the Frobenius norm) considered zero.
-const CONVERGENCE_TOL: f64 = 1e-14;
+/// Off-diagonal magnitude (relative to the Frobenius norm) considered
+/// zero; the one definition every Jacobi implementation in the crate
+/// (allocating, workspace and slab) checks against.
+pub(crate) const CONVERGENCE_TOL: f64 = 1e-14;
 
 impl SymmetricEigen {
     /// Decomposes a symmetric matrix.

@@ -21,6 +21,17 @@
 //!   matrices, from which [`Matrix::pseudo_inverse`],
 //!   [`Matrix::pseudo_determinant`] and [`Matrix::rank`] are derived.
 //!
+//! These allocating operations are the reference. The estimator's hot
+//! path runs on the lane-batched in-place kernels of [`slab`]
+//! ([`MatrixSlab`], [`LuSlabWorkspace`], [`EigenSlabWorkspace`]): one
+//! robot at K = 1, a fleet tile at K = 8. Each slab kernel is pinned
+//! bit for bit, per lane, against its allocating counterpart
+//! (`tests/slab_vs_scalar.rs`). Beside them sits a small scalar
+//! in-place layer for buffer reuse outside the NUISE step — fills,
+//! copies, [`Matrix::mul_vec_into`], `+=`/`-=`, and the
+//! [`EigenWorkspace`] behind [`Matrix::pseudo_inverse_into`] — each
+//! pinned to the allocating operation it replaces.
+//!
 //! # Example
 //!
 //! ```
@@ -45,17 +56,15 @@ mod lu;
 mod matrix;
 mod ops;
 mod pseudo;
-mod qr;
 pub mod slab;
 mod vector;
 
 pub use cholesky::Cholesky;
 pub use eigen::{SymmetricEigen, JACOBI_MAX_SWEEPS};
 pub use error::LinalgError;
-pub use inplace::{EigenWorkspace, LuWorkspace};
+pub use inplace::EigenWorkspace;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use slab::{EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, VectorSlab};
 pub use vector::Vector;
 

@@ -31,8 +31,9 @@ pub struct Lu {
     singular: bool,
 }
 
-/// Relative pivot threshold below which a matrix is declared singular.
-const PIVOT_TOL: f64 = 1e-13;
+/// Relative pivot threshold below which a matrix is declared singular;
+/// the slab LU classifies each lane against this same constant.
+pub(crate) const PIVOT_TOL: f64 = 1e-13;
 
 impl Lu {
     /// Decomposes a square matrix.

@@ -79,8 +79,11 @@ impl Mul<&Vector> for &Matrix {
             self.cols(),
             rhs.len()
         );
+        // Folds from +0.0 in index order, not `Iterator::sum` (which
+        // starts from -0.0): the in-place kernels accumulate this way,
+        // and the two must agree on the sign of an exact-zero row.
         Vector::from_fn(self.rows(), |i| {
-            (0..self.cols()).map(|j| self[(i, j)] * rhs[j]).sum()
+            (0..self.cols()).fold(0.0, |acc, j| acc + self[(i, j)] * rhs[j])
         })
     }
 }

@@ -12,16 +12,20 @@
 //!
 //! # Bitwise contract
 //!
-//! Every kernel here is **bitwise identical per lane** to the scalar
-//! in-place operation in [`crate::inplace`] (same loop structure, same
-//! accumulation order, same pivot/convergence decisions applied
-//! per-lane). Data-dependent branches in the scalar code (`if aik ==
-//! 0.0 { continue }` zero-skips, LU pivot selection and singularity
-//! skips, Jacobi rotation and convergence checks) become per-lane
-//! *selects*: each lane takes exactly the value it would have taken in
-//! the scalar code, and lanes that diverge simply mask their stores.
-//! The fleet determinism suite pins slab output against the scalar path
-//! with exact `==` comparisons.
+//! Every kernel here is **bitwise identical per lane** to the
+//! allocating [`Matrix`] operation it replaces — `&a * &b`,
+//! `&a * &b.transpose()`, `&a * &v`, [`Matrix::transpose`],
+//! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
+//! [`crate::Lu::inverse`], and the Jacobi of [`crate::SymmetricEigen`]
+//! as replayed by [`crate::EigenWorkspace`] — with the same loop
+//! structure, accumulation order and pivot/convergence decisions
+//! applied per lane. Data-dependent branches in the scalar code (`if
+//! aik == 0.0 { continue }` zero-skips, LU pivot selection and
+//! singularity skips, Jacobi rotation and convergence checks) become
+//! per-lane *selects*: each lane takes exactly the value it would have
+//! taken in the scalar code, and lanes that diverge simply mask their
+//! stores. `tests/slab_vs_scalar.rs` pins every kernel against the
+//! allocating path with `to_bits` comparisons at K = 1 and K = 8.
 //!
 //! Lanes that hit a numeric failure (singular LU, non-converged Jacobi)
 //! are reported via per-lane flags; their buffers may hold garbage
@@ -29,25 +33,20 @@
 //! discard — IEEE arithmetic on garbage lanes cannot trap or affect
 //! neighbouring lanes.
 //!
-//! Shape mismatches panic, matching [`crate::inplace`]'s contract: all
-//! shapes come from a validated system description.
+//! Shape mismatches panic, matching the operator-overload contract of
+//! [`Matrix`] arithmetic: all shapes come from a validated system
+//! description.
 // Lane loops are written in index form (`for l in 0..K`) throughout:
 // every kernel touches several slabs at the same lane, the trip count
 // is the const generic K, and keeping one uniform shape is what makes
-// the bitwise-pinned kernels reviewable against their scalar twins.
+// the bitwise-pinned kernels reviewable against the scalar reference.
 #![allow(clippy::needless_range_loop)]
 
+use crate::eigen::CONVERGENCE_TOL;
+use crate::lu::PIVOT_TOL;
 use crate::pseudo::RANK_TOL;
 use crate::{LinalgError, Matrix, Result, Vector, JACOBI_MAX_SWEEPS};
 use std::ops::{AddAssign, SubAssign};
-
-/// Relative pivot threshold; equal to the scalar `LuWorkspace`'s for
-/// identical per-lane singularity classification.
-const PIVOT_TOL: f64 = 1e-13;
-
-/// Jacobi convergence tolerance; equal to the scalar `EigenWorkspace`'s
-/// (the sweep cap is the shared [`JACOBI_MAX_SWEEPS`]).
-const CONVERGENCE_TOL: f64 = 1e-14;
 
 fn assert_shape(op: &str, got: (usize, usize), want: (usize, usize)) {
     assert!(
@@ -187,7 +186,7 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · rhs` into `out`; bitwise identical per lane to
-    /// [`Matrix::mul_into`] (same i-k-j loop; the scalar zero-skip
+    /// `&a * &b` (same i-k-j loop; the scalar zero-skip
     /// becomes a per-lane select so each lane accumulates exactly the
     /// terms the scalar path would).
     pub fn mul_into(&self, rhs: &MatrixSlab<K>, out: &mut MatrixSlab<K>) {
@@ -224,7 +223,7 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · rhsᵀ` into `out`; bitwise identical per lane to
-    /// [`Matrix::mul_transpose_into`].
+    /// `&a * &b.transpose()`.
     pub fn mul_transpose_into(&self, rhs: &MatrixSlab<K>, out: &mut MatrixSlab<K>) {
         assert!(
             self.cols == rhs.cols,
@@ -260,8 +259,8 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · rhs` with a lane-uniform (broadcast) right-hand
-    /// side; bitwise identical per lane to [`Matrix::mul_into`] with
-    /// `rhs` as the scalar operand.
+    /// side; bitwise identical per lane to `&a * rhs` with `rhs` as the
+    /// scalar operand.
     pub fn mul_broadcast_into(&self, rhs: &Matrix, out: &mut MatrixSlab<K>) {
         assert!(
             self.cols == rhs.rows(),
@@ -297,7 +296,7 @@ impl<const K: usize> MatrixSlab<K> {
 
     /// `lhs · selfᵀ` with a lane-uniform (broadcast) left-hand side,
     /// written into `out`; bitwise identical per lane to
-    /// [`Matrix::mul_transpose_into`] with `lhs` as the scalar operand.
+    /// `lhs * &a.transpose()` with `lhs` as the scalar operand.
     /// Because `aik` is lane-uniform, the scalar zero-skip is a uniform
     /// `continue` — exactly the branch the scalar code takes.
     pub fn premul_transpose_into(&self, lhs: &Matrix, out: &mut MatrixSlab<K>) {
@@ -333,7 +332,7 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · v` into `out`; bitwise identical per lane to
-    /// [`Matrix::mul_vec_into`] (per-row accumulator, j-ascending).
+    /// `&a * &v` (per-row accumulator from +0.0, j-ascending).
     pub fn mul_vec_into(&self, v: &VectorSlab<K>, out: &mut VectorSlab<K>) {
         assert!(
             self.cols == v.len(),
@@ -361,7 +360,7 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Replaces every lane with its symmetric part; bitwise identical
-    /// per lane to [`Matrix::symmetrize_in_place`].
+    /// per lane to [`Matrix::symmetrized`].
     ///
     /// # Errors
     ///
@@ -374,6 +373,10 @@ impl<const K: usize> MatrixSlab<K> {
         }
         let n = self.rows;
         for i in 0..n {
+            // (aᵢᵢ + aᵢᵢ)/2 is exactly aᵢᵢ in IEEE arithmetic (below
+            // the overflow bound), so only the off-diagonal pairs need
+            // touching; addition is commutative bitwise, so one
+            // averaged value serves both.
             for j in (i + 1)..n {
                 let x = *self.at(i, j);
                 let y = *self.at(j, i);
@@ -389,7 +392,7 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · p · selfᵀ` into `out` via `scratch`; bitwise
-    /// identical per lane to [`Matrix::congruence_into`].
+    /// identical per lane to [`Matrix::congruence`].
     ///
     /// # Errors
     ///
@@ -414,8 +417,8 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · p · selfᵀ` with a lane-uniform middle matrix;
-    /// bitwise identical per lane to [`Matrix::congruence_into`] with
-    /// `p` as the scalar operand.
+    /// bitwise identical per lane to [`Matrix::congruence`] with `p` as
+    /// the scalar operand.
     ///
     /// # Errors
     ///
@@ -640,7 +643,7 @@ impl<const K: usize> SubAssign<&VectorSlab<K>> for VectorSlab<K> {
 }
 
 /// Lane-batched LU with per-lane partial pivoting; per lane bitwise
-/// identical to the scalar [`crate::LuWorkspace`].
+/// identical to the allocating [`crate::Lu`].
 ///
 /// Singularity is tracked per lane: a lane whose pivot falls below the
 /// relative tolerance at step `k` skips that step's elimination (its
@@ -680,7 +683,7 @@ impl<const K: usize> LuSlabWorkspace<K> {
     }
 
     /// Factorizes all K lanes of `a`; per lane bitwise identical to
-    /// [`crate::LuWorkspace::factorize`] (same per-lane pivot search,
+    /// [`crate::Lu::new`] (same per-lane pivot search,
     /// row swaps, singularity skips and elimination updates).
     ///
     /// # Panics
@@ -777,7 +780,7 @@ impl<const K: usize> LuSlabWorkspace<K> {
     }
 
     /// Writes all K lanes' inverses into `out`; per lane bitwise
-    /// identical to [`crate::LuWorkspace::inverse_into`]. Runs for
+    /// identical to [`crate::Lu::inverse`]. Runs for
     /// every lane unconditionally — lanes flagged in
     /// [`LuSlabWorkspace::singular`] produce garbage the caller must
     /// discard.

@@ -1,6 +1,7 @@
-//! Pins every slab kernel bitwise (exact `==` / `to_bits`) against the
-//! scalar in-place reference in `inplace.rs`, lane by lane, over
-//! randomized shapes and values — including injected exact zeros (the
+//! Pins every slab kernel bitwise (`to_bits`) against the allocating
+//! `Matrix` path — the operators, `transpose`, `symmetrized`,
+//! `congruence`, `Lu` and `SymmetricEigen` — lane by lane, over
+//! randomized shapes and values, including injected exact zeros (the
 //! zero-skip branches), singular LU lanes and masked eigen lanes.
 //!
 //! Every case runs at both widths the NUISE kernel is instantiated at:
@@ -12,10 +13,7 @@
 // test.
 #![allow(clippy::needless_range_loop)]
 
-use roboads_linalg::{
-    EigenSlabWorkspace, EigenWorkspace, LuSlabWorkspace, LuWorkspace, Matrix, MatrixSlab, Vector,
-    VectorSlab,
-};
+use roboads_linalg::{EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab};
 
 struct Rng(u64);
 
@@ -29,11 +27,12 @@ impl Rng {
     }
 
     /// Uniform in [-1, 1), with roughly one entry in eight forced to an
-    /// exact 0.0 so the scalar zero-skip branches diverge across lanes.
+    /// exact 0.0 (of either sign) so the zero-skip branches diverge
+    /// across lanes and signed zeros reach every accumulator.
     fn entry(&mut self) -> f64 {
         let bits = self.next_u64();
         if bits & 0x7 == 0 {
-            return 0.0;
+            return if bits & 0x8 == 0 { 0.0 } else { -0.0 };
         }
         (bits >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
     }
@@ -76,7 +75,7 @@ fn assert_lane_eq<const K: usize>(slab: &MatrixSlab<K>, lane: usize, expected: &
         assert_eq!(
             g.to_bits(),
             e.to_bits(),
-            "{op}: lane {lane} diverges from scalar ({g} vs {e})"
+            "{op}: lane {lane} diverges from the allocating path ({g} vs {e})"
         );
     }
 }
@@ -93,7 +92,7 @@ fn assert_lane_vec_eq<const K: usize>(
         assert_eq!(
             g.to_bits(),
             e.to_bits(),
-            "{op}: lane {lane} diverges from scalar ({g} vs {e})"
+            "{op}: lane {lane} diverges from the allocating path ({g} vs {e})"
         );
     }
 }
@@ -115,25 +114,21 @@ fn products_match_scalar_bitwise_per_lane<const K: usize>() {
 
             let mut out = MatrixSlab::<K>::zeros(m, p);
             a_slab.mul_into(&b_slab, &mut out);
-            let mut expected = Matrix::zeros(m, p);
             for l in 0..K {
-                a[l].mul_into(&b[l], &mut expected);
-                assert_lane_eq(&out, l, &expected, "mul_into");
+                assert_lane_eq(&out, l, &(&a[l] * &b[l]), "mul_into");
             }
 
             let mut out_t = MatrixSlab::<K>::zeros(m, p);
             a_slab.mul_transpose_into(&bt_slab, &mut out_t);
             for l in 0..K {
-                a[l].mul_transpose_into(&bt[l], &mut expected);
+                let expected = &a[l] * &bt[l].transpose();
                 assert_lane_eq(&out_t, l, &expected, "mul_transpose_into");
             }
 
             let mut out_v = VectorSlab::<K>::zeros(m);
             a_slab.mul_vec_into(&v_slab, &mut out_v);
-            let mut expected_v = Vector::zeros(m);
             for l in 0..K {
-                a[l].mul_vec_into(&v[l], &mut expected_v);
-                assert_lane_vec_eq(&out_v, l, &expected_v, "mul_vec_into");
+                assert_lane_vec_eq(&out_v, l, &(&a[l] * &v[l]), "mul_vec_into");
             }
 
             // Broadcast variants: one scalar operand shared by all lanes.
@@ -141,17 +136,16 @@ fn products_match_scalar_bitwise_per_lane<const K: usize>() {
             let mut out_b = MatrixSlab::<K>::zeros(m, p);
             a_slab.mul_broadcast_into(&shared_rhs, &mut out_b);
             for l in 0..K {
-                a[l].mul_into(&shared_rhs, &mut expected);
+                let expected = &a[l] * &shared_rhs;
                 assert_lane_eq(&out_b, l, &expected, "mul_broadcast_into");
             }
 
             let shared_lhs = rng.matrix(p, n);
             let mut out_p = MatrixSlab::<K>::zeros(p, m);
             a_slab.premul_transpose_into(&shared_lhs, &mut out_p);
-            let mut expected_p = Matrix::zeros(p, m);
             for l in 0..K {
-                shared_lhs.mul_transpose_into(&a[l], &mut expected_p);
-                assert_lane_eq(&out_p, l, &expected_p, "premul_transpose_into");
+                let expected = &shared_lhs * &a[l].transpose();
+                assert_lane_eq(&out_p, l, &expected, "premul_transpose_into");
             }
         }
     }
@@ -171,10 +165,8 @@ fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
             a_slab
                 .congruence_into(&p_slab, &mut scratch, &mut out)
                 .unwrap();
-            let mut sc = Matrix::zeros(n, m);
-            let mut expected = Matrix::zeros(m, m);
             for l in 0..K {
-                a[l].congruence_into(&p[l], &mut sc, &mut expected).unwrap();
+                let expected = a[l].congruence(&p[l]).unwrap();
                 assert_lane_eq(&out, l, &expected, "congruence_into");
             }
 
@@ -183,8 +175,7 @@ fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
                 .congruence_broadcast_into(&shared_p, &mut scratch, &mut out)
                 .unwrap();
             for l in 0..K {
-                a[l].congruence_into(&shared_p, &mut sc, &mut expected)
-                    .unwrap();
+                let expected = a[l].congruence(&shared_p).unwrap();
                 assert_lane_eq(&out, l, &expected, "congruence_broadcast_into");
             }
         }
@@ -204,26 +195,17 @@ fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
         slab.add_assign_broadcast(&shared);
         slab -= &b_slab;
         slab.negate();
+        let expected: Vec<Matrix> = (0..K)
+            .map(|l| -&(&(&(&a[l] + &b[l]) + &shared) - &b[l]))
+            .collect();
         for l in 0..K {
-            let mut expected = a[l].clone();
-            expected += &b[l];
-            expected += &shared;
-            expected -= &b[l];
-            expected.negate();
-            assert_lane_eq(&slab, l, &expected, "add/sub/negate");
+            assert_lane_eq(&slab, l, &expected[l], "add/sub/negate");
         }
 
         let mut t = MatrixSlab::<K>::zeros(n, m);
         slab.transpose_into(&mut t);
         for l in 0..K {
-            let mut expected = a[l].clone();
-            expected += &b[l];
-            expected += &shared;
-            expected -= &b[l];
-            expected.negate();
-            let mut et = Matrix::zeros(n, m);
-            expected.transpose_into(&mut et);
-            assert_lane_eq(&t, l, &et, "transpose_into");
+            assert_lane_eq(&t, l, &expected[l].transpose(), "transpose_into");
         }
     }
 
@@ -233,18 +215,15 @@ fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
         let v: Vec<Vector> = (0..K).map(|_| rng.vector(n)).collect();
         let mut slab = load::<K>(&s);
         slab.symmetrize_in_place().unwrap();
+        let sym: Vec<Matrix> = s.iter().map(|m| m.symmetrized().unwrap()).collect();
         for l in 0..K {
-            let mut expected = s[l].clone();
-            expected.symmetrize_in_place().unwrap();
-            assert_lane_eq(&slab, l, &expected, "symmetrize_in_place");
+            assert_lane_eq(&slab, l, &sym[l], "symmetrize_in_place");
         }
 
         let v_slab = load_vec::<K>(&v);
         let q = v_slab.quadratic_form(&slab);
         for l in 0..K {
-            let mut sym = s[l].clone();
-            sym.symmetrize_in_place().unwrap();
-            let expected = v[l].quadratic_form(&sym).unwrap();
+            let expected = v[l].quadratic_form(&sym[l]).unwrap();
             assert_eq!(
                 q[l].to_bits(),
                 expected.to_bits(),
@@ -287,18 +266,15 @@ fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
             let mut inv = MatrixSlab::<K>::zeros(n, n);
             ws.inverse_into(&mut inv);
 
-            let mut scalar_ws = LuWorkspace::new(n);
-            let mut expected = Matrix::zeros(n, n);
             for l in 0..K {
-                scalar_ws.factorize(&mats[l]).unwrap();
+                let lu = mats[l].lu().unwrap();
                 assert_eq!(
                     ws.singular()[l],
-                    scalar_ws.is_singular(),
+                    lu.is_singular(),
                     "lu singularity flag lane {l}"
                 );
-                if !scalar_ws.is_singular() {
-                    scalar_ws.inverse_into(&mut expected).unwrap();
-                    assert_lane_eq(&inv, l, &expected, "lu inverse_into");
+                if !lu.is_singular() {
+                    assert_lane_eq(&inv, l, &lu.inverse().unwrap(), "lu inverse_into");
                 }
             }
         }
@@ -323,32 +299,23 @@ fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
             let mut ws = EigenSlabWorkspace::<K>::new(n);
             let converged = ws.factorize(&slab, &active);
 
-            let mut scalar_ws = EigenWorkspace::new(n);
             for l in 0..K {
                 if !active[l] {
                     assert!(!converged[l], "inactive lane {l} must report false");
                     continue;
                 }
-                scalar_ws.factorize(&mats[l]).unwrap();
+                let eig = mats[l].symmetric_eigen().unwrap();
                 assert!(converged[l], "lane {l} failed to converge");
-                let mut got = Vector::zeros(n);
-                ws.eigenvalues().store_lane(l, &mut got);
-                for (g, e) in got
-                    .as_slice()
-                    .iter()
-                    .zip(scalar_ws.eigenvalues().as_slice())
-                {
-                    assert_eq!(g.to_bits(), e.to_bits(), "eigenvalues lane {l}");
-                }
+                assert_lane_vec_eq(ws.eigenvalues(), l, eig.eigenvalues(), "eigenvalues");
                 assert_eq!(
                     ws.max_eigenvalue(l).to_bits(),
-                    scalar_ws.max_eigenvalue().to_bits(),
+                    eig.max_eigenvalue().to_bits(),
                     "max_eigenvalue lane {l}"
                 );
             }
 
-            // Pseudo-inverse through the slab spectral map matches the
-            // scalar pseudo_inverse_into exactly (same cutoff code).
+            // Pseudo-inverse through the slab spectral map matches
+            // `Matrix::pseudo_inverse` exactly (same cutoff code).
             let mut cutoff = [0.0f64; K];
             for l in 0..K {
                 cutoff[l] = ws.spectrum_cutoff(l);
@@ -364,14 +331,11 @@ fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
                 },
                 &mut pinv,
             );
-            let mut expected = Matrix::zeros(n, n);
             for l in 0..K {
                 if !active[l] {
                     continue;
                 }
-                mats[l]
-                    .pseudo_inverse_into(&mut scalar_ws, &mut expected)
-                    .unwrap();
+                let expected = mats[l].pseudo_inverse().unwrap();
                 assert_lane_eq(&pinv, l, &expected, "slab pseudo-inverse");
             }
         }
@@ -387,14 +351,17 @@ fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
     let slab = load::<K>(&mats);
     let mut ws = EigenSlabWorkspace::<K>::new(n);
     let converged = ws.factorize(&slab, &[true; K]);
-    let mut scalar_ws = EigenWorkspace::new(n);
     let mut out = MatrixSlab::<K>::zeros(n, n);
     ws.spectral_map_into(|_, lam| if lam > 0.5 { lam * lam } else { 0.0 }, &mut out);
-    let mut expected = Matrix::zeros(n, n);
     for l in 0..K {
         assert!(converged[l]);
-        scalar_ws.factorize(&mats[l]).unwrap();
-        scalar_ws.spectral_map_into(|lam| if lam > 0.5 { lam * lam } else { 0.0 }, &mut expected);
+        let expected = mats[l].symmetric_eigen().unwrap().spectral_map(|lam| {
+            if lam > 0.5 {
+                lam * lam
+            } else {
+                0.0
+            }
+        });
         assert_lane_eq(&out, l, &expected, "spectral_map zero-skip");
     }
 }

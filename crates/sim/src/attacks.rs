@@ -32,7 +32,7 @@
 //! Every attack implements [`BusAttack`], is parameterized by
 //! magnitude, onset and duration, and declares the workflow it
 //! effectively corrupts ([`BusAttack::target`]) so campaign harnesses
-//! ([`crate::campaign`]) can derive ground truth without knowing the
+//! ([`crate::Campaign`]) can derive ground truth without knowing the
 //! attack internals. Attacks compose: the builders apply them in
 //! registration order on the same bus each tick.
 
