@@ -15,7 +15,8 @@
 //! near-straight path *any* linearization is trivially adequate and the
 //! comparison would be vacuous.
 //!
-//! Run with: `cargo bench -p roboads-bench --bench baseline`
+//! Run with: `cargo bench -p roboads-bench --bench baseline`. The run
+//! fails (non-zero exit) when the claim check does not hold.
 
 use roboads_bench::{parallel_map, sweep_threads};
 use roboads_control::Path;
@@ -97,14 +98,19 @@ fn main() {
         theirs_total.false_negative_rate() * 100.0,
     );
     println!("(paper §V-G: baseline averages 61.68 % FPR with no false negatives)");
+    let (ours_fpr, theirs_fpr) = (
+        ours_total.false_positive_rate(),
+        theirs_total.false_positive_rate(),
+    );
+    let holds = theirs_fpr > 10.0 * ours_fpr.max(1e-4);
     println!(
         "claim check: baseline FPR {:.2}% >> RoboADS FPR {:.2}% -> {}",
-        theirs_total.false_positive_rate() * 100.0,
-        ours_total.false_positive_rate() * 100.0,
-        if theirs_total.false_positive_rate() > 10.0 * ours_total.false_positive_rate().max(1e-4) {
-            "holds"
-        } else {
-            "VIOLATED"
-        }
+        theirs_fpr * 100.0,
+        ours_fpr * 100.0,
+        if holds { "holds" } else { "VIOLATED" }
+    );
+    assert!(
+        holds,
+        "§V-G claim violated: the linearize-once baseline's FPR must exceed 10x RoboADS's"
     );
 }

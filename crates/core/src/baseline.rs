@@ -7,11 +7,11 @@
 //! positive rate of 61.68 % across the Khepera scenarios, with no false
 //! negatives.
 //!
-//! [`LinearizedOnceDetector`] reproduces that comparator: the identical
-//! multi-mode pipeline, but with the kinematic and measurement models
-//! replaced by their affine expansions at the initial operating point
-//! (see [`crate::Linearization::FrozenAt`]). The `baseline` benchmark
-//! harness regenerates the comparison.
+//! [`linearized_once`] builds that comparator: a plain [`RoboAds`] —
+//! the identical multi-mode pipeline — whose kinematic and measurement
+//! models are replaced by their affine expansions at the initial
+//! operating point (see [`crate::Linearization::FrozenAt`]). The
+//! `baseline` benchmark harness regenerates the comparison.
 
 use roboads_linalg::Vector;
 use roboads_models::RobotSystem;
@@ -19,16 +19,21 @@ use roboads_models::RobotSystem;
 use crate::config::{Linearization, RoboAdsConfig};
 use crate::detector::RoboAds;
 use crate::mode::ModeSet;
-use crate::report::DetectionReport;
 use crate::Result;
 
-/// A RoboADS-shaped detector whose model is linearized exactly once, at
-/// the initial state — the §V-G comparison baseline.
+/// The §V-G comparison baseline: a RoboADS detector whose model is
+/// linearized exactly once, at `initial_state`, with a gentle forward
+/// nominal input (0.1 per channel — the same operating point mode
+/// validation uses). `config.linearization` is overridden.
+///
+/// # Errors
+///
+/// Same as [`RoboAds::new`].
 ///
 /// # Example
 ///
 /// ```
-/// use roboads_core::baseline::LinearizedOnceDetector;
+/// use roboads_core::baseline::linearized_once;
 /// use roboads_core::{ModeSet, RoboAdsConfig};
 /// use roboads_linalg::Vector;
 /// use roboads_models::presets;
@@ -36,63 +41,28 @@ use crate::Result;
 /// # fn main() -> Result<(), roboads_core::CoreError> {
 /// let system = presets::khepera_system();
 /// let x0 = Vector::from_slice(&[0.5, 0.5, 0.0]);
-/// let mut baseline = LinearizedOnceDetector::new(
+/// let baseline = linearized_once(
 ///     system.clone(),
 ///     RoboAdsConfig::paper_defaults(),
 ///     x0,
 ///     ModeSet::one_reference_per_sensor(&system),
 /// )?;
-/// assert_eq!(baseline.inner().modes().len(), 3);
+/// assert_eq!(baseline.modes().len(), 3);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct LinearizedOnceDetector {
-    inner: RoboAds,
-}
-
-impl LinearizedOnceDetector {
-    /// Builds the baseline, freezing the linearization at
-    /// `initial_state` with a gentle forward nominal input (0.1 per
-    /// channel — the same operating point mode validation uses).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoboAds::new`].
-    pub fn new(
-        system: RobotSystem,
-        mut config: RoboAdsConfig,
-        initial_state: Vector,
-        modes: ModeSet,
-    ) -> Result<Self> {
-        let nominal_input = Vector::from_fn(system.input_dim(), |_| 0.1);
-        config.linearization = Linearization::FrozenAt {
-            state: initial_state.clone(),
-            input: nominal_input,
-        };
-        Ok(LinearizedOnceDetector {
-            inner: RoboAds::new(system, config, initial_state, modes)?,
-        })
-    }
-
-    /// One control iteration; same contract as [`RoboAds::step`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoboAds::step`].
-    pub fn step(&mut self, u_prev: &Vector, readings: &[Vector]) -> Result<DetectionReport> {
-        self.inner.step(u_prev, readings)
-    }
-
-    /// The wrapped detector (for accessors).
-    pub fn inner(&self) -> &RoboAds {
-        &self.inner
-    }
-
-    /// Extracts the wrapped detector.
-    pub fn into_inner(self) -> RoboAds {
-        self.inner
-    }
+pub fn linearized_once(
+    system: RobotSystem,
+    mut config: RoboAdsConfig,
+    initial_state: Vector,
+    modes: ModeSet,
+) -> Result<RoboAds> {
+    let nominal_input = Vector::from_fn(system.input_dim(), |_| 0.1);
+    config.linearization = Linearization::FrozenAt {
+        state: initial_state.clone(),
+        input: nominal_input,
+    };
+    RoboAds::new(system, config, initial_state, modes)
 }
 
 #[cfg(test)]
@@ -114,7 +84,7 @@ mod tests {
         let system = presets::khepera_system();
         let x0 = Vector::from_slice(&[1.0, 1.0, 0.0]);
         let modes = ModeSet::one_reference_per_sensor(&system);
-        let mut baseline = LinearizedOnceDetector::new(
+        let mut baseline = linearized_once(
             system.clone(),
             RoboAdsConfig::paper_defaults(),
             x0.clone(),
@@ -149,21 +119,5 @@ mod tests {
             baseline_alarms > 10,
             "linearize-once baseline should accumulate false positives, got {baseline_alarms}"
         );
-    }
-
-    #[test]
-    fn accessors_and_into_inner() {
-        let system = presets::khepera_system();
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.0]);
-        let baseline = LinearizedOnceDetector::new(
-            system.clone(),
-            RoboAdsConfig::paper_defaults(),
-            x0,
-            ModeSet::one_reference_per_sensor(&system),
-        )
-        .unwrap();
-        assert_eq!(baseline.inner().iteration(), 0);
-        let inner = baseline.into_inner();
-        assert_eq!(inner.modes().len(), 3);
     }
 }

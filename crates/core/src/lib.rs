@@ -30,9 +30,9 @@
 //!   (`c` positives in `w` iterations), and per-sensor splitting to
 //!   identify the misbehaving workflow(s).
 //!
-//! The crate also ships the linearize-once baseline detector of §V-G
-//! ([`baseline::LinearizedOnceDetector`]) used for the benchmark
-//! comparison.
+//! The crate also builds the linearize-once baseline of §V-G
+//! ([`baseline::linearized_once`]): a plain [`RoboAds`] whose model is
+//! frozen at the initial state, used for the benchmark comparison.
 //!
 //! ## Example
 //!

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use roboads_core::baseline::LinearizedOnceDetector;
+use roboads_core::baseline::linearized_once;
 use roboads_core::{nuise_step, DetectionReport, MultiModeEngine, NuiseInput, RoboAdsConfig};
 use roboads_core::{FleetEngine, Linearization, ModeSet, RecorderConfig, RoboAds, RobotInput};
 use roboads_linalg::{Matrix, Vector};
@@ -119,14 +119,13 @@ fn warmed_up_linearized_once_step_is_allocation_free() {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let u = Vector::from_slice(&[0.03, 0.09]);
-    let mut ads = LinearizedOnceDetector::new(
+    let mut ads = linearized_once(
         system.clone(),
         RoboAdsConfig::paper_defaults(),
         x0.clone(),
         ModeSet::one_reference_per_sensor(&system),
     )
-    .unwrap()
-    .into_inner();
+    .unwrap();
     let mut report = DetectionReport::blank();
     let mut x_true = x0;
     let next_readings = |x: &mut Vector| -> Vec<Vector> {

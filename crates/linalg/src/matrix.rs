@@ -411,6 +411,9 @@ impl Matrix {
     ///
     /// Covariance propagation accumulates tiny asymmetries in floating
     /// point; the NUISE implementation re-symmetrizes after every update.
+    /// The diagonal is copied, not averaged: `(a + a) / 2` is `a` except
+    /// where `a + a` overflows, and the slab kernel
+    /// (`MatrixSlab::symmetrize_in_place`) leaves it untouched too.
     ///
     /// # Errors
     ///
@@ -422,7 +425,11 @@ impl Matrix {
             });
         }
         Ok(Matrix::from_fn(self.rows, self.cols, |i, j| {
-            0.5 * (self[(i, j)] + self[(j, i)])
+            if i == j {
+                self[(i, i)]
+            } else {
+                0.5 * (self[(i, j)] + self[(j, i)])
+            }
         }))
     }
 

@@ -233,6 +233,38 @@ fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
     }
 }
 
+/// Diagonal entries at or beyond 1e308, where `a + a` overflows:
+/// symmetrizing leaves every diagonal entry as it is, in the slab kernel
+/// and in its allocating reference alike.
+fn symmetrize_keeps_huge_diagonals<const K: usize>() {
+    let mut rng = Rng(0x51ab_0007);
+    let huge = [1e308, -1e308, 1.5e308, -f64::MAX, f64::MAX];
+    for n in 1..=4 {
+        let s: Vec<Matrix> = (0..K)
+            .map(|l| {
+                let mut m = rng.matrix(n, n);
+                for i in 0..n {
+                    m[(i, i)] = huge[(l + i) % huge.len()];
+                }
+                m
+            })
+            .collect();
+        let mut slab = load::<K>(&s);
+        slab.symmetrize_in_place().unwrap();
+        for l in 0..K {
+            let sym = s[l].symmetrized().unwrap();
+            for i in 0..n {
+                assert_eq!(
+                    sym[(i, i)].to_bits(),
+                    s[l][(i, i)].to_bits(),
+                    "symmetrized diagonal ({i}, {i}) lane {l}"
+                );
+            }
+            assert_lane_eq(&slab, l, &sym, "symmetrize_in_place (huge diagonal)");
+        }
+    }
+}
+
 fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
     let mut rng = Rng(0x51ab_0004);
     for n in 1..=5 {
@@ -406,6 +438,7 @@ at_both_widths!(
     products_match_scalar_bitwise_per_lane,
     congruence_matches_scalar_bitwise_per_lane,
     elementwise_ops_match_scalar_bitwise_per_lane,
+    symmetrize_keeps_huge_diagonals,
     lu_matches_scalar_bitwise_per_lane_including_singular,
     eigen_matches_scalar_bitwise_per_lane_with_mask,
     eigen_spectral_map_zero_skip_matches_scalar,

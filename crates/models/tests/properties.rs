@@ -1,130 +1,213 @@
-//! Property suite — gated behind the `proptest-suites` feature because
-//! the tier-1 build must resolve offline with no external packages
-//! (vendor proptest and re-add the dev-dependency to enable).
-#![cfg(feature = "proptest-suites")]
+//! Seeded property suite for the dynamics/sensor/environment substrate:
+//! angle wrapping, analytic Jacobians against numeric differentiation,
+//! bounded unicycle motion, and arena raycast/segment geometry.
+//!
+//! Each case derives its inputs from one seed and names it on failure,
+//! so a failing case reruns alone.
 
-//! Property-based tests for the dynamics/sensor/environment substrate.
-
-use proptest::prelude::*;
 use roboads_linalg::Vector;
 use roboads_models::dynamics::{Bicycle, DifferentialDrive, Unicycle};
 use roboads_models::{
     numeric_jacobian, numeric_jacobian_wrt, presets, wrap_angle, Arena, DynamicsModel,
 };
 
-fn pose() -> impl Strategy<Value = (f64, f64, f64)> {
-    (0.3f64..3.7, 0.3f64..3.7, -3.1f64..3.1)
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// xorshift64* — deterministic, dependency-free randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        // Any non-zero state works; mix the seed so neighbours diverge.
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in [lo, hi).
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+    }
+
+    /// A pose inside the 4 m evaluation arena, clear of the walls.
+    fn pose(&mut self) -> (f64, f64, f64) {
+        (
+            self.uniform(0.3, 3.7),
+            self.uniform(0.3, 3.7),
+            self.uniform(-3.1, 3.1),
+        )
+    }
 }
 
-proptest! {
-    #[test]
-    fn wrap_angle_stays_in_range_and_preserves_direction((_, _, theta) in pose(), turns in -5i32..5) {
-        let unwrapped = theta + turns as f64 * 2.0 * std::f64::consts::PI;
-        let w = wrap_angle(unwrapped);
-        prop_assert!(w > -std::f64::consts::PI - 1e-12);
-        prop_assert!(w <= std::f64::consts::PI + 1e-12);
-        // Same point on the circle.
-        prop_assert!((w.sin() - unwrapped.sin()).abs() < 1e-9);
-        prop_assert!((w.cos() - unwrapped.cos()).abs() < 1e-9);
+/// Runs `property` once per seed, naming the seed in any failure.
+fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
+    for seed in 0..CASES {
+        if let Err(msg) = property(&mut Rng::new(seed)) {
+            panic!("seed {seed}: {msg}");
+        }
     }
+}
 
-    #[test]
-    fn differential_drive_jacobians_match_numeric(
-        (x, y, theta) in pose(),
-        vl in -0.2f64..0.2,
-        vr in -0.2f64..0.2,
-    ) {
-        let dd = DifferentialDrive::new(0.0885, 0.1).unwrap();
+/// `Err` naming `what` and the offending value unless `ok`.
+fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{what} ({value:?})"))
+    }
+}
+
+#[test]
+fn wrap_angle_stays_in_range_and_preserves_direction() {
+    use std::f64::consts::PI;
+    for_each_seed(|rng| {
+        let (_, _, theta) = rng.pose();
+        let turns = rng.uniform(-5.0, 5.0).floor();
+        let unwrapped = theta + turns * 2.0 * PI;
+        let w = wrap_angle(unwrapped);
+        check(w > -PI - 1e-12 && w <= PI + 1e-12, "outside (−π, π]", w)?;
+        // Same point on the circle.
+        check(
+            (w.sin() - unwrapped.sin()).abs() < 1e-9 && (w.cos() - unwrapped.cos()).abs() < 1e-9,
+            "direction changed",
+            (unwrapped, w),
+        )
+    });
+}
+
+#[test]
+fn differential_drive_jacobians_match_numeric() {
+    let dd = DifferentialDrive::new(0.0885, 0.1).unwrap();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
         let state = Vector::from_slice(&[x, y, theta]);
-        let u = Vector::from_slice(&[vl, vr]);
+        let u = Vector::from_slice(&[rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)]);
         let a = dd.state_jacobian(&state, &u);
         let a_num = numeric_jacobian(&|xx: &Vector| dd.step(xx, &u), &state, 3);
-        prop_assert!((&a - &a_num).max_abs() < 1e-5);
+        let err = (&a - &a_num).max_abs();
+        check(err < 1e-5, "state Jacobian", err)?;
         let g = dd.input_jacobian(&state, &u);
-        let g_num = numeric_jacobian_wrt(&|xx: &Vector, uu: &Vector| dd.step(xx, uu), &state, &u, 3);
-        prop_assert!((&g - &g_num).max_abs() < 1e-5);
-    }
+        let g_num =
+            numeric_jacobian_wrt(&|xx: &Vector, uu: &Vector| dd.step(xx, uu), &state, &u, 3);
+        let err = (&g - &g_num).max_abs();
+        check(err < 1e-5, "input Jacobian", err)
+    });
+}
 
-    #[test]
-    fn bicycle_jacobians_match_numeric_inside_the_steering_range(
-        (x, y, theta) in pose(),
-        v in -0.3f64..0.3,
-        delta in -0.4f64..0.4,
-    ) {
-        let car = Bicycle::new(0.257, 0.45, 0.1).unwrap();
+#[test]
+fn bicycle_jacobians_match_numeric_inside_the_steering_range() {
+    let car = Bicycle::new(0.257, 0.45, 0.1).unwrap();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
         let state = Vector::from_slice(&[x, y, theta]);
-        let u = Vector::from_slice(&[v, delta]);
+        let u = Vector::from_slice(&[rng.uniform(-0.3, 0.3), rng.uniform(-0.4, 0.4)]);
         let a = car.state_jacobian(&state, &u);
         let a_num = numeric_jacobian(&|xx: &Vector| car.step(xx, &u), &state, 3);
-        prop_assert!((&a - &a_num).max_abs() < 1e-4);
+        let err = (&a - &a_num).max_abs();
+        check(err < 1e-4, "state Jacobian", err)?;
         let g = car.input_jacobian(&state, &u);
-        let g_num = numeric_jacobian_wrt(&|xx: &Vector, uu: &Vector| car.step(xx, uu), &state, &u, 3);
-        prop_assert!((&g - &g_num).max_abs() < 1e-4);
-    }
+        let g_num =
+            numeric_jacobian_wrt(&|xx: &Vector, uu: &Vector| car.step(xx, uu), &state, &u, 3);
+        let err = (&g - &g_num).max_abs();
+        check(err < 1e-4, "input Jacobian", err)
+    });
+}
 
-    #[test]
-    fn unicycle_motion_distance_is_bounded_by_speed(
-        (x, y, theta) in pose(),
-        v in -0.5f64..0.5,
-        omega in -1.0f64..1.0,
-    ) {
-        let uni = Unicycle::new(0.1).unwrap();
+#[test]
+fn unicycle_motion_distance_is_bounded_by_speed() {
+    let uni = Unicycle::new(0.1).unwrap();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
+        let (v, omega) = (rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 1.0));
         let x0 = Vector::from_slice(&[x, y, theta]);
         let x1 = uni.step(&x0, &Vector::from_slice(&[v, omega]));
         let moved = ((x1[0] - x0[0]).powi(2) + (x1[1] - x0[1]).powi(2)).sqrt();
-        prop_assert!(moved <= v.abs() * 0.1 + 1e-12);
-    }
+        check(
+            moved <= v.abs() * 0.1 + 1e-12,
+            "moved beyond v·Δt",
+            (moved, v),
+        )
+    });
+}
 
-    #[test]
-    fn raycast_hits_are_within_the_arena_diagonal((x, y, theta) in pose()) {
-        let arena = presets::evaluation_arena();
+#[test]
+fn raycast_hits_are_within_the_arena_diagonal() {
+    let arena = presets::evaluation_arena();
+    let diagonal = (arena.width().powi(2) + arena.height().powi(2)).sqrt();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
         let hit = arena.raycast(x, y, theta).expect("inside the arena");
-        let diagonal = (arena.width().powi(2) + arena.height().powi(2)).sqrt();
-        prop_assert!(hit.distance >= 0.0);
-        prop_assert!(hit.distance <= diagonal + 1e-9);
+        check(
+            (0.0..=diagonal + 1e-9).contains(&hit.distance),
+            "hit distance outside [0, diagonal]",
+            hit.distance,
+        )?;
         // The hit point lies inside (or on the boundary of) the arena.
         let hx = x + hit.distance * theta.cos();
         let hy = y + hit.distance * theta.sin();
-        prop_assert!(hx >= -1e-9 && hx <= arena.width() + 1e-9);
-        prop_assert!(hy >= -1e-9 && hy <= arena.height() + 1e-9);
-    }
+        check(
+            hx >= -1e-9 && hx <= arena.width() + 1e-9 && hy >= -1e-9 && hy <= arena.height() + 1e-9,
+            "hit point outside the arena",
+            (hx, hy),
+        )
+    });
+}
 
-    #[test]
-    fn free_points_have_clear_raycasts_up_to_the_hit((x, y, theta) in pose()) {
-        let arena = presets::evaluation_arena();
-        prop_assume!(arena.is_free(x, y, 0.05));
+#[test]
+fn free_points_have_clear_raycasts_up_to_the_hit() {
+    let arena = presets::evaluation_arena();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
+        if !arena.is_free(x, y, 0.05) {
+            return Ok(());
+        }
         let hit = arena.raycast(x, y, theta).expect("inside the arena");
         // Half-way to the hit must be free space for a point robot.
         let t = hit.distance * 0.5;
         let (mx, my) = (x + t * theta.cos(), y + t * theta.sin());
-        if hit.distance > 0.2 {
-            prop_assert!(
-                arena.is_free(mx, my, 0.0),
-                "midpoint ({mx},{my}) blocked before hit at {}",
-                hit.distance
-            );
-        }
-    }
+        check(
+            hit.distance <= 0.2 || arena.is_free(mx, my, 0.0),
+            "midpoint blocked before the hit",
+            (mx, my, hit.distance),
+        )
+    });
+}
 
-    #[test]
-    fn every_sensor_measurement_matches_its_jacobian_numerically((x, y, theta) in pose()) {
-        let system = presets::khepera_system();
+#[test]
+fn every_sensor_measurement_matches_its_jacobian_numerically() {
+    let system = presets::khepera_system();
+    for_each_seed(|rng| {
+        let (x, y, theta) = rng.pose();
         let state = Vector::from_slice(&[x, y, theta]);
         for i in 0..system.sensor_count() {
             let sensor = system.sensor(i).unwrap();
             let c = sensor.jacobian(&state);
             let c_num = numeric_jacobian(&|xx: &Vector| sensor.measure(xx), &state, sensor.dim());
-            prop_assert!((&c - &c_num).max_abs() < 1e-5, "sensor {i}");
+            let err = (&c - &c_num).max_abs();
+            check(err < 1e-5, &format!("sensor {i} Jacobian"), err)?;
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn arena_segments_between_free_points_agree_with_sampling(
-        (x0, y0, _) in pose(),
-        (x1, y1, _) in pose(),
-    ) {
-        let arena = Arena::new(4.0, 4.0).unwrap();
-        // Empty arena: every segment between interior points is free.
-        prop_assert!(arena.segment_is_free(x0, y0, x1, y1, 0.05));
-    }
+#[test]
+fn arena_segments_between_free_points_agree_with_sampling() {
+    // Empty arena: every segment between interior points is free.
+    let arena = Arena::new(4.0, 4.0).unwrap();
+    for_each_seed(|rng| {
+        let ((x0, y0, _), (x1, y1, _)) = (rng.pose(), rng.pose());
+        check(
+            arena.segment_is_free(x0, y0, x1, y1, 0.05),
+            "segment blocked in an empty arena",
+            (x0, y0, x1, y1),
+        )
+    });
 }

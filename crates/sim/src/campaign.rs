@@ -36,9 +36,10 @@ use roboads_stats::DetectionRate;
 use crate::attacks::{AttackKind, AttackSpec};
 use crate::eval::evaluate;
 use crate::misbehavior::{Corruption, Misbehavior, Target};
-use crate::runner::{FramePolicy, RobotKind, SimulationBuilder};
+use crate::runner::{FramePolicy, SimulationBuilder};
 use crate::scenario::{Scenario, DEFAULT_DURATION, FIRST_TRIGGER};
 use crate::trace::Trace;
+use crate::world::RobotKind;
 use crate::Result;
 
 /// A named activation policy, one leg of the campaign's policy axis.

@@ -2,37 +2,30 @@
 //! whose detectors advance through **one [`FleetEngine`] batch per
 //! control tick**.
 //!
-//! Every robot owns the same closed loop as [`crate::SimulationBuilder`]
-//! — tracker, actuation and sensing workflows, communication bus,
-//! physics platform, noise stream — but replays a *phase-shifted* copy
-//! of the scenario (robot `i`'s misbehaviors trigger `i × phase`
-//! iterations later) with its own seed, so a fleet mid-run holds robots
-//! in every stage of the attack timeline at once. That is the workload
+//! Every robot steps the same closed-loop world as
+//! [`crate::SimulationBuilder`] — tracker, actuation and sensing
+//! workflows, communication bus, physics platform, noise stream — but
+//! replays a *phase-shifted* copy of the scenario (robot `i`'s
+//! misbehaviors trigger `i × phase` iterations later) with its own
+//! seed, so a fleet mid-run holds robots in every stage of the attack
+//! timeline at once. That is the workload
 //! the fleet engine is for: N detector steps amortized over one
 //! dispatch, while each robot's arithmetic stays bitwise identical to a
 //! standalone run (see `DESIGN.md` §12).
 
-use roboads_control::{BicycleTracker, DifferentialDriveTracker, Mission, TrackingController};
 use roboads_core::{
     CoreError, DeadlinePolicy, FleetEngine, FleetHealth, FleetIngest, IncidentCapsule, ModeSet,
     RecorderConfig, RoboAds, RoboAdsConfig, RobotInput,
 };
-use roboads_linalg::Vector;
-use roboads_models::sensors::WheelEncoderOdometry;
-use roboads_models::{presets, Pose2};
 use roboads_obs::Telemetry;
-use roboads_stats::{SeedableRng, StdRng};
 
-use crate::attacks::{build_attacks, AttackSpec, BusAttack};
-use crate::bus::{Bus, Frame, COMMAND_ID, SENSOR_ID_BASE};
-use crate::eval::{evaluate, EvalResult};
+use crate::attacks::AttackSpec;
+use crate::eval::EvalResult;
 use crate::misbehavior::Misbehavior;
-use crate::platform::RobotPlatform;
-use crate::runner::RobotKind;
 use crate::scenario::Scenario;
-use crate::trace::{Trace, TraceRecord};
-use crate::workflow::{ActuationWorkflow, SensingWorkflow};
-use crate::{Result, SimError};
+use crate::trace::Trace;
+use crate::world::{evaluation_start, RobotKind, RobotWorld};
+use crate::Result;
 
 /// A monitor-side transport fault: what happens to one robot's frames
 /// on their way from its bus to the fleet monitor's ingest front-end.
@@ -110,33 +103,6 @@ pub struct FleetSimulationBuilder {
     attacks: Vec<AttackSpec>,
     recorder: Option<RecorderConfig>,
     health: bool,
-}
-
-/// One robot's closed-loop world: everything a standalone run owns
-/// except the detector, which lives in the fleet engine's slab.
-struct RobotWorld {
-    tracker: Box<dyn TrackingController>,
-    sensing: Vec<SensingWorkflow>,
-    actuation: ActuationWorkflow,
-    platform: RobotPlatform,
-    bus: Bus,
-    rng: StdRng,
-    controller_pose: Pose2,
-    scenario: Scenario,
-    trace: Trace,
-    // Current-tick staging, referenced by the batch's `RobotInput`s.
-    u_planned: Vector,
-    u_executed: Vector,
-    d_a_true: Vector,
-    readings: Vec<Vector>,
-    d_s_true: Vec<Vector>,
-    // Bus-level attacks on this robot's bus, with the attacker's own
-    // RNG stream, plus the monitor's hold-last fallback for frames the
-    // attacks destroyed.
-    attacks: Vec<Box<dyn BusAttack>>,
-    attack_rng: StdRng,
-    held_readings: Vec<Vector>,
-    held_command: Vector,
 }
 
 /// `scenario` with every misbehavior window shifted `offset` iterations
@@ -340,20 +306,9 @@ impl FleetSimulationBuilder {
     /// (a failing robot aborts the run; per-robot fault isolation is the
     /// engine-level [`FleetEngine::result`] API).
     pub fn run(self) -> Result<FleetOutcome> {
-        let system = match self.kind {
-            RobotKind::Khepera => presets::khepera_system(),
-            RobotKind::Tamiya => presets::tamiya_system(),
-        };
-        let arena = presets::evaluation_arena();
-        let mission = Mission::evaluation_default();
-        let path = mission.plan(&arena, 0.08)?;
-        let (sx, sy) = path.waypoints()[0];
-        let (lx, ly) = path.lookahead_point(sx, sy, 0.25);
-        let theta0 = (ly - sy).atan2(lx - sx);
-        let x0 = Vector::from_slice(&[sx, sy, theta0]);
-
+        let system = self.kind.preset_system();
+        let (path, x0) = evaluation_start(None)?;
         let duration = self.duration.unwrap_or_else(|| self.scenario.duration());
-        let dt = presets::CONTROL_PERIOD;
         // One system instance per signature group. Group 0 reuses the
         // worlds' system; further groups get fresh (pointer-distinct,
         // numerically identical) preset instantiations, which is exactly
@@ -363,39 +318,13 @@ impl FleetSimulationBuilder {
                 if g == 0 {
                     system.clone()
                 } else {
-                    match self.kind {
-                        RobotKind::Khepera => presets::khepera_system(),
-                        RobotKind::Tamiya => presets::tamiya_system(),
-                    }
+                    self.kind.preset_system()
                 }
             })
             .collect();
         let mut worlds = Vec::with_capacity(self.robots);
         let mut detectors = Vec::with_capacity(self.robots);
         for robot in 0..self.robots {
-            let scenario = phase_shifted(&self.scenario, robot * self.phase);
-            let misbehaviors = scenario.misbehaviors().to_vec();
-            let sensing: Vec<SensingWorkflow> = (0..system.sensor_count())
-                .map(|i| {
-                    let geometry = (system.sensor_name(i) == "wheel-encoder")
-                        .then(WheelEncoderOdometry::khepera)
-                        .transpose()
-                        .map_err(SimError::from)?;
-                    SensingWorkflow::new(&system, i, &misbehaviors, geometry)
-                })
-                .collect::<Result<_>>()?;
-            let tracker: Box<dyn TrackingController> = match self.kind {
-                RobotKind::Khepera => Box::new(DifferentialDriveTracker::new(
-                    path.clone(),
-                    presets::khepera_dynamics().wheel_base(),
-                    presets::CONTROL_PERIOD,
-                )?),
-                RobotKind::Tamiya => Box::new(BicycleTracker::new(
-                    path.clone(),
-                    presets::tamiya_dynamics().max_steer(),
-                    presets::CONTROL_PERIOD,
-                )?),
-            };
             let group_system = &detector_systems[robot % detector_systems.len()];
             detectors.push(RoboAds::new(
                 group_system.clone(),
@@ -403,30 +332,15 @@ impl FleetSimulationBuilder {
                 x0.clone(),
                 ModeSet::one_reference_per_sensor(group_system),
             )?);
-            let (attacks, attack_rng) = build_attacks(&self.attacks, self.seed + robot as u64);
-            let held_readings: Vec<Vector> = (0..system.sensor_count())
-                .map(|i| Ok(Vector::zeros(system.sensor(i)?.dim())))
-                .collect::<Result<_>>()?;
-            worlds.push(RobotWorld {
-                tracker,
-                sensing,
-                actuation: ActuationWorkflow::new(&misbehaviors),
-                platform: RobotPlatform::new(&system, x0.clone())?,
-                bus: Bus::new(),
-                rng: StdRng::seed_from_u64(self.seed + robot as u64),
-                controller_pose: Pose2::from_vector(&x0).expect("pose state"),
-                trace: Trace::new(dt, scenario.name()),
-                scenario,
-                u_planned: Vector::zeros(system.input_dim()),
-                u_executed: Vector::zeros(system.input_dim()),
-                d_a_true: Vector::zeros(system.input_dim()),
-                readings: Vec::new(),
-                d_s_true: Vec::new(),
-                attacks,
-                attack_rng,
-                held_readings,
-                held_command: Vector::zeros(system.input_dim()),
-            });
+            worlds.push(RobotWorld::new(
+                &system,
+                self.kind,
+                path.clone(),
+                &x0,
+                phase_shifted(&self.scenario, robot * self.phase),
+                self.seed + robot as u64,
+                &self.attacks,
+            )?);
         }
 
         let mut fleet = FleetEngine::new(detectors, self.threads);
@@ -452,62 +366,18 @@ impl FleetSimulationBuilder {
         });
 
         for k in 0..duration {
-            // Advance every world: plan, actuate, move, sense — data
-            // round-trips through each robot's own communication bus,
-            // exactly as in the standalone runner.
+            // Advance every world; a frame an attack destroyed holds its
+            // last decoded value (the sync monitor has no missing-frame
+            // policy of its own; the ingest path's is its deadline).
             for w in &mut worlds {
-                w.u_planned = w.tracker.command(&w.controller_pose);
-                let (u_executed, d_a_true) = w.actuation.execute(k, &w.u_planned)?;
-                w.u_executed = u_executed;
-                w.d_a_true = d_a_true;
-                w.platform.step(&system, &w.u_executed, &mut w.rng);
-                w.bus.clear();
-                w.bus.begin_tick(k as u64);
-                w.bus
-                    .publish(Frame::encode(COMMAND_ID, "planner", &w.u_planned));
-                w.d_s_true.clear();
-                for wf in &mut w.sensing {
-                    let (reading, anomaly) =
-                        wf.sense(&system, k, w.platform.state(), &mut w.rng)?;
-                    w.bus.publish(Frame::encode(
-                        SENSOR_ID_BASE + wf.sensor_index() as u16,
-                        system.sensor_name(wf.sensor_index()),
-                        &reading,
-                    ));
-                    w.d_s_true.push(anomaly);
-                }
-                // Bus-level attacks perturb frames at the monitor seam,
-                // exactly as in the standalone runner.
-                for attack in &mut w.attacks {
-                    attack.apply(k, &mut w.bus, &mut w.attack_rng);
-                }
-                // The monitor consumes the staleness-aware fresh view;
-                // an id whose frame was trashed or replayed stale holds
-                // the last consumed value instead of panicking.
-                w.readings.clear();
-                for i in 0..system.sensor_count() {
-                    if let Some(frame) = w.bus.latest_fresh(SENSOR_ID_BASE + i as u16) {
-                        w.held_readings[i] = frame.decode();
-                    }
-                    w.readings.push(w.held_readings[i].clone());
-                }
-                if let Some(frame) = w.bus.latest_fresh(COMMAND_ID) {
-                    w.held_command = frame.decode();
-                }
-                w.u_planned = w.held_command.clone();
+                w.advance(k)?;
             }
 
             match &mut ingest {
                 // Sync monitor: one aligned dense batch for the fleet,
                 // stamped with the worlds' shared bus tick.
                 None => {
-                    let inputs: Vec<RobotInput> = worlds
-                        .iter()
-                        .map(|w| RobotInput {
-                            u_prev: &w.u_planned,
-                            readings: &w.readings,
-                        })
-                        .collect();
+                    let inputs: Vec<RobotInput> = worlds.iter().map(RobotWorld::input).collect();
                     fleet.set_tick_stamp(k as u64);
                     fleet.step_batch(&inputs)?;
                 }
@@ -534,10 +404,11 @@ impl FleetSimulationBuilder {
                                 Some(previous) => previous,
                                 None => continue,
                             },
-                            None => w.bus.tick(),
+                            None => k as u64,
                         };
-                        ingest.offer_input_stamped(robot, &w.u_planned, stamp)?;
-                        for (s, reading) in w.readings.iter().enumerate() {
+                        let input = w.input();
+                        ingest.offer_input_stamped(robot, input.u_prev, stamp)?;
+                        for (s, reading) in input.readings.iter().enumerate() {
                             ingest.offer_stamped(robot, s, reading, stamp)?;
                         }
                     }
@@ -565,31 +436,14 @@ impl FleetSimulationBuilder {
             }
 
             for (robot, w) in worlds.iter_mut().enumerate() {
-                w.controller_pose =
-                    Pose2::from_vector(&w.readings[0]).expect("IPS readings carry a pose");
-                w.trace.push(TraceRecord {
-                    k,
-                    time: (k + 1) as f64 * dt,
-                    true_state: w.platform.state().clone(),
-                    planned_command: w.u_planned.clone(),
-                    executed_command: w.u_executed.clone(),
-                    true_actuator_anomaly: w.d_a_true.clone(),
-                    readings: w.readings.clone(),
-                    true_sensor_anomalies: w.d_s_true.clone(),
-                    report: fleet.report(robot).clone(),
-                });
+                w.record(k, fleet.report(robot).clone());
             }
         }
 
         fleet.finish_recorders();
         let capsules = fleet.take_capsules();
 
-        let mut traces = Vec::with_capacity(self.robots);
-        let mut evals = Vec::with_capacity(self.robots);
-        for w in worlds {
-            evals.push(evaluate(&w.trace, &w.scenario.ground_truth()));
-            traces.push(w.trace);
-        }
+        let (traces, evals) = worlds.into_iter().map(RobotWorld::finish).unzip();
         Ok(FleetOutcome {
             robots: self.robots,
             steps: duration,
@@ -610,10 +464,10 @@ mod tests {
     #[test]
     fn robot_zero_matches_a_standalone_run_bitwise() {
         // Phase offsets only shift robots 1.. — robot 0 replays the base
-        // scenario from the base seed, so its trace must be *identical*
-        // to the single-robot runner's (same bus round-trip, same rng
-        // stream, and the fleet engine's per-robot path is bitwise the
-        // standalone detector's).
+        // scenario from the base seed, so every record of its trace must
+        // be *identical* to the single-robot runner's (same world, same
+        // rng stream, and the fleet engine's per-robot path is bitwise
+        // the standalone detector's).
         let fleet = FleetSimulationBuilder::khepera()
             .scenario(Scenario::ips_spoofing())
             .robots(3)
@@ -628,11 +482,20 @@ mod tests {
             .duration(70)
             .run()
             .unwrap();
-        let a = &fleet.traces[0].records()[69];
-        let b = &solo.trace.records()[69];
-        assert_eq!(a.true_state, b.true_state);
-        assert_eq!(a.readings, b.readings);
-        assert_eq!(a.report, b.report);
+        assert_eq!(fleet.traces[0].len(), 70);
+        for (a, b) in fleet.traces[0].records().iter().zip(solo.trace.records()) {
+            assert_eq!(a.k, b.k);
+            assert_eq!(a.time.to_bits(), b.time.to_bits(), "step {}", a.k);
+            assert_eq!(a.true_state, b.true_state, "step {}", a.k);
+            // The tracker's plan, not the bus-decoded command the
+            // monitor consumed, in both builders.
+            assert_eq!(a.planned_command, b.planned_command, "step {}", a.k);
+            assert_eq!(a.executed_command, b.executed_command, "step {}", a.k);
+            assert_eq!(a.true_actuator_anomaly, b.true_actuator_anomaly);
+            assert_eq!(a.readings, b.readings, "step {}", a.k);
+            assert_eq!(a.true_sensor_anomalies, b.true_sensor_anomalies);
+            assert_eq!(a.report, b.report, "step {}", a.k);
+        }
     }
 
     #[test]

@@ -53,6 +53,7 @@ mod scenario;
 mod telemetry;
 mod trace;
 mod workflow;
+mod world;
 
 pub use attacks::{AttackKind, AttackSpec, AttackWindow, BusAttack, FrameTarget};
 pub use campaign::{Campaign, CampaignCell, CampaignOutcome, CampaignPoint, PolicyChoice};
@@ -61,11 +62,12 @@ pub use fleet::{FleetOutcome, FleetSimulationBuilder, FrameFault};
 pub use loadgen::{serve_traces_uds, stream_traces};
 pub use misbehavior::{Corruption, Misbehavior, Target};
 pub use platform::RobotPlatform;
-pub use runner::{evaluation_detector, FramePolicy, RobotKind, SimOutcome, SimulationBuilder};
+pub use runner::{evaluation_detector, FramePolicy, SimOutcome, SimulationBuilder};
 pub use scenario::{GroundTruth, Scenario};
 pub use telemetry::{ModeTelemetry, TelemetrySummary};
 pub use trace::{Trace, TraceRecord};
 pub use workflow::{ActuationWorkflow, SensingWorkflow};
+pub use world::{evaluation_start, RobotKind};
 
 /// Re-export of the observability layer, so harnesses can build sinks
 /// and [`roboads_obs::Telemetry`] contexts for

@@ -7,10 +7,13 @@
 //! half: it replays recorded [`Trace`]s as the binary wire protocol,
 //! one [`WireFrame::Input`] plus one [`WireFrame::Reading`] per sensor
 //! per robot per tick, closing each tick with [`WireFrame::TickEnd`].
-//! Because the traces carry the exact `f64` bits the in-process runner
-//! fed its detectors, a service fed from this producer is bitwise
-//! identical to the in-process sync path whenever every frame lands on
-//! time (pinned by `tests/shard_service.rs`).
+//! The frames carry each record's `planned_command` and `readings` bit
+//! for bit. That command is the tracker's plan, not the bus-decoded
+//! command the runner's own detector consumed, so a wire-fed service
+//! does not reproduce the trace's reports. What is bitwise is the
+//! service side: a service fed from this producer equals an in-process
+//! fleet fed the same trace records whenever every frame lands on time
+//! (pinned by `tests/shard_service.rs`).
 //!
 //! [`serve_traces_uds`] is the one-machine harness: producer thread on
 //! one end of a Unix-domain socket, the caller's [`ShardedFleet`]
@@ -27,8 +30,8 @@ use roboads_wire::{serve_uds, FrameWriter, ServeSummary, WireError, WireFrame};
 use crate::trace::Trace;
 
 /// Streams recorded traces over `sink` as wire frames: per tick, every
-/// robot's planned command and sensor readings (stamped with the tick),
-/// then the tick boundary; finally an orderly `Bye`. Robots are
+/// robot's `planned_command` and `readings`, bit for bit and stamped
+/// with the tick, then the tick boundary; finally an orderly `Bye`. Robots are
 /// `(global id, trace)` pairs; a robot whose trace is shorter than the
 /// longest simply stops producing (its slots resolve by deadline
 /// policy, exactly like a silent robot on a real bus).

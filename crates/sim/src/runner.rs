@@ -1,46 +1,29 @@
-use roboads_stats::{SeedableRng, StdRng};
-
-use roboads_control::{
-    BicycleTracker, DifferentialDriveTracker, Mission, Path, TrackingController,
-};
-use roboads_core::baseline::LinearizedOnceDetector;
+use roboads_control::Path;
 use roboads_core::{
-    DetectionReport, IncidentCapsule, ModeSet, RecorderConfig, RoboAds, RoboAdsConfig,
+    baseline, DetectionReport, IncidentCapsule, ModeSet, RecorderConfig, RoboAds, RoboAdsConfig,
 };
-use roboads_linalg::Vector;
-use roboads_models::sensors::WheelEncoderOdometry;
-use roboads_models::{presets, Pose2, RobotSystem};
+use roboads_models::RobotSystem;
 
 use roboads_obs::Telemetry;
 
-use crate::attacks::{build_attacks, AttackSpec};
-use crate::bus::{Bus, Frame, COMMAND_ID, SENSOR_ID_BASE};
-use crate::eval::{evaluate, EvalResult};
-use crate::platform::RobotPlatform;
+use crate::attacks::AttackSpec;
+use crate::eval::EvalResult;
 use crate::scenario::Scenario;
 use crate::telemetry::TelemetrySummary;
-use crate::trace::{Trace, TraceRecord};
-use crate::workflow::{ActuationWorkflow, SensingWorkflow};
+use crate::trace::Trace;
+use crate::world::{evaluation_start, RobotKind, RobotWorld};
 use crate::{Result, SimError};
-
-/// Which evaluation robot to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RobotKind {
-    /// Khepera III differential drive (IPS + wheel encoder + LiDAR).
-    Khepera,
-    /// Tamiya TT-02 bicycle model (IPS + IMU + LiDAR).
-    Tamiya,
-}
 
 /// How the monitor fills its inputs when no fresh frame for an
 /// arbitration id survived the tick — trashed, dropped, or only a
 /// stale-stamped replay present. The standalone mirror of
 /// [`FleetIngest`]'s `DeadlinePolicy`: the monitor consumes through the
-/// staleness-aware [`Bus::latest_fresh`] view and this policy decides
-/// what happens on a miss, instead of the old stale-blind
-/// `bus.latest(..).expect(..)` path that panicked on any trashed frame.
+/// staleness-aware [`Bus::latest_fresh`] view, holding the last decoded
+/// value of a missing id, and this policy decides whether the detector
+/// steps on it.
 ///
-/// [`FleetIngest`]: crate::fleet::FleetSimulationBuilder
+/// [`FleetIngest`]: roboads_core::FleetIngest
+/// [`Bus::latest_fresh`]: crate::bus::Bus::latest_fresh
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FramePolicy {
     /// Re-use the last consumed value for the missing id and keep
@@ -104,42 +87,6 @@ pub struct SimulationBuilder {
     recorder: Option<RecorderConfig>,
     attacks: Vec<AttackSpec>,
     frame_policy: FramePolicy,
-}
-
-enum Detector {
-    RoboAds(RoboAds),
-    Baseline(LinearizedOnceDetector),
-}
-
-impl Detector {
-    fn step(&mut self, u: &Vector, readings: &[Vector]) -> roboads_core::Result<DetectionReport> {
-        match self {
-            Detector::RoboAds(d) => d.step(u, readings),
-            Detector::Baseline(d) => d.step(u, readings),
-        }
-    }
-
-    fn record_tick(
-        &mut self,
-        stamp: u64,
-        u: &Vector,
-        readings: &[Vector],
-        report: &DetectionReport,
-    ) {
-        if let Detector::RoboAds(d) = self {
-            d.record_tick(stamp, u, readings, report);
-        }
-    }
-
-    fn take_capsules(&mut self) -> Vec<IncidentCapsule> {
-        if let Detector::RoboAds(d) = self {
-            if let Some(recorder) = d.recorder_mut() {
-                recorder.finish();
-                return recorder.take_capsules();
-            }
-        }
-        Vec::new()
-    }
 }
 
 impl SimulationBuilder {
@@ -215,8 +162,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Uses the linearize-once baseline detector of §V-G instead of
-    /// RoboADS.
+    /// Runs the §V-G linearize-once baseline
+    /// ([`roboads_core::baseline::linearized_once`]) instead of RoboADS
+    /// proper. Telemetry and the recorder apply to it alike.
     pub fn linearized_baseline(mut self, yes: bool) -> Self {
         self.use_linearized_baseline = yes;
         self
@@ -236,8 +184,7 @@ impl SimulationBuilder {
     /// Attaches a flight recorder to the RoboADS detector: every tick's
     /// stamped inputs and decision digest are captured in a ring, and a
     /// confirmed alarm freezes a pre/post window into an
-    /// [`IncidentCapsule`] (see [`SimOutcome::capsules`]). Ignored by
-    /// the linearize-once baseline, which has no recorder hook.
+    /// [`IncidentCapsule`] (see [`SimOutcome::capsules`]).
     pub fn recorder(mut self, config: RecorderConfig) -> Self {
         self.recorder = Some(config);
         self
@@ -267,182 +214,71 @@ impl SimulationBuilder {
     ///
     /// Propagates planning, detector-construction and stepping failures.
     pub fn run(self) -> Result<SimOutcome> {
-        let system = match (&self.system, self.kind) {
-            (Some(s), _) => s.clone(),
-            (None, RobotKind::Khepera) => presets::khepera_system(),
-            (None, RobotKind::Tamiya) => presets::tamiya_system(),
-        };
-        let arena = presets::evaluation_arena();
-        let mission = Mission::evaluation_default();
-        let path = match &self.path_override {
-            Some(p) => p.clone(),
-            None => mission.plan(&arena, 0.08)?,
-        };
-
-        // Face the initial lookahead point.
-        let (sx, sy) = path.waypoints()[0];
-        let (lx, ly) = path.lookahead_point(sx, sy, 0.25);
-        let theta0 = (ly - sy).atan2(lx - sx);
-        let x0 = Vector::from_slice(&[sx, sy, theta0]);
-
-        let mut tracker: Box<dyn TrackingController> = match self.kind {
-            RobotKind::Khepera => Box::new(DifferentialDriveTracker::new(
-                path,
-                presets::khepera_dynamics().wheel_base(),
-                presets::CONTROL_PERIOD,
-            )?),
-            RobotKind::Tamiya => Box::new(BicycleTracker::new(
-                path,
-                presets::tamiya_dynamics().max_steer(),
-                presets::CONTROL_PERIOD,
-            )?),
-        };
+        let system = self
+            .system
+            .clone()
+            .unwrap_or_else(|| self.kind.preset_system());
+        let (path, x0) = evaluation_start(self.path_override.clone())?;
+        let mut world = RobotWorld::new(
+            &system,
+            self.kind,
+            path,
+            &x0,
+            self.scenario.clone(),
+            self.seed,
+            &self.attacks,
+        )?;
 
         let mode_set = self
             .mode_set
             .clone()
             .unwrap_or_else(|| ModeSet::one_reference_per_sensor(&system));
         let telemetry = self.telemetry.clone().unwrap_or_default();
-        let mut detector = if self.use_linearized_baseline {
-            Detector::Baseline(LinearizedOnceDetector::new(
-                system.clone(),
-                self.config.clone(),
-                x0.clone(),
-                mode_set,
-            )?)
+        let detector = if self.use_linearized_baseline {
+            baseline::linearized_once(system, self.config.clone(), x0, mode_set)?
         } else {
-            let mut ads = RoboAds::new(system.clone(), self.config.clone(), x0.clone(), mode_set)?
-                .with_telemetry(telemetry.clone());
-            if let Some(config) = self.recorder {
-                ads.attach_recorder(config);
-            }
-            Detector::RoboAds(ads)
+            RoboAds::new(system, self.config.clone(), x0, mode_set)?
         };
-
-        let misbehaviors = self.scenario.misbehaviors().to_vec();
-        let mut sensing: Vec<SensingWorkflow> = (0..system.sensor_count())
-            .map(|i| {
-                let geometry = (system.sensor_name(i) == "wheel-encoder")
-                    .then(WheelEncoderOdometry::khepera)
-                    .transpose()
-                    .map_err(SimError::from)?;
-                SensingWorkflow::new(&system, i, &misbehaviors, geometry)
-            })
-            .collect::<Result<_>>()?;
-        let mut actuation = ActuationWorkflow::new(&misbehaviors);
-        let mut platform = RobotPlatform::new(&system, x0.clone())?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-
-        let duration = self.duration.unwrap_or_else(|| self.scenario.duration());
-        let dt = presets::CONTROL_PERIOD;
-        let mut trace = Trace::new(dt, self.scenario.name());
-        // The planner tracks the path using real-time IPS data (§V-A);
-        // before the first reading it knows the initial pose.
-        let mut controller_pose = Pose2::from_vector(&x0).expect("pose state");
+        let mut detector = detector.with_telemetry(telemetry.clone());
+        if let Some(config) = self.recorder {
+            detector.attach_recorder(config);
+        }
 
         // Step latency is a metric, not a span: collected even with the
         // default disabled sink so the outcome summary always has it.
         let step_latency = telemetry.metrics().histogram("sim.step_latency_s");
-
-        let mut bus = Bus::new();
-        let (mut attacks, mut attack_rng) = build_attacks(&self.attacks, self.seed);
-        // Hold-last state: before any frame for an id has ever been
-        // consumed, the fallback is a zero reading of the right
-        // dimension (the detector flags it; the run does not panic).
-        let mut held_readings: Vec<Vector> = (0..system.sensor_count())
-            .map(|i| Ok(Vector::zeros(system.sensor(i)?.dim())))
-            .collect::<Result<_>>()?;
-        let mut held_command = Vector::zeros(system.input_dim());
+        let duration = self.duration.unwrap_or_else(|| self.scenario.duration());
         for k in 0..duration {
             let _iter_span = telemetry.span("sim.iteration");
-            let u_planned = tracker.command(&controller_pose);
-            let (u_executed, d_a_true) = actuation.execute(k, &u_planned)?;
-            platform.step(&system, &u_executed, &mut rng);
-
-            // Workflows publish their readings on the communication bus
-            // (Figure 1); the monitor decodes the freshest frame per
-            // arbitration id. Data really round-trips through the
-            // fixed-point frames.
-            bus.clear();
-            bus.begin_tick(k as u64);
-            bus.publish(Frame::encode(COMMAND_ID, "planner", &u_planned));
-            let mut d_s_true = Vec::with_capacity(sensing.len());
-            for wf in &mut sensing {
-                let (reading, anomaly) = wf.sense(&system, k, platform.state(), &mut rng)?;
-                bus.publish(Frame::encode(
-                    SENSOR_ID_BASE + wf.sensor_index() as u16,
-                    system.sensor_name(wf.sensor_index()),
-                    &reading,
-                ));
-                d_s_true.push(anomaly);
-            }
-            // Bus-level attacks sit between publish and decode: the
-            // monitor seam of `crate::attacks`.
-            for attack in &mut attacks {
-                attack.apply(k, &mut bus, &mut attack_rng);
-            }
-
-            // The monitor consumes the staleness-aware fresh view; a
-            // trashed/replayed id falls back per `FramePolicy` instead
-            // of panicking. With every frame on time this is the same
-            // frame set `latest` would serve.
-            let mut missing = false;
-            let readings: Vec<Vector> = (0..system.sensor_count())
-                .map(|i| match bus.latest_fresh(SENSOR_ID_BASE + i as u16) {
-                    Some(frame) => {
-                        held_readings[i] = frame.decode();
-                        held_readings[i].clone()
-                    }
-                    None => {
-                        missing = true;
-                        held_readings[i].clone()
-                    }
-                })
-                .collect();
-            let u_monitored = match bus.latest_fresh(COMMAND_ID) {
-                Some(frame) => {
-                    held_command = frame.decode();
-                    held_command.clone()
-                }
-                None => {
-                    missing = true;
-                    held_command.clone()
-                }
-            };
-
-            let freeze = missing
-                && self.frame_policy == FramePolicy::MarkMissing
-                && !trace.records().is_empty();
-            let report = if freeze {
+            let missing = world.advance(k)?;
+            let report = match world.trace().records().last() {
                 // Frozen tick: the detector neither steps nor records —
                 // the previous report stands until fresh frames return.
-                trace.records().last().expect("non-empty").report.clone()
-            } else {
-                let step_started = std::time::Instant::now();
-                let report = detector.step(&u_monitored, &readings)?;
-                step_latency.record(step_started.elapsed().as_secs_f64());
-                // Stamped with the bus tick so a capsule's timeline
-                // matches the frames it was decoded from.
-                detector.record_tick(k as u64, &u_monitored, &readings, &report);
-                report
+                Some(last) if missing && self.frame_policy == FramePolicy::MarkMissing => {
+                    last.report.clone()
+                }
+                _ => {
+                    let input = world.input();
+                    let step_started = std::time::Instant::now();
+                    let report = detector.step(input.u_prev, input.readings)?;
+                    step_latency.record(step_started.elapsed().as_secs_f64());
+                    // Stamped with the bus tick so a capsule's timeline
+                    // matches the frames it was decoded from.
+                    detector.record_tick(k as u64, input.u_prev, input.readings, &report);
+                    report
+                }
             };
-            controller_pose = Pose2::from_vector(&readings[0]).expect("IPS readings carry a pose");
-
-            trace.push(TraceRecord {
-                k,
-                time: (k + 1) as f64 * dt,
-                true_state: platform.state().clone(),
-                planned_command: u_planned,
-                executed_command: u_executed,
-                true_actuator_anomaly: d_a_true,
-                readings,
-                true_sensor_anomalies: d_s_true,
-                report,
-            });
+            world.record(k, report);
         }
 
-        let capsules = detector.take_capsules();
-        let eval = evaluate(&trace, &self.scenario.ground_truth());
+        let capsules = match detector.recorder_mut() {
+            Some(recorder) => {
+                recorder.finish();
+                recorder.take_capsules()
+            }
+            None => Vec::new(),
+        };
+        let (trace, eval) = world.finish();
         let report =
             trace
                 .records()
@@ -463,26 +299,17 @@ impl SimulationBuilder {
 }
 
 /// A fresh, never-stepped RoboADS detector constructed exactly as
-/// [`SimulationBuilder::run`] builds its own (same evaluation arena,
-/// planned path, initial pose and default mode set) — the detector a
-/// capsule replay needs: [`roboads_core::replay_capsule`] requires an
-/// anchor-state twin of the recorded detector at birth.
+/// [`SimulationBuilder::run`] builds its own (same evaluation start and
+/// default mode set) — the detector a capsule replay needs:
+/// [`roboads_core::replay_capsule`] requires an anchor-state twin of the
+/// recorded detector at birth.
 ///
 /// # Errors
 ///
 /// Propagates planning and detector-construction failures.
 pub fn evaluation_detector(kind: RobotKind, config: &RoboAdsConfig) -> Result<RoboAds> {
-    let system = match kind {
-        RobotKind::Khepera => presets::khepera_system(),
-        RobotKind::Tamiya => presets::tamiya_system(),
-    };
-    let arena = presets::evaluation_arena();
-    let mission = Mission::evaluation_default();
-    let path = mission.plan(&arena, 0.08)?;
-    let (sx, sy) = path.waypoints()[0];
-    let (lx, ly) = path.lookahead_point(sx, sy, 0.25);
-    let theta0 = (ly - sy).atan2(lx - sx);
-    let x0 = Vector::from_slice(&[sx, sy, theta0]);
+    let system = kind.preset_system();
+    let (_, x0) = evaluation_start(None)?;
     let mode_set = ModeSet::one_reference_per_sensor(&system);
     Ok(RoboAds::new(system, config.clone(), x0, mode_set)?)
 }
@@ -650,6 +477,26 @@ mod tests {
             );
         }
         assert_ne!(records[60].report.iteration, records[39].report.iteration);
+    }
+
+    /// The §V-G baseline is a plain `RoboAds`, so telemetry and the
+    /// flight recorder apply to it like to any other run.
+    #[test]
+    fn linearized_baseline_runs_get_telemetry_and_the_recorder() {
+        let outcome = SimulationBuilder::khepera()
+            .scenario(Scenario::ips_spoofing())
+            .seed(7)
+            .linearized_baseline(true)
+            .recorder(RecorderConfig::default())
+            .run()
+            .unwrap();
+        assert!(outcome.report.sensor_alarm);
+        assert_eq!(outcome.telemetry.steps, 200);
+        assert_eq!(outcome.telemetry.modes.len(), 3);
+        assert!(
+            !outcome.capsules.is_empty(),
+            "confirmed alarms seal capsules"
+        );
     }
 
     #[test]

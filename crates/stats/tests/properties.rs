@@ -1,92 +1,167 @@
-//! Property suite — gated behind the `proptest-suites` feature because
-//! the tier-1 build must resolve offline with no external packages
-//! (vendor proptest and re-add the dev-dependency to enable).
-#![cfg(feature = "proptest-suites")]
+//! Seeded property suite for the statistics substrate: χ² CDF
+//! monotonicity and quantile round-trips, the regularized-gamma
+//! complement identity, the sliding window against a naive count, and
+//! the confusion-count rate identities.
+//!
+//! Each case derives its inputs from one seed and names it on failure,
+//! so a failing case reruns alone.
 
-//! Property-based tests for the statistics substrate.
-
-use proptest::prelude::*;
 use roboads_stats::gamma::{regularized_lower_gamma, regularized_upper_gamma};
 use roboads_stats::{ChiSquared, ConfusionCounts, SlidingWindow};
 
-proptest! {
-    #[test]
-    fn chi_square_cdf_is_monotone_and_bounded(dof in 1usize..12, a in 0.01f64..40.0, b in 0.01f64..40.0) {
-        let chi = ChiSquared::new(dof).unwrap();
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// xorshift64* — deterministic, dependency-free randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        // Any non-zero state works; mix the seed so neighbours diverge.
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in [lo, hi).
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+    }
+
+    /// Uniform integer in [lo, hi).
+    fn below(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo)
+    }
+
+    fn index(&mut self, lo: usize, hi: usize) -> usize {
+        self.below(lo as u64, hi as u64) as usize
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() >> 63 == 1
+    }
+}
+
+/// Runs `property` once per seed, naming the seed in any failure.
+fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
+    for seed in 0..CASES {
+        if let Err(msg) = property(&mut Rng::new(seed)) {
+            panic!("seed {seed}: {msg}");
+        }
+    }
+}
+
+/// `Err` naming `what` and the offending value unless `ok`.
+fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{what} ({value:?})"))
+    }
+}
+
+#[test]
+fn chi_square_cdf_is_monotone_and_bounded() {
+    for_each_seed(|rng| {
+        let chi = ChiSquared::new(rng.index(1, 12)).unwrap();
+        let (a, b) = (rng.uniform(0.01, 40.0), rng.uniform(0.01, 40.0));
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let (cl, ch) = (chi.cdf(lo).unwrap(), chi.cdf(hi).unwrap());
-        prop_assert!((0.0..=1.0).contains(&cl));
-        prop_assert!((0.0..=1.0).contains(&ch));
-        prop_assert!(cl <= ch + 1e-12);
-    }
+        check((0.0..=1.0).contains(&cl), "CDF outside [0, 1]", cl)?;
+        check((0.0..=1.0).contains(&ch), "CDF outside [0, 1]", ch)?;
+        check(cl <= ch + 1e-12, "CDF decreasing", (lo, cl, hi, ch))
+    });
+}
 
-    #[test]
-    fn chi_square_quantile_round_trips(dof in 1usize..12, p in 0.001f64..0.999) {
-        let chi = ChiSquared::new(dof).unwrap();
+#[test]
+fn chi_square_quantile_round_trips() {
+    for_each_seed(|rng| {
+        let chi = ChiSquared::new(rng.index(1, 12)).unwrap();
+        let p = rng.uniform(0.001, 0.999);
         let x = chi.inverse_cdf(p).unwrap();
-        prop_assert!((chi.cdf(x).unwrap() - p).abs() < 1e-8);
-    }
+        let err = (chi.cdf(x).unwrap() - p).abs();
+        check(err < 1e-8, "CDF(quantile(p)) ≠ p", (p, err))
+    });
+}
 
-    #[test]
-    fn gamma_complement_identity(s in 0.5f64..10.0, x in 0.0f64..30.0) {
+#[test]
+fn gamma_complement_identity() {
+    for_each_seed(|rng| {
+        let (s, x) = (rng.uniform(0.5, 10.0), rng.uniform(0.0, 30.0));
         let p = regularized_lower_gamma(s, x).unwrap();
         let q = regularized_upper_gamma(s, x).unwrap();
-        prop_assert!((p + q - 1.0).abs() < 1e-10);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&p));
-    }
+        check((p + q - 1.0).abs() < 1e-10, "P + Q ≠ 1", (s, x, p, q))?;
+        check((0.0..=1.0 + 1e-12).contains(&p), "P outside [0, 1]", p)
+    });
+}
 
-    #[test]
-    fn sliding_window_matches_naive_count(
-        c in 1usize..5,
-        extra in 0usize..4,
-        inputs in proptest::collection::vec(any::<bool>(), 1..60),
-    ) {
-        let w = c + extra;
+#[test]
+fn sliding_window_matches_naive_count() {
+    for_each_seed(|rng| {
+        let c = rng.index(1, 5);
+        let w = c + rng.index(0, 4);
+        let inputs: Vec<bool> = (0..rng.index(1, 60)).map(|_| rng.coin()).collect();
         let mut window = SlidingWindow::new(c, w).unwrap();
         for (k, &v) in inputs.iter().enumerate() {
             let fired = window.push(v);
             let start = k.saturating_sub(w - 1);
             let naive = inputs[start..=k].iter().filter(|&&b| b).count() >= c;
-            prop_assert_eq!(fired, naive, "mismatch at index {}", k);
+            check(fired == naive, "window ≠ naive count", (c, w, k))?;
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn confusion_rates_are_consistent(
-        tp in 0u64..500, fp in 0u64..500, fn_ in 0u64..500, tn in 0u64..500,
-    ) {
+#[test]
+fn confusion_rates_are_consistent() {
+    for_each_seed(|rng| {
+        let (tp, fp, fn_, tn) = (
+            rng.below(0, 500),
+            rng.below(0, 500),
+            rng.below(0, 500),
+            rng.below(0, 500),
+        );
         let c = ConfusionCounts {
             true_positives: tp,
             false_positives: fp,
             false_negatives: fn_,
             true_negatives: tn,
         };
-        prop_assert_eq!(c.total(), tp + fp + fn_ + tn);
+        check(c.total() == tp + fp + fn_ + tn, "total", c.total())?;
         if tp + fn_ > 0 {
-            prop_assert!((c.true_positive_rate() + c.false_negative_rate() - 1.0).abs() < 1e-12);
+            let sum = c.true_positive_rate() + c.false_negative_rate();
+            check((sum - 1.0).abs() < 1e-12, "TPR + FNR ≠ 1", sum)?;
         }
         let f1 = c.f1_score();
-        prop_assert!((0.0..=1.0).contains(&f1));
+        check((0.0..=1.0).contains(&f1), "F1 outside [0, 1]", f1)?;
         if tp > 0 {
             // F1 is the harmonic mean: between min and max of P and R.
-            let p = c.precision();
-            let r = c.recall();
-            prop_assert!(f1 <= p.max(r) + 1e-12);
-            prop_assert!(f1 >= p.min(r) - 1e-12);
+            let (p, r) = (c.precision(), c.recall());
+            check(f1 <= p.max(r) + 1e-12, "F1 above max(P, R)", (f1, p, r))?;
+            check(f1 >= p.min(r) - 1e-12, "F1 below min(P, R)", (f1, p, r))?;
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn record_identified_never_counts_wrong_ids_as_true_positives(
-        truth in any::<bool>(),
-        alarm in any::<bool>(),
-        correct in any::<bool>(),
-    ) {
+#[test]
+fn record_identified_never_counts_wrong_ids_as_true_positives() {
+    for_each_seed(|rng| {
+        let (truth, alarm, correct) = (rng.coin(), rng.coin(), rng.coin());
         let mut c = ConfusionCounts::default();
         c.record_identified(truth, alarm, correct);
-        prop_assert_eq!(c.total(), 1);
-        if c.true_positives == 1 {
-            prop_assert!(truth && alarm && correct);
-        }
-    }
+        check(c.total() == 1, "one record, total", c.total())?;
+        check(
+            c.true_positives == 0 || (truth && alarm && correct),
+            "true positive without a correct identification",
+            (truth, alarm, correct),
+        )
+    });
 }

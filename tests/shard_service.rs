@@ -10,14 +10,12 @@
 
 use std::sync::{Arc, OnceLock};
 
-use roboads::control::Mission;
 use roboads::core::{
     restore_fleet, snapshot_detector, snapshot_fleet, FleetEngine, FleetHealth, FleetIngest,
     RoboAds, RobotFactory, ShardConfig, ShardedFleet,
 };
-use roboads::linalg::Vector;
 use roboads::models::presets;
-use roboads::sim::{serve_traces_uds, Scenario, SimulationBuilder, Trace};
+use roboads::sim::{evaluation_start, serve_traces_uds, Scenario, SimulationBuilder, Trace};
 
 const TICKS: usize = 48;
 
@@ -65,23 +63,13 @@ fn trace_of(index: usize) -> &'static Trace {
     &tr[index % tr.len()]
 }
 
-/// The evaluation runner's initial state (same construction as
-/// `evaluation_detector`).
-fn evaluation_x0() -> Vector {
-    let arena = presets::evaluation_arena();
-    let path = Mission::evaluation_default().plan(&arena, 0.08).unwrap();
-    let (sx, sy) = path.waypoints()[0];
-    let (lx, ly) = path.lookahead_point(sx, sy, 0.25);
-    let theta0 = (ly - sy).atan2(lx - sx);
-    Vector::from_slice(&[sx, sy, theta0])
-}
-
 /// A deterministic factory capturing ONE shared system: every detector
 /// it builds — including recovery twins — carries the same
 /// `ModelSignature`, so the whole fleet stays a single slab group.
 fn shared_factory() -> RobotFactory {
     let system = presets::khepera_system();
-    let x0 = evaluation_x0();
+    // The evaluation runner's initial state.
+    let (_, x0) = evaluation_start(None).unwrap();
     Arc::new(move |_id| RoboAds::with_defaults(system.clone(), x0.clone()))
 }
 

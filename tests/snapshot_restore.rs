@@ -37,7 +37,8 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 /// The recorded inputs (planned commands + readings) of one scenario
-/// run — the exact `f64` bits the runner fed its detector.
+/// run — the tracker's plan, not the bus-decoded command the runner fed
+/// its own detector.
 fn trace_for(scenario: Scenario) -> Trace {
     SimulationBuilder::khepera()
         .scenario(scenario)
