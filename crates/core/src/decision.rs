@@ -1,10 +1,12 @@
 use std::collections::HashMap;
 
-use roboads_linalg::{Matrix, Vector};
+use roboads_linalg::{
+    EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab, JACOBI_MAX_SWEEPS,
+};
 use roboads_models::{RobotSystem, SensorSlice};
 use roboads_obs::wire;
 use roboads_obs::{Counter, Gauge, Telemetry, Value};
-use roboads_stats::{ChiSquareTest, SlidingWindow, StatWorkspace};
+use roboads_stats::{ChiSquareTest, SlidingWindow, StatsError};
 
 use crate::config::RoboAdsConfig;
 use crate::engine::EngineOutput;
@@ -38,12 +40,12 @@ pub struct DecisionMaker {
     /// confirmed/cleared events.
     prev_sensor_alarm: bool,
     prev_actuator_alarm: bool,
-    /// Reusable statistic workspaces keyed by dimension — the aggregate
-    /// sensor test's testing-set dimension and the conflict test's
-    /// input dimension (the same lazily-built-and-cached discipline as
-    /// `sensor_tests`) — so warm assessments run without heap
-    /// allocation.
-    stat_workspaces: HashMap<usize, StatWorkspace>,
+    /// One-lane `dᵀP⁺d` scratch keyed by dimension (the same
+    /// lazily-built-and-cached discipline as `sensor_tests`), for the
+    /// cross-mode conflict tests and for the aggregate sensor test when
+    /// no fleet slab job batched it, so warm assessments run without
+    /// heap allocation.
+    statistics: HashMap<usize, NormalizedStatistic<1>>,
     /// Innovation-consistent mode indices, rebuilt each iteration.
     qualifying: Vec<usize>,
     /// Actuator-estimate difference scratch (input dimension).
@@ -121,7 +123,7 @@ impl DecisionMaker {
             instruments,
             prev_sensor_alarm: false,
             prev_actuator_alarm: false,
-            stat_workspaces: HashMap::new(),
+            statistics: HashMap::new(),
             qualifying: Vec::new(),
             diff: Vector::zeros(input_dim),
             joint: Matrix::zeros(input_dim, input_dim),
@@ -145,15 +147,19 @@ impl DecisionMaker {
         Ok(t)
     }
 
-    /// Returns the statistic workspace for dimension `dim`, building and
-    /// caching it on first use (warm calls are lookup-only).
-    fn stat_workspace(
-        workspaces: &mut HashMap<usize, StatWorkspace>,
-        dim: usize,
-    ) -> &mut StatWorkspace {
-        workspaces
-            .entry(dim)
-            .or_insert_with(|| StatWorkspace::new(dim))
+    /// `dᵀP⁺d` on the one-lane scratch for `d`'s dimension (built and
+    /// cached on first use; warm calls are lookup-only).
+    fn statistic(
+        statistics: &mut HashMap<usize, NormalizedStatistic<1>>,
+        d: &Vector,
+        covariance: &Matrix,
+    ) -> Result<f64> {
+        let scratch = statistics
+            .entry(d.len())
+            .or_insert_with_key(|&dim| NormalizedStatistic::new(dim));
+        scratch.load_lane(0, d, covariance);
+        scratch.run(&[true]);
+        scratch.lane(0)
     }
 
     /// Assesses one engine iteration directly into `report`'s decision
@@ -185,6 +191,23 @@ impl DecisionMaker {
         engine_out: &EngineOutput,
         report: &mut DetectionReport,
     ) -> Result<()> {
+        self.assess_report_with(system, modes, engine_out, None, report)
+    }
+
+    /// [`DecisionMaker::assess_report`], with the selected mode's
+    /// aggregate sensor statistic (Algorithm 1 line 10) already computed
+    /// when `aggregate` is `Some` — a fleet slab job batches it across
+    /// the robots that selected the same mode — and computed here at one
+    /// lane otherwise. A precomputed error ends the assessment exactly
+    /// where a computed one would.
+    pub(crate) fn assess_report_with(
+        &mut self,
+        system: &RobotSystem,
+        modes: &ModeSet,
+        engine_out: &EngineOutput,
+        aggregate: Option<Result<f64>>,
+        report: &mut DetectionReport,
+    ) -> Result<()> {
         let telemetry = self.telemetry.clone();
         let _assess_span = telemetry.span("decision.assess");
         let selected = engine_out.selected;
@@ -195,11 +218,14 @@ impl DecisionMaker {
             report.sensor_anomaly = AnomalyEstimate::empty();
         } else {
             let dof = selected_out.sensor_anomaly.len();
-            let stat = Self::stat_workspace(&mut self.stat_workspaces, dof)
-                .normalized_statistic_into(
+            let stat = match aggregate {
+                Some(stat) => stat?,
+                None => Self::statistic(
+                    &mut self.statistics,
                     &selected_out.sensor_anomaly,
                     &selected_out.sensor_covariance,
-                )?;
+                )?,
+            };
             let test = self.sensor_test(dof)?;
             report
                 .sensor_anomaly
@@ -267,9 +293,7 @@ impl DecisionMaker {
             self.diff -= &engine_out.modes[j].actuator_anomaly;
             self.joint.copy_from(&actuator_out.actuator_covariance);
             self.joint += &engine_out.modes[j].actuator_covariance;
-            let dim = self.diff.len();
-            let stat = Self::stat_workspace(&mut self.stat_workspaces, dim)
-                .normalized_statistic_into(&self.diff, &self.joint)?;
+            let stat = Self::statistic(&mut self.statistics, &self.diff, &self.joint)?;
             if self.actuator_conflict_test.exceeds(stat) {
                 contradicted = true;
                 break;
@@ -529,6 +553,87 @@ impl DecisionMaker {
     }
 }
 
+/// The normalized statistic `dᵀ P⁺ d` for up to `K` estimates at once:
+/// per lane bitwise identical to [`roboads_stats::normalized_statistic`]
+/// on that lane's estimate and covariance (the slab Jacobi replays the
+/// allocating one, and the rank cutoff and the quadratic-form order are
+/// the allocating path's). A decision maker runs it at one lane, for
+/// the cross-mode conflict tests and the aggregate sensor test
+/// (Algorithm 1 line 10); a fleet slab job runs the aggregate test
+/// eight lanes wide, one scratch per mode, over the robots that
+/// selected that mode.
+#[derive(Debug, Clone)]
+pub(crate) struct NormalizedStatistic<const K: usize> {
+    d: VectorSlab<K>,
+    cov: MatrixSlab<K>,
+    pinv: MatrixSlab<K>,
+    eig: EigenSlabWorkspace<K>,
+    converged: [bool; K],
+    statistic: [f64; K],
+}
+
+impl<const K: usize> NormalizedStatistic<K> {
+    /// Scratch for length-`dim` estimates.
+    pub(crate) fn new(dim: usize) -> Self {
+        NormalizedStatistic {
+            d: VectorSlab::zeros(dim),
+            cov: MatrixSlab::zeros(dim, dim),
+            pinv: MatrixSlab::zeros(dim, dim),
+            eig: EigenSlabWorkspace::new(dim),
+            converged: [false; K],
+            statistic: [0.0; K],
+        }
+    }
+
+    /// Loads lane `l` with an estimate `d` and its covariance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` or `covariance` does not match the scratch's
+    /// dimension.
+    pub(crate) fn load_lane(&mut self, l: usize, d: &Vector, covariance: &Matrix) {
+        self.d.load_lane(l, d);
+        self.cov.load_lane(l, covariance);
+    }
+
+    /// Computes the statistic of every `active` lane.
+    pub(crate) fn run(&mut self, active: &[bool; K]) {
+        let converged = self.eig.factorize(&self.cov, active);
+        let mut cutoff = [0.0f64; K];
+        for (l, c) in cutoff.iter_mut().enumerate() {
+            if converged[l] {
+                *c = self.eig.spectrum_cutoff(l);
+            }
+        }
+        self.eig.spectral_map_into(
+            |l, lam| {
+                if converged[l] && lam.abs() > cutoff[l] {
+                    1.0 / lam
+                } else {
+                    0.0
+                }
+            },
+            &mut self.pinv,
+        );
+        self.statistic = self.d.quadratic_form(&self.pinv);
+        self.converged = converged;
+    }
+
+    /// Lane `l`'s statistic from the last [`run`](Self::run), or the
+    /// error `normalized_statistic` returns on its inputs (the Jacobi
+    /// sweep cap, the only failure same-shaped inputs can reach).
+    pub(crate) fn lane(&self, l: usize) -> Result<f64> {
+        if self.converged[l] {
+            Ok(self.statistic[l])
+        } else {
+            Err(StatsError::from(LinalgError::NoConvergence {
+                sweeps: JACOBI_MAX_SWEEPS,
+            })
+            .into())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,5 +876,64 @@ mod tests {
         let (_, _, dm, _) = setup();
         assert_eq!(dm.sensor_alpha(), 0.005);
         assert_eq!(dm.actuator_alpha(), 0.05);
+    }
+
+    #[test]
+    fn normalized_statistic_lanes_equal_the_allocating_function() {
+        let cases = [
+            (
+                Vector::from_slice(&[1.0, 2.0]),
+                Matrix::from_diagonal(&[1.0, 4.0]),
+            ),
+            (
+                Vector::from_slice(&[3.0, 0.0]),
+                Matrix::from_diagonal(&[9.0, 0.0]), // singular
+            ),
+            (
+                Vector::from_slice(&[0.2, -0.1]),
+                Matrix::from_rows(&[&[0.01, 0.002], &[0.002, 0.04]]).unwrap(),
+            ),
+        ];
+        let expected: Vec<u64> = cases
+            .iter()
+            .map(|(d, p)| roboads_stats::normalized_statistic(d, p).unwrap().to_bits())
+            .collect();
+        // One lane, reused case after case, as a decision maker does.
+        let mut one = NormalizedStatistic::<1>::new(2);
+        for ((d, p), want) in cases.iter().zip(&expected) {
+            one.load_lane(0, d, p);
+            one.run(&[true]);
+            assert_eq!(one.lane(0).unwrap().to_bits(), *want);
+        }
+        // Eight 3×3 lanes, one of which cannot converge (a NaN pair
+        // spreads through every rotation): it fails alone, with the
+        // allocating function's error, and its neighbours stay exact.
+        let mut eight = NormalizedStatistic::<8>::new(3);
+        let mut expected = Vec::new();
+        for l in 0..8 {
+            let x = l as f64;
+            let d = Vector::from_slice(&[x + 1.0, -0.5, 0.25 * x]);
+            let mut p = Matrix::from_rows(&[
+                &[2.0 + x, 0.3, -0.1 * x],
+                &[0.3, 1.0, 0.2],
+                &[-0.1 * x, 0.2, 0.5 + x],
+            ])
+            .unwrap();
+            if l == 5 {
+                p[(0, 1)] = f64::NAN;
+                p[(1, 0)] = f64::NAN;
+            }
+            eight.load_lane(l, &d, &p);
+            expected
+                .push(roboads_stats::normalized_statistic(&d, &p).map_err(crate::CoreError::from));
+        }
+        eight.run(&[true; 8]);
+        assert!(expected[5].is_err(), "the poisoned lane must not converge");
+        for (l, want) in expected.iter().enumerate() {
+            match (eight.lane(l), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got.to_bits(), want.to_bits(), "lane {l}"),
+                (got, want) => assert_eq!(&got, want, "lane {l}"),
+            }
+        }
     }
 }

@@ -200,23 +200,29 @@ impl RoboAds {
         report: &mut DetectionReport,
     ) -> Result<()> {
         self.engine.step_in_place(u_prev, readings)?;
-        self.complete_iteration(report)
+        self.complete_iteration(report, None)
     }
 
     /// The decision-and-report tail of an iteration whose engine step
     /// committed: the χ² decision on the engine's output, the decision
     /// windows fed back to the activation scheduler, and the report
-    /// refill. [`RoboAds::step_into`] and the fleet's slab tiles both
-    /// end an iteration here.
+    /// refill. [`RoboAds::step_into`] and the fleet's slab jobs both
+    /// end an iteration here; a slab job passes the aggregate sensor
+    /// statistic it batched across its robots as `aggregate`.
     ///
     /// # Errors
     ///
     /// A decision-maker error; `report` may then hold a partial verdict.
-    pub(crate) fn complete_iteration(&mut self, report: &mut DetectionReport) -> Result<()> {
-        self.decision.assess_report(
+    pub(crate) fn complete_iteration(
+        &mut self,
+        report: &mut DetectionReport,
+        aggregate: Option<Result<f64>>,
+    ) -> Result<()> {
+        self.decision.assess_report_with(
             self.engine.system(),
             self.engine.modes(),
             self.engine.last_output(),
+            aggregate,
             report,
         )?;
         // Feed the decision windows back to the activation scheduler:

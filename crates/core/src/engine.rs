@@ -727,6 +727,13 @@ impl MultiModeEngine {
         &self.output
     }
 
+    /// Mutable access to the last output, for tests that corrupt a
+    /// committed output before its decision tail runs.
+    #[cfg(test)]
+    pub(crate) fn output_mut(&mut self) -> &mut EngineOutput {
+        &mut self.output
+    }
+
     /// Ends this engine's part of an iteration: commits it when every
     /// mode it ran succeeded (`failure` is `None`), and accounts for the
     /// step in the instruments either way. `health` is the linalg health

@@ -37,6 +37,7 @@ use roboads_obs::{Counter, Gauge, Telemetry, Value};
 use roboads_pool::Pool;
 
 use crate::config::{ActivationPolicy, Linearization};
+use crate::decision::NormalizedStatistic;
 use crate::detector::RoboAds;
 use crate::engine::{step_tile, MultiModeEngine, Tile};
 use crate::mode::ModeSet;
@@ -133,12 +134,23 @@ impl RobotCell {
 }
 
 /// One pool job's slab scratch for the lane-batched fleet path: one
-/// [`NuiseSlabWorkspace`] per mode, reused tick after tick so the warm
-/// path allocates nothing. Jobs never share scratch, so the pool path
-/// stays synchronization-free.
+/// [`NuiseSlabWorkspace`] and one [`NormalizedStatistic`] per mode, plus
+/// the per-tick buckets of the aggregate pass, reused tick after tick so
+/// the warm path allocates nothing. Jobs never share scratch, so the
+/// pool path stays synchronization-free.
 #[derive(Debug)]
 struct SlabJob<const K: usize> {
     bank: Vec<NuiseSlabWorkspace<K>>,
+    /// Per mode: the aggregate sensor statistic of the job's robots that
+    /// selected it, `K` lanes at a time.
+    aggregates: Vec<NormalizedStatistic<K>>,
+    /// Per mode: the job's committed robots (cell offsets in the job's
+    /// range) that selected it this tick.
+    buckets: Vec<Vec<usize>>,
+    /// Per cell of the job's range: its batched aggregate statistic, or
+    /// `None` when no pass computed one (uncommitted, or an empty
+    /// testing set).
+    statistics: Vec<Option<Result<f64>>>,
 }
 
 /// Hashable image of an engine's [`ActivationPolicy`] for the group
@@ -411,9 +423,16 @@ impl FleetEngine {
                 len.div_ceil(chunk).max(1)
             }
         };
+        let kernels = rep.kernels();
         (0..job_count)
             .map(|_| SlabJob {
-                bank: rep.kernels().iter().map(|k| k.widened()).collect(),
+                bank: kernels.iter().map(|k| k.widened()).collect(),
+                aggregates: kernels
+                    .iter()
+                    .map(|k| NormalizedStatistic::new(k.testing_dim()))
+                    .collect(),
+                buckets: vec![Vec::new(); kernels.len()],
+                statistics: Vec::new(),
             })
             .collect()
     }
@@ -971,9 +990,19 @@ fn step_robot(cell: &mut RobotCell, inputs: Inputs<'_, '_>, stamp: u64) {
 }
 
 /// Steps one job's contiguous robot range (all cells of one signature
-/// group, or one lane-aligned chunk of it) tile by tile. The final tile
-/// of the group's final job may be partial; it runs with the surplus
-/// lanes masked off.
+/// group, or one lane-aligned chunk of it) in three phases:
+///
+/// 1. tile by tile, every robot plans, runs its NUISE lanes and commits
+///    ([`step_tile`]); the final tile of the group's final job may be
+///    partial and runs with the surplus lanes masked off;
+/// 2. the committed robots are bucketed by selected mode, and each
+///    bucket's aggregate sensor statistic runs `K` lanes wide
+///    ([`aggregate_pass`]) — buckets span tiles, so nearly every pass is
+///    full;
+/// 3. in range order, each robot's decision tail reads its batched
+///    statistic, and its outcome is recorded.
+///
+/// Phases 2 and 3 are [`decide_range`].
 fn step_range_slab<const K: usize>(
     job: &mut SlabJob<K>,
     cells: &mut [RobotCell],
@@ -981,25 +1010,77 @@ fn step_range_slab<const K: usize>(
     stamp: u64,
 ) {
     for cells in cells.chunks_mut(K) {
-        step_tile(
-            &mut job.bank,
-            &mut FleetTile {
-                cells,
-                inputs,
-                stamp,
-            },
-        );
+        step_tile(&mut job.bank, &mut FleetTile { cells, inputs });
+    }
+    decide_range(job, cells, inputs, stamp);
+}
+
+/// Ends the iteration of every robot in `cells`, whose `result` holds
+/// its commit outcome: batches the committed robots' aggregate
+/// statistics ([`aggregate_pass`]), then runs each robot's decision
+/// tail in range order and records its outcome.
+fn decide_range<const K: usize>(
+    job: &mut SlabJob<K>,
+    cells: &mut [RobotCell],
+    inputs: Inputs<'_, '_>,
+    stamp: u64,
+) {
+    aggregate_pass(job, cells);
+    for (cell, aggregate) in cells.iter_mut().zip(&mut job.statistics) {
+        let _robot = roboads_obs::robot_scope(cell.fleet as u32 + 1);
+        let committed = std::mem::replace(&mut cell.result, Ok(()));
+        let result = committed.and_then(|()| {
+            cell.detector
+                .complete_iteration(&mut cell.report, aggregate.take())
+        });
+        cell.finish(result, inputs, stamp);
+    }
+}
+
+/// Phase 2 of [`step_range_slab`]: fills `job.statistics` with the
+/// aggregate sensor statistic (or its error) of every committed robot
+/// in `cells` whose selected mode tests a sensor. Robots are bucketed by
+/// selected mode, so each pass runs one mode's shape; a lane that does
+/// not converge takes the error the one-lane path returns, and its
+/// bucket neighbours are unaffected.
+fn aggregate_pass<const K: usize>(job: &mut SlabJob<K>, cells: &[RobotCell]) {
+    // Room for the whole range in every bucket, so a tick on which more
+    // robots than ever select one mode does not allocate.
+    for bucket in &mut job.buckets {
+        bucket.clear();
+        bucket.reserve(cells.len());
+    }
+    job.statistics.clear();
+    job.statistics.resize_with(cells.len(), || None);
+    for (i, cell) in cells.iter().enumerate() {
+        let out = cell.detector.last_engine_output();
+        if cell.result.is_ok() && !out.selected_output().sensor_anomaly.is_empty() {
+            job.buckets[out.selected].push(i);
+        }
+    }
+    for (bucket, agg) in job.buckets.iter().zip(&mut job.aggregates) {
+        for chunk in bucket.chunks(K) {
+            let mut active = [false; K];
+            for (l, &i) in chunk.iter().enumerate() {
+                let out = cells[i].detector.last_engine_output().selected_output();
+                agg.load_lane(l, &out.sensor_anomaly, &out.sensor_covariance);
+                active[l] = true;
+            }
+            agg.run(&active);
+            for (l, &i) in chunk.iter().enumerate() {
+                job.statistics[i] = Some(agg.lane(l));
+            }
+        }
     }
 }
 
 /// A ≤K-robot slab tile of one signature group. Every lane shares the
 /// first cell's models, mode bank and thresholds; each lane's input
-/// lookup, span id, record stamp and error index map back through its
-/// cell's fleet index.
+/// lookup, span id and error index map back through its cell's fleet
+/// index.
 struct FleetTile<'c, 'i, 'a> {
     cells: &'c mut [RobotCell],
     inputs: Inputs<'i, 'a>,
-    stamp: u64,
 }
 
 impl<'a> Tile<'a> for FleetTile<'_, '_, 'a> {
@@ -1019,10 +1100,9 @@ impl<'a> Tile<'a> for FleetTile<'_, '_, 'a> {
         Some(roboads_obs::robot_scope(self.cells[l].fleet as u32 + 1))
     }
 
+    /// Holds the commit outcome until the range's decision phase.
     fn finish(&mut self, l: usize, result: Result<()>) {
-        let cell = &mut self.cells[l];
-        let result = result.and_then(|()| cell.detector.complete_iteration(&mut cell.report));
-        cell.finish(result, self.inputs, self.stamp);
+        self.cells[l].result = result;
     }
 }
 
@@ -1203,6 +1283,118 @@ mod tests {
             // tick of the batch sequence.
             assert_eq!(fleet.report(0), &expected, "report tainted at step {k}");
         }
+    }
+
+    /// Corrupts the committed selected-mode sensor covariance of
+    /// `detector`'s last output with a NaN off-diagonal pair, so its
+    /// aggregate statistic cannot converge.
+    fn poison_aggregate(detector: &mut RoboAds) {
+        let out = detector.engine_mut().output_mut();
+        let cov = &mut out.modes[out.selected].sensor_covariance;
+        cov[(0, 1)] = f64::NAN;
+        cov[(1, 0)] = f64::NAN;
+    }
+
+    #[test]
+    fn non_converging_aggregate_lane_fails_alone_with_the_standalone_error() {
+        // Eleven robots in one slab job; every third one is spoofed on
+        // the IPS, so the per-mode buckets differ. On the test tick robot
+        // 5's committed output is poisoned between the NUISE phase and
+        // the decision phase: its aggregate lane must end its iteration
+        // with exactly the one-lane path's error, and its bucket
+        // neighbours must stay bitwise equal to standalone detectors.
+        const ROBOTS: usize = 11;
+        const BAD: usize = 5;
+        const POISONED_TICK: usize = 4;
+        let system = presets::khepera_system();
+        let template = detector_for(&system);
+        let mut fleet = FleetEngine::new(vec![template.clone(); ROBOTS], 1);
+        let mut twins = vec![template; ROBOTS];
+        let mut twin_reports = vec![DetectionReport::blank(); ROBOTS];
+        let u = Vector::from_slice(&[0.06, 0.05]);
+        let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
+        for k in 0..POISONED_TICK + 3 {
+            x_true = system.dynamics().step(&x_true, &u);
+            let readings: Vec<Vec<Vector>> = (0..ROBOTS)
+                .map(|i| {
+                    let mut r = clean_readings(&system, &x_true);
+                    if i % 3 == 1 && k >= 1 {
+                        r[0][0] += 0.1;
+                    }
+                    r
+                })
+                .collect();
+            let batch: Vec<RobotInput<'_>> = readings
+                .iter()
+                .map(|r| RobotInput {
+                    u_prev: &u,
+                    readings: r,
+                })
+                .collect();
+            let mut twin_results = Vec::new();
+            for (i, twin) in twins.iter_mut().enumerate() {
+                twin.engine_mut().step_in_place(&u, &readings[i]).unwrap();
+                if k == POISONED_TICK && i == BAD {
+                    poison_aggregate(twin);
+                }
+                twin_results.push(twin.complete_iteration(&mut twin_reports[i], None));
+            }
+            if k == POISONED_TICK {
+                // The fleet tick by its phases, with the poison between.
+                let inputs = Inputs::Dense(&batch);
+                let SlabState::Grouped(groups) = &mut fleet.slab else {
+                    panic!("the fleet is partitioned after its first tick");
+                };
+                let GroupKind::K8(jobs) = &mut groups[0].kind else {
+                    panic!("eleven robots fill a tile, so the group slabs");
+                };
+                let job = &mut jobs[0];
+                let cells = &mut fleet.cells[..];
+                for tile in cells.chunks_mut(SLAB_LANES) {
+                    step_tile(
+                        &mut job.bank,
+                        &mut FleetTile {
+                            cells: tile,
+                            inputs,
+                        },
+                    );
+                }
+                let bad = cells.iter_mut().find(|c| c.fleet == BAD).unwrap();
+                poison_aggregate(&mut bad.detector);
+                let selected = bad.detector.last_engine_output().selected;
+                let neighbours = cells
+                    .iter()
+                    .filter(|c| c.fleet != BAD)
+                    .filter(|c| c.detector.last_engine_output().selected == selected)
+                    .count();
+                assert!(neighbours > 0, "the poisoned lane shares its bucket");
+                decide_range(job, cells, inputs, k as u64);
+                // The Jacobi sweep cap, through the statistic's error.
+                let no_convergence = roboads_linalg::LinalgError::NoConvergence {
+                    sweeps: roboads_linalg::JACOBI_MAX_SWEEPS,
+                };
+                assert_eq!(
+                    twin_results[BAD],
+                    Err(roboads_stats::StatsError::from(no_convergence).into())
+                );
+            } else {
+                let _ = fleet.step_batch(&batch);
+            }
+            for i in 0..ROBOTS {
+                assert_eq!(fleet.result(i), &twin_results[i], "robot {i} tick {k}");
+                assert_eq!(
+                    crate::snapshot::snapshot_detector(fleet.detector(i)),
+                    crate::snapshot::snapshot_detector(&twins[i]),
+                    "robot {i} detector at tick {k}"
+                );
+                if twin_results[i].is_ok() {
+                    assert_eq!(fleet.report(i), &twin_reports[i], "robot {i} tick {k}");
+                }
+            }
+        }
+        // The poisoned robot lost exactly that iteration's decision.
+        assert_eq!(fleet.detector(BAD).iteration(), POISONED_TICK as u64 + 2);
+        assert_eq!(fleet.detector(0).iteration(), POISONED_TICK as u64 + 3);
     }
 
     /// Steps `fleet` once with clean inputs so the partition resolves.

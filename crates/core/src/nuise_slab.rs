@@ -477,6 +477,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         )
     }
 
+    /// Length of the mode's stacked sensor-anomaly (testing) vector.
+    pub(crate) fn testing_dim(&self) -> usize {
+        self.layout.m1_dim
+    }
+
     /// A zeroed [`NuiseOutput`] with every buffer sized for this
     /// workspace's mode, ready for [`scatter_lane`](Self::scatter_lane).
     pub(crate) fn new_output(&self) -> NuiseOutput {

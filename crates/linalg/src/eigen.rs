@@ -33,14 +33,14 @@ pub struct SymmetricEigen {
 }
 
 /// Maximum number of full Jacobi sweeps before reporting
-/// non-convergence; shared by every Jacobi implementation in the crate
-/// (allocating, workspace and slab), so a lane-batched failure flag maps
-/// to the same [`LinalgError::NoConvergence`] the scalar paths return.
+/// non-convergence; shared by both Jacobi implementations in the crate
+/// (allocating and slab), so a lane-batched failure flag maps to the
+/// same [`LinalgError::NoConvergence`] the allocating path returns.
 pub const JACOBI_MAX_SWEEPS: usize = 64;
 
 /// Off-diagonal magnitude (relative to the Frobenius norm) considered
-/// zero; the one definition every Jacobi implementation in the crate
-/// (allocating, workspace and slab) checks against.
+/// zero; the one definition both Jacobi implementations in the crate
+/// (allocating and slab) check against.
 pub(crate) const CONVERGENCE_TOL: f64 = 1e-14;
 
 impl SymmetricEigen {

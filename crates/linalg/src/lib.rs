@@ -26,11 +26,10 @@
 //! ([`MatrixSlab`], [`LuSlabWorkspace`], [`EigenSlabWorkspace`]): one
 //! robot at K = 1, a fleet tile at K = 8. Each slab kernel is pinned
 //! bit for bit, per lane, against its allocating counterpart
-//! (`tests/slab_vs_scalar.rs`). Beside them sits a small scalar
-//! in-place layer for buffer reuse outside the NUISE step — fills,
-//! copies, [`Matrix::mul_vec_into`], `+=`/`-=`, and the
-//! [`EigenWorkspace`] behind [`Matrix::pseudo_inverse_into`] — each
-//! pinned to the allocating operation it replaces.
+//! (`tests/slab_vs_scalar.rs`, `tests/jacobi_props.rs`). Beside them
+//! sits a small scalar in-place layer for buffer reuse outside the
+//! NUISE step — fills, copies, [`Matrix::mul_vec_into`], `+=`/`-=` —
+//! each pinned to the allocating operation it replaces.
 //!
 //! # Example
 //!
@@ -62,7 +61,6 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use eigen::{SymmetricEigen, JACOBI_MAX_SWEEPS};
 pub use error::LinalgError;
-pub use inplace::EigenWorkspace;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use slab::{EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, VectorSlab};

@@ -13,7 +13,7 @@
 //! eigendecomposition, and are restricted to symmetric input (covariance
 //! matrices), which is all the estimator needs.
 
-use crate::{EigenWorkspace, Matrix, Result};
+use crate::{Matrix, Result};
 
 /// Relative eigenvalue threshold below which the spectrum is treated as
 /// zero when computing rank, pseudo-inverse and pseudo-determinant.
@@ -46,27 +46,6 @@ impl Matrix {
         let eig = self.symmetric_eigen()?;
         let cutoff = spectrum_cutoff(eig.eigenvalues().as_slice());
         Ok(eig.spectral_map(|l| if l.abs() > cutoff { 1.0 / l } else { 0.0 }))
-    }
-
-    /// Writes the Moore–Penrose pseudo-inverse of a **symmetric** matrix
-    /// into `out`, factorizing into `ws`. Bitwise identical to
-    /// [`Matrix::pseudo_inverse`] (the workspace eigendecomposition
-    /// replays the allocating path's rotation sequence and the rank
-    /// cutoff is computed by the same code), without heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying eigendecomposition error for non-square or
-    /// empty input, or a workspace-dimension mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not match the workspace dimension.
-    pub fn pseudo_inverse_into(&self, ws: &mut EigenWorkspace, out: &mut Matrix) -> Result<()> {
-        ws.factorize(self)?;
-        let cutoff = spectrum_cutoff(ws.eigenvalues().as_slice());
-        ws.spectral_map_into(|l| if l.abs() > cutoff { 1.0 / l } else { 0.0 }, out);
-        Ok(())
     }
 
     /// Pseudo-determinant of a **symmetric** matrix: the product of its
@@ -123,8 +102,9 @@ impl Matrix {
 }
 
 /// Rank cutoff for a spectrum: one implementation shared by the
-/// allocating and workspace pseudo-inverse paths so both treat exactly
-/// the same eigenvalues as zero.
+/// pseudo-inverse, pseudo-determinant and rank, so all three treat
+/// exactly the same eigenvalues as zero (the slab kernel's
+/// `EigenSlabWorkspace::spectrum_cutoff` replays it per lane).
 fn spectrum_cutoff(eigenvalues: &[f64]) -> f64 {
     let max_abs = eigenvalues.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     RANK_TOL * max_abs.max(f64::MIN_POSITIVE)
@@ -189,29 +169,6 @@ mod tests {
         assert!(!indef.is_positive_semi_definite(1e-9).unwrap());
         let psd = Matrix::from_diagonal(&[1.0, 0.0]);
         assert!(psd.is_positive_semi_definite(1e-12).unwrap());
-    }
-
-    #[test]
-    fn pseudo_inverse_into_matches_allocating_bitwise() {
-        use crate::EigenWorkspace;
-        // Singular rank-2 case and a full-rank reuse, both pinned
-        // exactly against the allocating path.
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[0.0, 1.0]]).unwrap();
-        let a = &b * &b.transpose();
-        let mut ws = EigenWorkspace::new(3);
-        let mut out = Matrix::zeros(3, 3);
-        a.pseudo_inverse_into(&mut ws, &mut out).unwrap();
-        assert_eq!(out, a.pseudo_inverse().unwrap());
-
-        let spd =
-            Matrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 0.2], &[0.0, 0.2, 2.0]]).unwrap();
-        spd.pseudo_inverse_into(&mut ws, &mut out).unwrap();
-        assert_eq!(out, spd.pseudo_inverse().unwrap());
-
-        // Dimension mismatch surfaces as an error, not a panic.
-        assert!(Matrix::identity(2)
-            .pseudo_inverse_into(&mut ws, &mut out)
-            .is_err());
     }
 
     #[test]

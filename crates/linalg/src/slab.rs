@@ -17,15 +17,16 @@
 //! `&a * &b.transpose()`, `&a * &v`, [`Matrix::transpose`],
 //! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
 //! [`crate::Lu::inverse`], and the Jacobi of [`crate::SymmetricEigen`]
-//! as replayed by [`crate::EigenWorkspace`] — with the same loop
-//! structure, accumulation order and pivot/convergence decisions
-//! applied per lane. Data-dependent branches in the scalar code (`if
+//! with its spectral maps and [`Matrix::pseudo_inverse`] — with the
+//! same loop structure, accumulation order and pivot/convergence
+//! decisions applied per lane. Data-dependent branches in the scalar code (`if
 //! aik == 0.0 { continue }` zero-skips, LU pivot selection and
 //! singularity skips, Jacobi rotation and convergence checks) become
 //! per-lane *selects*: each lane takes exactly the value it would have
-//! taken in the scalar code, and lanes that diverge simply mask their
-//! stores. `tests/slab_vs_scalar.rs` pins every kernel against the
-//! allocating path with `to_bits` comparisons at K = 1 and K = 8.
+//! taken in the scalar code, and a lane the scalar code would skip keeps
+//! its old value. `tests/slab_vs_scalar.rs` and `tests/jacobi_props.rs`
+//! pin every kernel against the allocating path with `to_bits`
+//! comparisons at K = 1 and K = 8.
 //!
 //! Lanes that hit a numeric failure (singular LU, non-converged Jacobi)
 //! are reported via per-lane flags; their buffers may hold garbage
@@ -832,14 +833,22 @@ impl<const K: usize> LuSlabWorkspace<K> {
 
 /// Lane-batched cyclic Jacobi eigendecomposition for symmetric
 /// matrices; per lane bitwise identical to the scalar
-/// [`crate::EigenWorkspace`].
+/// [`crate::SymmetricEigen`].
 ///
 /// Convergence is tracked per lane: a lane whose off-diagonal norm
 /// passes the sweep-top check freezes (its eigenvalues are captured and
-/// all further rotation stores are masked), exactly where the scalar
-/// path would have returned. Lanes still unconverged after the sweep
-/// cap are reported via the returned flags — the scalar path's
+/// every further rotation selects its old values), exactly where the
+/// scalar path would have returned. Lanes still unconverged after the
+/// sweep cap are reported via the returned flags — the scalar path's
 /// `NoConvergence` error.
+///
+/// The rotation is branch-free across lanes (a lane that does not
+/// rotate keeps its old value through a select, so the lane loops
+/// vectorize), and it updates rows `p` and `q` by mirroring the column
+/// update: the working copy is exactly symmetric, so off the 2×2 block
+/// the scalar path's row update reproduces its column update bit for
+/// bit, and only the block's two new diagonal entries are computed, with
+/// the scalar path's expressions.
 #[derive(Debug, Clone)]
 pub struct EigenSlabWorkspace<const K: usize> {
     a: MatrixSlab<K>,
@@ -865,7 +874,7 @@ impl<const K: usize> EigenSlabWorkspace<K> {
     /// Decomposes the active lanes of `m` (upper triangle, as the
     /// scalar path does) and returns per-lane convergence flags:
     /// `true` means that lane's eigenvalues/eigenvectors are valid and
-    /// bitwise identical to [`crate::EigenWorkspace::factorize`] on
+    /// bitwise identical to [`crate::SymmetricEigen::new`] on
     /// that lane's matrix; `false` for an active lane means the scalar
     /// path would have returned `NoConvergence`. Inactive lanes are
     /// skipped entirely (their buffers hold stale data) and report
@@ -933,7 +942,10 @@ impl<const K: usize> EigenSlabWorkspace<K> {
                     let mut rot = [false; K];
                     let mut any = false;
                     for l in 0..K {
-                        rot[l] = !done[l] && apq[l].abs() > f64::MIN_POSITIVE;
+                        // The scalar path skips only `|apq| <= MIN`, so
+                        // a NaN entry rotates there and here.
+                        let mag = apq[l].abs();
+                        rot[l] = !done[l] && (mag > f64::MIN_POSITIVE || mag.is_nan());
                         any |= rot[l];
                     }
                     if !any {
@@ -944,76 +956,74 @@ impl<const K: usize> EigenSlabWorkspace<K> {
                     let mut c = [0.0f64; K];
                     let mut s = [0.0f64; K];
                     for l in 0..K {
-                        // Computed for every lane; masked lanes may
-                        // produce inf/NaN here which the guarded
-                        // stores below discard.
+                        // Computed for every lane; lanes that do not
+                        // rotate may produce inf/NaN here, which the
+                        // selects below discard.
                         let theta = (aqq[l] - app[l]) / (2.0 * apq[l]);
                         let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                         let cl = 1.0 / (t * t + 1.0).sqrt();
                         c[l] = cl;
                         s[l] = t * cl;
                     }
+                    // The working copy is exactly symmetric (loaded from
+                    // one triangle, and every rotation keeps it so), so
+                    // off the 2×2 block the scalar path's row update
+                    // reads the same operands as its column update and
+                    // stores the same bits: compute the columns once and
+                    // mirror them into rows p and q.
                     for k in 0..n {
+                        if k == p || k == q {
+                            continue;
+                        }
                         let akp = *a.at(k, p);
                         let akq = *a.at(k, q);
-                        let gp = a.at_mut(k, p);
+                        let mut np = [0.0f64; K];
+                        let mut nq = [0.0f64; K];
                         for l in 0..K {
-                            if rot[l] {
-                                gp[l] = c[l] * akp[l] - s[l] * akq[l];
-                            }
+                            let xp = c[l] * akp[l] - s[l] * akq[l];
+                            let xq = s[l] * akp[l] + c[l] * akq[l];
+                            np[l] = if rot[l] { xp } else { akp[l] };
+                            nq[l] = if rot[l] { xq } else { akq[l] };
                         }
-                        let gq = a.at_mut(k, q);
-                        for l in 0..K {
-                            if rot[l] {
-                                gq[l] = s[l] * akp[l] + c[l] * akq[l];
-                            }
-                        }
+                        *a.at_mut(k, p) = np;
+                        *a.at_mut(p, k) = np;
+                        *a.at_mut(k, q) = nq;
+                        *a.at_mut(q, k) = nq;
                     }
-                    for k in 0..n {
-                        let apk = *a.at(p, k);
-                        let aqk = *a.at(q, k);
-                        let gp = a.at_mut(p, k);
-                        for l in 0..K {
-                            if rot[l] {
-                                gp[l] = c[l] * apk[l] - s[l] * aqk[l];
-                            }
-                        }
-                        let gq = a.at_mut(q, k);
-                        for l in 0..K {
-                            if rot[l] {
-                                gq[l] = s[l] * apk[l] + c[l] * aqk[l];
-                            }
-                        }
+                    // The block: the scalar path's column update, then
+                    // its row update of the two diagonal entries (the
+                    // rotated-out pair is cleared exactly).
+                    let mut dp = [0.0f64; K];
+                    let mut dq = [0.0f64; K];
+                    let mut opq = [0.0f64; K];
+                    for l in 0..K {
+                        let pp = c[l] * app[l] - s[l] * apq[l];
+                        let pq = s[l] * app[l] + c[l] * apq[l];
+                        let qp = c[l] * apq[l] - s[l] * aqq[l];
+                        let qq = s[l] * apq[l] + c[l] * aqq[l];
+                        let xp = c[l] * pp - s[l] * qp;
+                        let xq = s[l] * pq + c[l] * qq;
+                        dp[l] = if rot[l] { xp } else { app[l] };
+                        dq[l] = if rot[l] { xq } else { aqq[l] };
+                        opq[l] = if rot[l] { 0.0 } else { apq[l] };
                     }
-                    {
-                        let gpq = a.at_mut(p, q);
-                        for l in 0..K {
-                            if rot[l] {
-                                gpq[l] = 0.0;
-                            }
-                        }
-                        let gqp = a.at_mut(q, p);
-                        for l in 0..K {
-                            if rot[l] {
-                                gqp[l] = 0.0;
-                            }
-                        }
-                    }
+                    *a.at_mut(p, p) = dp;
+                    *a.at_mut(q, q) = dq;
+                    *a.at_mut(p, q) = opq;
+                    *a.at_mut(q, p) = opq;
                     for k in 0..n {
                         let vkp = *v.at(k, p);
                         let vkq = *v.at(k, q);
-                        let gp = v.at_mut(k, p);
+                        let mut np = [0.0f64; K];
+                        let mut nq = [0.0f64; K];
                         for l in 0..K {
-                            if rot[l] {
-                                gp[l] = c[l] * vkp[l] - s[l] * vkq[l];
-                            }
+                            let xp = c[l] * vkp[l] - s[l] * vkq[l];
+                            let xq = s[l] * vkp[l] + c[l] * vkq[l];
+                            np[l] = if rot[l] { xp } else { vkp[l] };
+                            nq[l] = if rot[l] { xq } else { vkq[l] };
                         }
-                        let gq = v.at_mut(k, q);
-                        for l in 0..K {
-                            if rot[l] {
-                                gq[l] = s[l] * vkp[l] + c[l] * vkq[l];
-                            }
-                        }
+                        *v.at_mut(k, p) = np;
+                        *v.at_mut(k, q) = nq;
                     }
                 }
             }
@@ -1030,7 +1040,7 @@ impl<const K: usize> EigenSlabWorkspace<K> {
     }
 
     /// Largest eigenvalue of lane `lane`; bitwise identical to
-    /// [`crate::EigenWorkspace::max_eigenvalue`] for converged lanes.
+    /// [`crate::SymmetricEigen::max_eigenvalue`] for converged lanes.
     pub fn max_eigenvalue(&self, lane: usize) -> f64 {
         self.eigenvalues
             .data
@@ -1039,7 +1049,7 @@ impl<const K: usize> EigenSlabWorkspace<K> {
     }
 
     /// Rank cutoff for lane `lane`'s spectrum; bitwise identical to the
-    /// shared `spectrum_cutoff` used by [`Matrix::pseudo_inverse_into`]
+    /// shared `spectrum_cutoff` used by [`Matrix::pseudo_inverse`]
     /// (same fold order, same `RANK_TOL`).
     pub fn spectrum_cutoff(&self, lane: usize) -> f64 {
         let max_abs = self
@@ -1052,10 +1062,10 @@ impl<const K: usize> EigenSlabWorkspace<K> {
 
     /// Writes `V·f(Λ)·Vᵀ` into `out`, with `f` receiving `(lane,
     /// eigenvalue)`; per lane bitwise identical to
-    /// [`crate::EigenWorkspace::spectral_map_into`] when `f(lane, ·)`
+    /// [`crate::SymmetricEigen::spectral_map`] when `f(lane, ·)`
     /// matches the scalar map. The scalar zero-skip becomes a per-lane
-    /// masked accumulate (never adding a literal zero, which could
-    /// flip a `-0.0` sign). Unconverged lanes produce garbage.
+    /// select that keeps the old sum (never adding a literal zero, which
+    /// could flip a `-0.0` sign). Unconverged lanes produce garbage.
     ///
     /// # Panics
     ///
@@ -1067,23 +1077,26 @@ impl<const K: usize> EigenSlabWorkspace<K> {
         out.fill(0.0);
         for k in 0..n {
             let mut fl = [0.0f64; K];
-            let mut any = false;
+            let mut add = [false; K];
             for l in 0..K {
                 fl[l] = f(l, self.eigenvalues.data[k][l]);
-                any |= fl[l] != 0.0;
+                add[l] = fl[l] != 0.0;
             }
-            if !any {
+            if !add.contains(&true) {
                 continue;
             }
             for i in 0..n {
                 let vik = *v.at(i, k);
+                let mut fv = [0.0f64; K];
+                for l in 0..K {
+                    fv[l] = fl[l] * vik[l];
+                }
                 let out_row = out.row_mut(i);
                 for (j, o) in out_row.iter_mut().enumerate() {
                     let vjk = v.at(j, k);
                     for l in 0..K {
-                        if fl[l] != 0.0 {
-                            o[l] += fl[l] * vik[l] * vjk[l];
-                        }
+                        let sum = o[l] + fv[l] * vjk[l];
+                        o[l] = if add[l] { sum } else { o[l] };
                     }
                 }
             }

@@ -1,9 +1,11 @@
-//! Seeded property suite for the cyclic Jacobi kernels: the in-place
-//! [`EigenWorkspace`] (flat row-major storage) must reproduce the
-//! allocating [`SymmetricEigen`] bit for bit — eigenvalues, spectral
-//! maps and errors — over random symmetric matrices of size 1–10,
-//! including diagonal, rank-deficient and already-converged inputs; and
-//! every [`EigenSlabWorkspace`] lane must still equal the scalar path.
+//! Seeded property suite for the lane-batched cyclic Jacobi: every
+//! [`EigenSlabWorkspace`] lane must reproduce the allocating
+//! [`SymmetricEigen`] bit for bit — eigenvalues, spectral maps, the
+//! pseudo-inverse and convergence failures — over random symmetric
+//! matrices of size 1–10, including diagonal, rank-deficient and
+//! already-converged inputs, at the production widths K = 1 and K = 8,
+//! with NaN lanes beside finite ones and lanes that converge on
+//! different sweeps.
 //!
 //! Each case derives its inputs from one seed and names it on failure,
 //! so a failing case reruns alone.
@@ -11,9 +13,7 @@
 // test.
 #![allow(clippy::needless_range_loop)]
 
-use roboads_linalg::{
-    EigenSlabWorkspace, EigenWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab,
-};
+use roboads_linalg::{EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab};
 
 /// xorshift64* — deterministic, dependency-free randomness.
 struct Rng(u64);
@@ -123,60 +123,10 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// A relative-cutoff reciprocal, the shape of the pseudo-inverse map.
-fn pinv_map(eigenvalues: &[f64]) -> impl Fn(f64) -> f64 {
-    let max_abs = eigenvalues.iter().fold(0.0f64, |a, &l| a.max(l.abs()));
-    let cutoff = 1e-10 * max_abs.max(f64::MIN_POSITIVE);
-    move |l: f64| if l.abs() > cutoff { 1.0 / l } else { 0.0 }
-}
-
-/// Checks one input against the allocating reference; `case` names the
-/// seed and shape in every failure message.
-fn check_scalar(m: &Matrix, case: &str) {
-    let n = m.rows();
-    let mut ws = EigenWorkspace::new(n);
-    let reference = m.symmetric_eigen();
-    let got = ws.factorize(m);
-    let eig = match (reference, got) {
-        (Ok(eig), Ok(())) => eig,
-        (Err(LinalgError::NoConvergence { .. }), Err(LinalgError::NoConvergence { .. })) => {
-            return;
-        }
-        (r, g) => panic!("{case}: reference {:?} vs workspace {g:?}", r.map(|_| ())),
-    };
-    assert_eq!(
-        bits(ws.eigenvalues().as_slice()),
-        bits(eig.eigenvalues().as_slice()),
-        "{case}: eigenvalues"
-    );
-    assert_eq!(
-        ws.max_eigenvalue().to_bits(),
-        eig.max_eigenvalue().to_bits(),
-        "{case}: max eigenvalue"
-    );
-    let mut out = Matrix::zeros(n, n);
-    let mut check_map = |name: &str, f: &dyn Fn(f64) -> f64| {
-        ws.spectral_map_into(f, &mut out);
-        let expected = eig.spectral_map(f);
-        assert_eq!(
-            bits(out.as_slice()),
-            bits(expected.as_slice()),
-            "{case}: spectral map `{name}`"
-        );
-    };
-    check_map("identity", &|l| l);
-    check_map("pinv", &pinv_map(eig.eigenvalues().as_slice()));
-    // Zeroes the negative part of the spectrum: exercises the
-    // zero-skip branch on dense spectra.
-    check_map("positive part", &|l: f64| l.max(0.0));
-    // The pseudo-inverse entry point shares the same kernels.
-    let mut pinv = Matrix::zeros(n, n);
-    m.pseudo_inverse_into(&mut ws, &mut pinv).unwrap();
-    assert_eq!(
-        bits(pinv.as_slice()),
-        bits(m.pseudo_inverse().unwrap().as_slice()),
-        "{case}: pseudo-inverse"
-    );
+/// Checks one input on a one-lane slab against the allocating
+/// reference; `case` names the seed and shape in every failure message.
+fn check_one_lane(m: &Matrix, case: &str) {
+    check_slab_against_allocating::<1>(std::slice::from_ref(m), &[true], case);
 }
 
 #[test]
@@ -186,7 +136,7 @@ fn workspace_jacobi_equals_allocating_eigen_bitwise() {
         let n = 1 + rng.below(10);
         let shape = SHAPES[seed as usize % SHAPES.len()];
         let m = sample(&mut rng, shape, n);
-        check_scalar(&m, &format!("seed {seed} ({shape:?}, n = {n})"));
+        check_one_lane(&m, &format!("seed {seed} ({shape:?}, n = {n})"));
     }
 }
 
@@ -199,7 +149,7 @@ fn every_size_and_shape_is_covered() {
             let seed = 10_000 + (n * SHAPES.len() + s) as u64;
             let mut rng = Rng::new(seed);
             let m = sample(&mut rng, shape, n);
-            check_scalar(&m, &format!("seed {seed} ({shape:?}, n = {n})"));
+            check_one_lane(&m, &format!("seed {seed} ({shape:?}, n = {n})"));
         }
     }
 }
@@ -212,83 +162,194 @@ fn non_finite_input_fails_identically() {
         let mut m = sample(&mut rng, Shape::Symmetric, n);
         let (i, j) = (rng.below(n), rng.below(n));
         m[(i.min(j), i.max(j))] = f64::NAN;
-        check_scalar(&m, &format!("seed {seed} (NaN at ({i},{j}), n = {n})"));
+        check_one_lane(&m, &format!("seed {seed} (NaN at ({i},{j}), n = {n})"));
+    }
+}
+
+/// Decomposes `lanes` on an `EigenSlabWorkspace<K>` and checks every
+/// active lane against the allocating [`SymmetricEigen`] and
+/// [`Matrix::pseudo_inverse`]: the convergence flag against the
+/// reference's `NoConvergence`, and eigenvalues, the largest eigenvalue
+/// and three spectral maps bit for bit. An inactive lane must report
+/// unconverged.
+fn check_slab_against_allocating<const K: usize>(lanes: &[Matrix], active: &[bool; K], case: &str) {
+    let n = lanes[0].rows();
+    let mut slab = MatrixSlab::<K>::zeros(n, n);
+    for (l, m) in lanes.iter().enumerate() {
+        slab.load_lane(l, m);
+    }
+    let mut ws = EigenSlabWorkspace::<K>::new(n);
+    let converged = ws.factorize(&slab, active);
+    let mut cutoffs = [0.0f64; K];
+    for l in 0..K {
+        if converged[l] {
+            cutoffs[l] = ws.spectrum_cutoff(l);
+        }
+    }
+    let pinv_lane = |l: usize, lam: f64| {
+        if converged[l] && lam.abs() > cutoffs[l] {
+            1.0 / lam
+        } else {
+            0.0
+        }
+    };
+    let mut identity = MatrixSlab::<K>::zeros(n, n);
+    let mut positive = MatrixSlab::<K>::zeros(n, n);
+    let mut pinv = MatrixSlab::<K>::zeros(n, n);
+    ws.spectral_map_into(|_, lam| lam, &mut identity);
+    // Zeroes the negative part of each lane's spectrum, so lanes skip
+    // different eigenvalues in the same accumulation.
+    ws.spectral_map_into(|_, lam| lam.max(0.0), &mut positive);
+    ws.spectral_map_into(pinv_lane, &mut pinv);
+
+    let mut lane_values = Vector::zeros(n);
+    let mut lane_out = Matrix::zeros(n, n);
+    for l in 0..K {
+        let case = format!("{case} lane {l} (n = {n})");
+        if !active[l] {
+            assert!(!converged[l], "{case}: inactive lane reported converged");
+            continue;
+        }
+        let eig = match lanes[l].symmetric_eigen() {
+            Ok(eig) => eig,
+            Err(LinalgError::NoConvergence { .. }) => {
+                assert!(!converged[l], "{case}: reference failed, lane converged");
+                continue;
+            }
+            Err(e) => panic!("{case}: unexpected reference error {e:?}"),
+        };
+        assert!(converged[l], "{case}: reference converged, lane did not");
+        VectorSlab::store_lane(ws.eigenvalues(), l, &mut lane_values);
+        assert_eq!(
+            bits(lane_values.as_slice()),
+            bits(eig.eigenvalues().as_slice()),
+            "{case}: eigenvalues"
+        );
+        assert_eq!(
+            ws.max_eigenvalue(l).to_bits(),
+            eig.max_eigenvalue().to_bits(),
+            "{case}: max eigenvalue"
+        );
+        let maps: [(&str, &MatrixSlab<K>, Matrix); 3] = [
+            ("identity", &identity, eig.spectral_map(|lam| lam)),
+            (
+                "positive part",
+                &positive,
+                eig.spectral_map(|lam| lam.max(0.0)),
+            ),
+            ("pseudo-inverse", &pinv, lanes[l].pseudo_inverse().unwrap()),
+        ];
+        for (name, got, expected) in maps {
+            got.store_lane(l, &mut lane_out);
+            assert_eq!(
+                bits(lane_out.as_slice()),
+                bits(expected.as_slice()),
+                "{case}: {name}"
+            );
+        }
+    }
+}
+
+/// Random lanes of mixed shapes with one lane's activity drawn at
+/// random, at width `K`.
+fn slab_lanes_at_width<const K: usize>(seed_base: u64) {
+    for seed in 0..200u64 {
+        let seed = seed_base + seed;
+        let mut rng = Rng::new(seed);
+        let n = 1 + rng.below(10);
+        let lanes: Vec<Matrix> = (0..K)
+            .map(|l| sample(&mut rng, SHAPES[(seed as usize + l) % SHAPES.len()], n))
+            .collect();
+        let mut active = [true; K];
+        active[rng.below(K)] = rng.below(2) == 0;
+        check_slab_against_allocating(&lanes, &active, &format!("seed {seed} (K = {K})"));
     }
 }
 
 #[test]
-fn slab_lanes_equal_the_scalar_workspace() {
-    const K: usize = 4;
-    for seed in 0..200u64 {
-        let mut rng = Rng::new(20_000 + seed);
-        let n = 1 + rng.below(10);
-        let lanes: Vec<Matrix> = (0..K)
+fn one_lane_slab_equals_the_allocating_eigen() {
+    slab_lanes_at_width::<1>(30_000);
+}
+
+#[test]
+fn eight_lane_slab_equals_the_allocating_eigen() {
+    slab_lanes_at_width::<8>(40_000);
+}
+
+/// A NaN lane never converges and leaves its finite neighbours exact,
+/// wherever the NaN sits (diagonal or off-diagonal) and at either
+/// production width.
+fn nan_lane_among_finite_lanes<const K: usize>(seed_base: u64) {
+    for seed in 0..40u64 {
+        let seed = seed_base + seed;
+        let mut rng = Rng::new(seed);
+        let n = 2 + rng.below(9);
+        let mut lanes: Vec<Matrix> = (0..K)
+            .map(|l| sample(&mut rng, SHAPES[(seed as usize + l) % SHAPES.len()], n))
+            .collect();
+        let bad = rng.below(K);
+        let (i, j) = (rng.below(n), rng.below(n));
+        lanes[bad] = sample(&mut rng, Shape::Covariance, n);
+        lanes[bad][(i.min(j), i.max(j))] = f64::NAN;
+        check_slab_against_allocating(
+            &lanes,
+            &[true; K],
+            &format!("seed {seed} (K = {K}, NaN at ({i},{j}) in lane {bad})"),
+        );
+    }
+}
+
+#[test]
+fn nan_lane_beside_finite_lanes_fails_alone() {
+    nan_lane_among_finite_lanes::<1>(50_000);
+    nan_lane_among_finite_lanes::<8>(51_000);
+}
+
+#[test]
+fn lanes_converging_on_different_sweeps_stay_exact() {
+    // A diagonal lane converges at the first sweep-top check while its
+    // covariance neighbours rotate for several sweeps: the frozen lane's
+    // selects must keep every value through the neighbours' rotations.
+    for seed in 0..60u64 {
+        let seed = 60_000 + seed;
+        let mut rng = Rng::new(seed);
+        let n = 2 + rng.below(9);
+        let lanes: Vec<Matrix> = (0..8)
             .map(|l| {
-                let shape = SHAPES[(seed as usize + l) % SHAPES.len()];
+                let shape = if (l + seed as usize).is_multiple_of(2) {
+                    Shape::Diagonal
+                } else {
+                    Shape::Covariance
+                };
                 sample(&mut rng, shape, n)
             })
             .collect();
-        let mut active = [true; K];
-        active[rng.below(K)] = rng.below(2) == 0;
-        let mut slab = MatrixSlab::<K>::zeros(n, n);
-        for (l, m) in lanes.iter().enumerate() {
-            slab.load_lane(l, m);
-        }
-        let mut ws = EigenSlabWorkspace::<K>::new(n);
-        let converged = ws.factorize(&slab, &active);
-        let mut cutoffs = [0.0f64; K];
-        for l in 0..K {
-            if converged[l] {
-                cutoffs[l] = ws.spectrum_cutoff(l);
-            }
-        }
-        let mut pinv = MatrixSlab::<K>::zeros(n, n);
-        ws.spectral_map_into(
-            |l, lam| {
-                if converged[l] && lam.abs() > cutoffs[l] {
-                    1.0 / lam
-                } else {
-                    0.0
-                }
-            },
-            &mut pinv,
-        );
+        check_slab_against_allocating::<8>(&lanes, &[true; 8], &format!("seed {seed}"));
+    }
+}
 
-        let mut scalar = EigenWorkspace::new(n);
-        let mut lane_values = Vector::zeros(n);
-        let mut lane_pinv = Matrix::zeros(n, n);
-        let mut expected = Matrix::zeros(n, n);
-        for l in 0..K {
-            let case = format!("seed {} lane {l} (n = {n})", 20_000 + seed);
-            if !active[l] {
-                assert!(!converged[l], "{case}: inactive lane reported converged");
-                continue;
-            }
-            let scalar_ok = scalar.factorize(&lanes[l]).is_ok();
-            assert_eq!(converged[l], scalar_ok, "{case}: convergence flag");
-            if !scalar_ok {
-                continue;
-            }
-            VectorSlab::store_lane(ws.eigenvalues(), l, &mut lane_values);
-            assert_eq!(
-                bits(lane_values.as_slice()),
-                bits(scalar.eigenvalues().as_slice()),
-                "{case}: eigenvalues"
-            );
-            assert_eq!(
-                ws.max_eigenvalue(l).to_bits(),
-                scalar.max_eigenvalue().to_bits(),
-                "{case}: max eigenvalue"
-            );
-            lanes[l]
-                .pseudo_inverse_into(&mut scalar, &mut expected)
-                .unwrap();
-            pinv.store_lane(l, &mut lane_pinv);
-            assert_eq!(
-                bits(lane_pinv.as_slice()),
-                bits(expected.as_slice()),
-                "{case}: pseudo-inverse"
-            );
-        }
+#[test]
+fn lanes_that_skip_a_pair_keep_it_exact() {
+    // Every other lane enters the first rotation, (0, 1), with an exact
+    // zero there and equal diagonal entries: the scalar path skips the
+    // pair (its rotation angle would be 0/0), so the lane's selects must
+    // keep the block and rows 0 and 1 bit for bit while its neighbours
+    // rotate them.
+    for seed in 0..60u64 {
+        let seed = 70_000 + seed;
+        let mut rng = Rng::new(seed);
+        let n = 2 + rng.below(9);
+        let lanes: Vec<Matrix> = (0..8)
+            .map(|l| {
+                let mut m = sample(&mut rng, Shape::Covariance, n);
+                if l % 2 == 1 {
+                    m[(0, 1)] = 0.0;
+                    m[(1, 0)] = 0.0;
+                    m[(1, 1)] = m[(0, 0)];
+                }
+                m
+            })
+            .collect();
+        check_slab_against_allocating::<8>(&lanes, &[true; 8], &format!("seed {seed}"));
     }
 }

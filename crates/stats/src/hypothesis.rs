@@ -1,4 +1,4 @@
-use roboads_linalg::{EigenWorkspace, Matrix, Vector};
+use roboads_linalg::{Matrix, Vector};
 
 use crate::{ChiSquared, Result, StatsError};
 
@@ -42,56 +42,6 @@ pub fn normalized_statistic(d: &Vector, covariance: &Matrix) -> Result<f64> {
     }
     let pinv = covariance.pseudo_inverse()?;
     Ok(d.quadratic_form(&pinv)?)
-}
-
-/// Reusable buffers for [`normalized_statistic`]: one allocation at
-/// construction, then [`StatWorkspace::normalized_statistic_into`] runs
-/// heap-allocation-free and produces values bitwise identical to the
-/// allocating function (it shares the pseudo-inverse cutoff and the
-/// quadratic-form accumulation order).
-#[derive(Debug, Clone)]
-pub struct StatWorkspace {
-    eig: EigenWorkspace,
-    pinv: Matrix,
-}
-
-impl StatWorkspace {
-    /// Allocates buffers for statistics over length-`n` anomaly vectors.
-    pub fn new(n: usize) -> Self {
-        StatWorkspace {
-            eig: EigenWorkspace::new(n),
-            pinv: Matrix::zeros(n, n),
-        }
-    }
-
-    /// Workspace dimension.
-    pub fn dim(&self) -> usize {
-        self.eig.dim()
-    }
-
-    /// Computes `dᵀ P⁺ d` using the workspace buffers.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`normalized_statistic`]'s: shape mismatch between `d`
-    /// and `covariance` (checked before the workspace dimension, so the
-    /// two paths classify malformed input identically) or the
-    /// underlying decomposition error.
-    pub fn normalized_statistic_into(&mut self, d: &Vector, covariance: &Matrix) -> Result<f64> {
-        if covariance.rows() != d.len() || covariance.cols() != d.len() {
-            return Err(StatsError::InvalidParameter {
-                name: "covariance",
-                value: format!(
-                    "{}x{} for vector of length {}",
-                    covariance.rows(),
-                    covariance.cols(),
-                    d.len()
-                ),
-            });
-        }
-        covariance.pseudo_inverse_into(&mut self.eig, &mut self.pinv)?;
-        Ok(d.quadratic_form(&self.pinv)?)
-    }
 }
 
 /// A χ² hypothesis test at a fixed significance level.
@@ -195,35 +145,6 @@ mod tests {
         let p = Matrix::from_diagonal(&[9.0, 0.0]);
         let stat = normalized_statistic(&d, &p).unwrap();
         assert!((stat - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn workspace_statistic_matches_allocating_bitwise() {
-        let mut ws = StatWorkspace::new(2);
-        assert_eq!(ws.dim(), 2);
-        let cases = [
-            (
-                Vector::from_slice(&[1.0, 2.0]),
-                Matrix::from_diagonal(&[1.0, 4.0]),
-            ),
-            (
-                Vector::from_slice(&[3.0, 0.0]),
-                Matrix::from_diagonal(&[9.0, 0.0]), // singular
-            ),
-            (
-                Vector::from_slice(&[0.2, -0.1]),
-                Matrix::from_rows(&[&[0.01, 0.002], &[0.002, 0.04]]).unwrap(),
-            ),
-        ];
-        for (d, p) in &cases {
-            let expected = normalized_statistic(d, p).unwrap();
-            let got = ws.normalized_statistic_into(d, p).unwrap();
-            assert!(got.to_bits() == expected.to_bits(), "{got} vs {expected}");
-        }
-        // Same shape-mismatch classification as the free function.
-        assert!(ws
-            .normalized_statistic_into(&Vector::zeros(2), &Matrix::identity(3))
-            .is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod window;
 pub use chi_square::ChiSquared;
 pub use cusum::Cusum;
 pub use descriptive::{mean, sample_std_dev, sample_variance};
-pub use hypothesis::{normalized_statistic, ChiSquareTest, StatWorkspace};
+pub use hypothesis::{normalized_statistic, ChiSquareTest};
 pub use metrics::{ConfusionCounts, DetectionRate, RocCurve, RocPoint};
 pub use sampling::{GaussianSampler, MultivariateNormal, Rng, SeedableRng, StdRng};
 pub use window::SlidingWindow;

@@ -6,6 +6,13 @@
 //! [`normalized_statistic`] recomputed from the source mode's outputs,
 //! bit for bit — under the full bank and under a lazy bank, where a
 //! dormant mode's stale output can source a per-sensor view.
+//!
+//! The aggregate sensor statistic is not stored by the engine: a
+//! standalone detector computes it on one lane, and a fleet slab job
+//! batches it across the robots that selected the same mode. It too
+//! must equal [`normalized_statistic`] on the selected mode's output,
+//! on both paths and with fleets whose per-mode buckets leave partial
+//! 8-lane passes.
 
 use roboads::core::{
     ActivationPolicy, DetectionReport, FleetEngine, RoboAds, RoboAdsConfig, RobotInput,
@@ -92,6 +99,23 @@ fn assert_statistics_reused(tag: &str, detector: &RoboAds, report: &DetectionRep
     dormant_views
 }
 
+/// Asserts that `report`'s aggregate sensor statistic is the one
+/// recomputed from the selected mode's output it was assessed on.
+fn assert_aggregate_recomputed(tag: &str, detector: &RoboAds, report: &DetectionReport) {
+    let selected = detector.last_engine_output().selected_output();
+    assert!(
+        !selected.sensor_anomaly.is_empty(),
+        "{tag}: every default mode tests a sensor"
+    );
+    let expected =
+        normalized_statistic(&selected.sensor_anomaly, &selected.sensor_covariance).unwrap();
+    assert_eq!(
+        report.sensor_anomaly.statistic.to_bits(),
+        expected.to_bits(),
+        "{tag}: aggregate sensor statistic"
+    );
+}
+
 /// Runs every scenario through the scalar path, one detector each;
 /// returns the number of dormant-sourced views seen.
 fn scalar_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> usize {
@@ -102,6 +126,7 @@ fn scalar_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> u
             let report = detector.step(u, readings).unwrap();
             let tag = format!("scalar/{policy}/{name} tick {k}");
             dormant_views += assert_statistics_reused(&tag, &detector, &report);
+            assert_aggregate_recomputed(&tag, &detector, &report);
         }
     }
     dormant_views
@@ -110,31 +135,58 @@ fn scalar_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> u
 /// Runs all scenarios at once as one fleet (one robot per scenario, one
 /// signature group, a full 8-lane tile plus a remainder tile).
 fn fleet_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> usize {
-    let mut fleet = FleetEngine::new(vec![template.clone(); runs.len()], 1);
+    fleet_of(template, runs, runs.len(), policy)
+}
+
+/// Runs a fleet of `robots` robots in one signature group, robot `i`
+/// replaying scenario `i mod runs.len()`; returns the number of
+/// dormant-sourced views seen.
+fn fleet_of(template: &RoboAds, runs: &[(String, Inputs)], robots: usize, policy: &str) -> usize {
+    let mut fleet = FleetEngine::new(vec![template.clone(); robots], 1);
     let ticks = runs.iter().map(|(_, inputs)| inputs.len()).max().unwrap();
     let mut dormant_views = 0;
     for k in 0..ticks {
-        let batch: Vec<Option<RobotInput<'_>>> = runs
-            .iter()
-            .map(|(_, inputs)| {
-                inputs.get(k).map(|(u, readings)| RobotInput {
-                    u_prev: u,
-                    readings,
-                })
+        let batch: Vec<Option<RobotInput<'_>>> = (0..robots)
+            .map(|i| {
+                runs[i % runs.len()]
+                    .1
+                    .get(k)
+                    .map(|(u, readings)| RobotInput {
+                        u_prev: u,
+                        readings,
+                    })
             })
             .collect();
         fleet.step_batch_masked(&batch).unwrap();
         assert!(fleet.slab_robots() > 0, "tick {k}: the slab path must run");
-        for (i, (name, _)) in runs.iter().enumerate() {
-            if batch[i].is_none() {
+        for (i, input) in batch.iter().enumerate() {
+            if input.is_none() {
                 continue;
             }
             fleet.result(i).as_ref().unwrap();
-            let tag = format!("fleet/{policy}/{name} tick {k}");
+            let name = &runs[i % runs.len()].0;
+            let tag = format!("fleet{robots}/{policy}/{name} robot {i} tick {k}");
             dormant_views += assert_statistics_reused(&tag, fleet.detector(i), fleet.report(i));
+            assert_aggregate_recomputed(&tag, fleet.detector(i), fleet.report(i));
         }
     }
     dormant_views
+}
+
+/// The default bank and a `TopK` bank, the two activation policies the
+/// fleet groups on.
+fn templates() -> [(&'static str, RoboAds); 2] {
+    let full = evaluation_detector(RobotKind::Khepera, &RoboAdsConfig::paper_defaults()).unwrap();
+    let lazy = evaluation_detector(
+        RobotKind::Khepera,
+        &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::TopK {
+            k: 1,
+            audit_period: 4,
+            wake_margin: 3.0,
+        }),
+    )
+    .unwrap();
+    [("full", full), ("lazy", lazy)]
 }
 
 #[test]
@@ -165,4 +217,16 @@ fn decision_statistics_equal_recomputed_ones_on_both_paths() {
         fleet_path(&lazy, &runs, "lazy") > 0,
         "a dormant mode must source some view"
     );
+}
+
+#[test]
+fn batched_aggregate_statistic_equals_recomputed_one_with_partial_buckets() {
+    // 19 robots in one slab job: the per-mode buckets cannot all be
+    // multiples of 8, so some aggregate pass runs with lanes masked off;
+    // robots 12–18 replay the first seven scenarios again, so their
+    // buckets also mix tiles.
+    let runs = table2_inputs();
+    for (policy, template) in templates() {
+        fleet_of(&template, &runs, 19, policy);
+    }
 }
