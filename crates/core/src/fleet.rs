@@ -40,6 +40,7 @@ use crate::config::{ActivationPolicy, Linearization};
 use crate::decision::NormalizedStatistic;
 use crate::detector::RoboAds;
 use crate::engine::{step_tile, MultiModeEngine, Tile};
+use crate::ingest::FleetIngest;
 use crate::mode::ModeSet;
 use crate::nuise_slab::NuiseSlabWorkspace;
 use crate::recorder::RecorderConfig;
@@ -67,41 +68,43 @@ pub struct RobotInput<'a> {
     pub readings: &'a [Vector],
 }
 
-/// Internal view unifying the dense ([`FleetEngine::step_batch`]) and
-/// masked ([`FleetEngine::step_batch_masked`]) input shapes, so both
-/// share one scheduling/slab implementation without the dense path
-/// allocating a `Vec<Option<_>>` per tick (which would break the
-/// warm-path zero-allocation invariant pinned by `tests/alloc.rs`).
+/// Internal view unifying the dense ([`FleetEngine::step_batch`]),
+/// masked ([`FleetEngine::step_batch_masked`]) and ingest-published
+/// ([`FleetIngest::step`]) input shapes, so all three share one
+/// scheduling/slab implementation without any of them allocating a
+/// `Vec<Option<_>>` per tick (which would break the warm-path
+/// zero-allocation invariant pinned by `tests/alloc.rs`).
 #[derive(Clone, Copy)]
 enum Inputs<'i, 'a> {
     Dense(&'i [RobotInput<'a>]),
     Masked(&'i [Option<RobotInput<'a>>]),
+    Published(&'a FleetIngest),
 }
 
-impl<'i, 'a> Inputs<'i, 'a> {
+impl<'a> Inputs<'_, 'a> {
     fn len(&self) -> usize {
         match self {
             Inputs::Dense(inputs) => inputs.len(),
             Inputs::Masked(inputs) => inputs.len(),
+            Inputs::Published(ingest) => ingest.len(),
         }
     }
 
     /// Robot `i`'s input, or `None` when it missed the tick boundary.
     /// Indexed by **fleet index** (the caller's robot order), not by
     /// internal cell position.
-    fn get(&self, i: usize) -> Option<&'i RobotInput<'a>> {
+    fn get(&self, i: usize) -> Option<RobotInput<'a>> {
         match self {
-            Inputs::Dense(inputs) => Some(&inputs[i]),
-            Inputs::Masked(inputs) => inputs[i].as_ref(),
+            Inputs::Dense(inputs) => Some(inputs[i]),
+            Inputs::Masked(inputs) => inputs[i],
+            Inputs::Published(ingest) => ingest.input(i),
         }
     }
 
     /// Robot `i`'s input, or the [`CoreError::MissedDeadline`] its
     /// iteration ends with.
     fn of(&self, i: usize) -> Result<RobotInput<'a>> {
-        self.get(i)
-            .copied()
-            .ok_or(CoreError::MissedDeadline { robot: i })
+        self.get(i).ok_or(CoreError::MissedDeadline { robot: i })
     }
 }
 
@@ -733,6 +736,12 @@ impl FleetEngine {
     /// counts as a failure).
     pub fn step_batch_masked(&mut self, inputs: &[Option<RobotInput<'_>>]) -> Result<()> {
         self.step_batch_inner(Inputs::Masked(inputs))
+    }
+
+    /// [`FleetEngine::step_batch_masked`] on `ingest`'s published batch
+    /// ([`FleetIngest::input`] per robot).
+    pub(crate) fn step_batch_published(&mut self, ingest: &FleetIngest) -> Result<()> {
+        self.step_batch_inner(Inputs::Published(ingest))
     }
 
     fn step_batch_inner(&mut self, inputs: Inputs<'_, '_>) -> Result<()> {

@@ -343,20 +343,7 @@ impl FleetIngest {
     /// range. Reading *dimensions* are not validated here — a malformed
     /// vector surfaces as that one robot's per-robot step error.
     pub fn offer(&mut self, robot: usize, sensor: usize, reading: &Vector) -> Result<()> {
-        let slot = self.slot_mut(robot)?;
-        let sensors = slot.staged.len();
-        match slot.staged.get_mut(sensor) {
-            Some(buf) => {
-                buf.assign(reading);
-                slot.arrived[sensor] = true;
-                Ok(())
-            }
-            None => Err(CoreError::BadReadings {
-                reason: format!(
-                    "ingest offer for sensor {sensor} on robot {robot} with {sensors} sensors"
-                ),
-            }),
-        }
+        self.stage(robot, Some(sensor), reading.as_slice())
     }
 
     /// Stages robot `robot`'s planned command `u_{k-1}` for the current
@@ -366,19 +353,67 @@ impl FleetIngest {
     ///
     /// [`CoreError::BadReadings`] when `robot` is out of range.
     pub fn offer_input(&mut self, robot: usize, u_prev: &Vector) -> Result<()> {
-        let slot = self.slot_mut(robot)?;
-        slot.staged_u.assign(u_prev);
-        slot.staged_u_arrived = true;
-        Ok(())
+        self.stage(robot, None, u_prev.as_slice())
     }
 
-    /// Tick-stamped [`FleetIngest::offer`]: accepts the frame only when
-    /// `tick` matches the current staging window, returning whether it
-    /// was staged. A mismatched stamp — a late frame whose window has
-    /// already swapped, or a stamp from the future — is dropped, counted
+    /// Copies `values` into robot `robot`'s staging buffer for `sensor`
+    /// (`None`: the planned command) and marks the piece arrived.
+    fn stage(&mut self, robot: usize, sensor: Option<usize>, values: &[f64]) -> Result<()> {
+        let slot = self.slot_mut(robot)?;
+        match sensor {
+            None => {
+                slot.staged_u.assign_slice(values);
+                slot.staged_u_arrived = true;
+                Ok(())
+            }
+            Some(sensor) => {
+                let sensors = slot.staged.len();
+                match slot.staged.get_mut(sensor) {
+                    Some(buf) => {
+                        buf.assign_slice(values);
+                        slot.arrived[sensor] = true;
+                        Ok(())
+                    }
+                    None => Err(CoreError::BadReadings {
+                        reason: format!(
+                            "ingest offer for sensor {sensor} on robot {robot} with {sensors} sensors"
+                        ),
+                    }),
+                }
+            }
+        }
+    }
+
+    /// The stamped offer every other stamped offer wraps: stages
+    /// `values` for robot `robot`'s sensor `sensor` (`None`: the planned
+    /// command `u_{k-1}`) only when `tick` matches the current staging
+    /// window, returning whether it was staged. The stamp is checked
+    /// first, so a rejected frame's values are never touched. A
+    /// mismatched stamp — a late frame whose window has already
+    /// swapped, or a stamp from the future — is dropped, counted
     /// (`ingest.frames_rejected`) and reported as an
     /// `ingest.frame_rejected` event, never silently staged into the
     /// wrong tick.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetIngest::offer`], for an in-window frame.
+    pub fn offer_slice(
+        &mut self,
+        robot: usize,
+        sensor: Option<usize>,
+        values: &[f64],
+        tick: u64,
+    ) -> Result<bool> {
+        if tick != self.tick {
+            self.reject_frame(robot, sensor, tick);
+            return Ok(false);
+        }
+        self.stage(robot, sensor, values).map(|()| true)
+    }
+
+    /// Tick-stamped [`FleetIngest::offer`] (see
+    /// [`FleetIngest::offer_slice`] for the acceptance rule).
     ///
     /// # Errors
     ///
@@ -390,15 +425,11 @@ impl FleetIngest {
         reading: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        if tick != self.tick {
-            self.reject_frame(robot, Some(sensor), tick);
-            return Ok(false);
-        }
-        self.offer(robot, sensor, reading).map(|()| true)
+        self.offer_slice(robot, Some(sensor), reading.as_slice(), tick)
     }
 
-    /// Tick-stamped [`FleetIngest::offer_input`]; same acceptance rule
-    /// as [`FleetIngest::offer_stamped`].
+    /// Tick-stamped [`FleetIngest::offer_input`] (see
+    /// [`FleetIngest::offer_slice`] for the acceptance rule).
     ///
     /// # Errors
     ///
@@ -409,11 +440,7 @@ impl FleetIngest {
         u_prev: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        if tick != self.tick {
-            self.reject_frame(robot, None, tick);
-            return Ok(false);
-        }
-        self.offer_input(robot, u_prev).map(|()| true)
+        self.offer_slice(robot, None, u_prev.as_slice(), tick)
     }
 
     fn reject_frame(&self, robot: usize, sensor: Option<usize>, stamp: u64) {
@@ -577,7 +604,9 @@ impl FleetIngest {
     }
 
     /// Convenience tick: [`FleetIngest::swap`] followed by
-    /// [`FleetEngine::step_batch_masked`] on the published batch. A
+    /// [`FleetEngine::step_batch_masked`] on the published batch, read
+    /// slot by slot through [`FleetIngest::input`] rather than gathered
+    /// into a vector, so a warm tick allocates nothing. A
     /// fleet driven through this with every frame on time produces
     /// reports bitwise identical to direct [`FleetEngine::step_batch`]
     /// calls; a robot that missed its deadline resolves per its policy
@@ -604,9 +633,7 @@ impl FleetIngest {
         // Recorded batches carry the published tick, not the fleet's
         // internal counter, so capsules line up with the stamped bus.
         fleet.set_tick_stamp(summary.tick);
-        let inputs: Vec<Option<RobotInput<'_>>> =
-            (0..self.slots.len()).map(|r| self.input(r)).collect();
-        fleet.step_batch_masked(&inputs)
+        fleet.step_batch_published(self)
     }
 }
 

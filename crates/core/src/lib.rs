@@ -136,6 +136,13 @@ pub enum CoreError {
         /// What was wrong.
         reason: String,
     },
+    /// A frame named a robot id the sharded fleet does not route (see
+    /// [`ShardedFleet::offer_slice`]). Carries only the id, so a flood
+    /// of forged ids is rejected without allocating.
+    UnknownRobot {
+        /// The unrouted global robot id.
+        robot: u64,
+    },
     /// A fleet robot had no complete input set at the tick boundary:
     /// its frames were late or dropped and the ingest policy was
     /// [`DeadlinePolicy::MarkMissing`] (or nothing was ever delivered).
@@ -175,6 +182,9 @@ impl fmt::Display for CoreError {
                 write!(f, "mode {mode} is degenerate: {reason}")
             }
             CoreError::BadReadings { reason } => write!(f, "bad readings: {reason}"),
+            CoreError::UnknownRobot { robot } => {
+                write!(f, "unknown robot id {robot} offered to sharded fleet")
+            }
             CoreError::MissedDeadline { robot } => {
                 write!(
                     f,

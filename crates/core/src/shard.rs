@@ -80,11 +80,10 @@ impl Default for ShardConfig {
     }
 }
 
-/// One journaled ingest frame: exactly the arguments of
-/// [`ShardedFleet::offer`] / [`ShardedFleet::offer_input`], addressed
-/// by **global** robot id so the journal survives local renumbering.
-/// Also the unit the binary wire front-end (`roboads-wire`) decodes
-/// into.
+/// One owned ingest frame: exactly the arguments of
+/// [`ShardedFleet::offer_slice`], addressed by **global** robot id.
+/// The owned unit of the binary wire front-end (`roboads-wire`); the
+/// service's own path offers borrowed values instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StampedFrame {
     /// Global robot id.
@@ -114,13 +113,66 @@ pub struct ShardStatus {
     pub snapshot_tick: Option<u64>,
 }
 
+/// Header of one journaled frame: the arguments of
+/// [`ShardedFleet::offer_slice`] with its values as a range of the
+/// journal's value arena. Addressed by **global** robot id so the
+/// journal survives local renumbering.
+#[derive(Debug, Clone, Copy)]
+struct JournalEntry {
+    robot: u64,
+    sensor: Option<u32>,
+    tick: u64,
+    start: usize,
+    len: usize,
+}
+
+/// A shard's accepted frames since its last snapshot, in acceptance
+/// order, held in one flat arena: every frame's values back to back in
+/// `values`, one compact header per frame in `entries`. Clearing keeps
+/// both capacities, so once a snapshot period's worth of frames has
+/// been journaled, appends allocate nothing.
+#[derive(Debug, Default)]
+struct Journal {
+    values: Vec<f64>,
+    entries: Vec<JournalEntry>,
+}
+
+impl Journal {
+    fn push(&mut self, robot: u64, sensor: Option<u32>, tick: u64, values: &[f64]) {
+        self.entries.push(JournalEntry {
+            robot,
+            sensor,
+            tick,
+            start: self.values.len(),
+            len: values.len(),
+        });
+        self.values.extend_from_slice(values);
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.entries.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Frames in acceptance order, each with its values.
+    fn frames(&self) -> impl Iterator<Item = (&JournalEntry, &[f64])> {
+        self.entries
+            .iter()
+            .map(|e| (e, &self.values[e.start..e.start + e.len]))
+    }
+}
+
 struct Shard {
     engine: FleetEngine,
     ingest: FleetIngest,
     /// Local fleet index -> global robot id.
     robots: Vec<u64>,
-    /// Accepted frames since the last snapshot, in acceptance order.
-    journal: Vec<StampedFrame>,
+    /// Accepted frames since the last snapshot.
+    journal: Journal,
     /// Last captured snapshot: `(staging tick at capture, bytes)`.
     snapshot: Option<(u64, Vec<u8>)>,
     /// Batch-level outcome of the shard's last step.
@@ -206,7 +258,7 @@ impl ShardedFleet {
                 engine,
                 ingest,
                 robots: ids,
-                journal: Vec::new(),
+                journal: Journal::default(),
                 snapshot: None,
                 last_result: Ok(()),
             });
@@ -263,19 +315,36 @@ impl ShardedFleet {
             .collect()
     }
 
-    fn route(&self, robot: u64) -> Result<(usize, usize)> {
-        self.routing
-            .get(&robot)
-            .copied()
-            .ok_or_else(|| CoreError::BadReadings {
-                reason: format!("unknown robot id {robot} offered to sharded fleet"),
-            })
+    /// The fleet's single offer path: routes `robot`, checks `tick`
+    /// against its shard's staging window, and only then copies
+    /// `values` into the robot's [`FleetIngest`] staging buffer and the
+    /// shard's journal (see [`FleetIngest::offer_slice`]). `sensor` is
+    /// the sensing workflow index, or `None` for the planned actuator
+    /// command `u_{k-1}`. Returns whether the frame was staged. A warm
+    /// shard (journal capacity grown over one snapshot period) neither
+    /// accepts nor rejects with a heap allocation, bad sensor indices
+    /// aside.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownRobot`] when `robot` is not routed, else
+    /// [`CoreError::BadReadings`] for an in-window frame whose sensor
+    /// index is out of range. A stale or future stamp is `Ok(false)`.
+    pub fn offer_slice(
+        &mut self,
+        robot: u64,
+        sensor: Option<u32>,
+        tick: u64,
+        values: &[f64],
+    ) -> Result<bool> {
+        self.stage(robot, sensor.map(|i| i as usize), tick, values)
     }
 
-    /// Routes and stages one sensor frame (see
-    /// [`FleetIngest::offer_stamped`]); accepted frames are journaled
-    /// for crash recovery. Returns whether the frame matched the
-    /// shard's current staging window.
+    /// [`ShardedFleet::offer_slice`] for a sensor reading.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedFleet::offer_slice`].
     pub fn offer(
         &mut self,
         robot: u64,
@@ -283,44 +352,46 @@ impl ShardedFleet {
         reading: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        let (s, local) = self.route(robot)?;
-        let shard = &mut self.shards[s];
-        let accepted = shard.ingest.offer_stamped(local, sensor, reading, tick)?;
-        if accepted {
-            shard.journal.push(StampedFrame {
-                robot,
-                sensor: Some(sensor as u32),
-                tick,
-                values: reading.as_slice().to_vec(),
-            });
-        }
-        Ok(accepted)
+        self.stage(robot, Some(sensor), tick, reading.as_slice())
     }
 
-    /// Routes and stages one planned-command frame (see
-    /// [`FleetIngest::offer_input_stamped`]); journaled when accepted.
+    /// [`ShardedFleet::offer_slice`] for a planned command.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedFleet::offer_slice`].
     pub fn offer_input(&mut self, robot: u64, u_prev: &Vector, tick: u64) -> Result<bool> {
-        let (s, local) = self.route(robot)?;
+        self.stage(robot, None, tick, u_prev.as_slice())
+    }
+
+    fn stage(
+        &mut self,
+        robot: u64,
+        sensor: Option<usize>,
+        tick: u64,
+        values: &[f64],
+    ) -> Result<bool> {
+        let &(s, local) = self
+            .routing
+            .get(&robot)
+            .ok_or(CoreError::UnknownRobot { robot })?;
         let shard = &mut self.shards[s];
-        let accepted = shard.ingest.offer_input_stamped(local, u_prev, tick)?;
+        let accepted = shard.ingest.offer_slice(local, sensor, values, tick)?;
         if accepted {
-            shard.journal.push(StampedFrame {
-                robot,
-                sensor: None,
-                tick,
-                values: u_prev.as_slice().to_vec(),
-            });
+            // Staged, so `sensor` is below the robot's sensor count.
+            let sensor = sensor.map(|i| i as u32);
+            shard.journal.push(robot, sensor, tick, values);
         }
         Ok(accepted)
     }
 
-    /// Offers an already-decoded frame (the wire front-end's unit).
+    /// [`ShardedFleet::offer_slice`] for an owned frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedFleet::offer_slice`].
     pub fn offer_frame(&mut self, frame: &StampedFrame) -> Result<bool> {
-        let values = Vector::from_slice(&frame.values);
-        match frame.sensor {
-            Some(sensor) => self.offer(frame.robot, sensor as usize, &values, frame.tick),
-            None => self.offer_input(frame.robot, &values, frame.tick),
-        }
+        self.offer_slice(frame.robot, frame.sensor, frame.tick, &frame.values)
     }
 
     /// Crosses the tick boundary on every shard concurrently: each
@@ -377,6 +448,15 @@ impl ShardedFleet {
         len
     }
 
+    /// Shard `s`'s last captured snapshot ([`crate::snapshot_fleet`]
+    /// bytes), if one was taken.
+    pub fn last_snapshot(&self, s: usize) -> Option<&[u8]> {
+        self.shards[s]
+            .snapshot
+            .as_ref()
+            .map(|(_, bytes)| &bytes[..])
+    }
+
     /// Snapshots every shard (e.g. before a planned shutdown).
     pub fn snapshot_all(&mut self) {
         for s in 0..self.shards.len() {
@@ -417,7 +497,7 @@ impl ShardedFleet {
             snapshot::restore_fleet(&mut engine, &mut ingest, bytes)?;
         }
         let target = shard.ingest.tick();
-        for frame in &shard.journal {
+        for (frame, values) in shard.journal.frames() {
             // Reach the frame's staging window first: step errors
             // (missed deadlines among them) were already reported live
             // and do not abort the replay, mirroring the live run.
@@ -434,15 +514,7 @@ impl ShardedFleet {
                         frame.robot
                     ))
                 })?;
-            let values = Vector::from_slice(&frame.values);
-            match frame.sensor {
-                Some(sensor) => {
-                    ingest.offer_stamped(local, sensor as usize, &values, frame.tick)?;
-                }
-                None => {
-                    ingest.offer_input_stamped(local, &values, frame.tick)?;
-                }
-            }
+            ingest.offer_slice(local, frame.sensor.map(|i| i as usize), values, frame.tick)?;
         }
         while ingest.tick() < target {
             let _ = ingest.step(&mut engine);
@@ -613,6 +685,26 @@ mod tests {
     fn unknown_robot_offers_are_rejected() {
         let mut fleet = ShardedFleet::new(&[1, 2], factory(), ShardConfig::default()).unwrap();
         let v = Vector::from_slice(&[0.0, 0.0]);
-        assert!(fleet.offer_input(99, &v, 0).is_err());
+        assert_eq!(
+            fleet.offer_input(99, &v, 0),
+            Err(CoreError::UnknownRobot { robot: 99 })
+        );
+    }
+
+    #[test]
+    fn frames_are_routed_then_stamped_then_journaled() {
+        let mut fleet = ShardedFleet::new(&[1, 2], factory(), ShardConfig::default()).unwrap();
+        let v = [0.25, -0.5];
+        assert_eq!(fleet.offer_slice(1, None, 0, &v), Ok(true));
+        // A stale stamp on an unknown sensor is stale, not malformed:
+        // the stamp is checked before the sensor index.
+        assert_eq!(fleet.offer_slice(2, Some(9), 5, &v), Ok(false));
+        assert!(matches!(
+            fleet.offer_slice(2, Some(9), 0, &v),
+            Err(CoreError::BadReadings { .. })
+        ));
+        assert_eq!(fleet.offer_slice(2, Some(0), 0, &v), Ok(true));
+        let journaled: usize = fleet.status().iter().map(|s| s.journal_frames).sum();
+        assert_eq!(journaled, 2, "only staged frames are journaled");
     }
 }

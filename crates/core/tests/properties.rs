@@ -11,62 +11,24 @@ use roboads_core::{nuise_step, Linearization, Mode, NuiseInput, NuiseOutput};
 use roboads_linalg::{Matrix, Vector};
 use roboads_models::{presets, RobotSystem};
 
-/// Cases per property.
-const CASES: u64 = 256;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
+use seeded::{check, for_each_seed, Rng};
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Any non-zero state works; mix the seed so neighbours diverge.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in [lo, hi).
-    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
+/// This suite's draws on the shared generator.
+trait Draw {
     /// A pose inside the Khepera arena.
+    fn pose(&mut self) -> Vector;
+}
+
+impl Draw for Rng {
     fn pose(&mut self) -> Vector {
         Vector::from_slice(&[
             self.uniform(0.5, 3.5),
             self.uniform(0.5, 3.5),
             self.uniform(-3.0, 3.0),
         ])
-    }
-}
-
-/// Runs `property` once per seed, naming the seed in any failure.
-fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
-    for seed in 0..CASES {
-        if let Err(msg) = property(&mut Rng::new(seed)) {
-            panic!("seed {seed}: {msg}");
-        }
-    }
-}
-
-/// `Err` naming `what` and the offending value unless `ok`.
-fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("{what} ({value:?})"))
     }
 }
 

@@ -15,35 +15,25 @@
 
 use roboads_linalg::{EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab};
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Any non-zero state works; mix the seed so neighbours diverge.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
+use seeded::Rng;
 
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
+/// This suite's draws on the shared generator.
+trait Draw {
     /// Uniform in [-1, 1).
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-    }
-
+    fn unit(&mut self) -> f64;
     /// A magnitude spread over twelve decades, as covariance entries of
     /// mixed-unit sensors are.
+    fn scale(&mut self) -> f64;
+}
+
+impl Draw for Rng {
+    fn unit(&mut self) -> f64 {
+        self.uniform(-1.0, 1.0)
+    }
+
     fn scale(&mut self) -> f64 {
         10f64.powi(self.below(13) as i32 - 8)
     }

@@ -9,44 +9,38 @@
 
 use roboads_linalg::{Matrix, Vector};
 
-/// Cases per property.
-const CASES: u64 = 256;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
+use seeded::{check, for_each_seed, Rng};
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Any non-zero state works; mix the seed so neighbours diverge.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
+/// This suite's draws on the shared generator.
+trait Draw {
     /// Uniform in [-5, 5).
+    fn entry(&mut self) -> f64;
+    /// An `n × n` matrix with entries in [-5, 5).
+    fn square(&mut self, n: usize) -> Matrix;
+    /// An SPD matrix built as `B·Bᵀ + 0.5·I` from a random factor `B`.
+    fn spd(&mut self, n: usize) -> Matrix;
+    /// The symmetric part of a random square matrix.
+    fn symmetric(&mut self, n: usize) -> Matrix;
+    fn vector(&mut self, n: usize) -> Vector;
+}
+
+impl Draw for Rng {
     fn entry(&mut self) -> f64 {
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * 5.0
+        self.uniform(-1.0, 1.0) * 5.0
     }
 
-    /// An `n × n` matrix with entries in [-5, 5).
     fn square(&mut self, n: usize) -> Matrix {
         Matrix::from_fn(n, n, |_, _| self.entry())
     }
 
-    /// An SPD matrix built as `B·Bᵀ + 0.5·I` from a random factor `B`.
     fn spd(&mut self, n: usize) -> Matrix {
         let b = self.square(n);
         &(&b * &b.transpose()) + &(Matrix::identity(n) * 0.5)
     }
 
-    /// The symmetric part of a random square matrix.
     fn symmetric(&mut self, n: usize) -> Matrix {
         let a = self.square(n);
         (&a + &a.transpose()) * 0.5
@@ -54,24 +48,6 @@ impl Rng {
 
     fn vector(&mut self, n: usize) -> Vector {
         Vector::from_fn(n, |_| self.entry())
-    }
-}
-
-/// Runs `property` once per seed, naming the seed in any failure.
-fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
-    for seed in 0..CASES {
-        if let Err(msg) = property(&mut Rng::new(seed)) {
-            panic!("seed {seed}: {msg}");
-        }
-    }
-}
-
-/// `Err` naming `what` and the offending value unless `ok`.
-fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("{what} ({value:?})"))
     }
 }
 

@@ -7,30 +7,34 @@
 //! Every case runs at both widths the NUISE kernel is instantiated at:
 //! K = 1 (the engine's per-mode step) and K = 8 (the fleet's tiles).
 //!
-//! Uses a self-contained splitmix64 generator so the suite runs in the
-//! offline tier-1 build with no external packages.
+//! Draws from the shared seeded generator (`tests/support/seeded.rs`),
+//! so the suite runs in the offline tier-1 build with no external
+//! packages.
 // Index-form lane loops, matching the convention of the kernels under
 // test.
 #![allow(clippy::needless_range_loop)]
 
 use roboads_linalg::{EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab};
 
-struct Rng(u64);
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
+use seeded::Rng;
 
+/// This suite's draws on the shared generator.
+trait Draw {
     /// Uniform in [-1, 1), with roughly one entry in eight forced to an
     /// exact 0.0 (of either sign) so the zero-skip branches diverge
     /// across lanes and signed zeros reach every accumulator.
+    fn entry(&mut self) -> f64;
+    fn matrix(&mut self, rows: usize, cols: usize) -> Matrix;
+    fn vector(&mut self, len: usize) -> Vector;
+    fn symmetric(&mut self, n: usize) -> Matrix;
+}
+
+impl Draw for Rng {
     fn entry(&mut self) -> f64 {
-        let bits = self.next_u64();
+        let bits = self.next();
         if bits & 0x7 == 0 {
             return if bits & 0x8 == 0 { 0.0 } else { -0.0 };
         }
@@ -100,7 +104,7 @@ fn assert_lane_vec_eq<const K: usize>(
 const SHAPES: &[(usize, usize, usize)] = &[(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (5, 5, 4)];
 
 fn products_match_scalar_bitwise_per_lane<const K: usize>() {
-    let mut rng = Rng(0x51ab_0001);
+    let mut rng = Rng::new(0x51ab_0001);
     for &(m, n, p) in SHAPES {
         for _round in 0..8 {
             let a: Vec<Matrix> = (0..K).map(|_| rng.matrix(m, n)).collect();
@@ -152,7 +156,7 @@ fn products_match_scalar_bitwise_per_lane<const K: usize>() {
 }
 
 fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
-    let mut rng = Rng(0x51ab_0002);
+    let mut rng = Rng::new(0x51ab_0002);
     for &(m, n, _) in SHAPES {
         for _round in 0..8 {
             let a: Vec<Matrix> = (0..K).map(|_| rng.matrix(m, n)).collect();
@@ -183,7 +187,7 @@ fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
 }
 
 fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
-    let mut rng = Rng(0x51ab_0003);
+    let mut rng = Rng::new(0x51ab_0003);
     for &(m, n, _) in SHAPES {
         let a: Vec<Matrix> = (0..K).map(|_| rng.matrix(m, n)).collect();
         let b: Vec<Matrix> = (0..K).map(|_| rng.matrix(m, n)).collect();
@@ -237,7 +241,7 @@ fn elementwise_ops_match_scalar_bitwise_per_lane<const K: usize>() {
 /// symmetrizing leaves every diagonal entry as it is, in the slab kernel
 /// and in its allocating reference alike.
 fn symmetrize_keeps_huge_diagonals<const K: usize>() {
-    let mut rng = Rng(0x51ab_0007);
+    let mut rng = Rng::new(0x51ab_0007);
     let huge = [1e308, -1e308, 1.5e308, -f64::MAX, f64::MAX];
     for n in 1..=4 {
         let s: Vec<Matrix> = (0..K)
@@ -266,7 +270,7 @@ fn symmetrize_keeps_huge_diagonals<const K: usize>() {
 }
 
 fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
-    let mut rng = Rng(0x51ab_0004);
+    let mut rng = Rng::new(0x51ab_0004);
     for n in 1..=5 {
         for round in 0..8 {
             let mats: Vec<Matrix> = (0..K)
@@ -314,7 +318,7 @@ fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
 }
 
 fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
-    let mut rng = Rng(0x51ab_0005);
+    let mut rng = Rng::new(0x51ab_0005);
     for n in 1..=5 {
         for round in 0..6 {
             let mats: Vec<Matrix> = (0..K).map(|_| rng.symmetric(n)).collect();
@@ -377,7 +381,7 @@ fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
 fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
     // A map that returns 0.0 for most eigenvalues exercises the
     // masked-accumulate path (the scalar zero-skip `continue`).
-    let mut rng = Rng(0x51ab_0006);
+    let mut rng = Rng::new(0x51ab_0006);
     let n = 4;
     let mats: Vec<Matrix> = (0..K).map(|_| rng.symmetric(n)).collect();
     let slab = load::<K>(&mats);
@@ -399,7 +403,7 @@ fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
 }
 
 fn identity_fill_copy_roundtrip<const K: usize>() {
-    let mut rng = Rng(0x51ab_0007);
+    let mut rng = Rng::new(0x51ab_0007);
     let mats: Vec<Matrix> = (0..K).map(|_| rng.matrix(3, 3)).collect();
     let slab = load::<K>(&mats);
     let mut copy = MatrixSlab::<K>::zeros(3, 3);

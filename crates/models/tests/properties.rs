@@ -11,57 +11,24 @@ use roboads_models::{
     numeric_jacobian, numeric_jacobian_wrt, presets, wrap_angle, Arena, DynamicsModel,
 };
 
-/// Cases per property.
-const CASES: u64 = 256;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
+use seeded::{check, for_each_seed, Rng};
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Any non-zero state works; mix the seed so neighbours diverge.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in [lo, hi).
-    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
+/// This suite's draws on the shared generator.
+trait Draw {
     /// A pose inside the 4 m evaluation arena, clear of the walls.
+    fn pose(&mut self) -> (f64, f64, f64);
+}
+
+impl Draw for Rng {
     fn pose(&mut self) -> (f64, f64, f64) {
         (
             self.uniform(0.3, 3.7),
             self.uniform(0.3, 3.7),
             self.uniform(-3.1, 3.1),
         )
-    }
-}
-
-/// Runs `property` once per seed, naming the seed in any failure.
-fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
-    for seed in 0..CASES {
-        if let Err(msg) = property(&mut Rng::new(seed)) {
-            panic!("seed {seed}: {msg}");
-        }
-    }
-}
-
-/// `Err` naming `what` and the offending value unless `ok`.
-fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("{what} ({value:?})"))
     }
 }
 

@@ -122,6 +122,18 @@ pub fn put_bool_slice(out: &mut Vec<u8>, values: &[bool]) {
     }
 }
 
+/// Decodes one value written by [`put_f64`] from its 8 little-endian
+/// bytes (a chunk of [`ByteReader::f64_bytes`]).
+///
+/// # Panics
+///
+/// Panics unless `bytes` is exactly 8 bytes long.
+pub fn f64_from_le(bytes: &[u8]) -> f64 {
+    let mut le = [0u8; 8];
+    le.copy_from_slice(bytes);
+    f64::from_bits(u64::from_le_bytes(le))
+}
+
 /// A decode failure: byte offset and a static reason. Decoders built on
 /// [`ByteReader`] surface this instead of panicking or over-reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,11 +274,24 @@ impl<'a> ByteReader<'a> {
     /// [`ByteError`] on truncated input or a length the remaining bytes
     /// cannot back.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, ByteError> {
+        Ok(self.f64_bytes()?.chunks_exact(8).map(f64_from_le).collect())
+    }
+
+    /// Takes a length-prefixed float slice written by [`put_f64_slice`]
+    /// without decoding it: the `8 · n` little-endian value bytes,
+    /// borrowed from the input (same validation and error offsets as
+    /// [`ByteReader::f64_vec`]). [`f64_from_le`] decodes each 8-byte
+    /// chunk.
+    ///
+    /// # Errors
+    ///
+    /// As [`ByteReader::f64_vec`].
+    pub fn f64_bytes(&mut self) -> Result<&'a [u8], ByteError> {
         let n = self.u32()? as usize;
         if self.remaining() / 8 < n {
             return Err(self.err("float array length exceeds input"));
         }
-        (0..n).map(|_| self.f64()).collect()
+        self.bytes(8 * n)
     }
 
     /// Reads a length-prefixed float slice into `dst` (same validation

@@ -9,63 +9,10 @@
 use roboads_stats::gamma::{regularized_lower_gamma, regularized_upper_gamma};
 use roboads_stats::{ChiSquared, ConfusionCounts, SlidingWindow};
 
-/// Cases per property.
-const CASES: u64 = 256;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Any non-zero state works; mix the seed so neighbours diverge.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in [lo, hi).
-    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    /// Uniform integer in [lo, hi).
-    fn below(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn index(&mut self, lo: usize, hi: usize) -> usize {
-        self.below(lo as u64, hi as u64) as usize
-    }
-
-    fn coin(&mut self) -> bool {
-        self.next() >> 63 == 1
-    }
-}
-
-/// Runs `property` once per seed, naming the seed in any failure.
-fn for_each_seed(property: impl Fn(&mut Rng) -> Result<(), String>) {
-    for seed in 0..CASES {
-        if let Err(msg) = property(&mut Rng::new(seed)) {
-            panic!("seed {seed}: {msg}");
-        }
-    }
-}
-
-/// `Err` naming `what` and the offending value unless `ok`.
-fn check(ok: bool, what: &str, value: impl std::fmt::Debug) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("{what} ({value:?})"))
-    }
-}
+use seeded::{check, for_each_seed};
 
 #[test]
 fn chi_square_cdf_is_monotone_and_bounded() {
@@ -123,10 +70,10 @@ fn sliding_window_matches_naive_count() {
 fn confusion_rates_are_consistent() {
     for_each_seed(|rng| {
         let (tp, fp, fn_, tn) = (
-            rng.below(0, 500),
-            rng.below(0, 500),
-            rng.below(0, 500),
-            rng.below(0, 500),
+            rng.index(0, 500) as u64,
+            rng.index(0, 500) as u64,
+            rng.index(0, 500) as u64,
+            rng.index(0, 500) as u64,
         );
         let c = ConfusionCounts {
             true_positives: tp,

@@ -108,6 +108,101 @@ impl WireFrame {
     }
 }
 
+/// A data frame's values as they sit in the payload: little-endian
+/// `f64` bit patterns, 8 bytes each, borrowed from the decoder's
+/// buffer. The bytes are unaligned, so this is a byte slice, not a
+/// `&[f64]`; nothing is decoded until a caller asks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameValues<'a> {
+    /// A multiple of 8 bytes (validated by the parser).
+    bytes: &'a [u8],
+}
+
+impl<'a> FrameValues<'a> {
+    /// The values, decoded one at a time (bit-exact).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.bytes.chunks_exact(8).map(wire::f64_from_le)
+    }
+
+    /// Overwrites `out` with the values, reusing its capacity.
+    pub fn decode_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.iter());
+    }
+}
+
+/// One protocol frame decoded in place: [`WireFrame`] with the values
+/// left as borrowed bytes ([`FrameValues`]). The one parser behind
+/// [`decode_frame`] and [`FrameDecoder::next_frame`]; the service's
+/// [`crate::pump`] consumes views directly, so routing and the stamp
+/// check see a frame before anything is copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameView<'a> {
+    /// See [`WireFrame::Hello`].
+    Hello {
+        /// Must equal [`WIRE_VERSION`].
+        version: u32,
+    },
+    /// See [`WireFrame::Reading`].
+    Reading {
+        /// Global robot id.
+        robot: u64,
+        /// Sensing workflow index.
+        sensor: u32,
+        /// Tick stamp.
+        tick: u64,
+        /// Reading values.
+        values: FrameValues<'a>,
+    },
+    /// See [`WireFrame::Input`].
+    Input {
+        /// Global robot id.
+        robot: u64,
+        /// Tick stamp.
+        tick: u64,
+        /// Command values.
+        values: FrameValues<'a>,
+    },
+    /// See [`WireFrame::TickEnd`].
+    TickEnd {
+        /// The tick that just closed.
+        tick: u64,
+    },
+    /// See [`WireFrame::Bye`].
+    Bye,
+}
+
+impl FrameView<'_> {
+    /// The owned frame, values decoded.
+    pub fn to_owned(self) -> WireFrame {
+        match self {
+            FrameView::Hello { version } => WireFrame::Hello { version },
+            FrameView::Reading {
+                robot,
+                sensor,
+                tick,
+                values,
+            } => WireFrame::Reading {
+                robot,
+                sensor,
+                tick,
+                values: values.iter().collect(),
+            },
+            FrameView::Input {
+                robot,
+                tick,
+                values,
+            } => WireFrame::Input {
+                robot,
+                tick,
+                values: values.iter().collect(),
+            },
+            FrameView::TickEnd { tick } => WireFrame::TickEnd { tick },
+            FrameView::Bye => WireFrame::Bye,
+        }
+    }
+}
+
 /// Typed decode failure. Every malformed input maps here — the codec
 /// never panics and never allocates more than the bytes actually
 /// received.
@@ -232,26 +327,41 @@ pub fn encode_frame(frame: &WireFrame, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
+/// As [`decode_view`].
+pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, WireError> {
+    decode_view(payload).map(FrameView::to_owned)
+}
+
+/// Decodes one complete payload in place, borrowing the value bytes.
+/// Every field is validated here — a value count the payload cannot
+/// back is an error before any value is read.
+///
+/// # Errors
+///
 /// [`WireError::UnknownKind`] or [`WireError::Corrupt`] (truncated
 /// body, trailing bytes, malformed field).
-pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, WireError> {
+pub fn decode_view(payload: &[u8]) -> Result<FrameView<'_>, WireError> {
     let mut rd = ByteReader::new(payload);
     let kind = rd.u8()?;
-    let frame = match kind {
-        KIND_HELLO => WireFrame::Hello { version: rd.u32()? },
-        KIND_READING => WireFrame::Reading {
+    let view = match kind {
+        KIND_HELLO => FrameView::Hello { version: rd.u32()? },
+        KIND_READING => FrameView::Reading {
             robot: rd.u64()?,
             sensor: rd.u32()?,
             tick: rd.u64()?,
-            values: rd.f64_vec()?,
+            values: FrameValues {
+                bytes: rd.f64_bytes()?,
+            },
         },
-        KIND_INPUT => WireFrame::Input {
+        KIND_INPUT => FrameView::Input {
             robot: rd.u64()?,
             tick: rd.u64()?,
-            values: rd.f64_vec()?,
+            values: FrameValues {
+                bytes: rd.f64_bytes()?,
+            },
         },
-        KIND_TICK_END => WireFrame::TickEnd { tick: rd.u64()? },
-        KIND_BYE => WireFrame::Bye,
+        KIND_TICK_END => FrameView::TickEnd { tick: rd.u64()? },
+        KIND_BYE => FrameView::Bye,
         kind => return Err(WireError::UnknownKind { kind }),
     };
     if !rd.is_empty() {
@@ -260,14 +370,15 @@ pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, WireError> {
             reason: "trailing bytes after frame body",
         });
     }
-    Ok(frame)
+    Ok(view)
 }
 
 /// Incremental decoder over an arbitrarily-fragmented byte stream.
 ///
 /// Feed whatever the socket yields — single bytes, half frames, many
 /// frames at once — and drain complete frames with
-/// [`FrameDecoder::next_frame`]. Partial input is simply *pending*
+/// [`FrameDecoder::next_view`] (borrowed, allocation-free) or
+/// [`FrameDecoder::next_frame`] (owned). Partial input is simply *pending*
 /// (`Ok(None)`), never an error; errors are reserved for genuinely
 /// malformed streams and are fatal to the decoder.
 #[derive(Debug, Default)]
@@ -323,27 +434,35 @@ impl FrameDecoder {
     ///
     /// # Errors
     ///
-    /// [`WireError::Oversized`] on a hostile length prefix, else the
-    /// payload's [`decode_frame`] error. Decode errors are fatal — a
-    /// byte stream has no frame boundaries to resynchronize on.
+    /// As [`FrameDecoder::next_view`].
     pub fn next_frame(&mut self) -> Result<Option<WireFrame>, WireError> {
+        Ok(self.next_view()?.map(FrameView::to_owned))
+    }
+
+    /// The next complete frame decoded in place ([`decode_view`]),
+    /// borrowing the decoder's buffer until the next call, or `Ok(None)`
+    /// while one is still partial. Consumed bytes are compacted away by
+    /// the next [`FrameDecoder::feed`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`] on a hostile length prefix, else the
+    /// payload's [`decode_view`] error. Decode errors are fatal — a
+    /// byte stream has no frame boundaries to resynchronize on.
+    pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>, WireError> {
         let Some(len) = self.pending_len() else {
             return Ok(None);
         };
         if len > MAX_FRAME {
             return Err(WireError::Oversized { len });
         }
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 4 + len {
+        let start = self.pos + 4;
+        if self.buf.len() < start + len {
             return Ok(None);
         }
-        let frame = decode_frame(&rest[4..4 + len])?;
-        self.pos += 4 + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(frame))
+        let view = decode_view(&self.buf[start..start + len])?;
+        self.pos = start + len;
+        Ok(Some(view))
     }
 }
 

@@ -4,8 +4,8 @@
 //! Moves load generation out of the detection process: a producer
 //! (e.g. `roboads-sim`'s external runner) serializes each robot's
 //! stamped sensor/command frames into a length-prefixed binary stream,
-//! and the service side decodes them straight into
-//! [`roboads_core::ShardedFleet::offer_frame`], crossing the tick
+//! and the service side decodes them in place ([`FrameView`]) straight
+//! into [`roboads_core::ShardedFleet::offer_slice`], crossing the tick
 //! boundary on every `TickEnd` marker. Floats travel as
 //! `f64::to_bits`, so a wire-fed run is bitwise identical to the
 //! in-process sync path whenever every frame arrives on time.
@@ -29,6 +29,7 @@ mod codec;
 mod serve;
 
 pub use codec::{
-    decode_frame, encode_frame, FrameDecoder, WireError, WireFrame, MAX_FRAME, WIRE_VERSION,
+    decode_frame, decode_view, encode_frame, FrameDecoder, FrameValues, FrameView, WireError,
+    WireFrame, MAX_FRAME, WIRE_VERSION,
 };
 pub use serve::{pump, serve_tcp, serve_uds, FrameWriter, ServeSummary};

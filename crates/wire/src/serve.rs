@@ -5,9 +5,9 @@ use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 
-use roboads_core::ShardedFleet;
+use roboads_core::{CoreError, ShardedFleet};
 
-use crate::codec::{encode_frame, FrameDecoder, WireError, WireFrame, WIRE_VERSION};
+use crate::codec::{encode_frame, FrameDecoder, FrameView, WireError, WireFrame, WIRE_VERSION};
 
 /// Buffered frame writer: the producer half of the protocol. Frames
 /// accumulate in one buffer and hit the socket on [`FrameWriter::flush`]
@@ -66,8 +66,17 @@ pub struct ServeSummary {
     pub frames: u64,
     /// Data frames accepted into a staging window.
     pub accepted: u64,
-    /// Data frames rejected (stale stamp or unknown robot).
+    /// Data frames rejected: the sum of `unknown_robot`, `stale_stamp`
+    /// and `bad_frame`.
     pub rejected: u64,
+    /// Rejected because no shard routes the frame's robot id.
+    pub unknown_robot: u64,
+    /// Rejected because the stamp did not match the staging window (a
+    /// late replay, or a stamp from the future).
+    pub stale_stamp: u64,
+    /// Rejected in-window frames naming a sensor index the robot does
+    /// not have.
+    pub bad_frame: u64,
     /// Tick boundaries crossed.
     pub ticks: u64,
     /// Ticks whose batch step reported a detection-level error (the
@@ -77,22 +86,52 @@ pub struct ServeSummary {
     pub clean_shutdown: bool,
 }
 
+impl ServeSummary {
+    /// Counts one data frame's offer outcome under its reason.
+    fn count(&mut self, offered: roboads_core::Result<bool>) {
+        self.frames += 1;
+        let reason = match offered {
+            Ok(true) => {
+                self.accepted += 1;
+                return;
+            }
+            Ok(false) => &mut self.stale_stamp,
+            Err(CoreError::UnknownRobot { .. }) => &mut self.unknown_robot,
+            Err(_) => &mut self.bad_frame,
+        };
+        *reason += 1;
+        self.rejected += 1;
+    }
+}
+
 /// Pumps one byte stream into the fleet until `Bye` or EOF: data
-/// frames stage via [`ShardedFleet::offer_frame`], every
+/// frames stage via [`ShardedFleet::offer_slice`], every
 /// [`WireFrame::TickEnd`] steps all shards. The stream must open with
 /// a matching [`WireFrame::Hello`].
+///
+/// Frames are decoded in place ([`FrameDecoder::next_view`]) and their
+/// values into one reused buffer, and the fleet routes and stamp-checks
+/// each frame before copying it, so once the decoder, the staging
+/// buffers and the shard journals are warm a tick between two periodic
+/// snapshots allocates nothing.
 ///
 /// Detection-level step errors (a missed deadline, a robot's numeric
 /// failure) are *not* protocol errors: they are counted in the summary
 /// and the pump continues, exactly as an in-process driver would keep
-/// ticking. Unknown robots and stale stamps count as rejected frames.
+/// ticking. Rejected data frames drop the frame, not the connection,
+/// and are counted by reason.
 ///
 /// # Errors
 ///
 /// [`WireError`] on protocol violations: bad version, malformed or
 /// oversized frames, data before `Hello`, or socket failures.
 pub fn pump<R: Read>(mut stream: R, fleet: &mut ShardedFleet) -> Result<ServeSummary, WireError> {
+    const BEFORE_HELLO: WireError = WireError::Corrupt {
+        at: 0,
+        reason: "data frame before Hello",
+    };
     let mut decoder = FrameDecoder::new();
+    let mut values = Vec::new();
     let mut summary = ServeSummary::default();
     let mut greeted = false;
     let mut chunk = [0u8; 8192];
@@ -102,47 +141,46 @@ pub fn pump<R: Read>(mut stream: R, fleet: &mut ShardedFleet) -> Result<ServeSum
             return Ok(summary); // EOF without Bye: summary says so
         }
         decoder.feed(&chunk[..n])?;
-        while let Some(frame) = decoder.next_frame()? {
-            match frame {
-                WireFrame::Hello { version } => {
+        while let Some(view) = decoder.next_view()? {
+            let (robot, sensor, tick, frame_values) = match view {
+                FrameView::Hello { version } => {
                     if version != WIRE_VERSION {
                         return Err(WireError::Version { found: version });
                     }
                     greeted = true;
+                    continue;
                 }
-                WireFrame::Bye => {
+                FrameView::Bye => {
                     summary.clean_shutdown = true;
                     return Ok(summary);
                 }
-                WireFrame::TickEnd { .. } => {
+                FrameView::TickEnd { .. } => {
                     if !greeted {
-                        return Err(WireError::Corrupt {
-                            at: 0,
-                            reason: "data frame before Hello",
-                        });
+                        return Err(BEFORE_HELLO);
                     }
                     summary.ticks += 1;
                     if fleet.step().is_err() {
                         summary.step_errors += 1;
                     }
+                    continue;
                 }
-                data => {
-                    if !greeted {
-                        return Err(WireError::Corrupt {
-                            at: 0,
-                            reason: "data frame before Hello",
-                        });
-                    }
-                    let stamped = data.to_stamped().expect("reading/input is a data frame");
-                    summary.frames += 1;
-                    match fleet.offer_frame(&stamped) {
-                        Ok(true) => summary.accepted += 1,
-                        // A stale stamp or unknown robot drops the
-                        // frame, not the connection.
-                        Ok(false) | Err(_) => summary.rejected += 1,
-                    }
-                }
+                FrameView::Reading {
+                    robot,
+                    sensor,
+                    tick,
+                    values,
+                } => (robot, Some(sensor), tick, values),
+                FrameView::Input {
+                    robot,
+                    tick,
+                    values,
+                } => (robot, None, tick, values),
+            };
+            if !greeted {
+                return Err(BEFORE_HELLO);
             }
+            frame_values.decode_into(&mut values);
+            summary.count(fleet.offer_slice(robot, sensor, tick, &values));
         }
     }
 }
