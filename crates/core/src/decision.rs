@@ -1,7 +1,8 @@
 use std::collections::HashMap;
 
 use roboads_linalg::{
-    EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab, JACOBI_MAX_SWEEPS,
+    CholeskySlabWorkspace, EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab,
+    JACOBI_MAX_SWEEPS,
 };
 use roboads_models::{RobotSystem, SensorSlice};
 use roboads_obs::wire;
@@ -301,8 +302,8 @@ impl DecisionMaker {
         }
         {
             // The engine's parsimony pass already normalized this
-            // estimate by its covariance (the same pseudo-inverse and
-            // quadratic form, bit for bit).
+            // estimate by its covariance, as d̂ᵀ·N·d̂ on the normal
+            // matrix N = (Pᵃ)⁻¹ it holds.
             let stat = actuator_out.actuator_statistic;
             report
                 .actuator_anomaly
@@ -522,10 +523,15 @@ impl DecisionMaker {
     /// edge-trigger alarms. The χ²-test and workspace caches are
     /// deterministic lazy builds and are left to the restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
-        let sensor: Vec<bool> = self.sensor_window.history().collect();
-        let actuator: Vec<bool> = self.actuator_window.history().collect();
-        wire::put_bool_slice(out, &sensor);
-        wire::put_bool_slice(out, &actuator);
+        // `put_bool_slice`'s layout, written straight from the windows
+        // so a periodic snapshot allocates nothing.
+        for window in [&self.sensor_window, &self.actuator_window] {
+            let history = window.history();
+            wire::put_u32(out, history.len() as u32);
+            for positive in history {
+                wire::put_bool(out, positive);
+            }
+        }
         wire::put_bool(out, self.prev_sensor_alarm);
         wire::put_bool(out, self.prev_actuator_alarm);
     }
@@ -555,20 +561,28 @@ impl DecisionMaker {
 
 /// The normalized statistic `dᵀ P⁺ d` for up to `K` estimates at once:
 /// per lane bitwise identical to [`roboads_stats::normalized_statistic`]
-/// on that lane's estimate and covariance (the slab Jacobi replays the
-/// allocating one, and the rank cutoff and the quadratic-form order are
-/// the allocating path's). A decision maker runs it at one lane, for
-/// the cross-mode conflict tests and the aggregate sensor test
+/// on that lane's estimate and covariance. Every lane is whitened by the
+/// lane-batched Cholesky, replaying [`Matrix::whitened_quadratic_form`]'s
+/// acceptance rule; the lanes it rejects (numerically singular or
+/// non-finite covariances) take the slab Jacobi pseudo-inverse, which
+/// replays the allocating one, and it runs over those lanes only — not
+/// at all when every lane is accepted. A decision maker runs it at one
+/// lane, for the cross-mode conflict tests and the aggregate sensor test
 /// (Algorithm 1 line 10); a fleet slab job runs the aggregate test
 /// eight lanes wide, one scratch per mode, over the robots that
-/// selected that mode.
+/// selected that mode; and the NUISE kernel's parsimony pass runs one
+/// per testing sensor, over its mode's lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct NormalizedStatistic<const K: usize> {
     d: VectorSlab<K>,
     cov: MatrixSlab<K>,
+    /// The Cholesky factor, then (fallback lanes) the pseudo-inverse.
     pinv: MatrixSlab<K>,
+    chol: CholeskySlabWorkspace<K>,
     eig: EigenSlabWorkspace<K>,
-    converged: [bool; K],
+    /// Lanes whose statistic is valid: accepted by the whitening, or
+    /// converged in the fallback.
+    ok: [bool; K],
     statistic: [f64; K],
 }
 
@@ -579,8 +593,9 @@ impl<const K: usize> NormalizedStatistic<K> {
             d: VectorSlab::zeros(dim),
             cov: MatrixSlab::zeros(dim, dim),
             pinv: MatrixSlab::zeros(dim, dim),
+            chol: CholeskySlabWorkspace::new(dim),
             eig: EigenSlabWorkspace::new(dim),
-            converged: [false; K],
+            ok: [false; K],
             statistic: [0.0; K],
         }
     }
@@ -596,41 +611,79 @@ impl<const K: usize> NormalizedStatistic<K> {
         self.cov.load_lane(l, covariance);
     }
 
-    /// Computes the statistic of every `active` lane.
-    pub(crate) fn run(&mut self, active: &[bool; K]) {
-        let converged = self.eig.factorize(&self.cov, active);
-        let mut cutoff = [0.0f64; K];
-        for (l, c) in cutoff.iter_mut().enumerate() {
-            if converged[l] {
-                *c = self.eig.spectrum_cutoff(l);
+    /// Loads every lane with the `len`-long segment at `offset` of `d`
+    /// and the matching diagonal block of `covariance` — the slab twin
+    /// of `Vector::segment` and `Matrix::block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment does not fit `d` or `covariance`.
+    pub(crate) fn load_block(
+        &mut self,
+        d: &VectorSlab<K>,
+        covariance: &MatrixSlab<K>,
+        offset: usize,
+    ) {
+        let n = self.d.len();
+        for i in 0..n {
+            *self.d.at_mut(i) = *d.at(offset + i);
+            for j in 0..n {
+                *self.cov.at_mut(i, j) = *covariance.at(offset + i, offset + j);
             }
         }
-        self.eig.spectral_map_into(
-            |l, lam| {
-                if converged[l] && lam.abs() > cutoff[l] {
-                    1.0 / lam
-                } else {
-                    0.0
+    }
+
+    /// Computes the statistic of every `active` lane.
+    pub(crate) fn run(&mut self, active: &[bool; K]) {
+        let accepted = self.chol.whiten(&self.cov, &self.d, &mut self.pinv, active);
+        self.statistic = *self.chol.norm_squared();
+        self.ok = accepted;
+        let fallback: [bool; K] = std::array::from_fn(|l| active[l] && !accepted[l]);
+        if fallback.contains(&true) {
+            let converged = self.eig.factorize(&self.cov, &fallback);
+            let mut cutoff = [0.0f64; K];
+            for (l, c) in cutoff.iter_mut().enumerate() {
+                if converged[l] {
+                    *c = self.eig.spectrum_cutoff(l);
                 }
-            },
-            &mut self.pinv,
-        );
-        self.statistic = self.d.quadratic_form(&self.pinv);
-        self.converged = converged;
+            }
+            self.eig.spectral_map_into(
+                |l, lam| {
+                    if converged[l] && lam.abs() > cutoff[l] {
+                        1.0 / lam
+                    } else {
+                        0.0
+                    }
+                },
+                &mut self.pinv,
+            );
+            let pinv_statistic = self.d.quadratic_form(&self.pinv);
+            for (l, &fell_back) in fallback.iter().enumerate() {
+                if fell_back {
+                    self.statistic[l] = pinv_statistic[l];
+                    self.ok[l] = converged[l];
+                }
+            }
+        }
     }
 
     /// Lane `l`'s statistic from the last [`run`](Self::run), or the
     /// error `normalized_statistic` returns on its inputs (the Jacobi
-    /// sweep cap, the only failure same-shaped inputs can reach).
+    /// sweep cap of the fallback, the only failure same-shaped inputs
+    /// can reach).
     pub(crate) fn lane(&self, l: usize) -> Result<f64> {
-        if self.converged[l] {
-            Ok(self.statistic[l])
-        } else {
-            Err(StatsError::from(LinalgError::NoConvergence {
+        self.value(l).ok_or_else(|| {
+            StatsError::from(LinalgError::NoConvergence {
                 sweeps: JACOBI_MAX_SWEEPS,
             })
-            .into())
-        }
+            .into()
+        })
+    }
+
+    /// Lane `l`'s statistic from the last [`run`](Self::run), or `None`
+    /// where [`lane`](Self::lane) returns its error.
+    pub(crate) fn value(&self, l: usize) -> Option<f64> {
+        self.ok[l].then_some(self.statistic[l])
     }
 }
 

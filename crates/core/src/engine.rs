@@ -198,6 +198,10 @@ struct EngineInstruments {
     /// the linalg substrate while this engine was stepping (process-wide
     /// attribution; see `roboads_linalg::health`).
     cholesky_failures: Counter,
+    /// `engine.cholesky_fallbacks` — χ² statistics whose covariance the
+    /// Cholesky whitening rejected, so the Jacobi pseudo-inverse ran
+    /// (process-wide attribution, as above; zero on healthy traffic).
+    cholesky_fallbacks: Counter,
     /// `engine.selected_mode` — index of the winning hypothesis.
     selected_mode: Gauge,
     /// `engine.active_modes` — modes advanced per iteration (the full
@@ -225,6 +229,7 @@ impl EngineInstruments {
             numeric_failures: m.counter("engine.numeric_failures"),
             all_modes_floored: m.counter("engine.all_modes_floored"),
             cholesky_failures: m.counter("engine.cholesky_failures"),
+            cholesky_fallbacks: m.counter("engine.cholesky_fallbacks"),
             selected_mode: m.gauge("engine.selected_mode"),
             active_modes: m.gauge("engine.active_modes"),
             bank_wakes: m.counter("engine.bank_wake.count"),
@@ -745,10 +750,17 @@ impl MultiModeEngine {
             None => self.select_and_commit(),
         };
         let now = roboads_linalg::health::snapshot();
-        let breakdowns = now.since(health).cholesky_failures;
+        let delta = now.since(health);
         *health = now;
-        if breakdowns > 0 {
-            self.instruments.cholesky_failures.add(breakdowns);
+        if delta.cholesky_failures > 0 {
+            self.instruments
+                .cholesky_failures
+                .add(delta.cholesky_failures);
+        }
+        if delta.cholesky_fallbacks > 0 {
+            self.instruments
+                .cholesky_fallbacks
+                .add(delta.cholesky_fallbacks);
         }
         match &result {
             Ok(()) => self.instruments.steps.incr(),

@@ -339,8 +339,9 @@ impl FleetIngest {
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadReadings`] when `robot` or `sensor` is out of
-    /// range. Reading *dimensions* are not validated here — a malformed
+    /// [`CoreError::BadReadings`] when `robot` is out of range,
+    /// [`CoreError::UnknownSensor`] when `sensor` is. Reading
+    /// *dimensions* are not validated here — a malformed
     /// vector surfaces as that one robot's per-robot step error.
     pub fn offer(&mut self, robot: usize, sensor: usize, reading: &Vector) -> Result<()> {
         self.stage(robot, Some(sensor), reading.as_slice())
@@ -366,21 +367,17 @@ impl FleetIngest {
                 slot.staged_u_arrived = true;
                 Ok(())
             }
-            Some(sensor) => {
-                let sensors = slot.staged.len();
-                match slot.staged.get_mut(sensor) {
-                    Some(buf) => {
-                        buf.assign_slice(values);
-                        slot.arrived[sensor] = true;
-                        Ok(())
-                    }
-                    None => Err(CoreError::BadReadings {
-                        reason: format!(
-                            "ingest offer for sensor {sensor} on robot {robot} with {sensors} sensors"
-                        ),
-                    }),
+            Some(sensor) => match slot.staged.get_mut(sensor) {
+                Some(buf) => {
+                    buf.assign_slice(values);
+                    slot.arrived[sensor] = true;
+                    Ok(())
                 }
-            }
+                None => Err(CoreError::UnknownSensor {
+                    robot: robot as u64,
+                    sensor,
+                }),
+            },
         }
     }
 
@@ -651,7 +648,7 @@ mod tests {
         ));
         assert!(matches!(
             ingest.offer(0, 7, &v),
-            Err(CoreError::BadReadings { .. })
+            Err(CoreError::UnknownSensor { .. })
         ));
         assert!(matches!(
             ingest.offer_input(9, &v),

@@ -143,6 +143,17 @@ pub enum CoreError {
         /// The unrouted global robot id.
         robot: u64,
     },
+    /// A frame named a sensor index its robot does not have (see
+    /// [`FleetIngest::offer`] and [`ShardedFleet::offer_slice`]).
+    /// Carries only the indices, so a flood of bad sensor indices is
+    /// rejected without allocating.
+    UnknownSensor {
+        /// The robot: its fleet index at a [`FleetIngest`], its global
+        /// id at a [`ShardedFleet`].
+        robot: u64,
+        /// The out-of-range sensor index.
+        sensor: usize,
+    },
     /// A fleet robot had no complete input set at the tick boundary:
     /// its frames were late or dropped and the ingest policy was
     /// [`DeadlinePolicy::MarkMissing`] (or nothing was ever delivered).
@@ -184,6 +195,12 @@ impl fmt::Display for CoreError {
             CoreError::BadReadings { reason } => write!(f, "bad readings: {reason}"),
             CoreError::UnknownRobot { robot } => {
                 write!(f, "unknown robot id {robot} offered to sharded fleet")
+            }
+            CoreError::UnknownSensor { robot, sensor } => {
+                write!(
+                    f,
+                    "sensor {sensor} offered for robot {robot}, which has no such sensor"
+                )
             }
             CoreError::MissedDeadline { robot } => {
                 write!(

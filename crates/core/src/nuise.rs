@@ -84,17 +84,18 @@ pub struct NuiseOutput {
     pub consistency: f64,
     /// Reference-sensor innovation `ν_k` (diagnostics).
     pub innovation: Vector,
-    /// Normalized actuator statistic `d̂ᵃᵀ(Pᵃ)†d̂ᵃ` of this output.
-    /// Written by the kernel's implied-anomaly pass, which the decision
-    /// maker's actuator test then reuses; the [`nuise_step`] oracle
-    /// leaves it at `0.0`. Travelling with the estimates
-    /// keeps a dormant mode's stale output and stale statistic together.
+    /// Normalized actuator statistic `d̂ᵃᵀ(Pᵃ)⁻¹d̂ᵃ` of this output,
+    /// computed as `d̂ᵃᵀ·N·d̂ᵃ` with `N = Fᵀ·R*⁻¹·F` the normal matrix
+    /// whose inverse is `Pᵃ`. Written by the implied-anomaly pass, which
+    /// the decision maker's actuator test then reuses. Travelling with
+    /// the estimates keeps a dormant mode's stale output and stale
+    /// statistic together.
     pub actuator_statistic: f64,
-    /// Normalized per-testing-sensor statistics `d̂ˢ_sᵀ(Pˢ_ss)†d̂ˢ_s`,
-    /// one per testing slice in the mode's testing order (empty for a
-    /// mode that tests nothing). Written alongside
-    /// [`NuiseOutput::actuator_statistic`] and read by the decision
-    /// maker's per-sensor views; zeros from the [`nuise_step`] oracle.
+    /// Normalized per-testing-sensor statistics `d̂ˢ_sᵀ(Pˢ_ss)⁺d̂ˢ_s`
+    /// (whitened, [`Matrix::whitened_quadratic_form`]), one per testing
+    /// slice in the mode's testing order (empty for a mode that tests
+    /// nothing). Written alongside [`NuiseOutput::actuator_statistic`]
+    /// and read by the decision maker's per-sensor views.
     pub testing_statistics: Vec<f64>,
 }
 
@@ -187,8 +188,10 @@ fn stack_readings(readings: &[Vector], subset: &[usize]) -> Vector {
 /// intermediate — the **reference oracle**. The engine and the fleet
 /// run the in-place lane-batched kernel instead (`nuise_slab.rs`; the
 /// engine at one lane), which the test suites pin against this function
-/// with exact `==`. It leaves the parsimony statistics of the output at
-/// zero.
+/// with exact `==`, parsimony statistics included: the actuator
+/// statistic `d̂ᵃᵀ·(Fᵀ·R*⁻¹·F)·d̂ᵃ` (the normal matrix is `(Pᵃ)⁻¹`, so no
+/// factorization is needed) and each testing sensor's whitened
+/// statistic ([`Matrix::whitened_quadratic_form`] of its slice).
 ///
 /// # Errors
 ///
@@ -246,6 +249,7 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
 
     let nu_tilde = wrap_components(&z2 - &lin.h(reference, &x_bar), &angular2);
     let d_a = &m2 * &nu_tilde;
+    let actuator_statistic = d_a.quadratic_form(&normal)?;
     // WLS error covariance: M₂ R*₂ M₂ᵀ = (Fᵀ R*⁻¹ F)⁻¹.
     let p_a = normal_inv;
 
@@ -352,6 +356,15 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     if !(x_new.is_finite() && p_new.is_finite()) {
         return Err(CoreError::Numeric(NON_FINITE_ESTIMATE.into()));
     }
+    let testing_statistics = system
+        .subset_slices(testing)
+        .iter()
+        .map(|slice| {
+            let d = d_s.segment(slice.offset, slice.len);
+            let cov = p_s.block(slice.offset, slice.offset, slice.len, slice.len);
+            cov.whitened_quadratic_form(&d)
+        })
+        .collect::<std::result::Result<Vec<_>, _>>()?;
 
     Ok(NuiseOutput {
         state_estimate: x_new,
@@ -363,8 +376,8 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
         likelihood,
         consistency,
         innovation: nu,
-        actuator_statistic: 0.0,
-        testing_statistics: vec![0.0; testing.len()],
+        actuator_statistic,
+        testing_statistics,
     })
 }
 
@@ -459,33 +472,22 @@ pub(crate) fn validate_readings(
 }
 
 /// The allocating oracle of the kernel's whole per-mode step:
-/// [`nuise_step`] plus the implied-anomaly count through the allocating
-/// `segment`/`block`/`pseudo_inverse` formulation, with the tested
-/// statistics stored in the output where the kernel stores them.
+/// [`nuise_step`] plus the implied-anomaly count its parsimony
+/// statistics imply.
 #[cfg(test)]
 pub(crate) fn oracle_step(
     input: NuiseInput<'_>,
     actuator_threshold: f64,
     testing_thresholds: &[f64],
 ) -> Result<(NuiseOutput, usize)> {
-    let mut out = nuise_step(input)?;
-    out.actuator_statistic = out
-        .actuator_anomaly
-        .quadratic_form(&out.actuator_covariance.pseudo_inverse()?)?;
-    let mut count = usize::from(out.actuator_statistic > actuator_threshold);
-    let slices = input.system.subset_slices(input.mode.testing());
-    for ((slice, &threshold), stat) in slices
-        .iter()
-        .zip(testing_thresholds)
-        .zip(&mut out.testing_statistics)
-    {
-        let d = out.sensor_anomaly.segment(slice.offset, slice.len);
-        let cov = out
-            .sensor_covariance
-            .block(slice.offset, slice.offset, slice.len, slice.len);
-        *stat = d.quadratic_form(&cov.pseudo_inverse()?)?;
-        count += usize::from(*stat > threshold);
-    }
+    let out = nuise_step(input)?;
+    let count = usize::from(out.actuator_statistic > actuator_threshold)
+        + out
+            .testing_statistics
+            .iter()
+            .zip(testing_thresholds)
+            .filter(|(stat, threshold)| stat > threshold)
+            .count();
     Ok((out, count))
 }
 

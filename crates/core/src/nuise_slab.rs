@@ -14,8 +14,8 @@
 //!
 //! For every lane that completes, the scattered [`NuiseOutput`] is
 //! **bitwise identical** to what `nuise_step` returns for that robot,
-//! and the parsimony statistics and implied-anomaly count equal the
-//! allocating `segment`/`block`/`pseudo_inverse` formulation. The slab
+//! parsimony statistics included, and the implied-anomaly count is the
+//! one those statistics imply. The slab
 //! kernels replicate the scalar loop structure and accumulation order
 //! per lane (see `roboads_linalg::slab`), the per-lane model evaluations
 //! are the same pure functions, and every data-dependent scalar
@@ -37,6 +37,7 @@ use roboads_linalg::{
 use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
 
 use crate::config::Linearization;
+use crate::decision::NormalizedStatistic;
 use crate::mode::Mode;
 use crate::nuise::{
     chi2_consistency, validate_readings, NuiseOutput, NON_FINITE_ESTIMATE, RANK_DEFICIENT,
@@ -53,7 +54,8 @@ enum LaneFailure {
     /// `rank(C₂G)` is below the input dimension.
     RankDeficient,
     /// A Jacobi eigendecomposition hit the sweep cap (the innovation
-    /// covariance, or one of the parsimony covariances).
+    /// covariance, or the pseudo-inverse fallback of a parsimony
+    /// covariance the whitening rejected).
     NoConvergence,
     /// The χ² survival function rejected the consistency statistic.
     ChiSquared { rank: usize, stat: f64 },
@@ -94,12 +96,8 @@ fn fail<const K: usize>(
 /// Per-testing-slice parsimony scratch.
 #[derive(Debug, Clone)]
 struct SlabSliceScratch<const K: usize> {
-    eig: EigenSlabWorkspace<K>,
-    pinv: MatrixSlab<K>,
-    d: VectorSlab<K>,
-    cov: MatrixSlab<K>,
+    stat: NormalizedStatistic<K>,
     offset: usize,
-    len: usize,
     /// Per-lane statistic of this slice, scattered into
     /// [`NuiseOutput::testing_statistics`].
     statistic: [f64; K],
@@ -312,7 +310,7 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     tmp_m2q: MatrixSlab<K>,    // m₂ × q
     tmp_qm2: MatrixSlab<K>,    // q × m₂
     m2_gain: MatrixSlab<K>,    // q × m₂
-    normal: MatrixSlab<K>,     // q × q
+    normal: MatrixSlab<K>,     // q × q, = (Pᵃ)⁻¹ (the actuator statistic)
     normal_inv: MatrixSlab<K>, // q × q, = Pᵃ (scattered as-is)
     gm2: MatrixSlab<K>,        // n × m₂
     s_mat: MatrixSlab<K>,      // n × m₂
@@ -345,8 +343,6 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     likelihood: [f64; K],
     consistency: [f64; K],
     // Lane-batched parsimony (implied anomaly count) scratch.
-    pars_actuator_eig: EigenSlabWorkspace<K>,
-    pars_actuator_pinv: MatrixSlab<K>,
     pars_slices: Vec<SlabSliceScratch<K>>,
     actuator_statistic: [f64; K],
     counts: [usize; K],
@@ -394,12 +390,8 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             .test_slices
             .iter()
             .map(|s| SlabSliceScratch {
-                eig: EigenSlabWorkspace::new(s.len),
-                pinv: MatrixSlab::zeros(s.len, s.len),
-                d: VectorSlab::zeros(s.len),
-                cov: MatrixSlab::zeros(s.len, s.len),
+                stat: NormalizedStatistic::new(s.len),
                 offset: s.offset,
-                len: s.len,
                 statistic: [0.0; K],
             })
             .collect();
@@ -458,8 +450,6 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             out_innovation: VectorSlab::zeros(m2_dim),
             likelihood: [0.0; K],
             consistency: [0.0; K],
-            pars_actuator_eig: EigenSlabWorkspace::new(q_dim),
-            pars_actuator_pinv: MatrixSlab::zeros(q_dim, q_dim),
             pars_slices,
             actuator_statistic: [0.0; K],
             counts: [0; K],
@@ -930,77 +920,41 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         // decision maker compensates by sourcing the actuator test from
         // the most precise innovation-consistent mode.) The tested
         // statistics travel with the output, so the decision maker does
-        // not recompute the same pseudo-inverses.
-        let conv = self.pars_actuator_eig.factorize(&self.normal_inv, &ok);
-        for l in 0..K {
-            if !conv[l] {
-                fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
-            }
-        }
-        let mut cut_a = [0.0f64; K];
-        for (l, c) in cut_a.iter_mut().enumerate() {
-            if ok[l] {
-                *c = self.pars_actuator_eig.spectrum_cutoff(l);
-            }
-        }
-        self.pars_actuator_eig.spectral_map_into(
-            |l, lam| {
-                if ok[l] && lam.abs() > cut_a[l] {
-                    1.0 / lam
-                } else {
-                    0.0
-                }
-            },
-            &mut self.pars_actuator_pinv,
-        );
-        self.actuator_statistic = self
-            .out_actuator_anomaly
-            .quadratic_form(&self.pars_actuator_pinv);
+        // not recompute them.
+        //
+        // The actuator statistic d̂ᵃᵀ·(Pᵃ)⁻¹·d̂ᵃ needs no factorization:
+        // Pᵃ is the LU inverse of the normal matrix Fᵀ·R*⁻¹·F, still in
+        // `normal`, and a lane whose LU failed has already failed.
+        self.actuator_statistic = self.out_actuator_anomaly.quadratic_form(&self.normal);
         let layout = &*self.layout;
         for l in 0..K {
             self.counts[l] =
                 usize::from(ok[l] && self.actuator_statistic[l] > layout.actuator_threshold);
         }
+        // Each testing slice's statistic is whitened (its covariance
+        // block is full rank by construction, C₁·P·C₁ᵀ + R₁ with
+        // R₁ ≻ 0), with the pseudo-inverse fallback over the lanes the
+        // whitening rejects, so a non-finite lane still fails with the
+        // sweep-cap error.
         let pars_slices = &mut self.pars_slices;
-        let sensor_anomaly = &self.out_sensor_anomaly;
-        let sensor_covariance = &self.out_sensor_covariance;
         let counts = &mut self.counts;
         for (s, &threshold) in pars_slices.iter_mut().zip(&layout.testing_thresholds) {
-            for i in 0..s.len {
-                *s.d.at_mut(i) = *sensor_anomaly.at(s.offset + i);
-            }
-            for i in 0..s.len {
-                for j in 0..s.len {
-                    *s.cov.at_mut(i, j) = *sensor_covariance.at(s.offset + i, s.offset + j);
-                }
-            }
-            let conv = s.eig.factorize(&s.cov, &ok);
-            for l in 0..K {
-                if !conv[l] {
-                    fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
-                }
-            }
-            let mut cut = [0.0f64; K];
-            for (l, c) in cut.iter_mut().enumerate() {
-                if ok[l] {
-                    *c = s.eig.spectrum_cutoff(l);
-                }
-            }
-            let eig = &s.eig;
-            eig.spectral_map_into(
-                |l, lam| {
-                    if ok[l] && lam.abs() > cut[l] {
-                        1.0 / lam
-                    } else {
-                        0.0
-                    }
-                },
-                &mut s.pinv,
+            s.stat.load_block(
+                &self.out_sensor_anomaly,
+                &self.out_sensor_covariance,
+                s.offset,
             );
-            s.statistic = s.d.quadratic_form(&s.pinv);
+            s.stat.run(&ok);
             for l in 0..K {
-                if ok[l] && s.statistic[l] > threshold {
-                    counts[l] += 1;
+                if !ok[l] {
+                    continue;
+                }
+                match s.stat.value(l) {
+                    Some(statistic) => {
+                        s.statistic[l] = statistic;
+                        counts[l] += usize::from(statistic > threshold);
+                    }
+                    None => fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence),
                 }
             }
         }

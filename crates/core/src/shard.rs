@@ -322,13 +322,12 @@ impl ShardedFleet {
     /// the sensing workflow index, or `None` for the planned actuator
     /// command `u_{k-1}`. Returns whether the frame was staged. A warm
     /// shard (journal capacity grown over one snapshot period) neither
-    /// accepts nor rejects with a heap allocation, bad sensor indices
-    /// aside.
+    /// accepts nor rejects with a heap allocation.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownRobot`] when `robot` is not routed, else
-    /// [`CoreError::BadReadings`] for an in-window frame whose sensor
+    /// [`CoreError::UnknownSensor`] for an in-window frame whose sensor
     /// index is out of range. A stale or future stamp is `Ok(false)`.
     pub fn offer_slice(
         &mut self,
@@ -376,7 +375,16 @@ impl ShardedFleet {
             .get(&robot)
             .ok_or(CoreError::UnknownRobot { robot })?;
         let shard = &mut self.shards[s];
-        let accepted = shard.ingest.offer_slice(local, sensor, values, tick)?;
+        let accepted = shard
+            .ingest
+            .offer_slice(local, sensor, values, tick)
+            .map_err(|e| match e {
+                // Name the robot by its global id, not its shard index.
+                CoreError::UnknownSensor { sensor, .. } => {
+                    CoreError::UnknownSensor { robot, sensor }
+                }
+                e => e,
+            })?;
         if accepted {
             // Staged, so `sensor` is below the robot's sensor count.
             let sensor = sensor.map(|i| i as u32);
@@ -441,7 +449,10 @@ impl ShardedFleet {
     /// Returns the snapshot size in bytes.
     pub fn snapshot_shard(&mut self, s: usize) -> usize {
         let shard = &mut self.shards[s];
-        let bytes = snapshot::snapshot_fleet(&shard.engine, &shard.ingest);
+        // The previous snapshot's buffer is rewritten in place, so a
+        // warm periodic snapshot allocates nothing.
+        let mut bytes = shard.snapshot.take().map(|(_, b)| b).unwrap_or_default();
+        snapshot::snapshot_fleet_into(&shard.engine, &shard.ingest, &mut bytes);
         let len = bytes.len();
         shard.snapshot = Some((shard.ingest.tick(), bytes));
         shard.journal.clear();
@@ -699,10 +710,13 @@ mod tests {
         // A stale stamp on an unknown sensor is stale, not malformed:
         // the stamp is checked before the sensor index.
         assert_eq!(fleet.offer_slice(2, Some(9), 5, &v), Ok(false));
-        assert!(matches!(
+        assert_eq!(
             fleet.offer_slice(2, Some(9), 0, &v),
-            Err(CoreError::BadReadings { .. })
-        ));
+            Err(CoreError::UnknownSensor {
+                robot: 2,
+                sensor: 9
+            })
+        );
         assert_eq!(fleet.offer_slice(2, Some(0), 0, &v), Ok(true));
         let journaled: usize = fleet.status().iter().map(|s| s.journal_frames).sum();
         assert_eq!(journaled, 2, "only staged frames are journaled");

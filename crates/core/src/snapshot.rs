@@ -246,10 +246,18 @@ pub fn restore_detector(detector: &mut RoboAds, bytes: &[u8]) -> Result<()> {
 /// staging slots.
 pub fn snapshot_fleet(engine: &FleetEngine, ingest: &FleetIngest) -> Vec<u8> {
     let mut out = Vec::new();
-    write_header(&mut out, KIND_FLEET);
-    engine.snap_write(&mut out);
-    ingest.snap_write(&mut out);
+    snapshot_fleet_into(engine, ingest, &mut out);
     out
+}
+
+/// [`snapshot_fleet`] into `out`, which is cleared first: a buffer kept
+/// from one snapshot to the next keeps its capacity, so a periodic
+/// snapshot of a same-sized fleet allocates nothing.
+pub(crate) fn snapshot_fleet_into(engine: &FleetEngine, ingest: &FleetIngest, out: &mut Vec<u8>) {
+    out.clear();
+    write_header(out, KIND_FLEET);
+    engine.snap_write(out);
+    ingest.snap_write(out);
 }
 
 /// Restores a fleet snapshot onto an identically-constructed twin

@@ -1,13 +1,17 @@
+use crate::pseudo::RANK_TOL;
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Cholesky decomposition `A = L·Lᵀ` of a symmetric positive-definite
 /// matrix.
 ///
-/// In this reproduction the decomposition serves two purposes:
+/// In this reproduction the decomposition serves three purposes:
 ///
 /// * drawing correlated Gaussian noise (`x = μ + L·z` with `z` standard
-///   normal) in the simulation substrate, and
-/// * cheap log-determinants and PSD checks on propagated covariances.
+///   normal) in the simulation substrate,
+/// * cheap log-determinants and PSD checks on propagated covariances,
+///   and
+/// * the whitened χ² statistic `‖L⁻¹d‖²` of full-rank covariances
+///   ([`Cholesky::whitened_norm_squared`]).
 ///
 /// # Example
 ///
@@ -67,23 +71,70 @@ impl Cholesky {
         }
 
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
+        // Only a non-positive pivot is an error; a NaN one propagates
+        // into `L`.
+        if !factor_lower(a, &mut l, |pivot| pivot > 0.0 || pivot.is_nan()) {
+            return Err(LinalgError::NotPositiveDefinite);
         }
         Ok(Cholesky { l })
+    }
+
+    /// The whitened norm `‖L⁻¹d‖² = dᵀA⁻¹d` of `d` under a symmetric
+    /// covariance `A`, or `None` when `A` fails the acceptance rule: a
+    /// non-finite entry, or a pivot `Lⱼⱼ²` not above `RANK_TOL` (the
+    /// pseudo-inverse's rank cutoff) × the largest diagonal entry of `A`
+    /// (near-singular or indefinite: such an `A` belongs to the
+    /// pseudo-inverse). Reads the lower triangle, like
+    /// [`Cholesky::new`], with the same loop order, followed by the
+    /// forward half of [`Cholesky::solve`]; the squares are summed in
+    /// index order. This is the scalar reference
+    /// of [`crate::CholeskySlabWorkspace`], which matches it bit for bit
+    /// per lane, and [`Matrix::whitened_quadratic_form`] builds on it.
+    ///
+    /// A rejected `A` is tallied in
+    /// [`crate::health::HealthSnapshot::cholesky_fallbacks`]; an accepted
+    /// one touches no counter.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`], [`LinalgError::Empty`] or
+    /// [`LinalgError::DimensionMismatch`] on shape errors.
+    pub fn whitened_norm_squared(a: &Matrix, d: &Vector) -> Result<Option<f64>> {
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare { shape: a.shape() });
+        }
+        let n = a.rows();
+        if n == 0 {
+            return Err(LinalgError::Empty);
+        }
+        if d.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky_whiten",
+                lhs: (n, n),
+                rhs: (d.len(), 1),
+            });
+        }
+        let floor = pivot_floor(a);
+        let mut l = Matrix::zeros(n, n);
+        if !(a.is_finite() && factor_lower(a, &mut l, |pivot| pivot > floor)) {
+            crate::health::note_cholesky_fallbacks(1);
+            return Ok(None);
+        }
+        let chol = Cholesky { l };
+        let mut y = d.clone();
+        chol.forward_substitute(&mut y);
+        Ok(Some(y.as_slice().iter().fold(0.0, |s, &v| s + v * v)))
+    }
+
+    /// Forward substitution `y ← L⁻¹·y`, in place.
+    fn forward_substitute(&self, y: &mut Vector) {
+        for i in 0..self.dim() {
+            for j in 0..i {
+                let lij = self.l[(i, j)];
+                y[i] -= lij * y[j];
+            }
+            y[i] /= self.l[(i, i)];
+        }
     }
 
     /// The lower-triangular factor `L`.
@@ -119,13 +170,7 @@ impl Cholesky {
         }
         // Forward substitution: L·y = b.
         let mut y = b.clone();
-        for i in 0..n {
-            for j in 0..i {
-                let lij = self.l[(i, j)];
-                y[i] -= lij * y[j];
-            }
-            y[i] /= self.l[(i, i)];
-        }
+        self.forward_substitute(&mut y);
         // Backward substitution: Lᵀ·x = y.
         for i in (0..n).rev() {
             for j in (i + 1)..n {
@@ -172,6 +217,37 @@ impl Cholesky {
         }
         Ok(&self.l * z)
     }
+}
+
+/// Writes the Cholesky factor of `a`'s lower triangle into `l`'s lower
+/// triangle (row by row, `Lᵢⱼ` for `j ≤ i`), stopping at the first
+/// pivot `Lⱼⱼ²` that `accept` refuses; returns whether it accepted
+/// every pivot.
+fn factor_lower(a: &Matrix, l: &mut Matrix, accept: impl Fn(f64) -> bool) -> bool {
+    let n = a.rows();
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if !accept(sum) {
+                    return false;
+                }
+                l[(i, j)] = sum.sqrt();
+            } else {
+                l[(i, j)] = sum / l[(j, j)];
+            }
+        }
+    }
+    true
+}
+
+/// The acceptance floor of a whitening pivot: `RANK_TOL` × the
+/// largest diagonal entry of `a` (folded in index order).
+fn pivot_floor(a: &Matrix) -> f64 {
+    RANK_TOL * (0..a.rows()).fold(0.0f64, |m, i| m.max(a[(i, i)]))
 }
 
 #[cfg(test)]

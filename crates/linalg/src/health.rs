@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CHOLESKY_FACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
 static CHOLESKY_FAILURES: AtomicU64 = AtomicU64::new(0);
+static CHOLESKY_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time copy of the health counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,6 +27,14 @@ pub struct HealthSnapshot {
     /// Cholesky factorizations that failed (asymmetric input or a
     /// non-positive pivot — the classic covariance-breakdown signal).
     pub cholesky_failures: u64,
+    /// Whitened χ² statistics whose covariance failed the Cholesky
+    /// acceptance rule (non-finite, or a pivot at the rank cutoff) and
+    /// fell back to the Jacobi pseudo-inverse: one per rejected lane of
+    /// [`crate::CholeskySlabWorkspace::whiten`] and per rejected
+    /// [`crate::Cholesky::whitened_norm_squared`]. The covariances
+    /// tested are full rank by construction, so this stays at zero on
+    /// healthy traffic.
+    pub cholesky_fallbacks: u64,
 }
 
 impl HealthSnapshot {
@@ -41,6 +50,9 @@ impl HealthSnapshot {
             cholesky_failures: self
                 .cholesky_failures
                 .saturating_sub(earlier.cholesky_failures),
+            cholesky_fallbacks: self
+                .cholesky_fallbacks
+                .saturating_sub(earlier.cholesky_fallbacks),
         }
     }
 }
@@ -50,6 +62,7 @@ pub fn snapshot() -> HealthSnapshot {
     HealthSnapshot {
         cholesky_factorizations: CHOLESKY_FACTORIZATIONS.load(Ordering::Relaxed),
         cholesky_failures: CHOLESKY_FAILURES.load(Ordering::Relaxed),
+        cholesky_fallbacks: CHOLESKY_FALLBACKS.load(Ordering::Relaxed),
     }
 }
 
@@ -61,10 +74,14 @@ pub(crate) fn note_cholesky_failure() {
     CHOLESKY_FAILURES.fetch_add(1, Ordering::Relaxed);
 }
 
+pub(crate) fn note_cholesky_fallbacks(lanes: u64) {
+    CHOLESKY_FALLBACKS.fetch_add(lanes, Ordering::Relaxed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
+    use crate::{Cholesky, Matrix, Vector};
 
     #[test]
     fn cholesky_outcomes_are_tallied() {
@@ -81,13 +98,26 @@ mod tests {
     }
 
     #[test]
+    fn whitening_fallbacks_are_tallied_only_when_rejected() {
+        let d = Vector::from_slice(&[1.0, 2.0]);
+        let before = snapshot();
+        let singular = Matrix::from_diagonal(&[1.0, 0.0]);
+        assert_eq!(Cholesky::whitened_norm_squared(&singular, &d), Ok(None));
+        // Other tests may whiten concurrently, so a lower bound only.
+        assert!(snapshot().since(&before).cholesky_fallbacks >= 1);
+    }
+
+    #[test]
     fn since_saturates() {
         let big = HealthSnapshot {
             cholesky_factorizations: 10,
             cholesky_failures: 3,
+            cholesky_fallbacks: 2,
         };
         let small = HealthSnapshot::default();
         assert_eq!(big.since(&small).cholesky_failures, 3);
         assert_eq!(small.since(&big).cholesky_failures, 0);
+        assert_eq!(big.since(&small).cholesky_fallbacks, 2);
+        assert_eq!(small.since(&big).cholesky_fallbacks, 0);
     }
 }

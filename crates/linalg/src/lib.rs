@@ -16,14 +16,16 @@
 //! * [`Lu`] — LU decomposition with partial pivoting (solve, inverse,
 //!   determinant),
 //! * [`Cholesky`] — for symmetric positive-definite matrices (sampling,
-//!   log-determinants),
+//!   log-determinants, and the whitened χ² statistic
+//!   [`Matrix::whitened_quadratic_form`] of full-rank covariances),
 //! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of symmetric
 //!   matrices, from which [`Matrix::pseudo_inverse`],
 //!   [`Matrix::pseudo_determinant`] and [`Matrix::rank`] are derived.
 //!
 //! These allocating operations are the reference. The estimator's hot
 //! path runs on the lane-batched in-place kernels of [`slab`]
-//! ([`MatrixSlab`], [`LuSlabWorkspace`], [`EigenSlabWorkspace`]): one
+//! ([`MatrixSlab`], [`LuSlabWorkspace`], [`CholeskySlabWorkspace`],
+//! [`EigenSlabWorkspace`]): one
 //! robot at K = 1, a fleet tile at K = 8. Each slab kernel is pinned
 //! bit for bit, per lane, against its allocating counterpart
 //! (`tests/slab_vs_scalar.rs`, `tests/jacobi_props.rs`). Beside them
@@ -63,7 +65,9 @@ pub use eigen::{SymmetricEigen, JACOBI_MAX_SWEEPS};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use slab::{EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, VectorSlab};
+pub use slab::{
+    CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, VectorSlab,
+};
 pub use vector::Vector;
 
 /// Crate-wide result alias for fallible linear-algebra operations.

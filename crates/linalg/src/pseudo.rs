@@ -13,7 +13,7 @@
 //! eigendecomposition, and are restricted to symmetric input (covariance
 //! matrices), which is all the estimator needs.
 
-use crate::{Matrix, Result};
+use crate::{Cholesky, Matrix, Result, Vector};
 
 /// Relative eigenvalue threshold below which the spectrum is treated as
 /// zero when computing rank, pseudo-inverse and pseudo-determinant.
@@ -46,6 +46,44 @@ impl Matrix {
         let eig = self.symmetric_eigen()?;
         let cutoff = spectrum_cutoff(eig.eigenvalues().as_slice());
         Ok(eig.spectral_map(|l| if l.abs() > cutoff { 1.0 / l } else { 0.0 }))
+    }
+
+    /// The normalized quadratic form `dᵀA⁺d` of a **symmetric**
+    /// covariance `A` — the χ² statistic of an anomaly estimate `d`.
+    ///
+    /// A full-rank `A` (finite, every Cholesky pivot above `RANK_TOL` ×
+    /// its largest diagonal entry) is whitened instead of inverted:
+    /// `‖L⁻¹d‖²` through [`Cholesky::whitened_norm_squared`], one
+    /// factorization and one forward substitution. Any other `A` takes
+    /// the pseudo-inverse, `d.quadratic_form(&A.pseudo_inverse())`. The
+    /// two routes agree to rounding wherever both apply, except on
+    /// accepted matrices with `λ_min/λ_max` below `RANK_TOL`, whose
+    /// smallest eigenvalue the pseudo-inverse treats as zero and the
+    /// whitening inverts.
+    ///
+    /// # Errors
+    ///
+    /// Shape errors from either route, or the eigendecomposition's
+    /// error (a non-finite `A` cannot converge).
+    ///
+    /// ```
+    /// use roboads_linalg::{Matrix, Vector};
+    ///
+    /// # fn main() -> Result<(), roboads_linalg::LinalgError> {
+    /// let d = Vector::from_slice(&[0.2, 3.0]);
+    /// let full = Matrix::from_diagonal(&[0.01, 0.04]);
+    /// assert!((full.whitened_quadratic_form(&d)? - 229.0).abs() < 1e-9);
+    /// // Singular: the zero direction drops out, as with the pinv.
+    /// let singular = Matrix::from_diagonal(&[0.01, 0.0]);
+    /// assert!((singular.whitened_quadratic_form(&d)? - 4.0).abs() < 1e-9);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn whitened_quadratic_form(&self, d: &Vector) -> Result<f64> {
+        match Cholesky::whitened_norm_squared(self, d)? {
+            Some(statistic) => Ok(statistic),
+            None => d.quadratic_form(&self.pseudo_inverse()?),
+        }
     }
 
     /// Pseudo-determinant of a **symmetric** matrix: the product of its

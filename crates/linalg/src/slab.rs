@@ -16,8 +16,10 @@
 //! allocating [`Matrix`] operation it replaces — `&a * &b`,
 //! `&a * &b.transpose()`, `&a * &v`, [`Matrix::transpose`],
 //! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
-//! [`crate::Lu::inverse`], and the Jacobi of [`crate::SymmetricEigen`]
-//! with its spectral maps and [`Matrix::pseudo_inverse`] — with the
+//! [`crate::Lu::inverse`], the whitening of
+//! [`crate::Cholesky::whitened_norm_squared`], and the Jacobi of
+//! [`crate::SymmetricEigen`] with its spectral maps and
+//! [`Matrix::pseudo_inverse`] — with the
 //! same loop structure, accumulation order and pivot/convergence
 //! decisions applied per lane. Data-dependent branches in the scalar code (`if
 //! aik == 0.0 { continue }` zero-skips, LU pivot selection and
@@ -28,9 +30,10 @@
 //! pin every kernel against the allocating path with `to_bits`
 //! comparisons at K = 1 and K = 8.
 //!
-//! Lanes that hit a numeric failure (singular LU, non-converged Jacobi)
-//! are reported via per-lane flags; their buffers may hold garbage
-//! (inf/NaN propagated through masked arithmetic) which callers must
+//! Lanes that hit a numeric failure (singular LU, rejected Cholesky
+//! pivot, non-converged Jacobi) are reported via per-lane flags; their
+//! buffers may hold garbage (inf/NaN propagated through masked
+//! arithmetic) which callers must
 //! discard — IEEE arithmetic on garbage lanes cannot trap or affect
 //! neighbouring lanes.
 //!
@@ -828,6 +831,155 @@ impl<const K: usize> LuSlabWorkspace<K> {
                 *out.at_mut(i, j) = col.data[i];
             }
         }
+    }
+}
+
+/// Lane-batched Cholesky whitening of symmetric covariances: the χ²
+/// statistic `dᵀA⁻¹d = ‖L⁻¹d‖²` per lane, per lane bitwise identical to
+/// [`crate::Cholesky::whitened_norm_squared`] (the factorization's row
+/// order, then the forward substitution, then the squares summed in
+/// index order).
+///
+/// Acceptance is tracked per lane, branch-free: a lane is accepted when
+/// it is active, every entry of its matrix is finite, and every pivot
+/// `Lⱼⱼ²` is above `RANK_TOL` (the pseudo-inverse's rank cutoff) × its
+/// largest diagonal entry. Every lane factorizes and forward-solves; a
+/// rejected lane computes garbage (the square root of a non-positive
+/// pivot is NaN or zero) that the caller discards — like LU's singular
+/// lanes — and takes the Jacobi pseudo-inverse instead. Rejected active
+/// lanes are tallied in
+/// [`crate::health::HealthSnapshot::cholesky_fallbacks`]; a call whose
+/// active lanes are all accepted touches no counter.
+///
+/// The factor `L` is written into the lower triangle of a
+/// caller-provided slab, so a statistic that already keeps a
+/// pseudo-inverse slab for its fallback stores the factor there.
+#[derive(Debug, Clone)]
+pub struct CholeskySlabWorkspace<const K: usize> {
+    /// `L⁻¹d`, solved row by row as the factor's rows complete.
+    y: VectorSlab<K>,
+    norm_squared: [f64; K],
+}
+
+impl<const K: usize> CholeskySlabWorkspace<K> {
+    /// Allocates buffers for whitening length-`n` vectors by `n × n`
+    /// covariances.
+    pub fn new(n: usize) -> Self {
+        CholeskySlabWorkspace {
+            y: VectorSlab::zeros(n),
+            norm_squared: [0.0; K],
+        }
+    }
+
+    /// Workspace dimension.
+    pub fn dim(&self) -> usize {
+        self.y.len()
+    }
+
+    /// Factorizes every lane of `a` (lower triangle) into `factor`,
+    /// whitens `d` and returns the per-lane acceptance flags: `true`
+    /// means that lane's [`norm_squared`](Self::norm_squared) equals
+    /// [`crate::Cholesky::whitened_norm_squared`] on that lane's inputs
+    /// bit for bit; `false` for an active lane means the scalar
+    /// reference returns `None` there. Inactive lanes report `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`, `d` or `factor` does not match the workspace
+    /// dimension.
+    pub fn whiten(
+        &mut self,
+        a: &MatrixSlab<K>,
+        d: &VectorSlab<K>,
+        factor: &mut MatrixSlab<K>,
+        active: &[bool; K],
+    ) -> [bool; K] {
+        let n = self.dim();
+        assert_shape("slab cholesky whiten", a.shape(), (n, n));
+        assert_shape("slab cholesky factor", factor.shape(), (n, n));
+        assert_eq!(
+            d.len(),
+            n,
+            "slab cholesky whiten of a length-{} vector",
+            d.len()
+        );
+        let mut accepted = *active;
+        for g in &a.data {
+            for l in 0..K {
+                accepted[l] &= g[l].is_finite();
+            }
+        }
+        // Pivot floor: RANK_TOL × the diagonal's maximum, folded in
+        // index order like the scalar reference.
+        let mut floor = [0.0f64; K];
+        for i in 0..n {
+            let g = a.at(i, i);
+            for l in 0..K {
+                floor[l] = floor[l].max(g[l]);
+            }
+        }
+        for l in 0..K {
+            floor[l] *= RANK_TOL;
+        }
+        self.y.copy_from(d);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = *a.at(i, j);
+                for k in 0..j {
+                    let fik = *factor.at(i, k);
+                    let fjk = *factor.at(j, k);
+                    for l in 0..K {
+                        sum[l] -= fik[l] * fjk[l];
+                    }
+                }
+                if i == j {
+                    for l in 0..K {
+                        // A NaN pivot fails the comparison too.
+                        accepted[l] &= sum[l] > floor[l];
+                        sum[l] = sum[l].sqrt();
+                    }
+                } else {
+                    let fjj = *factor.at(j, j);
+                    for l in 0..K {
+                        sum[l] /= fjj[l];
+                    }
+                }
+                *factor.at_mut(i, j) = sum;
+            }
+            // Row i of L is complete: solve for y_i (the forward
+            // substitution's row i, which reads only L's rows ≤ i).
+            let mut yi = self.y.data[i];
+            for j in 0..i {
+                let lij = factor.at(i, j);
+                let yj = self.y.data[j];
+                for l in 0..K {
+                    yi[l] -= lij[l] * yj[l];
+                }
+            }
+            let lii = factor.at(i, i);
+            for l in 0..K {
+                yi[l] /= lii[l];
+            }
+            self.y.data[i] = yi;
+        }
+        let mut acc = [0.0f64; K];
+        for yi in &self.y.data {
+            for l in 0..K {
+                acc[l] += yi[l] * yi[l];
+            }
+        }
+        self.norm_squared = acc;
+        let rejected = (0..K).filter(|&l| active[l] && !accepted[l]).count();
+        if rejected > 0 {
+            crate::health::note_cholesky_fallbacks(rejected as u64);
+        }
+        accepted
+    }
+
+    /// Per-lane `‖L⁻¹d‖²` from the last [`whiten`](Self::whiten);
+    /// garbage in lanes it did not accept.
+    pub fn norm_squared(&self) -> &[f64; K] {
+        &self.norm_squared
     }
 }
 

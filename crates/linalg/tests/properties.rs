@@ -1,13 +1,14 @@
 //! Seeded property suite for the allocating linear-algebra path — the
 //! reference every in-place and slab kernel is pinned against, so its
 //! algebraic identities must hold on their own: product laws, LU and
-//! Cholesky residuals, eigen reconstruction, Moore–Penrose, rank and
-//! congruence PSD-ness.
+//! Cholesky residuals, eigen reconstruction, Moore–Penrose, rank,
+//! congruence PSD-ness, and the whitened χ² statistic against the
+//! pseudo-inverse one.
 //!
 //! Each case derives its inputs from one seed and names it on failure,
 //! so a failing case reruns alone.
 
-use roboads_linalg::{Matrix, Vector};
+use roboads_linalg::{Cholesky, Matrix, Vector};
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
@@ -202,5 +203,105 @@ fn vstack_hstack_round_trip() {
         check(stacked == a, "vstack of row blocks ≠ A", &stacked)?;
         let joined = a.block(0, 0, 3, 2).hstack(&a.block(0, 2, 3, 1)).unwrap();
         check(joined == a, "hstack of column blocks ≠ A", &joined)
+    });
+}
+
+/// A random SPD matrix with condition number `10^U(0, 8)` and scale
+/// `10^U(-6, 2)`: `Q·Λ·Qᵀ` with `Q` the eigenvectors of a random
+/// symmetric matrix, `Λ` spanning exactly the drawn condition number.
+/// Returns the matrix and its condition number.
+fn conditioned_spd(rng: &mut Rng, n: usize) -> (Matrix, f64) {
+    let q = rng
+        .symmetric(n)
+        .symmetric_eigen()
+        .unwrap()
+        .eigenvectors()
+        .clone();
+    let kappa = 10f64.powf(rng.uniform(0.0, 8.0));
+    let scale = 10f64.powf(rng.uniform(-6.0, 2.0));
+    let lambdas: Vec<f64> = (0..n)
+        .map(|i| match i {
+            0 => scale,
+            1 => scale / kappa,
+            _ => scale / kappa.powf(rng.uniform(0.0, 1.0)),
+        })
+        .collect();
+    let a = q
+        .congruence(&Matrix::from_diagonal(&lambdas))
+        .unwrap()
+        .symmetrized()
+        .unwrap();
+    (a, if n == 1 { 1.0 } else { kappa })
+}
+
+/// `dᵀA⁺d` through the pseudo-inverse alone — the statistic's route
+/// before the Cholesky whitening.
+fn pinv_statistic(a: &Matrix, d: &Vector) -> roboads_linalg::Result<f64> {
+    d.quadratic_form(&a.pseudo_inverse()?)
+}
+
+#[test]
+fn whitened_statistic_matches_the_pseudo_inverse_one_on_spd_input() {
+    // Both routes are backward stable, so on an SPD matrix of condition
+    // number κ they differ by up to about κ·ε relative: on these seeds
+    // at most 2.7e-10 for κ < 1e7, and 2.1e-8 (2.3·κ·ε) between 1e7 and
+    // 1e8. The bound is 1e-9, widened to 4·κ·ε where that is larger.
+    for_each_seed(|rng| {
+        let n = rng.index(1, 8);
+        let (a, kappa) = conditioned_spd(rng, n);
+        let d = Vector::from_fn(n, |_| rng.uniform(-1.0, 1.0) * a[(0, 0)].abs().sqrt());
+        let whitened = Cholesky::whitened_norm_squared(&a, &d).unwrap();
+        check(whitened.is_some(), "SPD matrix rejected, κ", kappa)?;
+        let whitened = a.whitened_quadratic_form(&d).unwrap();
+        check(
+            Some(whitened) == Cholesky::whitened_norm_squared(&a, &d).unwrap(),
+            "an accepted matrix must take the whitening",
+            whitened,
+        )?;
+        let pinv = pinv_statistic(&a, &d).unwrap();
+        let rel = (whitened - pinv).abs() / pinv.abs().max(f64::MIN_POSITIVE);
+        let tol = 1e-9f64.max(4.0 * kappa * f64::EPSILON);
+        check(
+            rel <= tol,
+            "whitened vs pinv statistic (rel, κ)",
+            (rel, kappa),
+        )
+    });
+}
+
+#[test]
+fn rank_deficient_and_non_finite_input_falls_back_to_the_pseudo_inverse_bitwise() {
+    for_each_seed(|rng| {
+        let n = rng.index(1, 8);
+        let d = rng.vector(n);
+        let a = match rng.below(3) {
+            // B·Bᵀ with B one or more columns short: exact null space.
+            0 => {
+                let r = rng.below(n);
+                let b = Matrix::from_fn(n, r.max(1), |_, j| if j < r { rng.entry() } else { 0.0 });
+                (&b * &b.transpose()).symmetrized().unwrap()
+            }
+            // An SPD matrix with one non-finite symmetric pair.
+            kind => {
+                let mut a = rng.spd(n);
+                let (i, j) = (rng.below(n), rng.below(n));
+                let bad = if kind == 1 { f64::NAN } else { f64::INFINITY };
+                a[(i, j)] = bad;
+                a[(j, i)] = bad;
+                a
+            }
+        };
+        check(
+            Cholesky::whitened_norm_squared(&a, &d).unwrap().is_none(),
+            "rank-deficient or non-finite matrix accepted",
+            &a,
+        )?;
+        let got = a.whitened_quadratic_form(&d).map(f64::to_bits);
+        let want = pinv_statistic(&a, &d).map(f64::to_bits);
+        check(
+            got == want,
+            "fallback diverges from the pinv path",
+            (got, want),
+        )
     });
 }

@@ -1,8 +1,9 @@
 //! Pins every slab kernel bitwise (`to_bits`) against the allocating
 //! `Matrix` path — the operators, `transpose`, `symmetrized`,
-//! `congruence`, `Lu` and `SymmetricEigen` — lane by lane, over
-//! randomized shapes and values, including injected exact zeros (the
-//! zero-skip branches), singular LU lanes and masked eigen lanes.
+//! `congruence`, `Lu`, the Cholesky whitening and `SymmetricEigen` —
+//! lane by lane, over randomized shapes and values, including injected
+//! exact zeros (the zero-skip branches), singular LU lanes, rejected
+//! (rank-deficient and NaN) whitening lanes and masked eigen lanes.
 //!
 //! Every case runs at both widths the NUISE kernel is instantiated at:
 //! K = 1 (the engine's per-mode step) and K = 8 (the fleet's tiles).
@@ -14,7 +15,10 @@
 // test.
 #![allow(clippy::needless_range_loop)]
 
-use roboads_linalg::{EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab};
+use roboads_linalg::{
+    Cholesky, CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab,
+    Vector, VectorSlab,
+};
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
@@ -402,6 +406,116 @@ fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
     }
 }
 
+/// The lane kinds of a whitening tile, cycled across lanes and rounds
+/// so every tile mixes them.
+#[derive(Clone, Copy, PartialEq)]
+enum WhitenLane {
+    /// `B·Bᵀ + I/4` with square `B`: positive definite, accepted.
+    Accepted,
+    /// `B·Bᵀ` with `B` one column short: an exact null direction, so a
+    /// pivot falls to rounding level and the lane falls back.
+    RankDeficient,
+    /// An accepted matrix with one NaN pair: rejected as non-finite.
+    Nan,
+}
+
+fn whiten_lane(rng: &mut Rng, n: usize, kind: WhitenLane) -> Matrix {
+    let cols = if kind == WhitenLane::RankDeficient {
+        n - 1
+    } else {
+        n
+    };
+    let b = rng.matrix(n, cols.max(1));
+    let mut a = &b * &b.transpose();
+    match kind {
+        WhitenLane::Accepted => {
+            for i in 0..n {
+                a[(i, i)] += 0.25;
+            }
+        }
+        WhitenLane::RankDeficient if n == 1 => a[(0, 0)] = 0.0,
+        WhitenLane::RankDeficient => {}
+        WhitenLane::Nan => {
+            let j = rng.below(n);
+            a[(n - 1, j)] = f64::NAN;
+            a[(j, n - 1)] = f64::NAN;
+        }
+    }
+    a.symmetrized().unwrap()
+}
+
+fn cholesky_whiten_matches_scalar_bitwise_per_lane_with_fallbacks<const K: usize>() {
+    let mut rng = Rng::new(0x51ab_0008);
+    let kinds = [
+        WhitenLane::Accepted,
+        WhitenLane::RankDeficient,
+        WhitenLane::Accepted,
+        WhitenLane::Nan,
+    ];
+    let mut seen = [0usize; 3];
+    for n in 1..=7 {
+        for round in 0..8 {
+            let lane_kinds: Vec<WhitenLane> = (0..K)
+                .map(|l| kinds[(l + round + n) % kinds.len()])
+                .collect();
+            let mats: Vec<Matrix> = lane_kinds
+                .iter()
+                .map(|&kind| whiten_lane(&mut rng, n, kind))
+                .collect();
+            let vecs: Vec<Vector> = (0..K).map(|_| rng.vector(n)).collect();
+            let mut active = [true; K];
+            if K > 1 {
+                active[(round + 5) % K] = false;
+            }
+            let a = load::<K>(&mats);
+            let d = load_vec::<K>(&vecs);
+            // Stale data in the factor slab must not leak into a lane.
+            let mut factor = load::<K>(&(0..K).map(|_| rng.matrix(n, n)).collect::<Vec<_>>());
+            let mut ws = CholeskySlabWorkspace::<K>::new(n);
+            let accepted = ws.whiten(&a, &d, &mut factor, &active);
+
+            for l in 0..K {
+                if !active[l] {
+                    assert!(!accepted[l], "inactive lane {l} must report false");
+                    continue;
+                }
+                let expected = Cholesky::whitened_norm_squared(&mats[l], &vecs[l]).unwrap();
+                assert_eq!(
+                    accepted[l],
+                    expected.is_some(),
+                    "n={n} lane {l}: acceptance diverges from the scalar reference"
+                );
+                match lane_kinds[l] {
+                    WhitenLane::Accepted => assert!(accepted[l], "n={n} lane {l} rejected"),
+                    _ => assert!(!accepted[l], "n={n} lane {l} accepted"),
+                }
+                seen[lane_kinds[l] as usize] += 1;
+                let Some(expected) = expected else { continue };
+                assert_eq!(
+                    ws.norm_squared()[l].to_bits(),
+                    expected.to_bits(),
+                    "n={n} lane {l}: whitened norm diverges ({} vs {expected})",
+                    ws.norm_squared()[l]
+                );
+                // The factor's lower triangle is `Cholesky::new`'s `L`.
+                let chol = mats[l].cholesky().unwrap();
+                let mut got = Matrix::zeros(n, n);
+                factor.store_lane(l, &mut got);
+                for i in 0..n {
+                    for j in 0..=i {
+                        assert_eq!(
+                            got[(i, j)].to_bits(),
+                            chol.l()[(i, j)].to_bits(),
+                            "n={n} lane {l}: factor ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(seen.iter().all(|&c| c > 0), "every lane kind ran: {seen:?}");
+}
+
 fn identity_fill_copy_roundtrip<const K: usize>() {
     let mut rng = Rng::new(0x51ab_0007);
     let mats: Vec<Matrix> = (0..K).map(|_| rng.matrix(3, 3)).collect();
@@ -446,5 +560,6 @@ at_both_widths!(
     lu_matches_scalar_bitwise_per_lane_including_singular,
     eigen_matches_scalar_bitwise_per_lane_with_mask,
     eigen_spectral_map_zero_skip_matches_scalar,
+    cholesky_whiten_matches_scalar_bitwise_per_lane_with_fallbacks,
     identity_fill_copy_roundtrip,
 );

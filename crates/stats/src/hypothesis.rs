@@ -6,10 +6,13 @@ use crate::{ChiSquared, Result, StatsError};
 ///
 /// The decision maker of RoboADS normalizes an anomaly-vector estimate by
 /// its error covariance before testing it; under the no-anomaly hypothesis
-/// the statistic is χ²-distributed with `rank(P)` degrees of freedom. The
-/// pseudo-inverse is used so (numerically) singular covariances — which
-/// arise when a sensor direction carries no fresh information — degrade
-/// gracefully instead of failing.
+/// the statistic is χ²-distributed with `rank(P)` degrees of freedom.
+/// The covariances tested are full rank by construction, so the
+/// statistic is computed by whitening, `‖L⁻¹d‖²` with `P = L·Lᵀ`
+/// ([`Matrix::whitened_quadratic_form`]); a covariance that fails the
+/// Cholesky acceptance rule (numerically singular, or not finite) takes
+/// the pseudo-inverse instead, so a sensor direction that carries no
+/// fresh information degrades gracefully instead of failing.
 ///
 /// # Errors
 ///
@@ -40,8 +43,7 @@ pub fn normalized_statistic(d: &Vector, covariance: &Matrix) -> Result<f64> {
             ),
         });
     }
-    let pinv = covariance.pseudo_inverse()?;
-    Ok(d.quadratic_form(&pinv)?)
+    Ok(covariance.whitened_quadratic_form(d)?)
 }
 
 /// A χ² hypothesis test at a fixed significance level.

@@ -91,7 +91,7 @@ impl SlidingWindow {
     }
 
     /// The window history oldest-first, for snapshotting.
-    pub fn history(&self) -> impl Iterator<Item = bool> + '_ {
+    pub fn history(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
         self.history.iter().copied()
     }
 

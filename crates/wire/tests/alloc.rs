@@ -1,10 +1,11 @@
 //! Proves the service frame path allocation-free once warm: [`pump`]
 //! decodes each frame in place, routes it and checks its stamp before
-//! copying its values, stages accepted values into persistent buffers
-//! and journals them into the shard's reused arena — so after one
-//! snapshot period has grown every buffer, a tick between two periodic
-//! snapshots performs **zero** heap allocations, floods of stale
-//! replays and forged robot ids included.
+//! copying its values, stages accepted values into persistent buffers,
+//! journals them into the shard's reused arena, and rewrites each
+//! periodic snapshot into the previous one's buffer — so after one
+//! snapshot period has grown every buffer, every tick performs **zero**
+//! heap allocations, snapshot ticks and floods of stale replays, forged
+//! robot ids and bad sensor indices included.
 //!
 //! A counting `#[global_allocator]` (as in `roboads-core`'s
 //! `tests/alloc.rs`) keeps a thread-local allocation counter, and the
@@ -84,9 +85,10 @@ impl Read for SamplingReader {
 }
 
 /// One tick's frames: every robot's command and readings in the window,
-/// plus a stale replay, a forged robot id and an in-window re-send per
-/// robot — the same counts every tick, so the journal's growth per
-/// snapshot period is the same too.
+/// plus a stale replay, a forged robot id, a sensor index the robot
+/// does not have and an in-window re-send per robot — the same counts
+/// every tick, so the journal's growth per snapshot period is the same
+/// too.
 fn tick_frames(k: u64, u: &Vector, readings: &[Vector]) -> Vec<WireFrame> {
     let mut frames = Vec::new();
     for (i, &robot) in ROBOTS.iter().enumerate() {
@@ -116,6 +118,13 @@ fn tick_frames(k: u64, u: &Vector, readings: &[Vector]) -> Vec<WireFrame> {
             tick: k,
             values: u.as_slice().to_vec(),
         });
+        // An in-window reading for a sensor the robot does not have.
+        frames.push(WireFrame::Reading {
+            robot,
+            sensor: (readings.len() + i) as u32,
+            tick: k,
+            values: readings[0].as_slice().to_vec(),
+        });
         // Re-send of the last reading (newest wins; journaled again).
         let last = readings.len() - 1;
         frames.push(WireFrame::Reading {
@@ -129,7 +138,7 @@ fn tick_frames(k: u64, u: &Vector, readings: &[Vector]) -> Vec<WireFrame> {
 }
 
 #[test]
-fn warmed_up_pump_is_allocation_free_between_snapshots() {
+fn warmed_up_pump_is_allocation_free_on_every_tick() {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
     let factory = {
@@ -195,8 +204,8 @@ fn warmed_up_pump_is_allocation_free_between_snapshots() {
     assert_eq!(summary.accepted, TICKS * robots * (sensors + 2));
     assert_eq!(summary.stale_stamp, TICKS * robots);
     assert_eq!(summary.unknown_robot, TICKS * robots);
-    assert_eq!(summary.bad_frame, 0);
-    assert_eq!(summary.rejected, 2 * TICKS * robots);
+    assert_eq!(summary.bad_frame, TICKS * robots);
+    assert_eq!(summary.rejected, 3 * TICKS * robots);
 
     // Piece p was processed between samples p and p + 1. Piece
     // 1 + 2k holds the first half of tick k, piece 2 + 2k the rest and
@@ -207,15 +216,16 @@ fn warmed_up_pump_is_allocation_free_between_snapshots() {
         during(1) > 0,
         "counting allocator failed to observe the cold path"
     );
+    let mut snapshot_ticks = 0;
     for k in PERIOD..TICKS {
         let first = 1 + 2 * k as usize;
         assert_eq!(during(first), 0, "tick {k}: frame path allocated");
-        if !(k + 1).is_multiple_of(PERIOD) {
-            assert_eq!(
-                during(first + 1),
-                0,
-                "tick {k}: frame path or step allocated"
-            );
-        }
+        assert_eq!(
+            during(first + 1),
+            0,
+            "tick {k}: frame path, step or snapshot allocated"
+        );
+        snapshot_ticks += usize::from((k + 1).is_multiple_of(PERIOD));
     }
+    assert_eq!(snapshot_ticks, 3, "the warm ticks include snapshot ticks");
 }

@@ -3,30 +3,28 @@
 //! length prefixes, interleaved partial reads — must all surface as
 //! typed [`WireError`]s or pending states, never a panic and never an
 //! allocation driven by an unreceived length prefix.
+//!
+//! Draws from the shared seeded generator (`tests/support/seeded.rs`),
+//! each test from a fixed raw generator state.
 
 use roboads_wire::{
     decode_frame, encode_frame, FrameDecoder, WireError, WireFrame, MAX_FRAME, WIRE_VERSION,
 };
 
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
+use seeded::Rng;
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// This suite's draws on the shared generator.
+trait Draw {
+    /// A value from 64 raw bits: exercises NaNs, infinities,
+    /// subnormals.
+    fn f64(&mut self) -> f64;
+}
 
+impl Draw for Rng {
     fn f64(&mut self) -> f64 {
-        // Raw bit patterns: exercises NaNs, infinities, subnormals.
         f64::from_bits(self.next())
     }
 }
@@ -91,7 +89,7 @@ fn frames_bitwise_eq(a: &WireFrame, b: &WireFrame) -> bool {
 
 #[test]
 fn random_frames_survive_random_fragmentation() {
-    let mut rng = Rng(0x1234_5678_9abc_def1);
+    let mut rng = Rng::from_state(0x1234_5678_9abc_def1);
     for _case in 0..200 {
         let frames: Vec<WireFrame> = (0..1 + rng.below(12))
             .map(|_| random_frame(&mut rng))
@@ -123,7 +121,7 @@ fn random_frames_survive_random_fragmentation() {
 
 #[test]
 fn every_truncation_is_pending_and_completable() {
-    let mut rng = Rng(0xfeed_beef_0000_0001);
+    let mut rng = Rng::from_state(0xfeed_beef_0000_0001);
     let mut stream = Vec::new();
     let frame = random_frame(&mut rng);
     encode_frame(&frame, &mut stream);
@@ -143,7 +141,7 @@ fn every_truncation_is_pending_and_completable() {
 
 #[test]
 fn corrupt_bytes_are_typed_errors_or_valid_frames_never_panics() {
-    let mut rng = Rng(0xc0ff_ee00_dead_0005);
+    let mut rng = Rng::from_state(0xc0ff_ee00_dead_0005);
     for _case in 0..500 {
         let mut stream = Vec::new();
         encode_frame(&random_frame(&mut rng), &mut stream);
@@ -172,7 +170,7 @@ fn corrupt_bytes_are_typed_errors_or_valid_frames_never_panics() {
 
 #[test]
 fn garbage_streams_never_panic_or_overallocate() {
-    let mut rng = Rng(0x0bad_cafe_1111_2222);
+    let mut rng = Rng::from_state(0x0bad_cafe_1111_2222);
     for _case in 0..300 {
         let garbage: Vec<u8> = (0..rng.below(256)).map(|_| rng.next() as u8).collect();
         let mut decoder = FrameDecoder::new();
@@ -206,7 +204,7 @@ fn oversized_prefix_never_reserves_payload_memory() {
 fn decode_frame_handles_all_short_payloads() {
     // Every prefix of every valid frame's payload must be a typed
     // error (kinds with bodies) or a valid frame (Bye's empty body).
-    let mut rng = Rng(42);
+    let mut rng = Rng::from_state(42);
     for _case in 0..50 {
         let mut bytes = Vec::new();
         encode_frame(&random_frame(&mut rng), &mut bytes);

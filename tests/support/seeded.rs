@@ -29,6 +29,15 @@ impl Rng {
         Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
+    /// A generator started at the raw state `state` (non-zero), without
+    /// the seed mixing of [`Rng::new`] — for suites whose cases were
+    /// first drawn from a raw xorshift64* state and must stay the same
+    /// cases.
+    pub fn from_state(state: u64) -> Self {
+        assert_ne!(state, 0, "xorshift64* is stuck at state 0");
+        Rng(state)
+    }
+
     /// The next 64 random bits.
     pub fn next(&mut self) -> u64 {
         let mut x = self.0;
