@@ -1,12 +1,12 @@
 //! Detection-probability campaign bench: the `eval_attack_prob`-style
 //! sweep over the bus-attack taxonomy (`roboads_sim::attacks`).
 //!
-//! The grid is attack kind × base scenario × activation policy ×
-//! magnitude, N seeded trials per cell (trial seeds are pure hashes of
+//! The grid is attack kind × base scenario × magnitude, N seeded
+//! trials per cell (trial seeds are pure hashes of
 //! the cell coordinates — results are bit-for-bit reproducible and
 //! independent of the worker-thread schedule). Each attacked cell
 //! reports detection probability and mean time-to-detection; each
-//! (scenario × policy) additionally runs a clean baseline cell whose
+//! scenario additionally runs a clean baseline cell whose
 //! false-positive rates bound the detections' worth.
 //!
 //! Results go to `BENCH_detect.json` at the workspace root. Set
@@ -45,7 +45,6 @@ fn point_json(p: &CampaignPoint) -> String {
     let mut row = JsonObject::new();
     row.field_str("attack", &p.attack);
     row.field_str("scenario", &p.scenario);
-    row.field_str("policy", &p.policy);
     row.field_f64("magnitude", p.magnitude);
     row.field_u64("onset", p.onset as u64);
     match p.duration {
@@ -88,15 +87,14 @@ fn main() {
     };
 
     println!(
-        "\n{:<22} {:<24} {:<12} {:>6} {:>8} {:>10}",
-        "attack", "scenario", "policy", "mag", "P(det)", "delay"
+        "\n{:<22} {:<24} {:>6} {:>8} {:>10}",
+        "attack", "scenario", "mag", "P(det)", "delay"
     );
     for p in &points {
         println!(
-            "{:<22} {:<24} {:<12} {:>6.2} {:>8.2} {:>10}",
+            "{:<22} {:<24} {:>6.2} {:>8.2} {:>10}",
             p.attack,
             p.scenario,
-            p.policy,
             p.magnitude,
             p.detection.probability(),
             p.detection

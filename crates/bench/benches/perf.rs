@@ -32,9 +32,9 @@ use std::time::Instant;
 
 use roboads_core::obs::{json::JsonObject, RingBufferSink, Telemetry};
 use roboads_core::{
-    nuise_step, ActivationPolicy, DetectionReport, FleetEngine, FleetIngest, Linearization, Mode,
-    ModeSet, MultiModeEngine, NuiseInput, RecorderConfig, RoboAds, RoboAdsConfig, RobotFactory,
-    RobotInput, ShardConfig, ShardedFleet,
+    nuise_step, DetectionReport, FleetEngine, FleetIngest, Linearization, Mode, ModeSet,
+    MultiModeEngine, NuiseInput, RecorderConfig, RoboAds, RoboAdsConfig, RobotFactory, RobotInput,
+    ShardConfig, ShardedFleet,
 };
 use roboads_linalg::{Matrix, Vector};
 use roboads_models::presets;
@@ -884,317 +884,14 @@ fn bench_slab_groups(fast: bool) -> Vec<SlabGroupRow> {
     rows
 }
 
-/// One adaptive mode-bank sample (DESIGN.md §17): a steady-state step
-/// of the complete 7-mode Khepera bank under an activation policy and
-/// workload, standalone or as a 64-robot fleet batch. The same-workload
-/// `always_full` leg runs back to back in the same function so host
-/// drift cancels out of `speedup_vs_full`.
-struct LazyBankRow {
-    /// `always_full` or `top_k2` ([`ActivationPolicy::lazy_defaults`]).
-    policy: &'static str,
-    /// `quiescent` (clean steady state, lazy bank asleep) or
-    /// `under_attack` (persistent IPS spoof, χ² windows active, lazy
-    /// bank woken to the full bank).
-    workload: &'static str,
-    /// `engine` (bare [`MultiModeEngine::step_in_place`], the mode-bank
-    /// cost alone), `detector` (end-to-end [`RoboAds::step`] including
-    /// the decision maker's fixed per-tick χ² cost) or `fleet64`
-    /// (64-robot slab batch, per-robot-step seconds).
-    scope: &'static str,
-    seconds: f64,
-    /// Same-scope, same-workload `always_full` seconds / these seconds.
-    speedup_vs_full: f64,
-    /// Active (non-dormant) modes at the end of the measured window.
-    active_modes: usize,
-}
-
-/// The adaptive mode bank's cost profile: in quiescent steady state a
-/// `TopK { k: 2 }` schedule advances 2 of the 7 modes (plus a periodic
-/// dormant-mode audit), while under attack the woken bank must cost the
-/// same as `AlwaysFull` — the speedup is bought only where nothing is
-/// happening. Both workloads are measured for both policies, standalone
-/// and at fleet scale where whole dormant mode-tiles are skipped.
-fn bench_lazy_bank(fast: bool) -> Vec<LazyBankRow> {
-    let system = presets::khepera_system();
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut rows: Vec<LazyBankRow> = Vec::new();
-
-    // Every measured step walks a precomputed *evolving* trajectory —
-    // stepping frozen readings would look like a jammed actuator (the
-    // commands say "move", the pose doesn't), keep the χ² windows
-    // positive and hold the lazy bank awake. Readings generation stays
-    // outside the timed region.
-    const LAZY_WARM: usize = 30;
-    let trajectory = |len: usize, spoof: bool| -> Vec<Vec<Vector>> {
-        let mut x_true = x0.clone();
-        (0..len)
-            .map(|_| {
-                x_true = system.dynamics().step(&x_true, &u);
-                let mut readings = clean_readings(&system, &x_true);
-                if spoof {
-                    readings[0][0] += 0.07;
-                }
-                readings
-            })
-            .collect()
-    };
-
-    // Warm a detector to the workload's steady state (the lazy bank
-    // sleeps around tick 12 on the clean trajectory, wakes and
-    // identifies on the spoofed one), then time the remaining ticks.
-    let steady_detector = |policy: ActivationPolicy, spoof: bool| -> (f64, usize, bool) {
-        let mut ads = RoboAds::new(
-            system.clone(),
-            RoboAdsConfig::paper_defaults().with_activation(policy),
-            x0.clone(),
-            ModeSet::complete(&system),
-        )
-        .unwrap();
-        let (batches, per_batch) = if fast { (5, 32) } else { (30, 256) };
-        let traj = trajectory(LAZY_WARM + (batches + 1) * per_batch, spoof);
-        for readings in &traj[..LAZY_WARM] {
-            ads.step(&u, readings).unwrap();
-        }
-        let mut cursor = LAZY_WARM;
-        let seconds = time_median(batches, per_batch, || {
-            ads.step(&u, &traj[cursor]).unwrap();
-            cursor += 1;
-        });
-        (seconds, ads.active_modes(), ads.bank_awake())
-    };
-
-    // The mode-bank cost in isolation: a bare engine step with no
-    // decision maker on top. This is the scope the ≥2× acceptance
-    // criterion is stated against — the NUISE mode loop is what the
-    // lazy schedule prunes, while `RoboAds::step` adds a fixed χ²
-    // assessment cost per tick that both policies pay equally. With no
-    // decision maker feeding χ²-window activity, the under-attack
-    // engine is held awake by its own trigger: mutually inconsistent
-    // sensor offsets collapse the selected mode's consistency.
-    let steady_engine = |policy: ActivationPolicy, attack: bool| -> (f64, usize, bool) {
-        let mut engine = MultiModeEngine::new(
-            system.clone(),
-            ModeSet::complete(&system),
-            x0.clone(),
-            &RoboAdsConfig::paper_defaults().with_activation(policy),
-        )
-        .unwrap();
-        let (batches, per_batch) = if fast { (5, 32) } else { (30, 256) };
-        let mut traj = trajectory(LAZY_WARM + (batches + 1) * per_batch, false);
-        if attack {
-            for readings in traj.iter_mut() {
-                readings[0][0] += 0.6;
-                readings[1][0] -= 0.5;
-                readings[2][0] += 0.4;
-            }
-        }
-        for readings in &traj[..LAZY_WARM] {
-            engine.step_in_place(&u, readings).unwrap();
-        }
-        let mut cursor = LAZY_WARM;
-        let seconds = time_median(batches, per_batch, || {
-            engine.step_in_place(&u, &traj[cursor]).unwrap();
-            cursor += 1;
-        });
-        (seconds, engine.active_modes(), engine.bank_awake())
-    };
-
-    // The same steady states at fleet scale: 64 robots, 1 thread,
-    // default slab lanes, per-robot-step seconds. All robots share the
-    // tick's readings, so the whole fleet sleeps (and audits) in phase.
-    const LAZY_FLEET_ROBOTS: usize = 64;
-    let steady_fleet = |policy: ActivationPolicy, spoof: bool| -> (f64, usize) {
-        let mut fleet = FleetEngine::new(
-            (0..LAZY_FLEET_ROBOTS)
-                .map(|_| {
-                    RoboAds::new(
-                        system.clone(),
-                        RoboAdsConfig::paper_defaults().with_activation(policy),
-                        x0.clone(),
-                        ModeSet::complete(&system),
-                    )
-                    .unwrap()
-                })
-                .collect(),
-            1,
-        );
-        let per_batch = (if fast { 32 } else { 256 } / LAZY_FLEET_ROBOTS).max(1);
-        let batches = if fast { 3 } else { 10 };
-        let traj = trajectory(LAZY_WARM + (batches + 1) * per_batch, spoof);
-        for readings in &traj[..LAZY_WARM] {
-            let inputs = vec![
-                RobotInput {
-                    u_prev: &u,
-                    readings,
-                };
-                LAZY_FLEET_ROBOTS
-            ];
-            fleet.step_batch(&inputs).unwrap();
-        }
-        let input_sets: Vec<Vec<RobotInput>> = traj[LAZY_WARM..]
-            .iter()
-            .map(|readings| {
-                vec![
-                    RobotInput {
-                        u_prev: &u,
-                        readings,
-                    };
-                    LAZY_FLEET_ROBOTS
-                ]
-            })
-            .collect();
-        let mut cursor = 0;
-        let seconds = time_median(batches, per_batch, || {
-            fleet.step_batch(&input_sets[cursor]).unwrap();
-            cursor += 1;
-        }) / LAZY_FLEET_ROBOTS as f64;
-        (seconds, fleet.detector(0).active_modes())
-    };
-
-    for (workload, attack) in [("quiescent", false), ("under_attack", true)] {
-        let (full_s, full_active, _) = steady_engine(ActivationPolicy::AlwaysFull, attack);
-        let (lazy_s, lazy_active, lazy_awake) =
-            steady_engine(ActivationPolicy::lazy_defaults(), attack);
-        assert_eq!(full_active, 7);
-        assert_eq!(
-            lazy_awake, attack,
-            "lazy engine in the wrong activation state for the {workload} workload"
-        );
-        report(
-            &format!("lazy_bank/engine modes=7 always_full {workload}"),
-            full_s,
-        );
-        report(
-            &format!("lazy_bank/engine modes=7 top_k2 {workload}"),
-            lazy_s,
-        );
-        println!(
-            "{:<44} {:>9.2} x",
-            format!("lazy_bank engine speedup {workload}"),
-            full_s / lazy_s
-        );
-        rows.push(LazyBankRow {
-            policy: "always_full",
-            workload,
-            scope: "engine",
-            seconds: full_s,
-            speedup_vs_full: 1.0,
-            active_modes: full_active,
-        });
-        rows.push(LazyBankRow {
-            policy: "top_k2",
-            workload,
-            scope: "engine",
-            seconds: lazy_s,
-            speedup_vs_full: full_s / lazy_s,
-            active_modes: lazy_active,
-        });
-    }
-
-    for (workload, spoof) in [("quiescent", false), ("under_attack", true)] {
-        let (full_s, full_active, _) = steady_detector(ActivationPolicy::AlwaysFull, spoof);
-        let (lazy_s, lazy_active, lazy_awake) =
-            steady_detector(ActivationPolicy::lazy_defaults(), spoof);
-        // The measured window must actually be in the advertised state.
-        assert_eq!(full_active, 7);
-        assert_eq!(
-            lazy_awake, spoof,
-            "lazy bank in the wrong activation state for the {workload} workload"
-        );
-        report(
-            &format!("lazy_bank/detector modes=7 always_full {workload}"),
-            full_s,
-        );
-        report(
-            &format!("lazy_bank/detector modes=7 top_k2 {workload}"),
-            lazy_s,
-        );
-        println!(
-            "{:<44} {:>9.2} x",
-            format!("lazy_bank detector speedup {workload}"),
-            full_s / lazy_s
-        );
-        rows.push(LazyBankRow {
-            policy: "always_full",
-            workload,
-            scope: "detector",
-            seconds: full_s,
-            speedup_vs_full: 1.0,
-            active_modes: full_active,
-        });
-        rows.push(LazyBankRow {
-            policy: "top_k2",
-            workload,
-            scope: "detector",
-            seconds: lazy_s,
-            speedup_vs_full: full_s / lazy_s,
-            active_modes: lazy_active,
-        });
-    }
-
-    // Fleet scale is only sampled for the quiescent workload — that is
-    // where the per-mode lane masks skip whole dormant tiles; under
-    // attack both policies run the full bank and the detector rows
-    // above already pin that to parity.
-    let (fleet_full_s, _) = steady_fleet(ActivationPolicy::AlwaysFull, false);
-    let (fleet_lazy_s, fleet_lazy_active) = steady_fleet(ActivationPolicy::lazy_defaults(), false);
-    report(
-        "lazy_bank/fleet64 modes=7 always_full quiescent",
-        fleet_full_s,
-    );
-    report("lazy_bank/fleet64 modes=7 top_k2 quiescent", fleet_lazy_s);
-    println!(
-        "{:<44} {:>9.2} x",
-        "lazy_bank fleet64 speedup quiescent",
-        fleet_full_s / fleet_lazy_s
-    );
-    rows.push(LazyBankRow {
-        policy: "always_full",
-        workload: "quiescent",
-        scope: "fleet64",
-        seconds: fleet_full_s,
-        speedup_vs_full: 1.0,
-        active_modes: 7,
-    });
-    rows.push(LazyBankRow {
-        policy: "top_k2",
-        workload: "quiescent",
-        scope: "fleet64",
-        seconds: fleet_lazy_s,
-        speedup_vs_full: fleet_full_s / fleet_lazy_s,
-        active_modes: fleet_lazy_active,
-    });
-    rows
-}
-
-/// `ROBOADS_FLEET_GATE=1` leg for the adaptive mode bank and the
-/// instrumentation budget: the quiescent `TopK { k: 2 }` engine step on
-/// the 7-mode bank must hold at least 1.8× over `AlwaysFull`
-/// (steady-state mode work drops from 7 mode-steps to ~2.25 including
-/// the audit cadence, so ≥2× is the expectation and 1.8 the noise-proof
-/// floor on a shared runner), and the live-sink telemetry overhead must
-/// stay within 6 % of the noop-sink step now that per-mode histograms
-/// are sampled instead of recorded every commit.
-fn check_lazy_gate(rows: &[LazyBankRow], telemetry_overhead_pct: f64) {
+/// `ROBOADS_FLEET_GATE=1` leg for the instrumentation budget: the
+/// live-sink telemetry overhead must stay within 6 % of the noop-sink
+/// step now that per-mode histograms are sampled instead of recorded
+/// every commit.
+fn check_telemetry_gate(telemetry_overhead_pct: f64) {
     if std::env::var_os("ROBOADS_FLEET_GATE").is_none_or(|v| v == "0") {
         return;
     }
-    let engine = rows
-        .iter()
-        .find(|r| r.policy == "top_k2" && r.workload == "quiescent" && r.scope == "engine")
-        .expect("lazy gate requires the quiescent top_k2 engine row");
-    println!(
-        "lazy gate: {:.2}x quiescent engine speedup at {} active of 7 modes (floor 1.80)",
-        engine.speedup_vs_full, engine.active_modes
-    );
-    assert!(
-        engine.speedup_vs_full >= 1.8,
-        "adaptive mode-bank regression: quiescent TopK{{k:2}} engine step holds only \
-         {:.2}x over AlwaysFull on the 7-mode bank (floor 1.80) — the lazy schedule is \
-         no longer skipping dormant modes",
-        engine.speedup_vs_full
-    );
     println!("telemetry gate: {telemetry_overhead_pct:.2} % ring-sink overhead (budget 6.00 %)");
     assert!(
         telemetry_overhead_pct <= 6.0,
@@ -1337,7 +1034,6 @@ struct SectionRows<'a> {
     fleet: &'a [FleetRow],
     slab: &'a [SlabRow],
     slab_groups: &'a [SlabGroupRow],
-    lazy_bank: &'a [LazyBankRow],
     ingest: &'a [IngestRow],
     recorder: &'a RecorderRow,
     shard: &'a [ShardRow],
@@ -1349,7 +1045,6 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
         fleet,
         slab,
         slab_groups,
-        lazy_bank,
         ingest,
         recorder,
         shard,
@@ -1399,18 +1094,6 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
         row.finish()
     }));
     o.field_raw("slab_groups", &group_rows);
-    let lazy_rows = roboads_core::obs::json::array_of(lazy_bank.iter().map(|r| {
-        let mut row = JsonObject::new();
-        row.field_str("scope", r.scope);
-        row.field_str("policy", r.policy);
-        row.field_str("workload", r.workload);
-        row.field_u64("modes", 7);
-        row.field_f64("step_us", r.seconds * 1e6);
-        row.field_f64("speedup_vs_full", r.speedup_vs_full);
-        row.field_u64("active_modes", r.active_modes as u64);
-        row.finish()
-    }));
-    o.field_raw("lazy_bank", &lazy_rows);
     let ingest_rows = roboads_core::obs::json::array_of(ingest.iter().map(|r| {
         let mut row = JsonObject::new();
         row.field_u64("robots", r.robots as u64);
@@ -1471,11 +1154,7 @@ fn main() {
     let slab = bench_slab_throughput(fast);
     let slab_groups = bench_slab_groups(fast);
     check_fleet_gate(&fleet, &slab, &slab_groups, detector.0);
-    // The lazy-bank section carries its always-full baselines inside
-    // itself (back-to-back legs per workload), so its placement is
-    // drift-safe.
-    let lazy_bank = bench_lazy_bank(fast);
-    check_lazy_gate(&lazy_bank, detector.2);
+    check_telemetry_gate(detector.2);
     // The recorder and ingest overhead legs carry their baselines inside
     // themselves (back to back), so their placement is drift-safe.
     let recorder = bench_recorder_overhead(fast);
@@ -1495,7 +1174,6 @@ fn main() {
             fleet: &fleet,
             slab: &slab,
             slab_groups: &slab_groups,
-            lazy_bank: &lazy_bank,
             ingest: &ingest,
             recorder: &recorder,
             shard: &shard,

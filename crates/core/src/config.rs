@@ -36,49 +36,6 @@ pub enum Linearization {
     },
 }
 
-/// Mode-bank activation schedule (DESIGN.md §17).
-///
-/// Algorithm 1 runs one NUISE per sensor-condition hypothesis every
-/// iteration, so the bank cost grows with `2^p − 1` in sensor count
-/// even when the robot is healthy and one nominal hypothesis has long
-/// since won. [`ActivationPolicy::TopK`] makes the bank adaptive: in
-/// the quiescent steady state only the `k` most probable modes advance
-/// each tick (plus a round-robin audit of one dormant mode every
-/// `audit_period` ticks), and the full bank re-activates edge-triggered
-/// on consistency collapse, χ²-window activity, or an audited dormant
-/// mode beating the selected mode by `wake_margin`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ActivationPolicy {
-    /// Every mode advances every iteration — Algorithm 1 verbatim, and
-    /// bitwise-identical to the engine before the policy existed.
-    AlwaysFull,
-    /// Lazy scheduling: advance the top-`k` modes while quiescent.
-    TopK {
-        /// Modes kept live while dormant scheduling is engaged (the
-        /// selected mode and the most precise actuator source are
-        /// always retained, so the effective floor is `max(k, 2)`-ish).
-        k: usize,
-        /// Audit one dormant mode every this many quiescent ticks.
-        audit_period: usize,
-        /// Wake the full bank when an audited dormant mode's parsimony
-        /// weight exceeds `wake_margin ×` the selected mode's weight.
-        wake_margin: f64,
-    },
-}
-
-impl ActivationPolicy {
-    /// The tuned lazy schedule: top-2 modes, audit every 4th tick, wake
-    /// when an audited hypothesis reaches the selection-hysteresis
-    /// margin (3×) over the incumbent.
-    pub fn lazy_defaults() -> Self {
-        ActivationPolicy::TopK {
-            k: 2,
-            audit_period: 4,
-            wake_margin: 3.0,
-        }
-    }
-}
-
 /// Full RoboADS detector configuration.
 ///
 /// The defaults follow the paper's tuned operating point (§V-F): sensor
@@ -128,12 +85,6 @@ pub struct RoboAdsConfig {
     /// (the IMM transition prior; DESIGN.md §2f). `0.0` disables mixing
     /// (ablation).
     pub mode_mixing: f64,
-    /// Mode-bank activation schedule. [`ActivationPolicy::AlwaysFull`]
-    /// (the default) steps every hypothesis every iteration;
-    /// [`ActivationPolicy::TopK`] parks improbable hypotheses while the
-    /// robot is quiescent and re-activates the full bank edge-triggered
-    /// (DESIGN.md §17).
-    pub activation: ActivationPolicy,
 }
 
 impl RoboAdsConfig {
@@ -150,7 +101,6 @@ impl RoboAdsConfig {
             compensate_actuator_anomalies: true,
             parsimony_rho: 0.05,
             mode_mixing: 0.02,
-            activation: ActivationPolicy::AlwaysFull,
         }
     }
 
@@ -210,31 +160,6 @@ impl RoboAdsConfig {
                 value: format!("{}", self.mode_mixing),
             });
         }
-        if let ActivationPolicy::TopK {
-            k,
-            audit_period,
-            wake_margin,
-        } = self.activation
-        {
-            if k == 0 {
-                return Err(CoreError::InvalidConfig {
-                    name: "activation.k",
-                    value: "0".into(),
-                });
-            }
-            if audit_period == 0 {
-                return Err(CoreError::InvalidConfig {
-                    name: "activation.audit_period",
-                    value: "0".into(),
-                });
-            }
-            if !(wake_margin.is_finite() && wake_margin > 0.0) {
-                return Err(CoreError::InvalidConfig {
-                    name: "activation.wake_margin",
-                    value: format!("{wake_margin}"),
-                });
-            }
-        }
         Ok(())
     }
 
@@ -279,12 +204,6 @@ impl RoboAdsConfig {
     /// Returns a copy with a different probability mixing rate.
     pub fn with_mode_mixing(mut self, mixing: f64) -> Self {
         self.mode_mixing = mixing;
-        self
-    }
-
-    /// Returns a copy with a different mode-bank activation policy.
-    pub fn with_activation(mut self, activation: ActivationPolicy) -> Self {
-        self.activation = activation;
         self
     }
 }
@@ -359,47 +278,5 @@ mod tests {
         let mut c = RoboAdsConfig::paper_defaults();
         c.initial_covariance = -1.0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn activation_knob_validates() {
-        assert_eq!(
-            RoboAdsConfig::paper_defaults().activation,
-            ActivationPolicy::AlwaysFull
-        );
-        RoboAdsConfig::paper_defaults()
-            .with_activation(ActivationPolicy::lazy_defaults())
-            .validate()
-            .unwrap();
-        for bad in [
-            ActivationPolicy::TopK {
-                k: 0,
-                audit_period: 4,
-                wake_margin: 3.0,
-            },
-            ActivationPolicy::TopK {
-                k: 2,
-                audit_period: 0,
-                wake_margin: 3.0,
-            },
-            ActivationPolicy::TopK {
-                k: 2,
-                audit_period: 4,
-                wake_margin: 0.0,
-            },
-            ActivationPolicy::TopK {
-                k: 2,
-                audit_period: 4,
-                wake_margin: f64::NAN,
-            },
-        ] {
-            assert!(
-                RoboAdsConfig::paper_defaults()
-                    .with_activation(bad)
-                    .validate()
-                    .is_err(),
-                "{bad:?} should be rejected"
-            );
-        }
     }
 }

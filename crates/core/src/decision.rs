@@ -252,17 +252,10 @@ impl DecisionMaker {
         // consistency (its reference explains the data) — not by its
         // parsimony-weighted probability, which deliberately biases
         // *against* modes that can see a real input anomaly.
-        //
-        // Modes the activation schedule parked this iteration carry
-        // stale outputs: dormant ≠ inconsistent, but a stale estimate
-        // must neither source the actuator statistic nor veto a live
-        // one, so only active modes qualify. The engine guarantees the
-        // most actuator-precise mode stays active while the bank
-        // sleeps, so the source choice matches the full bank's.
         const CONSISTENT_FLOOR: f64 = 1e-4;
         self.qualifying.clear();
         for m in 0..modes.len() {
-            if engine_out.is_active(m) && engine_out.modes[m].consistency >= CONSISTENT_FLOOR {
+            if engine_out.modes[m].consistency >= CONSISTENT_FLOOR {
                 self.qualifying.push(m);
             }
         }
@@ -431,10 +424,7 @@ impl DecisionMaker {
     /// Writes the per-sensor anomaly view for one sensor into
     /// `per_sensor[write]` (pushing a slot when the vector is still
     /// growing): taken from the selected mode when the sensor is in its
-    /// testing set, otherwise from the most probable mode that tests it,
-    /// preferring modes that actually ran this iteration (a dormant
-    /// mode's view is stale; it is used only when no active mode tests
-    /// the sensor, so the report keeps covering the whole suite).
+    /// testing set, otherwise from the most probable mode that tests it.
     /// Returns `false` without writing for a sensor no mode ever tests
     /// (it can never be identified — the mode set designer opted it out).
     fn per_sensor_view_into(
@@ -447,21 +437,16 @@ impl DecisionMaker {
         write: usize,
     ) -> Result<bool> {
         let selected = engine_out.selected;
-        let most_probable_tester = |active_only: bool| {
+        let source_mode = if modes.modes()[selected].is_testing(sensor) {
+            Some(selected)
+        } else {
             (0..modes.len())
-                .filter(|&m| {
-                    modes.modes()[m].is_testing(sensor) && (!active_only || engine_out.is_active(m))
-                })
+                .filter(|&m| modes.modes()[m].is_testing(sensor))
                 .max_by(|&a, &b| {
                     engine_out.probabilities[a]
                         .partial_cmp(&engine_out.probabilities[b])
                         .expect("probabilities are finite")
                 })
-        };
-        let source_mode = if modes.modes()[selected].is_testing(sensor) {
-            Some(selected)
-        } else {
-            most_probable_tester(true).or_else(|| most_probable_tester(false))
         };
         let Some(m) = source_mode else {
             return Ok(false);
@@ -509,15 +494,6 @@ impl DecisionMaker {
         Ok(true)
     }
 
-    /// Whether either sliding window currently holds a positive — i.e.
-    /// a χ² decision window is open and counting toward (or holding) a
-    /// confirmed alarm. The engine's activation scheduler treats this
-    /// as external activity: the mode bank must stay fully awake while
-    /// any hypothesis is in contention (see `DESIGN.md` §17).
-    pub(crate) fn windows_active(&self) -> bool {
-        self.sensor_window.positives() > 0 || self.actuator_window.positives() > 0
-    }
-
     /// Appends the decision maker's mutable state to a snapshot buffer
     /// (DESIGN.md §18): both sliding-window histories and the previous
     /// edge-trigger alarms. The χ²-test and workspace caches are
@@ -537,12 +513,22 @@ impl DecisionMaker {
     }
 
     /// Restores the decision maker's mutable state from a snapshot
-    /// buffer.
+    /// buffer. A history longer than the twin's window is refused
+    /// before it is read.
     pub(crate) fn snap_read(&mut self, rd: &mut wire::ByteReader<'_>) -> Result<()> {
-        let sensor = rd.bool_vec()?;
-        let actuator = rd.bool_vec()?;
-        self.sensor_window.restore_history(&sensor)?;
-        self.actuator_window.restore_history(&actuator)?;
+        for window in [&mut self.sensor_window, &mut self.actuator_window] {
+            let len = rd.u32()? as usize;
+            if len > window.window() {
+                return Err(crate::snapshot::snapshot_err(format!(
+                    "window history of {len} entries, twin window {}",
+                    window.window()
+                )));
+            }
+            let history = (0..len)
+                .map(|_| rd.bool())
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            window.restore_history(&history)?;
+        }
         self.prev_sensor_alarm = rd.bool()?;
         self.prev_actuator_alarm = rd.bool()?;
         Ok(())
@@ -858,9 +844,25 @@ mod tests {
         EngineOutput {
             modes: outputs,
             probabilities: vec![1.0 / 3.0; 3],
-            active: vec![true; 3],
             selected: 0,
         }
+    }
+
+    #[test]
+    fn window_history_longer_than_the_window_is_a_snapshot_error() {
+        // The sensor window is 2/2: a snapshot claiming seven history
+        // entries cannot belong to this twin.
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), 2).unwrap();
+        let mut bytes = Vec::new();
+        wire::put_bool_slice(&mut bytes, &[false; 7]);
+        wire::put_bool_slice(&mut bytes, &[false; 6]);
+        wire::put_bool(&mut bytes, false);
+        wire::put_bool(&mut bytes, false);
+        let result = dm.snap_read(&mut wire::ByteReader::new(&bytes));
+        assert!(
+            matches!(result, Err(crate::CoreError::Snapshot { .. })),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -204,8 +204,7 @@ impl RoboAds {
     }
 
     /// The decision-and-report tail of an iteration whose engine step
-    /// committed: the χ² decision on the engine's output, the decision
-    /// windows fed back to the activation scheduler, and the report
+    /// committed: the χ² decision on the engine's output and the report
     /// refill. [`RoboAds::step_into`] and the fleet's slab jobs both
     /// end an iteration here; a slab job passes the aggregate sensor
     /// statistic it batched across its robots as `aggregate`.
@@ -225,11 +224,6 @@ impl RoboAds {
             aggregate,
             report,
         )?;
-        // Feed the decision windows back to the activation scheduler:
-        // while a χ² window holds a positive, some hypothesis is in
-        // contention and the bank must stay (or come) fully awake.
-        self.engine
-            .note_decision_activity(self.decision.windows_active());
         self.iteration += 1;
         let out = self.engine.last_output();
         report.iteration = self.iteration;
@@ -244,19 +238,6 @@ impl RoboAds {
         Ok(())
     }
 
-    /// Number of currently active (non-dormant) estimator modes — the
-    /// bank size under [`crate::ActivationPolicy::AlwaysFull`], fewer
-    /// while a lazy bank is parked (see `DESIGN.md` §17).
-    pub fn active_modes(&self) -> usize {
-        self.engine.active_modes()
-    }
-
-    /// Whether the full mode bank is running this robot (always `true`
-    /// under [`crate::ActivationPolicy::AlwaysFull`]).
-    pub fn bank_awake(&self) -> bool {
-        self.engine.bank_awake()
-    }
-
     /// The underlying engine (fleet grouping and slab tiles).
     pub(crate) fn engine(&self) -> &MultiModeEngine {
         &self.engine
@@ -269,7 +250,7 @@ impl RoboAds {
 
     /// The engine output the last completed iteration was assessed on:
     /// per-mode NUISE outputs (with their parsimony statistics),
-    /// probabilities, selection and activation flags. Unspecified before
+    /// probabilities and selection. Unspecified before
     /// the first successful step or after a failed one.
     pub fn last_engine_output(&self) -> &EngineOutput {
         self.engine.last_output()

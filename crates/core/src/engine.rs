@@ -1,10 +1,9 @@
 //! The multi-mode estimation engine (Algorithm 1 lines 4–9) and the one
-//! iteration driver every robot steps through: [`step_tile`] plans each
-//! robot's activation schedule, runs each mode's NUISE kernel over the
-//! tile's lanes, and commits each robot. A standalone engine is a
-//! one-lane tile on its own kernels; a fleet slab group runs tiles of
-//! eight robots on kernels widened from a representative's (see
-//! `DESIGN.md` §13).
+//! iteration driver every robot steps through: [`step_tile`] runs each
+//! mode's NUISE kernel over the tile's lanes and commits each robot. A
+//! standalone engine is a one-lane tile on its own kernels; a fleet slab
+//! group runs tiles of eight robots on kernels widened from a
+//! representative's (see `DESIGN.md` §13).
 
 use roboads_linalg::health::HealthSnapshot;
 use roboads_linalg::{Matrix, Vector};
@@ -12,7 +11,7 @@ use roboads_models::RobotSystem;
 use roboads_obs::wire;
 use roboads_obs::{Counter, Gauge, Histogram, OwnedSpan, RobotScope, Telemetry, Value};
 
-use crate::config::{ActivationPolicy, Linearization, RoboAdsConfig};
+use crate::config::{Linearization, RoboAdsConfig};
 use crate::fleet::RobotInput;
 use crate::mode::ModeSet;
 use crate::nuise::NuiseOutput;
@@ -29,29 +28,12 @@ pub struct EngineOutput {
     pub probabilities: Vec<f64>,
     /// Index of the selected (most likely) mode `M_k`.
     pub selected: usize,
-    /// Per-mode activation flags (DESIGN.md §17): `false` marks a mode
-    /// the lazy [`ActivationPolicy::TopK`] schedule parked this
-    /// iteration, so its slot in `modes` is **stale** — the decision
-    /// maker must treat it as *dormant* (no information), not as
-    /// *inconsistent*. Always all-`true` under
-    /// [`ActivationPolicy::AlwaysFull`].
-    pub active: Vec<bool>,
 }
 
 impl EngineOutput {
     /// The selected mode's NUISE output.
     pub fn selected_output(&self) -> &NuiseOutput {
         &self.modes[self.selected]
-    }
-
-    /// Whether mode `m` advanced this iteration (its output is live).
-    pub fn is_active(&self, m: usize) -> bool {
-        self.active.get(m).copied().unwrap_or(true)
-    }
-
-    /// Number of modes that advanced this iteration.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
     }
 }
 
@@ -126,48 +108,10 @@ pub struct MultiModeEngine {
     /// [`MultiModeEngine::step_in_place`] hands out a reference.
     output: EngineOutput,
     /// Persistent per-step intermediates: each mode's implied-anomaly
-    /// count (written when the mode runs; a skipped mode's stale count
-    /// is never read) and the parsimony weights, refilled in place each
+    /// count and the parsimony weights, refilled in place each
     /// iteration.
     counts: Vec<usize>,
     weights: Vec<f64>,
-    /// Mode-bank activation schedule (DESIGN.md §17).
-    activation: ActivationPolicy,
-    /// Per-mode activation flags: `false` parks a hypothesis (its filter
-    /// does not advance and its stale output carries no weight). All
-    /// `true` while the bank is awake.
-    active: Vec<bool>,
-    /// Modes advanced *this* iteration: the active set plus, on audit
-    /// ticks, one round-robin dormant mode probing for a regime change.
-    run_mask: Vec<bool>,
-    /// Whether the full bank is running. The bank starts awake and only
-    /// [`ActivationPolicy::TopK`] ever puts it to sleep.
-    awake: bool,
-    /// Latch: [`MultiModeEngine::plan_step`] ran for the current
-    /// iteration and the commit has not consumed it yet. Makes planning
-    /// idempotent so a retry of a failed iteration re-runs the same
-    /// schedule instead of advancing the audit twice.
-    planned: bool,
-    /// `true` for modes whose filter state missed the previous
-    /// iteration: they must be re-anchored to the shared estimate
-    /// before running again (wake or audit).
-    mode_stale: Vec<bool>,
-    /// Round-robin cursor over dormant modes for the audit schedule.
-    audit_cursor: usize,
-    /// Quiescent ticks since the last dormant audit.
-    audit_countdown: usize,
-    /// The dormant mode audited this iteration, if any.
-    audit_mode: Option<usize>,
-    /// Consecutive quiescent iterations observed while awake.
-    quiescent_streak: usize,
-    /// Decision-layer feedback: the χ² sliding windows held a positive
-    /// after the last iteration (reported by the detector; standalone
-    /// engines self-govern on consistency alone).
-    external_activity: bool,
-    /// Wake scheduled for the next plan, with its reason label.
-    pending_wake: Option<&'static str>,
-    /// Cached count of `true` flags in `active`.
-    active_count: usize,
     /// Committed iterations, used to sample the per-mode histogram
     /// instruments at 1-in-[`HIST_SAMPLE_PERIOD`].
     commits: u64,
@@ -204,14 +148,6 @@ struct EngineInstruments {
     cholesky_fallbacks: Counter,
     /// `engine.selected_mode` — index of the winning hypothesis.
     selected_mode: Gauge,
-    /// `engine.active_modes` — modes advanced per iteration (the full
-    /// bank size when awake, `k` + audits when dormant scheduling is
-    /// engaged).
-    active_modes: Gauge,
-    /// `engine.bank_wake.count` — full-bank re-activations.
-    bank_wakes: Counter,
-    /// `engine.bank_sleep.count` — transitions into lazy scheduling.
-    bank_sleeps: Counter,
     /// `engine.mode{m}.probability` — posterior per mode.
     mode_probability: Vec<Histogram>,
     /// `engine.mode{m}.consistency` — innovation-consistency p-value per
@@ -231,9 +167,6 @@ impl EngineInstruments {
             cholesky_failures: m.counter("engine.cholesky_failures"),
             cholesky_fallbacks: m.counter("engine.cholesky_fallbacks"),
             selected_mode: m.gauge("engine.selected_mode"),
-            active_modes: m.gauge("engine.active_modes"),
-            bank_wakes: m.counter("engine.bank_wake.count"),
-            bank_sleeps: m.counter("engine.bank_sleep.count"),
             mode_probability: (0..mode_count)
                 .map(|i| m.histogram(&format!("engine.mode{i}.probability")))
                 .collect(),
@@ -252,20 +185,6 @@ const REANCHOR_FRACTION: f64 = 0.25;
 /// considered lost (its own reference no longer explains its filter
 /// state) and re-anchored.
 const REANCHOR_CONSISTENCY: f64 = 1e-4;
-
-/// Consecutive quiescent iterations (χ² windows idle, selected-mode
-/// consistency healthy) before a [`ActivationPolicy::TopK`] bank parks
-/// its dormant modes. Longer than both decision windows, so the bank
-/// never sleeps while a window could still confirm an alarm.
-const SLEEP_AFTER_QUIESCENT: usize = 12;
-
-/// Active-mode consistency p-value below which the lazy bank wakes
-/// mid-step ("residual growth"): a calibrated filter's p-values are
-/// roughly uniform on clean data, so a false wake costs ~0.1 % per
-/// active mode per tick, while any Table II attack magnitude drives the
-/// affected mode's consistency many orders of magnitude below this in
-/// its first anomalous iteration.
-const WAKE_CONSISTENCY: f64 = 1e-3;
 
 /// Per-mode probability/consistency histograms are recorded once every
 /// this many commits. Recording them every step (2 CAS-loop f64
@@ -348,7 +267,6 @@ impl MultiModeEngine {
                 .collect(),
             probabilities: vec![0.0; modes.len()],
             selected: 0,
-            active: vec![true; modes.len()],
         };
         let mode_count = modes.len();
         Ok(MultiModeEngine {
@@ -367,19 +285,6 @@ impl MultiModeEngine {
             output,
             counts: vec![0; mode_count],
             weights: Vec::with_capacity(mode_count),
-            activation: config.activation,
-            active: vec![true; mode_count],
-            run_mask: vec![true; mode_count],
-            awake: true,
-            planned: false,
-            mode_stale: vec![false; mode_count],
-            audit_cursor: 0,
-            audit_countdown: 0,
-            audit_mode: None,
-            quiescent_streak: 0,
-            external_activity: false,
-            pending_wake: None,
-            active_count: mode_count,
             commits: 0,
         })
     }
@@ -434,252 +339,13 @@ impl MultiModeEngine {
         (x, p)
     }
 
-    /// Number of currently active (non-dormant) modes. Equals the bank
-    /// size under [`ActivationPolicy::AlwaysFull`] or while the lazy
-    /// bank is awake.
-    pub fn active_modes(&self) -> usize {
-        self.active_count
-    }
-
-    /// Whether the full bank is running (`true` until a
-    /// [`ActivationPolicy::TopK`] schedule observes enough quiescence
-    /// to park its dormant modes).
-    pub fn bank_awake(&self) -> bool {
-        self.awake
-    }
-
-    /// The configured activation policy.
-    pub fn activation(&self) -> ActivationPolicy {
-        self.activation
-    }
-
-    /// Per-mode activation flags (index-aligned with the mode set).
-    pub(crate) fn active_mask(&self) -> &[bool] {
-        &self.active
-    }
-
-    /// Decision-layer feedback closing the χ²-window wake trigger: the
-    /// detector reports after each verdict whether either sliding
-    /// window currently holds a positive. Any activity vetoes
-    /// quiescence immediately and schedules a full-bank wake for the
-    /// next iteration if the bank is asleep. Standalone engines that
-    /// never call this self-govern on consistency alone.
-    pub(crate) fn note_decision_activity(&mut self, windows_active: bool) {
-        self.external_activity = windows_active;
-        if windows_active {
-            self.quiescent_streak = 0;
-            if !self.awake && self.pending_wake.is_none() {
-                self.pending_wake = Some("chi2_window");
-            }
-        }
-    }
-
-    /// Decides which modes advance this iteration (DESIGN.md §17).
-    /// Idempotent until the iteration commits, so retrying a failed
-    /// iteration re-runs the identical schedule. While the bank is
-    /// asleep this (a) consumes a pending χ²-window wake, or (b)
-    /// advances the audit countdown and, on audit ticks, re-anchors the
-    /// next dormant mode (round-robin) to the shared estimate so it can
-    /// probe the current readings from a live prior.
-    fn plan_step(&mut self) {
-        if self.planned {
-            return;
-        }
-        self.planned = true;
-        self.audit_mode = None;
-        if self.awake {
-            return;
-        }
-        if let Some(reason) = self.pending_wake.take() {
-            self.wake(reason);
-            self.run_mask.fill(true);
-            return;
-        }
-        for (r, &a) in self.run_mask.iter_mut().zip(&self.active) {
-            *r = a;
-        }
-        let ActivationPolicy::TopK { audit_period, .. } = self.activation else {
-            return;
-        };
-        self.audit_countdown += 1;
-        if self.audit_countdown < audit_period {
-            return;
-        }
-        self.audit_countdown = 0;
-        // Round-robin over dormant modes, starting after the last
-        // audited index so every hypothesis gets its turn.
-        let n = self.modes.len();
-        for offset in 1..=n {
-            let m = (self.audit_cursor + offset) % n;
-            if self.active[m] {
-                continue;
-            }
-            self.audit_cursor = m;
-            self.audit_mode = Some(m);
-            self.run_mask[m] = true;
-            if self.mode_stale[m] {
-                // Re-sync: the dormant filter last ran ticks ago; audit
-                // from the selected mode's current estimate instead.
-                self.mode_states[m].0.copy_from(&self.state_estimate);
-                self.mode_states[m].1.copy_from(&self.state_covariance);
-                self.mode_stale[m] = false;
-            }
-            break;
-        }
-    }
-
-    /// Re-activates the full bank: every dormant mode whose filter
-    /// state went stale is re-anchored to the shared (selected-mode)
-    /// estimate — the same machinery floor-collapsed hypotheses use —
-    /// and its probability stays at the selector floor until its first
-    /// live update. Does not touch `run_mask`; callers decide whether
-    /// the newly woken modes still run within the current iteration.
-    fn wake(&mut self, reason: &'static str) {
-        for m in 0..self.active.len() {
-            if !self.active[m] {
-                self.active[m] = true;
-                if self.mode_stale[m] {
-                    self.mode_states[m].0.copy_from(&self.state_estimate);
-                    self.mode_states[m].1.copy_from(&self.state_covariance);
-                    self.mode_stale[m] = false;
-                }
-            }
-        }
-        self.awake = true;
-        self.active_count = self.active.len();
-        self.quiescent_streak = 0;
-        self.audit_countdown = 0;
-        self.instruments.bank_wakes.incr();
-        self.instruments.active_modes.set(self.active_count as f64);
-        self.telemetry.event("engine.bank_wake", || {
-            vec![("reason", Value::Text(reason.to_string()))]
-        });
-    }
-
-    /// Parks every hypothesis outside the retained set: the top-`k`
-    /// most probable modes, the selected mode, and the most precise
-    /// actuator source (smallest actuator-anomaly covariance trace) —
-    /// the mode the decision maker would source the actuator test from,
-    /// kept live so that test is identical to the full bank's while
-    /// quiescent.
-    fn sleep(&mut self) {
-        let ActivationPolicy::TopK { k, .. } = self.activation else {
-            return;
-        };
-        let n = self.modes.len();
-        if k >= n {
-            return;
-        }
-        self.active.fill(false);
-        self.active[self.output.selected] = true;
-        let precise = self
-            .output
-            .modes
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let ta = a.actuator_covariance.trace();
-                let tb = b.actuator_covariance.trace();
-                ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(m, _)| m)
-            .unwrap_or(self.output.selected);
-        self.active[precise] = true;
-        let mut count = self.active.iter().filter(|&&a| a).count();
-        while count < k {
-            let next = self
-                .output
-                .probabilities
-                .iter()
-                .enumerate()
-                .filter(|(m, _)| !self.active[*m])
-                .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(m, _)| m);
-            match next {
-                Some(m) => self.active[m] = true,
-                None => break,
-            }
-            count += 1;
-        }
-        self.awake = false;
-        self.active_count = count;
-        self.quiescent_streak = 0;
-        self.audit_countdown = 0;
-        self.instruments.bank_sleeps.incr();
-        self.instruments.active_modes.set(count as f64);
-        let active_count = count as u64;
-        self.telemetry.event("engine.bank_sleep", || {
-            vec![
-                ("reason", Value::Text("quiescent".to_string())),
-                ("active", Value::U64(active_count)),
-            ]
-        });
-    }
-
-    /// Edge-triggered wake conditions of a sleeping bank, evaluated on
-    /// the current iteration's live outputs (weights already computed):
-    /// residual growth on any active mode, or an audited dormant mode
-    /// beating the selected mode's parsimony weight by the configured
-    /// margin.
-    fn lazy_wake_reason(&self) -> Option<&'static str> {
-        let ActivationPolicy::TopK { wake_margin, .. } = self.activation else {
-            return None;
-        };
-        if self.awake {
-            return None;
-        }
-        for (m, out) in self.output.modes.iter().enumerate() {
-            if self.active[m] && out.consistency < WAKE_CONSISTENCY {
-                return Some("consistency");
-            }
-        }
-        if let Some(a) = self.audit_mode {
-            if self.weights[a] > wake_margin * self.weights[self.selector.selected()] {
-                return Some("audit");
-            }
-        }
-        None
-    }
-
-    /// Parsimony weighting of the modes that ran this iteration
-    /// (dormant modes weigh zero; the selector pins them at the floor).
+    /// Parsimony weighting of every mode's fresh output.
     fn compute_weights(&mut self) {
         self.weights.clear();
         let _parsimony_span = self.telemetry.span("engine.parsimony");
-        for (m, (out, count)) in self.output.modes.iter().zip(&self.counts).enumerate() {
-            let w = if self.run_mask[m] {
-                out.consistency * self.parsimony_rho.powi(*count as i32)
-            } else {
-                0.0
-            };
-            self.weights.push(w);
-        }
-    }
-
-    /// Activation bookkeeping after a successful commit: consume the
-    /// plan, mark skipped filters stale, and fold this iteration into
-    /// the quiescence streak (sleeping once it is long enough).
-    fn update_activation_after_commit(&mut self) {
-        self.planned = false;
-        if matches!(self.activation, ActivationPolicy::AlwaysFull) {
-            return;
-        }
-        for (stale, &ran) in self.mode_stale.iter_mut().zip(&self.run_mask) {
-            *stale = !ran;
-        }
-        if !self.awake {
-            return;
-        }
-        let quiescent = !self.external_activity
-            && !self.selector.all_floored()
-            && self.output.modes[self.output.selected].consistency >= WAKE_CONSISTENCY;
-        if quiescent {
-            self.quiescent_streak += 1;
-            if self.quiescent_streak >= SLEEP_AFTER_QUIESCENT {
-                self.sleep();
-            }
-        } else {
-            self.quiescent_streak = 0;
+        for (out, count) in self.output.modes.iter().zip(&self.counts) {
+            self.weights
+                .push(out.consistency * self.parsimony_rho.powi(*count as i32));
         }
     }
 
@@ -802,15 +468,7 @@ impl MultiModeEngine {
     fn select_and_commit(&mut self) -> Result<()> {
         let selected = {
             let _select_span = self.telemetry.span("engine.select");
-            if self.awake {
-                self.selector.update(&self.weights)?
-            } else {
-                // Dormant modes carry no information this iteration:
-                // the partial update pins them at the floor instead of
-                // letting the mixing prior leak mass back into
-                // hypotheses nobody evaluated.
-                self.selector.update_partial(&self.weights, &self.active)?
-            }
+            self.selector.update(&self.weights)?
         };
         if self.selector.all_floored() {
             // No hypothesis explains this iteration at all (every
@@ -838,8 +496,6 @@ impl MultiModeEngine {
         self.output
             .probabilities
             .extend_from_slice(self.selector.probabilities());
-        self.output.active.clear();
-        self.output.active.extend_from_slice(&self.active);
         self.output.selected = selected;
         let _reanchor_span = self.telemetry.span("engine.reanchor");
         for (m, state) in self.mode_states.iter_mut().enumerate() {
@@ -848,13 +504,7 @@ impl MultiModeEngine {
             // explains their reference readings (e.g. the reference was
             // being spoofed), so they restart from the winner. A
             // consistent-but-disfavored mode keeps its own (typically
-            // tighter) filter state. Modes the activation schedule
-            // skipped this iteration have stale outputs and parked
-            // filters: they are left untouched (dormant ≠ inconsistent)
-            // and re-sync through the wake/audit re-anchor instead.
-            if !self.run_mask[m] {
-                continue;
-            }
+            // tighter) filter state.
             let probability = self.output.probabilities[m];
             let consistency = self.output.modes[m].consistency;
             if m != selected && probability < reanchor_below && consistency < REANCHOR_CONSISTENCY {
@@ -886,15 +536,10 @@ impl MultiModeEngine {
         self.commits = self.commits.wrapping_add(1);
         if self.commits % HIST_SAMPLE_PERIOD == 1 {
             for (m, out) in self.output.modes.iter().enumerate() {
-                if !self.run_mask[m] {
-                    continue;
-                }
                 self.instruments.mode_probability[m].record(self.output.probabilities[m]);
                 self.instruments.mode_consistency[m].record(out.consistency);
             }
         }
-        self.update_activation_after_commit();
-
         Ok(())
     }
 
@@ -918,8 +563,7 @@ impl MultiModeEngine {
 
     /// Appends the engine's complete mutable state to a snapshot buffer
     /// (DESIGN.md §18): selector, shared and per-mode filter states, the
-    /// last committed output (the sleep scheduler and wake triggers read
-    /// stale slots from it), and every activation-schedule field.
+    /// last committed output and the commit count.
     /// The per-mode kernels (scratch and parsimony thresholds) are
     /// construction-derived and belong to the restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
@@ -936,25 +580,6 @@ impl MultiModeEngine {
         }
         wire::put_f64_slice(out, &self.output.probabilities);
         wire::put_u64(out, self.output.selected as u64);
-        wire::put_bool_slice(out, &self.output.active);
-        wire::put_bool_slice(out, &self.active);
-        wire::put_bool_slice(out, &self.run_mask);
-        wire::put_bool(out, self.awake);
-        wire::put_bool(out, self.planned);
-        wire::put_bool_slice(out, &self.mode_stale);
-        wire::put_u64(out, self.audit_cursor as u64);
-        wire::put_u64(out, self.audit_countdown as u64);
-        match self.audit_mode {
-            None => wire::put_bool(out, false),
-            Some(m) => {
-                wire::put_bool(out, true);
-                wire::put_u64(out, m as u64);
-            }
-        }
-        wire::put_u64(out, self.quiescent_streak as u64);
-        wire::put_bool(out, self.external_activity);
-        wire::put_u8(out, crate::snapshot::wake_reason_tag(self.pending_wake));
-        wire::put_u64(out, self.active_count as u64);
         wire::put_u64(out, self.commits);
     }
 
@@ -991,23 +616,6 @@ impl MultiModeEngine {
             });
         }
         self.output.selected = selected;
-        crate::snapshot::read_bools(rd, &mut self.output.active, mode_count)?;
-        crate::snapshot::read_bools(rd, &mut self.active, mode_count)?;
-        crate::snapshot::read_bools(rd, &mut self.run_mask, mode_count)?;
-        self.awake = rd.bool()?;
-        self.planned = rd.bool()?;
-        crate::snapshot::read_bools(rd, &mut self.mode_stale, mode_count)?;
-        self.audit_cursor = rd.u64()? as usize;
-        self.audit_countdown = rd.u64()? as usize;
-        self.audit_mode = if rd.bool()? {
-            Some(rd.u64()? as usize)
-        } else {
-            None
-        };
-        self.quiescent_streak = rd.u64()? as usize;
-        self.external_activity = rd.bool()?;
-        self.pending_wake = crate::snapshot::wake_reason_from_tag(rd.u8()?)?;
-        self.active_count = rd.u64()? as usize;
         self.commits = rd.u64()?;
         Ok(())
     }
@@ -1038,13 +646,11 @@ pub(crate) trait Tile<'i> {
 /// One control iteration (Algorithm 1 lines 4–9) for every lane of
 /// `tile`, through `bank` (one kernel per mode, in mode order):
 ///
-/// 1. every lane with an input plans its activation schedule;
-/// 2. each mode loads the lanes that run it, runs once, and scatters
-///    each lane's output and implied-anomaly count into its engine;
-/// 3. every lane weighs its modes; a sleeping bank whose fresh results
-///    trip a wake wakes, and a second pass of step 2, masked to the
-///    woken lanes, runs the modes they have not run yet;
-/// 4. every lane commits (selection, re-anchoring, instruments) and
+/// 1. each mode loads every lane with an input, runs once, and
+///    scatters each lane's output and implied-anomaly count into its
+///    engine;
+/// 2. every lane that has not failed weighs its modes;
+/// 3. every lane commits (selection, re-anchoring, instruments) and
 ///    `tile` finishes it.
 ///
 /// A lane that fails at load or inside a kernel takes the kernel's
@@ -1068,35 +674,18 @@ pub(crate) fn step_tile<'i, const K: usize>(
                 // A step that panicked leaves its engine without kernels.
                 assert_eq!(bank.len(), engine.modes.len(), "one kernel per mode");
                 step_spans[l] = Some(engine.telemetry.owned_span("engine.step"));
-                engine.plan_step();
             }
             Err(e) => tile.finish(l, Err(e)),
         }
     }
     let mut health = roboads_linalg::health::snapshot();
     for (m, ws) in bank.iter_mut().enumerate() {
-        run_mode(ws, m, tile, &inputs, &mut failures, None);
+        run_mode(ws, m, tile, &inputs, &mut failures);
     }
-    // A sleeping bank whose fresh results trip a wake wakes *within*
-    // this iteration: its dormant modes re-anchor to the shared estimate
-    // from the previous tick — still pre-anomaly — and run against the
-    // same readings, so the full bank weighs in on the very iteration
-    // that triggered the wake.
-    let mut woken = [false; K];
     for l in 0..lanes {
         if inputs[l].is_some() && failures[l].is_none() {
             let _scope = tile.scope(l);
-            let engine = tile.engine(l);
-            engine.compute_weights();
-            if let Some(reason) = engine.lazy_wake_reason() {
-                engine.wake(reason);
-                woken[l] = true;
-            }
-        }
-    }
-    if woken.contains(&true) {
-        for (m, ws) in bank.iter_mut().enumerate() {
-            run_mode(ws, m, tile, &inputs, &mut failures, Some(&woken));
+            tile.engine(l).compute_weights();
         }
     }
     for l in 0..lanes {
@@ -1105,38 +694,25 @@ pub(crate) fn step_tile<'i, const K: usize>(
         }
         let _scope = tile.scope(l);
         let engine = tile.engine(l);
-        if woken[l] && failures[l].is_none() {
-            engine.compute_weights();
-        }
         let result = engine.commit(failures[l].take(), &mut health);
         step_spans[l] = None;
         tile.finish(l, result);
     }
 }
 
-/// Runs mode `m`'s kernel over the live lanes that run it — each lane's
-/// schedule, or with `woken` the woken lanes whose mode `m` has not run
-/// yet: loads them, runs once, and scatters each lane's output and
-/// implied-anomaly count into its engine, marking the mode run. A lane
-/// that fails takes the kernel's error and leaves the live set.
+/// Runs mode `m`'s kernel over the live lanes: loads them, runs once,
+/// and scatters each lane's output and implied-anomaly count into its
+/// engine. A lane that fails takes the kernel's error and leaves the
+/// live set.
 fn run_mode<'i, const K: usize>(
     ws: &mut NuiseSlabWorkspace<K>,
     m: usize,
     tile: &mut impl Tile<'i>,
     inputs: &[Option<RobotInput<'i>>; K],
     failures: &mut [Option<CoreError>; K],
-    woken: Option<&[bool; K]>,
 ) {
-    let mut active = [false; K];
-    for l in 0..tile.lanes() {
-        let ran = tile.engine(l).run_mask[m];
-        active[l] = inputs[l].is_some()
-            && failures[l].is_none()
-            && woken.map_or(ran, |woken| woken[l] && !ran);
-    }
-    // Lanes mask per mode: a sleeping robot's audit adds one dormant
-    // mode on its own round-robin schedule. A mode no lane runs skips
-    // the whole tile — the quiescent fleet win.
+    let mut active: [bool; K] =
+        std::array::from_fn(|l| inputs[l].is_some() && failures[l].is_none());
     if !active.contains(&true) {
         return;
     }
@@ -1148,7 +724,6 @@ fn run_mode<'i, const K: usize>(
             continue;
         };
         let engine = tile.engine(l);
-        engine.run_mask[m] = true;
         let (x_m, p_m) = &engine.mode_states[m];
         if let Err(e) = ws.load_lane(l, &engine.system, x_m, p_m, input.u_prev, input.readings) {
             failures[l] = Some(e);
@@ -1392,192 +967,5 @@ mod tests {
         assert_eq!(out.selected, 0);
         assert!(out.selected_output().sensor_anomaly.is_empty());
         let _ = Mode::new(vec![0], vec![1]); // silence unused-import lint in some cfgs
-    }
-
-    /// A lazy-activation engine over either the paper's 3-mode
-    /// one-reference-per-sensor set or the complete 7-mode bank.
-    fn lazy_engine(complete: bool) -> (RobotSystem, MultiModeEngine, Vector) {
-        let system = presets::khepera_system();
-        let modes = if complete {
-            ModeSet::complete(&system)
-        } else {
-            ModeSet::one_reference_per_sensor(&system)
-        };
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let engine = MultiModeEngine::new(
-            system.clone(),
-            modes,
-            x0.clone(),
-            &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::lazy_defaults()),
-        )
-        .unwrap();
-        (system, engine, x0)
-    }
-
-    /// Drives `engine` with clean readings until the bank sleeps,
-    /// returning the true state at the end. Panics if it never sleeps.
-    fn drive_to_sleep(
-        system: &RobotSystem,
-        engine: &mut MultiModeEngine,
-        x0: &Vector,
-        u: &Vector,
-    ) -> Vector {
-        let mut x_true = x0.clone();
-        for _ in 0..40 {
-            x_true = system.dynamics().step(&x_true, u);
-            engine.step(u, &clean_readings(system, &x_true)).unwrap();
-            if !engine.bank_awake() {
-                return x_true;
-            }
-        }
-        panic!("bank never slept under sustained quiescence");
-    }
-
-    #[test]
-    fn lazy_bank_sleeps_after_sustained_quiescence() {
-        let (system, mut engine, x0) = lazy_engine(false);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = drive_to_sleep(&system, &mut engine, &x0, &u);
-        assert_eq!(engine.active_modes(), 2, "TopK{{k:2}} keeps two modes");
-        // Dormancy is visible in the output and the estimate stays live.
-        x_true = system.dynamics().step(&x_true, &u);
-        let out = engine
-            .step(&u, &clean_readings(&system, &x_true))
-            .unwrap()
-            .clone();
-        assert_eq!(out.active_count(), 2, "active flags: {:?}", out.active);
-        assert!(out.active[out.selected], "selected mode must stay active");
-        assert!((engine.state_estimate() - &x_true).max_abs() < 1e-6);
-    }
-
-    #[test]
-    fn lazy_bank_wakes_when_decision_windows_go_active() {
-        let (system, mut engine, x0) = lazy_engine(false);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = drive_to_sleep(&system, &mut engine, &x0, &u);
-        // Decision feedback (a χ² window holding a positive) schedules a
-        // full-bank wake consumed by the next iteration's plan.
-        engine.note_decision_activity(true);
-        x_true = system.dynamics().step(&x_true, &u);
-        let out = engine
-            .step(&u, &clean_readings(&system, &x_true))
-            .unwrap()
-            .clone();
-        assert!(engine.bank_awake());
-        assert_eq!(out.active_count(), 3, "full bank on the wake tick");
-        assert!(out.modes.iter().all(|m| m.consistency > 0.0));
-    }
-
-    #[test]
-    fn lazy_bank_wakes_same_tick_on_consistency_collapse() {
-        let (system, mut engine, x0) = lazy_engine(false);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = drive_to_sleep(&system, &mut engine, &x0, &u);
-        // Mutually inconsistent corruption on every sensor: no state
-        // explains the readings, so every active mode's consistency
-        // collapses and the bank must re-activate the dormant
-        // hypotheses *within the same iteration* — detection latency is
-        // unchanged versus the always-full bank.
-        for k in 0..3 {
-            x_true = system.dynamics().step(&x_true, &u);
-            let mut readings = clean_readings(&system, &x_true);
-            readings[0][0] += 0.6;
-            readings[1][0] -= 0.5;
-            readings[2][0] += 0.4;
-            let out = engine.step(&u, &readings).unwrap();
-            if engine.bank_awake() {
-                assert_eq!(
-                    out.active_count(),
-                    3,
-                    "dormant modes must run on the wake tick itself (tick {k})"
-                );
-                return;
-            }
-        }
-        panic!("bank never woke on inconsistent readings");
-    }
-
-    #[test]
-    fn lazy_audit_round_robins_over_every_dormant_mode() {
-        let (system, mut engine, x0) = lazy_engine(true);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = drive_to_sleep(&system, &mut engine, &x0, &u);
-        let dormant: Vec<usize> = (0..engine.modes.len())
-            .filter(|&m| !engine.active[m])
-            .collect();
-        assert_eq!(dormant.len(), engine.modes.len() - 2);
-        // One dormant mode is probed every `audit_period` ticks,
-        // round-robin, so the whole complement is covered in
-        // `audit_period * dormant` ticks (with slack for wake flaps).
-        let mut audited = std::collections::BTreeSet::new();
-        for _ in 0..4 * dormant.len() + 8 {
-            x_true = system.dynamics().step(&x_true, &u);
-            engine.step(&u, &clean_readings(&system, &x_true)).unwrap();
-            if let Some(m) = engine.audit_mode {
-                audited.insert(m);
-            }
-        }
-        for m in &dormant {
-            assert!(audited.contains(m), "mode {m} never audited: {audited:?}");
-        }
-    }
-
-    #[test]
-    fn dormant_modes_hold_the_floor_without_flooring_the_bank() {
-        // Satellite regression: with k=2 of 7 modes dormant hypotheses
-        // are pinned at the selector floor ε — they neither absorb
-        // probability mass nor trip the all-modes-floored fallback.
-        let (system, mut engine, x0) = lazy_engine(true);
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = drive_to_sleep(&system, &mut engine, &x0, &u);
-        // The sleep tick itself still committed a full-bank update;
-        // partial selection starts on the next iteration.
-        for _ in 0..2 {
-            x_true = system.dynamics().step(&x_true, &u);
-            engine.step(&u, &clean_readings(&system, &x_true)).unwrap();
-        }
-        assert!(!engine.bank_awake(), "clean data must not wake the bank");
-        assert_eq!(engine.active_modes(), 2);
-        let floor = RoboAdsConfig::paper_defaults().mode_floor;
-        let p = engine.probabilities();
-        let mut active_mass = 0.0;
-        for (m, &prob) in p.iter().enumerate() {
-            if engine.active[m] {
-                active_mass += prob;
-            } else {
-                assert_eq!(prob, floor, "dormant mode {m} off the floor");
-            }
-        }
-        let dormant = p.len() - engine.active_modes();
-        assert!((active_mass - (1.0 - dormant as f64 * floor)).abs() < 1e-9);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(!engine.selector.all_floored(), "dormancy is not flooring");
-        assert!(p[engine.output.selected] > floor);
-    }
-
-    #[test]
-    fn always_full_policy_matches_the_default_engine_bitwise() {
-        let (system, mut default_engine, x0) = engine();
-        let mut explicit = MultiModeEngine::new(
-            system.clone(),
-            ModeSet::one_reference_per_sensor(&system),
-            x0.clone(),
-            &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::AlwaysFull),
-        )
-        .unwrap();
-        let u = Vector::from_slice(&[0.06, 0.05]);
-        let mut x_true = x0;
-        for k in 0..25 {
-            x_true = system.dynamics().step(&x_true, &u);
-            let mut readings = clean_readings(&system, &x_true);
-            if k > 10 {
-                readings[0][0] += 0.08;
-            }
-            let a = default_engine.step(&u, &readings).unwrap().clone();
-            let b = explicit.step(&u, &readings).unwrap().clone();
-            assert_eq!(a, b, "divergence at step {k}");
-            assert_eq!(a.active_count(), 3, "AlwaysFull never parks a mode");
-        }
-        assert!(default_engine.bank_awake() && explicit.bank_awake());
     }
 }

@@ -36,7 +36,7 @@ use roboads_models::ModelSignature;
 use roboads_obs::{Counter, Gauge, Telemetry, Value};
 use roboads_pool::Pool;
 
-use crate::config::{ActivationPolicy, Linearization};
+use crate::config::Linearization;
 use crate::decision::NormalizedStatistic;
 use crate::detector::RoboAds;
 use crate::engine::{step_tile, MultiModeEngine, Tile};
@@ -156,36 +156,6 @@ struct SlabJob<const K: usize> {
     statistics: Vec<Option<Result<f64>>>,
 }
 
-/// Hashable image of an engine's [`ActivationPolicy`] for the group
-/// key (the policy itself carries an `f64` margin, so it cannot derive
-/// `Eq`/`Hash`; the bit pattern can).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ActivationKey {
-    AlwaysFull,
-    TopK {
-        k: usize,
-        audit_period: usize,
-        wake_margin_bits: u64,
-    },
-}
-
-impl From<ActivationPolicy> for ActivationKey {
-    fn from(p: ActivationPolicy) -> Self {
-        match p {
-            ActivationPolicy::AlwaysFull => ActivationKey::AlwaysFull,
-            ActivationPolicy::TopK {
-                k,
-                audit_period,
-                wake_margin,
-            } => ActivationKey::TopK {
-                k,
-                audit_period,
-                wake_margin_bits: wake_margin.to_bits(),
-            },
-        }
-    }
-}
-
 /// The grouping key of the heterogeneous-fleet partition: robots whose
 /// keys are equal run bitwise-identical per-mode arithmetic and may
 /// share a slab. The model half is [`ModelSignature`]; the rest are the
@@ -201,15 +171,6 @@ struct GroupKey {
     /// robots still group (scalar groups step contiguously) but never
     /// slab.
     per_iteration: bool,
-    /// Activation policy and the *current* active-mode set. Robots in
-    /// one slab group step the same active set, so a fully-dormant mode
-    /// skips its tile outright; drift (a robot waking or sleeping) is
-    /// detected per tick and forces a re-partition (see
-    /// [`FleetEngine::activation_drifted`]). The per-tick audit mode is
-    /// deliberately *not* part of the key — it varies round-robin and
-    /// is handled by per-mode lane masks instead of partition churn.
-    activation: ActivationKey,
-    active: Vec<bool>,
 }
 
 /// How one signature group executes its robots each tick.
@@ -233,12 +194,6 @@ struct SlabGroup {
     /// group-major order; `start` is the running prefix sum).
     len: usize,
     kind: GroupKind,
-    /// The group's active-mode set at partition time (equal across
-    /// members — it is part of the [`GroupKey`]). Slab groups compare
-    /// it against every member each tick: a wake or sleep invalidates
-    /// the partition, since the tiles' mode-skip schedule no longer
-    /// matches. Scalar groups step per robot and tolerate drift.
-    active: Vec<bool>,
 }
 
 /// Resolved state of the fleet's SIMD-batched slab path. Resolution is
@@ -298,8 +253,8 @@ impl FleetInstruments {
 /// At the first batch after construction or [`FleetEngine::push`], the
 /// fleet is partitioned into **model-signature groups**: robots sharing
 /// one [`roboads_models::ModelSignature`] (same dynamics/sensor `Arc`s
-/// and bitwise-equal process noise), mode bank, compensation setting,
-/// per-iteration linearization and activation schedule. Each group whose
+/// and bitwise-equal process noise), mode bank, compensation setting
+/// and per-iteration linearization. Each group whose
 /// robot count fills at least one 8-lane tile is stepped through
 /// structure-of-arrays NUISE kernels that vectorize *across robots*;
 /// the rest run the per-robot path. The small-fleet rule is
@@ -409,8 +364,6 @@ impl FleetEngine {
             modes: e.modes().clone(),
             compensate: e.compensate(),
             per_iteration: matches!(e.linearization(), Linearization::PerIteration),
-            activation: e.activation().into(),
-            active: e.active_mask().to_vec(),
         }
     }
 
@@ -492,8 +445,7 @@ impl FleetEngine {
                 slab_robots += len;
                 GroupKind::K8(self.build_group_jobs(start, len))
             };
-            let active = self.cells[start].detector.engine().active_mask().to_vec();
-            grouped.push(SlabGroup { len, kind, active });
+            grouped.push(SlabGroup { len, kind });
         }
 
         let scalar_robots = self.cells.len() - slab_robots;
@@ -516,31 +468,6 @@ impl FleetEngine {
         }
         self.partitions += 1;
         self.slab = SlabState::Grouped(grouped);
-    }
-
-    /// Whether any slab-group member's active-mode set changed since
-    /// the partition resolved (a lazy bank went to sleep or woke up).
-    /// Walked per tick; pure boolean compares, no allocation. Scalar
-    /// groups are exempt — they step per robot, so drift there is a
-    /// per-robot scheduling detail, not a tiling hazard.
-    fn activation_drifted(&self) -> bool {
-        let SlabState::Grouped(groups) = &self.slab else {
-            return false;
-        };
-        let mut start = 0;
-        for group in groups {
-            let cells = &self.cells[start..start + group.len];
-            start += group.len;
-            if matches!(group.kind, GroupKind::Scalar) {
-                continue;
-            }
-            for cell in cells {
-                if cell.detector.engine().active_mask() != group.active.as_slice() {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// `(slab groups, slab robots, scalar robots)` of the resolved
@@ -755,14 +682,6 @@ impl FleetEngine {
             });
         }
         self.resolve_slab();
-        if self.activation_drifted() {
-            // A lazy bank slept or woke since the last partition: the
-            // tiles' mode-skip schedule is stale, so re-group. One
-            // re-partition per fleet-wide transition — audit rotation
-            // never trips this (it leaves the active set unchanged).
-            self.slab = SlabState::Unknown;
-            self.resolve_slab();
-        }
         // One stamp per batch: the ingest's published tick when set,
         // else the engine's own counter. Taken by value so a robot that
         // misses this tick can never be recorded under a stale stamp.
@@ -857,8 +776,8 @@ impl FleetEngine {
     /// Restores [`FleetEngine::snap_write`] state onto this fleet,
     /// which must hold identically-constructed twins of the
     /// snapshotted robots (same count, systems, mode banks, configs).
-    /// Invalidates the signature partition: the restored activation
-    /// masks re-resolve it on the next batch.
+    /// Invalidates the signature partition, which re-resolves on the
+    /// next batch.
     pub(crate) fn snap_read(&mut self, rd: &mut roboads_obs::wire::ByteReader<'_>) -> Result<()> {
         self.tick = rd.u64()?;
         let has_stamp = rd.bool()?;

@@ -28,10 +28,6 @@ pub struct RobotHealth {
     pub iteration: u64,
     /// Last selected mode.
     pub selected_mode: usize,
-    /// Currently active (non-dormant) estimator modes — the bank size
-    /// unless the robot's lazy activation policy parked part of it
-    /// (see `DESIGN.md` §17).
-    pub active_modes: u64,
     /// Whether the sensor alarm is currently raised.
     pub sensor_alarm: bool,
     /// Whether the actuator alarm is currently raised.
@@ -155,7 +151,6 @@ impl FleetHealth {
                     SlotState::Missing => robot.missing += 1,
                 }
             }
-            robot.active_modes = fleet.detector(i).active_modes() as u64;
             robot.capsules = fleet
                 .detector(i)
                 .recorder()
@@ -236,7 +231,6 @@ impl FleetHealth {
                 let mut row = JsonObject::new();
                 row.field_u64("iteration", r.iteration);
                 row.field_u64("selected_mode", r.selected_mode as u64);
-                row.field_u64("active_modes", r.active_modes);
                 row.field_bool("sensor_alarm", r.sensor_alarm);
                 row.field_bool("actuator_alarm", r.actuator_alarm);
                 let sensors: Vec<String> = r
@@ -320,18 +314,13 @@ impl FleetHealth {
         );
 
         type RobotGauge = (&'static str, &'static str, fn(&RobotHealth) -> f64);
-        let gauges: [RobotGauge; 10] = [
+        let gauges: [RobotGauge; 9] = [
             ("roboads_robot_iteration", "Last completed iteration", |r| {
                 r.iteration as f64
             }),
             ("roboads_robot_selected_mode", "Last selected mode", |r| {
                 r.selected_mode as f64
             }),
-            (
-                "roboads_robot_active_modes",
-                "Active (non-dormant) estimator modes",
-                |r| r.active_modes as f64,
-            ),
             ("roboads_robot_sensor_alarm", "Sensor alarm raised", |r| {
                 u64::from(r.sensor_alarm) as f64
             }),

@@ -85,7 +85,7 @@ mod selector;
 mod shard;
 mod snapshot;
 
-pub use config::{ActivationPolicy, Linearization, RoboAdsConfig, WindowConfig};
+pub use config::{Linearization, RoboAdsConfig, WindowConfig};
 pub use decision::DecisionMaker;
 pub use detector::RoboAds;
 pub use engine::{EngineOutput, MultiModeEngine};

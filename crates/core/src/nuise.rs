@@ -87,9 +87,7 @@ pub struct NuiseOutput {
     /// Normalized actuator statistic `d̂ᵃᵀ(Pᵃ)⁻¹d̂ᵃ` of this output,
     /// computed as `d̂ᵃᵀ·N·d̂ᵃ` with `N = Fᵀ·R*⁻¹·F` the normal matrix
     /// whose inverse is `Pᵃ`. Written by the implied-anomaly pass, which
-    /// the decision maker's actuator test then reuses. Travelling with
-    /// the estimates keeps a dormant mode's stale output and stale
-    /// statistic together.
+    /// the decision maker's actuator test then reuses.
     pub actuator_statistic: f64,
     /// Normalized per-testing-sensor statistics `d̂ˢ_sᵀ(Pˢ_ss)⁺d̂ˢ_s`
     /// (whitened, [`Matrix::whitened_quadratic_form`]), one per testing

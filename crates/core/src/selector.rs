@@ -161,117 +161,6 @@ impl ModeSelector {
         Ok(self.selected)
     }
 
-    /// Folds one iteration's likelihoods for a **partially active** bank
-    /// (DESIGN.md §17): dormant modes (`active[m] == false`) carry no
-    /// information this iteration, so their probability is pinned at the
-    /// floor `ε` rather than multiplied, normalized or mixed — they must
-    /// neither absorb probability mass through the uniform-mixing prior
-    /// nor trip the [`ModeSelector::all_floored`] condition, which is
-    /// evaluated over the *active* likelihoods only. Active modes are
-    /// renormalized onto the remaining `1 − dormant·ε` mass (floored and
-    /// mixed toward uniform-over-active), so the output stays a proper
-    /// distribution over the full bank and a woken mode restarts from
-    /// exactly the refloored probability the re-anchor contract expects.
-    ///
-    /// The selection argmax and hysteresis run over active modes only; a
-    /// dormant incumbent (the caller keeps the selected mode active, so
-    /// this is defensive) is simply replaced by the active argmax.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if `likelihoods` or `active`
-    /// length differs from the mode count, or no mode is active.
-    pub fn update_partial(&mut self, likelihoods: &[f64], active: &[bool]) -> Result<usize> {
-        if likelihoods.len() != self.probabilities.len() || active.len() != likelihoods.len() {
-            return Err(CoreError::InvalidConfig {
-                name: "likelihoods/active",
-                value: format!(
-                    "{}/{} values for {} modes",
-                    likelihoods.len(),
-                    active.len(),
-                    self.probabilities.len()
-                ),
-            });
-        }
-        let active_count = active.iter().filter(|&&a| a).count();
-        if active_count == 0 {
-            return Err(CoreError::InvalidConfig {
-                name: "active",
-                value: "no active modes".into(),
-            });
-        }
-        self.all_floored = !likelihoods
-            .iter()
-            .zip(active)
-            .any(|(&n, &a)| a && n.is_finite() && n > 0.0);
-        for ((mu, &n), &a) in self.probabilities.iter_mut().zip(likelihoods).zip(active) {
-            if !a {
-                *mu = self.floor;
-                continue;
-            }
-            let n = if n.is_finite() && n > 0.0 { n } else { 0.0 };
-            *mu = (*mu * n).max(self.floor);
-        }
-        // Dormant modes hold exactly ε each; the active modes share the
-        // rest so the full bank still sums to one.
-        let dormant_mass = (likelihoods.len() - active_count) as f64 * self.floor;
-        let target = 1.0 - dormant_mass;
-        let sum: f64 = self
-            .probabilities
-            .iter()
-            .zip(active)
-            .filter(|(_, &a)| a)
-            .map(|(mu, _)| *mu)
-            .sum();
-        if sum > 0.0 && sum.is_finite() {
-            for (mu, &a) in self.probabilities.iter_mut().zip(active) {
-                if a {
-                    *mu = (*mu / sum).max(self.floor);
-                }
-            }
-            let sum2: f64 = self
-                .probabilities
-                .iter()
-                .zip(active)
-                .filter(|(_, &a)| a)
-                .map(|(mu, _)| *mu)
-                .sum();
-            let uniform = 1.0 / active_count as f64;
-            for (mu, &a) in self.probabilities.iter_mut().zip(active) {
-                if a {
-                    *mu = ((1.0 - self.mixing) * (*mu / sum2) + self.mixing * uniform) * target;
-                }
-            }
-        } else {
-            // Every *active* hypothesis died: restart the active subset
-            // from uniform. Dormant modes stay parked at the floor —
-            // they were not consulted and must not look resurrected.
-            let uniform = target / active_count as f64;
-            for (mu, &a) in self.probabilities.iter_mut().zip(active) {
-                if a {
-                    *mu = uniform;
-                }
-            }
-        }
-        let argmax = self
-            .probabilities
-            .iter()
-            .zip(active)
-            .enumerate()
-            .filter(|(_, (_, &a))| a)
-            .max_by(|(_, (a, _)), (_, (b, _))| a.partial_cmp(b).expect("probabilities are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one active mode");
-        if active[self.selected]
-            && argmax != self.selected
-            && self.probabilities[argmax] < self.probabilities[self.selected] * SELECTION_HYSTERESIS
-        {
-            return Ok(self.selected);
-        }
-        self.selected = argmax;
-        Ok(self.selected)
-    }
-
     /// The currently selected mode.
     pub fn selected(&self) -> usize {
         self.selected
@@ -408,63 +297,6 @@ mod tests {
         let mut sel = ModeSelector::uniform(2, 1e-6).unwrap();
         sel.update(&[0.0, 4.0]).unwrap();
         assert!(!sel.all_floored(), "one dead mode is normal operation");
-    }
-
-    #[test]
-    fn partial_update_parks_dormant_modes_at_the_floor() {
-        // k = 2 of 7: only modes 0 and 3 are active; the other five are
-        // dormant and must stay pinned at ε no matter how many
-        // iterations pass — the uniform-mixing prior must not leak mass
-        // back into hypotheses nobody is evaluating.
-        let mut sel = ModeSelector::uniform(7, 1e-6).unwrap();
-        let mut active = [false; 7];
-        active[0] = true;
-        active[3] = true;
-        for _ in 0..50 {
-            sel.update_partial(&[5.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], &active)
-                .unwrap();
-        }
-        let p = sel.probabilities();
-        for (m, &mu) in p.iter().enumerate() {
-            if !active[m] {
-                assert_eq!(mu, 1e-6, "dormant mode {m} drifted off the floor");
-            }
-        }
-        assert_eq!(sel.selected(), 0);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(p[0] > 0.9);
-    }
-
-    #[test]
-    fn partial_update_flags_all_floored_over_active_modes_only() {
-        let mut sel = ModeSelector::uniform(7, 1e-6).unwrap();
-        let mut active = [false; 7];
-        active[0] = true;
-        active[3] = true;
-        // Dormant likelihood slots are zero by construction; that must
-        // not read as a bank-wide blow-up while an active mode is alive.
-        sel.update_partial(&[2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], &active)
-            .unwrap();
-        assert!(
-            !sel.all_floored(),
-            "dormant zeros spuriously tripped all_floored"
-        );
-        // Both *active* hypotheses dying is a real blow-up.
-        sel.update_partial(&[0.0, 0.0, 0.0, f64::NAN, 0.0, 0.0, 0.0], &active)
-            .unwrap();
-        assert!(sel.all_floored());
-        // The active subset restarts uniform; dormant modes stay parked.
-        let p = sel.probabilities();
-        assert!((p[0] - p[3]).abs() < 1e-12);
-        assert_eq!(p[1], 1e-6);
-    }
-
-    #[test]
-    fn partial_update_requires_an_active_mode_and_matching_lengths() {
-        let mut sel = ModeSelector::uniform(3, 1e-6).unwrap();
-        assert!(sel.update_partial(&[1.0, 1.0, 1.0], &[false; 3]).is_err());
-        assert!(sel.update_partial(&[1.0, 1.0], &[true; 3]).is_err());
-        assert!(sel.update_partial(&[1.0, 1.0, 1.0], &[true; 2]).is_err());
     }
 
     #[test]

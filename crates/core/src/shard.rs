@@ -484,8 +484,8 @@ impl ShardedFleet {
     /// The journal replays through the ordinary ingest path — stamped
     /// offers, one [`FleetIngest::step`] per tick boundary — so the
     /// recovered shard is bitwise identical to one that never crashed:
-    /// same filter states, same activation banks, same open decision
-    /// windows, same staging buffers.
+    /// same filter states, same open decision windows, same staging
+    /// buffers.
     ///
     /// # Errors
     ///

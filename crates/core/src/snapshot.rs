@@ -2,16 +2,15 @@
 //! (`DESIGN.md` §18).
 //!
 //! A snapshot captures every piece of *mutable* detection state — mode
-//! probabilities, per-mode filter states and covariances, the lazy
-//! activation bank (§17) including an in-flight dormant audit, open
-//! decision windows, and the ingest boundary's hold-last staging
-//! buffers — so that restoring onto an identically-constructed twin and
+//! probabilities, per-mode filter states and covariances, the last
+//! committed mode outputs, open decision windows, and the ingest
+//! boundary's hold-last staging buffers — so that restoring onto an identically-constructed twin and
 //! continuing is bitwise indistinguishable from never having stopped.
 //!
 //! What is deliberately *not* in a snapshot:
 //!
-//! * **Construction config** (models, mode bank, thresholds, floors,
-//!   activation policy): the restore target is built by
+//! * **Construction config** (models, mode bank, thresholds, floors):
+//!   the restore target is built by
 //!   the same constructor call as the original — exactly the
 //!   twin-reconstruction discipline of [`crate::replay_capsule`]. The
 //!   header's shape checks (mode count, state dimensions) catch a
@@ -23,7 +22,7 @@
 //! * **The flight recorder**: its ring contents never influence a
 //!   future step's outputs, and a fresh recorder re-attaches cleanly.
 //! * **Fleet partition state**: the signature grouping re-resolves
-//!   lazily from the restored activation masks on the next batch.
+//!   on the next batch.
 //!
 //! The encoding is hand-rolled little-endian bytes over
 //! [`roboads_obs::wire`] — floats travel as `f64::to_bits`, so the
@@ -44,8 +43,9 @@ const MAGIC: &[u8; 4] = b"RADS";
 /// Format version; bumped on any layout change. Restore rejects
 /// mismatches outright — snapshots are checkpoints, not archives, so
 /// there is no cross-version migration path. Version 2 added the
-/// per-mode parsimony statistics to every stored mode output.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// per-mode parsimony statistics to every stored mode output; version 3
+/// dropped the engine's mode-bank activation schedule.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Body kind tags, so a fleet snapshot can never be restored onto a
 /// standalone detector (or vice versa) by accident.
@@ -107,20 +107,23 @@ pub(crate) fn read_vector_flex(rd: &mut ByteReader<'_>, v: &mut Vector) -> Resul
     Ok(())
 }
 
+/// Strict read of a bool mask the twin sized at construction: the
+/// length is checked before any value is read.
 pub(crate) fn read_bools(
     rd: &mut ByteReader<'_>,
     out: &mut Vec<bool>,
     expected: usize,
 ) -> Result<()> {
-    let data = rd.bool_vec()?;
-    if data.len() != expected {
+    let len = rd.u32()? as usize;
+    if len != expected {
         return Err(snapshot_err(format!(
-            "bool mask length mismatch: snapshot {}, twin {expected}",
-            data.len()
+            "bool mask length mismatch: snapshot {len}, twin {expected}"
         )));
     }
     out.clear();
-    out.extend_from_slice(&data);
+    for _ in 0..len {
+        out.push(rd.bool()?);
+    }
     Ok(())
 }
 
@@ -151,29 +154,6 @@ pub(crate) fn read_nuise_output(rd: &mut ByteReader<'_>, o: &mut NuiseOutput) ->
     o.actuator_statistic = rd.f64()?;
     rd.f64_into(&mut o.testing_statistics)?;
     Ok(())
-}
-
-/// Tag encoding of the engine's pending lazy-wake reason (§17). The
-/// strings are the engine's own literals; the tag keeps them out of the
-/// byte format.
-pub(crate) fn wake_reason_tag(reason: Option<&'static str>) -> u8 {
-    match reason {
-        None => 0,
-        Some("chi2_window") => 1,
-        Some("consistency") => 2,
-        Some("audit") => 3,
-        Some(other) => unreachable!("unknown wake reason {other:?}"),
-    }
-}
-
-pub(crate) fn wake_reason_from_tag(tag: u8) -> Result<Option<&'static str>> {
-    match tag {
-        0 => Ok(None),
-        1 => Ok(Some("chi2_window")),
-        2 => Ok(Some("consistency")),
-        3 => Ok(Some("audit")),
-        other => Err(snapshot_err(format!("unknown wake-reason tag {other}"))),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -262,8 +242,7 @@ pub(crate) fn snapshot_fleet_into(engine: &FleetEngine, ingest: &FleetIngest, ou
 
 /// Restores a fleet snapshot onto an identically-constructed twin
 /// `(engine, ingest)` pair. The signature partition is invalidated and
-/// re-resolves from the restored activation masks on the next batch —
-/// the grouping is derived state, and re-deriving it is bitwise
+/// re-resolves on the next batch — the grouping is derived state, and re-deriving it is bitwise
 /// neutral (pinned by `tests/fleet_determinism.rs`).
 ///
 /// # Errors
@@ -337,6 +316,22 @@ mod tests {
     }
 
     #[test]
+    fn version_2_envelopes_are_refused() {
+        // Version 2 carried the engine's mode-bank activation schedule
+        // after the last committed output; its bodies cannot be read as
+        // version 3.
+        let mut twin = detector();
+        let mut old = snapshot_detector(&twin);
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        match restore_detector(&mut twin, &old) {
+            Err(CoreError::Snapshot { reason }) => {
+                assert!(reason.contains("version 2"), "{reason}")
+            }
+            other => panic!("version-2 snapshot accepted: {other:?}"),
+        }
+    }
+
+    #[test]
     fn trailing_bytes_are_rejected() {
         let mut twin = detector();
         let mut snap = snapshot_detector(&twin);
@@ -357,21 +352,5 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
-    }
-
-    #[test]
-    fn wake_reason_tags_roundtrip() {
-        for reason in [
-            None,
-            Some("chi2_window"),
-            Some("consistency"),
-            Some("audit"),
-        ] {
-            assert_eq!(
-                wake_reason_from_tag(wake_reason_tag(reason)).unwrap(),
-                reason
-            );
-        }
-        assert!(wake_reason_from_tag(17).is_err());
     }
 }

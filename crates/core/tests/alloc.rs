@@ -340,75 +340,6 @@ fn warmed_up_grouped_fleet_batch_is_allocation_free() {
 }
 
 #[test]
-fn warmed_up_lazy_wake_sleep_cycle_is_allocation_free() {
-    // The adaptive mode bank (DESIGN.md §17) must not buy its quiescent
-    // speedup with allocator traffic at the transitions: dormant-mode
-    // audits, the wake re-anchor (full-bank re-activation) and the
-    // re-sleep all reuse the filter states and scratch sized at
-    // construction. Warm up with one complete sleep → wake → re-sleep
-    // cycle, then assert a second identical cycle allocates zero times.
-    use roboads_core::ActivationPolicy;
-    let system = presets::khepera_system();
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut ads = RoboAds::new(
-        system.clone(),
-        RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::lazy_defaults()),
-        x0.clone(),
-        ModeSet::one_reference_per_sensor(&system),
-    )
-    .unwrap();
-    let mut report = DetectionReport::blank();
-    let mut x_true = x0;
-
-    // One cycle = long clean stretch (bank sleeps, audits run), a spoof
-    // burst (χ²/consistency wake, alarm, identification), then clean
-    // recovery (windows drain, bank re-sleeps). Readings are built
-    // outside the measured region; only `step_into` is counted.
-    let cycle = |ads: &mut RoboAds, report: &mut DetectionReport, x: &mut Vector, measure: bool| {
-        let mut spoofed_while_asleep = false;
-        let mut step_allocs = 0;
-        for k in 0..60 {
-            *x = system.dynamics().step(x, &u);
-            let mut readings: Vec<Vector> = (0..system.sensor_count())
-                .map(|i| system.sensor(i).unwrap().measure(x))
-                .collect();
-            if (25..33).contains(&k) {
-                if !ads.bank_awake() {
-                    spoofed_while_asleep = true;
-                }
-                readings[0][0] += 0.07;
-            }
-            if measure {
-                step_allocs += allocations_during(|| {
-                    ads.step_into(&u, &readings, report).unwrap();
-                });
-            } else {
-                ads.step_into(&u, &readings, report).unwrap();
-            }
-        }
-        (spoofed_while_asleep, step_allocs)
-    };
-
-    // Warm-up cycle: every buffer — including post-identification report
-    // shapes and the woken bank's scratch — reaches steady state.
-    let (woke, _) = cycle(&mut ads, &mut report, &mut x_true, false);
-    assert!(woke, "warm-up spoof burst must hit a sleeping bank");
-    assert!(!ads.bank_awake(), "bank must re-sleep after recovery");
-    assert_eq!(ads.active_modes(), 2);
-
-    // Second cycle: zero heap traffic through sleep, audit, wake,
-    // alarm and re-sleep.
-    let (woke, steady_allocs) = cycle(&mut ads, &mut report, &mut x_true, true);
-    assert!(woke, "measured spoof burst must hit a sleeping bank");
-    assert!(!ads.bank_awake());
-    assert_eq!(
-        steady_allocs, 0,
-        "lazy wake/sleep cycle allocated {steady_allocs} times"
-    );
-}
-
-#[test]
 fn warmed_up_flight_recorder_tick_is_allocation_free() {
     // The flight recorder rides the control loop's hot path: on a clean
     // tick, `record_tick` must refill a pre-sized ring slot in place and

@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use roboads_core::obs::{RingBufferSink, Telemetry};
 use roboads_core::{
-    ActivationPolicy, CoreError, DetectionReport, FleetEngine, ModeSet, RoboAds, RoboAdsConfig,
-    RobotInput,
+    CoreError, DetectionReport, FleetEngine, ModeSet, RoboAds, RoboAdsConfig, RobotInput,
 };
 use roboads_linalg::Vector;
 use roboads_models::{presets, RobotSystem};
@@ -496,188 +495,4 @@ fn nan_in_one_group_leaves_other_groups_lanes_untouched() {
             assert_eq!(slab[7][r].1, 8, "group-1 robot {r} lost an iteration");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Lazy activation (DESIGN.md §17): fleets of TopK robots sleep, wake and
-// re-sleep at *different* ticks (phase-offset attacks), which exercises
-// the activation-keyed slab repartition, per-mode lane masks and the
-// in-tile wake pass. All of it must stay bitwise invisible.
-// ---------------------------------------------------------------------
-
-const LAZY_STEPS: usize = 45;
-
-fn lazy_detector(system: &RobotSystem) -> RoboAds {
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let modes = ModeSet::one_reference_per_sensor(system);
-    RoboAds::new(
-        system.clone(),
-        RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::lazy_defaults()),
-        x0,
-        modes,
-    )
-    .unwrap()
-}
-
-/// Clean long enough for every bank to sleep (~tick 12), then a
-/// phase-offset IPS spoof burst that wakes robots at different ticks,
-/// then clean recovery so they re-sleep at different ticks too.
-fn lazy_robot_readings(system: &RobotSystem, x: &Vector, robot: usize, k: usize) -> Vec<Vector> {
-    let mut readings = clean_readings(system, x);
-    let phase = robot % 5;
-    if (20 + phase..28 + phase).contains(&k) {
-        readings[0][0] += 0.07;
-    }
-    readings
-}
-
-/// Per-robot lazy report sequences, standalone (`None`) or fleet-stepped
-/// with the given thread count, on one shared system or one system per
-/// robot. Also returns the minimum `active_modes` observed across the
-/// run, to prove dormancy happened.
-fn lazy_run(
-    robots: usize,
-    fleet_shape: Option<(usize, bool)>,
-) -> (Vec<Vec<DetectionReport>>, usize) {
-    let system = presets::khepera_system();
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let mut min_active = usize::MAX;
-    let mut sequences: Vec<Vec<DetectionReport>> = vec![Vec::with_capacity(LAZY_STEPS); robots];
-    match fleet_shape {
-        None => {
-            for (robot, seq) in sequences.iter_mut().enumerate() {
-                let mut ads = lazy_detector(&presets::khepera_system());
-                let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
-                for k in 0..LAZY_STEPS {
-                    x_true = system.dynamics().step(&x_true, &u);
-                    let readings = lazy_robot_readings(&system, &x_true, robot, k);
-                    seq.push(ads.step(&u, &readings).unwrap());
-                    min_active = min_active.min(ads.active_modes());
-                }
-            }
-        }
-        Some((threads, shared)) => {
-            // A shared system makes one slab group; a system per robot
-            // makes one-robot groups, each stepped per robot.
-            let detectors = if shared {
-                let system = presets::khepera_system();
-                (0..robots).map(|_| lazy_detector(&system)).collect()
-            } else {
-                (0..robots)
-                    .map(|_| lazy_detector(&presets::khepera_system()))
-                    .collect()
-            };
-            let mut fleet = FleetEngine::new(detectors, threads);
-            let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
-            for k in 0..LAZY_STEPS {
-                x_true = system.dynamics().step(&x_true, &u);
-                let all_readings: Vec<Vec<Vector>> = (0..robots)
-                    .map(|robot| lazy_robot_readings(&system, &x_true, robot, k))
-                    .collect();
-                let inputs: Vec<RobotInput> = all_readings
-                    .iter()
-                    .map(|readings| RobotInput {
-                        u_prev: &u,
-                        readings,
-                    })
-                    .collect();
-                fleet.step_batch(&inputs).unwrap();
-                for (robot, seq) in sequences.iter_mut().enumerate() {
-                    seq.push(fleet.report(robot).clone());
-                    min_active = min_active.min(fleet.detector(robot).active_modes());
-                }
-            }
-        }
-    }
-    (sequences, min_active)
-}
-
-/// A lazy fleet — slab or scalar, any thread count — must be bitwise
-/// identical to standalone lazy detectors through the whole
-/// sleep → wake → re-sleep cycle, and the run must genuinely visit the
-/// dormant state (k = 2 of 3 modes) on both sides of the comparison.
-#[test]
-fn lazy_fleet_matches_standalone_lazy_detectors_bitwise() {
-    for robots in [1, 8, 19] {
-        let (expected, standalone_min) = lazy_run(robots, None);
-        assert_eq!(standalone_min, 2, "standalone banks never slept");
-        for threads in [1, 2] {
-            for shared in [false, true] {
-                let (got, fleet_min) = lazy_run(robots, Some((threads, shared)));
-                assert_eq!(fleet_min, 2, "fleet banks never slept");
-                for (robot, (a, b)) in expected.iter().zip(&got).enumerate() {
-                    for (k, (ra, rb)) in a.iter().zip(b).enumerate() {
-                        assert_eq!(
-                            ra, rb,
-                            "robots={robots} threads={threads} shared={shared} \
-                             robot={robot} diverged at step {k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The in-tile wake pass: sleeping robots of one slab tile whose active
-/// modes lose consistency wake within the iteration and run their
-/// dormant modes against the same readings inside the tile — on audit
-/// and non-audit ticks alike — while their neighbours stay asleep, all
-/// bitwise like standalone lazy detectors.
-#[test]
-fn mid_step_wake_inside_a_slab_tile_matches_standalone_detectors() {
-    const ROBOTS: usize = 11; // one full tile plus a masked tail tile
-    let system = presets::khepera_system();
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    // Every third robot gets mutually inconsistent readings on all
-    // sensors for three ticks, starting at a robot-dependent tick so the
-    // collapse lands on every phase of the audit schedule.
-    let readings_at = |x: &Vector, robot: usize, k: usize| {
-        let mut readings = clean_readings(&system, x);
-        let onset = 20 + robot % 4;
-        if robot % 3 == 1 && (onset..onset + 3).contains(&k) {
-            readings[0][0] += 0.6;
-            readings[1][0] -= 0.5;
-            readings[2][0] += 0.4;
-        }
-        readings
-    };
-    let ring = Arc::new(RingBufferSink::new(100_000));
-    let mut fleet = FleetEngine::new((0..ROBOTS).map(|_| lazy_detector(&system)).collect(), 1);
-    fleet.set_telemetry(Telemetry::new(ring.clone()));
-    let mut standalone: Vec<RoboAds> = (0..ROBOTS).map(|_| lazy_detector(&system)).collect();
-    let mut x_true = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    for k in 0..32 {
-        x_true = system.dynamics().step(&x_true, &u);
-        let all_readings: Vec<Vec<Vector>> = (0..ROBOTS)
-            .map(|robot| readings_at(&x_true, robot, k))
-            .collect();
-        let inputs: Vec<RobotInput> = all_readings
-            .iter()
-            .map(|readings| RobotInput {
-                u_prev: &u,
-                readings,
-            })
-            .collect();
-        fleet.step_batch(&inputs).unwrap();
-        for (robot, ads) in standalone.iter_mut().enumerate() {
-            let expected = ads.step(&u, &all_readings[robot]).unwrap();
-            assert_eq!(
-                fleet.report(robot),
-                &expected,
-                "robot {robot} diverged at step {k}"
-            );
-        }
-    }
-    let consistency_wakes =
-        ring.events()
-            .iter()
-            .filter(|e| {
-                e.name == "engine.bank_wake" && e.fields.iter().any(|(key, value)| {
-                    *key == "reason"
-                        && matches!(value, roboads_core::obs::Value::Text(r) if r == "consistency")
-                })
-            })
-            .count();
-    assert!(consistency_wakes > 0, "no robot woke mid-step");
 }

@@ -2,13 +2,12 @@
 //!
 //! Table II evaluates RoboADS on a handful of hand-picked cases; this
 //! module generates the matrix instead. A [`Campaign`] sweeps
-//! **attack kind × base scenario × activation policy × magnitude ×
-//! onset × duration**, runs N independently seeded trials per grid
+//! **attack kind × base scenario × magnitude × onset × duration**, runs N independently seeded trials per grid
 //! cell through the standalone runner with the attack applied at the
 //! bus seam ([`crate::attacks`]), and aggregates each cell into a
 //! detection probability and mean time-to-detection
 //! ([`roboads_stats::DetectionRate`]). Alongside the attacked cells it
-//! runs **baseline** cells — the same scenario/policy with no attack —
+//! runs **baseline** cells — the same scenario with no attack —
 //! whose false-positive rates bound what the attacked cells' detections
 //! are worth.
 //!
@@ -29,7 +28,7 @@
 //! than a single transition delay) stays well-defined when the base
 //! scenario's own misbehavior is concurrently active.
 
-use roboads_core::{ActivationPolicy, RoboAdsConfig};
+use roboads_core::RoboAdsConfig;
 use roboads_linalg::Vector;
 use roboads_stats::DetectionRate;
 
@@ -42,33 +41,6 @@ use crate::trace::Trace;
 use crate::world::RobotKind;
 use crate::Result;
 
-/// A named activation policy, one leg of the campaign's policy axis.
-#[derive(Debug, Clone)]
-pub struct PolicyChoice {
-    /// Label used in reports, e.g. `"always-full"`.
-    pub label: String,
-    /// The mode-bank activation schedule under test.
-    pub policy: ActivationPolicy,
-}
-
-impl PolicyChoice {
-    /// The default policy axis: the exhaustive bank and the lazy top-k
-    /// schedule of `DESIGN.md` §17 — the campaign doubles as the
-    /// detection-equivalence audit of the lazy path under bus attacks.
-    pub fn default_axis() -> Vec<PolicyChoice> {
-        vec![
-            PolicyChoice {
-                label: "always-full".into(),
-                policy: ActivationPolicy::AlwaysFull,
-            },
-            PolicyChoice {
-                label: "lazy-topk".into(),
-                policy: ActivationPolicy::lazy_defaults(),
-            },
-        ]
-    }
-}
-
 /// One grid cell: everything needed to run its trials, self-contained
 /// so cells can be dispatched to worker threads.
 #[derive(Debug, Clone)]
@@ -79,8 +51,6 @@ pub struct CampaignCell {
     pub scenario: Scenario,
     /// Attack to overlay; `None` marks a clean baseline cell.
     pub attack: Option<AttackKind>,
-    /// Activation policy leg.
-    pub policy: PolicyChoice,
     /// Target sensing workflow for sensor-level attacks.
     pub sensor: usize,
     /// Reading component the shift-style attacks perturb.
@@ -107,8 +77,6 @@ pub struct CampaignPoint {
     pub attack: String,
     /// Base scenario name.
     pub scenario: String,
-    /// Activation-policy label.
-    pub policy: String,
     /// Attack magnitude (0 for baseline legs).
     pub magnitude: f64,
     /// Attack onset iteration (0 for baseline legs).
@@ -177,15 +145,14 @@ impl CampaignOutcome {
 
 /// The campaign grid builder. Defaults reproduce a Table-II-adjacent
 /// matrix: all six attack kinds over three base scenarios (clean, a
-/// bounded IPS-spoofing burst, a bounded wheel-logic-bomb burst), both
-/// activation policies, Table II magnitudes, one onset after the base
-/// scenario's own misbehavior has cleared.
+/// bounded IPS-spoofing burst, a bounded wheel-logic-bomb burst), Table
+/// II magnitudes, one onset after the base scenario's own misbehavior
+/// has cleared.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     kind: RobotKind,
     scenarios: Vec<Scenario>,
     attacks: Vec<AttackKind>,
-    policies: Vec<PolicyChoice>,
     magnitudes: Vec<f64>,
     onsets: Vec<usize>,
     durations: Vec<Option<usize>>,
@@ -244,7 +211,6 @@ impl Campaign {
                 wheel_logic_bomb_burst(),
             ],
             attacks: AttackKind::ALL.to_vec(),
-            policies: PolicyChoice::default_axis(),
             // Table II magnitudes: 6000 speed units = 0.04 m/s on the
             // command channels, 0.07 m / 0.1 m on the IPS — one axis
             // spans both signal spaces.
@@ -268,12 +234,6 @@ impl Campaign {
     /// Overrides the attack kinds.
     pub fn attacks(mut self, attacks: Vec<AttackKind>) -> Self {
         self.attacks = attacks;
-        self
-    }
-
-    /// Overrides the activation-policy axis.
-    pub fn policies(mut self, policies: Vec<PolicyChoice>) -> Self {
-        self.policies = policies;
         self
     }
 
@@ -317,52 +277,46 @@ impl Campaign {
     }
 
     /// Materializes the grid: attacked cells in axis order, then one
-    /// baseline cell per (scenario × policy).
+    /// baseline cell per scenario.
     pub fn cells(&self) -> Vec<CampaignCell> {
         let mut cells = Vec::new();
         for attack in &self.attacks {
             for scenario in &self.scenarios {
-                for policy in &self.policies {
-                    for &magnitude in &self.magnitudes {
-                        for &onset in &self.onsets {
-                            for &duration in &self.durations {
-                                cells.push(CampaignCell {
-                                    kind: self.kind,
-                                    scenario: scenario.clone(),
-                                    attack: Some(*attack),
-                                    policy: policy.clone(),
-                                    sensor: self.sensor,
-                                    component: self.component,
-                                    magnitude,
-                                    onset,
-                                    duration,
-                                    trials: self.trials,
-                                    base_seed: self.base_seed,
-                                    frame_policy: self.frame_policy,
-                                });
-                            }
+                for &magnitude in &self.magnitudes {
+                    for &onset in &self.onsets {
+                        for &duration in &self.durations {
+                            cells.push(CampaignCell {
+                                kind: self.kind,
+                                scenario: scenario.clone(),
+                                attack: Some(*attack),
+                                sensor: self.sensor,
+                                component: self.component,
+                                magnitude,
+                                onset,
+                                duration,
+                                trials: self.trials,
+                                base_seed: self.base_seed,
+                                frame_policy: self.frame_policy,
+                            });
                         }
                     }
                 }
             }
         }
         for scenario in &self.scenarios {
-            for policy in &self.policies {
-                cells.push(CampaignCell {
-                    kind: self.kind,
-                    scenario: scenario.clone(),
-                    attack: None,
-                    policy: policy.clone(),
-                    sensor: self.sensor,
-                    component: self.component,
-                    magnitude: 0.0,
-                    onset: 0,
-                    duration: None,
-                    trials: self.trials,
-                    base_seed: self.base_seed,
-                    frame_policy: self.frame_policy,
-                });
-            }
+            cells.push(CampaignCell {
+                kind: self.kind,
+                scenario: scenario.clone(),
+                attack: None,
+                sensor: self.sensor,
+                component: self.component,
+                magnitude: 0.0,
+                onset: 0,
+                duration: None,
+                trials: self.trials,
+                base_seed: self.base_seed,
+                frame_policy: self.frame_policy,
+            });
         }
         cells
     }
@@ -416,12 +370,14 @@ impl CampaignCell {
 
     /// Deterministic, order-independent seed for trial `trial`: a hash
     /// of the cell's coordinates and the trial index folded into the
-    /// campaign base seed.
+    /// campaign base seed. The hash still folds in `"always-full"`,
+    /// the label of the full mode bank from when the grid had a
+    /// mode-bank axis, so every trial keeps the seed it had then.
     pub fn trial_seed(&self, trial: usize) -> u64 {
         let mut bytes: Vec<u8> = Vec::new();
         bytes.extend(self.label().bytes());
         bytes.extend(self.scenario.name().bytes());
-        bytes.extend(self.policy.label.bytes());
+        bytes.extend(b"always-full".iter().copied());
         bytes.extend(self.magnitude.to_bits().to_le_bytes());
         bytes.extend((self.onset as u64).to_le_bytes());
         bytes.extend(self.duration.map_or(u64::MAX, |d| d as u64).to_le_bytes());
@@ -491,7 +447,7 @@ impl CampaignCell {
             }
             .scenario(self.scenario.clone())
             .seed(self.trial_seed(trial))
-            .config(RoboAdsConfig::paper_defaults().with_activation(self.policy.policy))
+            .config(RoboAdsConfig::paper_defaults())
             .frame_policy(self.frame_policy);
             if let Some(spec) = self.spec() {
                 builder = builder.bus_attack(spec);
@@ -510,7 +466,6 @@ impl CampaignCell {
         Ok(CampaignPoint {
             attack: self.label().to_string(),
             scenario: self.scenario.name().to_string(),
-            policy: self.policy.label.clone(),
             magnitude: self.magnitude,
             onset: self.onset,
             duration: self.duration,
@@ -529,10 +484,6 @@ mod tests {
         Campaign::khepera()
             .attacks(attacks)
             .scenarios(vec![Scenario::clean()])
-            .policies(vec![PolicyChoice {
-                label: "always-full".into(),
-                policy: ActivationPolicy::AlwaysFull,
-            }])
             .magnitudes(vec![0.1])
             .onsets(vec![60])
             .durations(vec![Some(50)])
@@ -543,10 +494,9 @@ mod tests {
     fn grid_enumerates_every_axis_plus_baselines() {
         let c = Campaign::khepera().trials(1);
         let cells = c.cells();
-        // 6 attacks × 3 scenarios × 2 policies × 2 magnitudes × 1 × 1
-        // + 3 × 2 baselines.
-        assert_eq!(cells.len(), 6 * 3 * 2 * 2 + 6);
-        assert_eq!(cells.iter().filter(|c| c.attack.is_none()).count(), 6);
+        // 6 attacks × 3 scenarios × 2 magnitudes × 1 × 1 + 3 baselines.
+        assert_eq!(cells.len(), 6 * 3 * 2 + 3);
+        assert_eq!(cells.iter().filter(|c| c.attack.is_none()).count(), 3);
     }
 
     #[test]

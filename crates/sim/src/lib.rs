@@ -56,7 +56,7 @@ mod workflow;
 mod world;
 
 pub use attacks::{AttackKind, AttackSpec, AttackWindow, BusAttack, FrameTarget};
-pub use campaign::{Campaign, CampaignCell, CampaignOutcome, CampaignPoint, PolicyChoice};
+pub use campaign::{Campaign, CampaignCell, CampaignOutcome, CampaignPoint};
 pub use eval::{evaluate, EvalResult, TransitionDelay};
 pub use fleet::{FleetOutcome, FleetSimulationBuilder, FrameFault};
 pub use loadgen::{serve_traces_uds, stream_traces};

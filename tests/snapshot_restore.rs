@@ -2,22 +2,27 @@
 //! snapshotted mid-run, restored onto a freshly constructed twin, and
 //! continued on the same inputs must end **bitwise identical** to the
 //! uninterrupted run — on every Table II scenario and in the awkward
-//! states the format is most likely to get wrong: a lazy mode bank
-//! mid-wake with the dormant audit in flight, an open χ² decision
+//! states the format is most likely to get wrong: an open χ² decision
 //! window, a `HoldLast` ingest slot with incomplete history, and a
-//! freshly regrouped heterogeneous fleet.
+//! freshly regrouped heterogeneous fleet. Damaged bytes — any
+//! truncation, any single flipped bit — end in a typed error or a
+//! restore, never a panic.
 //!
 //! The end-state check is [`snapshot_detector`] byte equality: the
 //! snapshot serializes every mutable `f64` of detector state via
 //! `to_bits`, so equal bytes means equal bits everywhere.
 
 use roboads::core::{
-    restore_detector, restore_fleet, snapshot_detector, snapshot_fleet, ActivationPolicy,
-    DeadlinePolicy, DetectionReport, FleetEngine, FleetIngest, RoboAds, RoboAdsConfig,
+    restore_detector, restore_fleet, snapshot_detector, snapshot_fleet, CoreError, DeadlinePolicy,
+    DetectionReport, FleetEngine, FleetIngest, RoboAds, RoboAdsConfig,
 };
 use roboads::sim::{
     evaluation_detector, RobotKind, Scenario, SimulationBuilder, Trace, TraceRecord,
 };
+
+#[path = "support/seeded.rs"]
+mod seeded;
+use seeded::{check, for_each_seed};
 
 fn scenarios() -> Vec<Scenario> {
     vec![
@@ -99,48 +104,6 @@ fn table2_midpoint_snapshot_restore_continue_is_bitwise() {
             snapshot_detector(&restored),
             snapshot_detector(&reference),
             "{name}: end state diverged after restore"
-        );
-    }
-}
-
-#[test]
-fn lazy_bank_snapshots_are_restorable_at_every_tick_including_mid_wake() {
-    // With the §17 lazy schedule the bank cycles through dormancy,
-    // wakes, and audit countdowns; an attack scenario forces mid-run
-    // wake-ups. Snapshotting after *every* tick sweeps the format over
-    // each of those intermediate states — including audits in flight —
-    // and each snapshot must restore to identical bytes.
-    let config = RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::lazy_defaults());
-    let trace = trace_for(Scenario::ips_spoofing());
-    let records = trace.records();
-
-    let mut live = twin(&config);
-    let mut scratch = twin(&config);
-    let mut snaps = Vec::with_capacity(records.len());
-    for r in records {
-        live.step(&r.planned_command, &r.readings).unwrap();
-        let snap = snapshot_detector(&live);
-        restore_detector(&mut scratch, &snap).unwrap();
-        assert_eq!(
-            snapshot_detector(&scratch),
-            snap,
-            "tick {}: roundtrip identity",
-            r.k
-        );
-        snaps.push(snap);
-    }
-    let end = snapshot_detector(&live);
-
-    // Continuations from a quiet tick, from the attack onset, and from
-    // deep inside the alarm all converge on the reference end state.
-    for cut in [records.len() / 4, records.len() / 2, 3 * records.len() / 4] {
-        let mut resumed = twin(&config);
-        restore_detector(&mut resumed, &snaps[cut - 1]).unwrap();
-        drive(&mut resumed, &records[cut..]);
-        assert_eq!(
-            snapshot_detector(&resumed),
-            end,
-            "continuation from tick {cut} diverged"
         );
     }
 }
@@ -283,18 +246,21 @@ fn hold_last_ingest_with_incomplete_history_snapshots_bitwise() {
 
 #[test]
 fn freshly_regrouped_heterogeneous_fleet_snapshots_bitwise() {
-    // Two activation policies → two §16 signature groups. The restore
-    // path deliberately drops the slab partition (it re-resolves on the
-    // next step), so the continued run exercises a freshly regrouped
-    // fleet on both sides of the cut.
+    // Actuator compensation on and off → distinct §16 group keys. The
+    // restore path deliberately drops the slab partition (it re-resolves
+    // on the next step), so the continued run exercises a freshly
+    // regrouped fleet on both sides of the cut.
     let trace = trace_for(Scenario::clean());
     let records = &trace.records()[..24];
     let build = || {
         let full = RoboAdsConfig::paper_defaults();
-        let lazy = full
-            .clone()
-            .with_activation(ActivationPolicy::lazy_defaults());
-        let detectors = vec![twin(&full), twin(&lazy), twin(&full), twin(&lazy)];
+        let uncompensated = full.clone().without_compensation();
+        let detectors = vec![
+            twin(&full),
+            twin(&uncompensated),
+            twin(&full),
+            twin(&uncompensated),
+        ];
         let engine = FleetEngine::new(detectors, 1);
         let ingest = FleetIngest::for_fleet(&engine);
         (engine, ingest)
@@ -339,17 +305,80 @@ fn snapshots_reject_foreign_and_damaged_bytes() {
     let mut victim = twin(&config);
     assert!(restore_detector(&mut victim, &fleet_snap).is_err());
 
-    // Truncations error cleanly, never panic.
-    for cut in [0, 4, 9, snap.len() / 2, snap.len() - 1] {
-        let mut victim = twin(&config);
-        assert!(
-            restore_detector(&mut victim, &snap[..cut]).is_err(),
-            "truncation at {cut} must be rejected"
-        );
-    }
-
     // A clean restore still succeeds after the rejected attempts.
     let mut victim = twin(&config);
     restore_detector(&mut victim, &snap).unwrap();
     assert_eq!(snapshot_detector(&victim), snap);
+}
+
+/// A detector snapshot with an open χ² window (IPS spoof onset) and a
+/// fleet snapshot whose `HoldLast` slot has incomplete history — the
+/// damage targets — plus twins to restore them onto.
+fn damage_targets() -> (Vec<u8>, Vec<u8>) {
+    let config = RoboAdsConfig::paper_defaults();
+    let trace = trace_for(Scenario::ips_spoofing());
+    let mut det = twin(&config);
+    drive(&mut det, &trace.records()[..40]);
+    let (mut engine, mut ingest) = fleet_twins(2, DeadlinePolicy::HoldLast);
+    for (k, r) in trace.records()[..3].iter().enumerate() {
+        fleet_tick(&mut engine, &mut ingest, r, k as u64, &[(1, 0)]);
+    }
+    (snapshot_detector(&det), snapshot_fleet(&engine, &ingest))
+}
+
+#[test]
+fn every_truncation_is_a_snapshot_error() {
+    let config = RoboAdsConfig::paper_defaults();
+    let (detector_snap, fleet_snap) = damage_targets();
+    // Restore reads strictly against the twin's construction shapes, so
+    // a rejected attempt leaves the twin a valid target for the next.
+    let mut det = twin(&config);
+    for cut in 0..detector_snap.len() {
+        match restore_detector(&mut det, &detector_snap[..cut]) {
+            Err(CoreError::Snapshot { .. }) => {}
+            other => panic!("detector truncation at {cut}: {other:?}"),
+        }
+    }
+    let (mut engine, mut ingest) = fleet_twins(2, DeadlinePolicy::HoldLast);
+    for cut in 0..fleet_snap.len() {
+        match restore_fleet(&mut engine, &mut ingest, &fleet_snap[..cut]) {
+            Err(CoreError::Snapshot { .. }) => {}
+            other => panic!("fleet truncation at {cut}: {other:?}"),
+        }
+    }
+    // The twins still restore the undamaged bytes exactly.
+    restore_detector(&mut det, &detector_snap).unwrap();
+    assert_eq!(snapshot_detector(&det), detector_snap);
+    restore_fleet(&mut engine, &mut ingest, &fleet_snap).unwrap();
+    assert_eq!(snapshot_fleet(&engine, &ingest), fleet_snap);
+}
+
+#[test]
+fn a_flipped_bit_restores_or_is_a_snapshot_error() {
+    let (detector_snap, fleet_snap) = damage_targets();
+    // Each case restores onto fresh clones of one twin: building a twin
+    // plans the evaluation path, which is too slow to repeat per seed.
+    let template = twin(&RoboAdsConfig::paper_defaults());
+    for_each_seed(|rng| {
+        let fleet = rng.coin();
+        let mut bytes = if fleet {
+            fleet_snap.clone()
+        } else {
+            detector_snap.clone()
+        };
+        let bit = rng.below(bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let result = if fleet {
+            let mut engine = FleetEngine::new(vec![template.clone(), template.clone()], 1);
+            let mut ingest = FleetIngest::for_fleet(&engine).with_policy(DeadlinePolicy::HoldLast);
+            restore_fleet(&mut engine, &mut ingest, &bytes)
+        } else {
+            restore_detector(&mut template.clone(), &bytes)
+        };
+        check(
+            matches!(result, Ok(()) | Err(CoreError::Snapshot { .. })),
+            &format!("fleet={fleet} bit {bit}"),
+            result,
+        )
+    });
 }

@@ -5,9 +5,7 @@
 //! per-sensor statistics must equal [`normalized_statistic`] recomputed
 //! from the source mode's outputs, bit for bit, and the actuator
 //! statistic must be the one stored with its source mode, bit for bit
-//! (and [`normalized_statistic`] of that mode's output to rounding) —
-//! under the full bank and under a lazy bank, where a dormant mode's
-//! stale output can source a per-sensor view.
+//! (and [`normalized_statistic`] of that mode's output to rounding).
 //!
 //! The aggregate sensor statistic is not stored by the engine: a
 //! standalone detector computes it on one lane, and a fleet slab job
@@ -16,9 +14,7 @@
 //! on both paths and with fleets whose per-mode buckets leave partial
 //! 8-lane passes.
 
-use roboads::core::{
-    ActivationPolicy, DetectionReport, FleetEngine, RoboAds, RoboAdsConfig, RobotInput,
-};
+use roboads::core::{DetectionReport, FleetEngine, RoboAds, RoboAdsConfig, RobotInput};
 use roboads::linalg::Vector;
 use roboads::sim::{evaluation_detector, RobotKind, Scenario, SimulationBuilder};
 use roboads::stats::normalized_statistic;
@@ -52,18 +48,13 @@ fn table2_inputs() -> Vec<(String, Inputs)> {
 }
 
 /// Asserts that `report`'s statistics are the ones recomputed from the
-/// engine output it was assessed on; counts the per-sensor views taken
-/// from a dormant (stale) mode.
-fn assert_statistics_reused(tag: &str, detector: &RoboAds, report: &DetectionReport) -> usize {
+/// engine output it was assessed on.
+fn assert_statistics_reused(tag: &str, detector: &RoboAds, report: &DetectionReport) {
     let system = detector.system();
     let modes = detector.modes().modes();
     let out = detector.last_engine_output();
-    let mut dormant_views = 0;
     for view in &report.per_sensor {
         let m = view.from_mode;
-        if !out.is_active(m) {
-            dormant_views += 1;
-        }
         let src = &out.modes[m];
         let slice = system
             .subset_slices(modes[m].testing())
@@ -110,7 +101,6 @@ fn assert_statistics_reused(tag: &str, detector: &RoboAds, report: &DetectionRep
         "{tag}: actuator statistic {} vs recomputed {recomputed}",
         source.actuator_statistic
     );
-    dormant_views
 }
 
 /// Asserts that `report`'s aggregate sensor statistic is the one
@@ -130,35 +120,24 @@ fn assert_aggregate_recomputed(tag: &str, detector: &RoboAds, report: &Detection
     );
 }
 
-/// Runs every scenario through the scalar path, one detector each;
-/// returns the number of dormant-sourced views seen.
-fn scalar_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> usize {
-    let mut dormant_views = 0;
+/// Runs every scenario through the scalar path, one detector each.
+fn scalar_path(template: &RoboAds, runs: &[(String, Inputs)]) {
     for (name, inputs) in runs {
         let mut detector = template.clone();
         for (k, (u, readings)) in inputs.iter().enumerate() {
             let report = detector.step(u, readings).unwrap();
-            let tag = format!("scalar/{policy}/{name} tick {k}");
-            dormant_views += assert_statistics_reused(&tag, &detector, &report);
+            let tag = format!("scalar/{name} tick {k}");
+            assert_statistics_reused(&tag, &detector, &report);
             assert_aggregate_recomputed(&tag, &detector, &report);
         }
     }
-    dormant_views
-}
-
-/// Runs all scenarios at once as one fleet (one robot per scenario, one
-/// signature group, a full 8-lane tile plus a remainder tile).
-fn fleet_path(template: &RoboAds, runs: &[(String, Inputs)], policy: &str) -> usize {
-    fleet_of(template, runs, runs.len(), policy)
 }
 
 /// Runs a fleet of `robots` robots in one signature group, robot `i`
-/// replaying scenario `i mod runs.len()`; returns the number of
-/// dormant-sourced views seen.
-fn fleet_of(template: &RoboAds, runs: &[(String, Inputs)], robots: usize, policy: &str) -> usize {
+/// replaying scenario `i mod runs.len()`.
+fn fleet_of(template: &RoboAds, runs: &[(String, Inputs)], robots: usize) {
     let mut fleet = FleetEngine::new(vec![template.clone(); robots], 1);
     let ticks = runs.iter().map(|(_, inputs)| inputs.len()).max().unwrap();
-    let mut dormant_views = 0;
     for k in 0..ticks {
         let batch: Vec<Option<RobotInput<'_>>> = (0..robots)
             .map(|i| {
@@ -179,58 +158,20 @@ fn fleet_of(template: &RoboAds, runs: &[(String, Inputs)], robots: usize, policy
             }
             fleet.result(i).as_ref().unwrap();
             let name = &runs[i % runs.len()].0;
-            let tag = format!("fleet{robots}/{policy}/{name} robot {i} tick {k}");
-            dormant_views += assert_statistics_reused(&tag, fleet.detector(i), fleet.report(i));
+            let tag = format!("fleet{robots}/{name} robot {i} tick {k}");
+            assert_statistics_reused(&tag, fleet.detector(i), fleet.report(i));
             assert_aggregate_recomputed(&tag, fleet.detector(i), fleet.report(i));
         }
     }
-    dormant_views
-}
-
-/// The default bank and a `TopK` bank, the two activation policies the
-/// fleet groups on.
-fn templates() -> [(&'static str, RoboAds); 2] {
-    let full = evaluation_detector(RobotKind::Khepera, &RoboAdsConfig::paper_defaults()).unwrap();
-    let lazy = evaluation_detector(
-        RobotKind::Khepera,
-        &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::TopK {
-            k: 1,
-            audit_period: 4,
-            wake_margin: 3.0,
-        }),
-    )
-    .unwrap();
-    [("full", full), ("lazy", lazy)]
 }
 
 #[test]
 fn decision_statistics_equal_recomputed_ones_on_both_paths() {
     let runs = table2_inputs();
     let full = evaluation_detector(RobotKind::Khepera, &RoboAdsConfig::paper_defaults()).unwrap();
-    assert_eq!(scalar_path(&full, &runs, "full"), 0);
-    assert_eq!(fleet_path(&full, &runs, "full"), 0);
-
-    // k = 1 parks every mode but the selected one (and the most
-    // actuator-precise one), so the selected mode's reference sensor is
-    // tested by dormant modes only and its view comes from a stale
-    // output.
-    let lazy = evaluation_detector(
-        RobotKind::Khepera,
-        &RoboAdsConfig::paper_defaults().with_activation(ActivationPolicy::TopK {
-            k: 1,
-            audit_period: 4,
-            wake_margin: 3.0,
-        }),
-    )
-    .unwrap();
-    assert!(
-        scalar_path(&lazy, &runs, "lazy") > 0,
-        "a dormant mode must source some view"
-    );
-    assert!(
-        fleet_path(&lazy, &runs, "lazy") > 0,
-        "a dormant mode must source some view"
-    );
+    scalar_path(&full, &runs);
+    // One robot per scenario: a full 8-lane tile plus a remainder tile.
+    fleet_of(&full, &runs, runs.len());
 }
 
 #[test]
@@ -240,7 +181,6 @@ fn batched_aggregate_statistic_equals_recomputed_one_with_partial_buckets() {
     // robots 12–18 replay the first seven scenarios again, so their
     // buckets also mix tiles.
     let runs = table2_inputs();
-    for (policy, template) in templates() {
-        fleet_of(&template, &runs, 19, policy);
-    }
+    let full = evaluation_detector(RobotKind::Khepera, &RoboAdsConfig::paper_defaults()).unwrap();
+    fleet_of(&full, &runs, 19);
 }
