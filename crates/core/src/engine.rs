@@ -133,8 +133,8 @@ struct EngineInstruments {
     /// [`CoreError::Numeric`].
     numeric_failures: Counter,
     /// `engine.all_modes_floored` — iterations in which *every* mode's
-    /// parsimony-weighted likelihood sanitized to zero, so the selector
-    /// floored the whole bank. Without this counter a fleet-wide filter
+    /// parsimony-weighted likelihood, times its prior probability, fell
+    /// to the selector's floor, so the selector floored the whole bank. Without this counter a fleet-wide filter
     /// blow-up renormalizes to near-uniform probabilities and reads as
     /// healthy uncertainty.
     all_modes_floored: Counter,
@@ -146,6 +146,10 @@ struct EngineInstruments {
     /// Cholesky whitening rejected, so the Jacobi pseudo-inverse ran
     /// (process-wide attribution, as above; zero on healthy traffic).
     cholesky_fallbacks: Counter,
+    /// `engine.projection_fallbacks` — innovation covariances whose
+    /// projected Cholesky was rejected, so the Jacobi pseudo-inverse ran
+    /// (process-wide attribution, as above; zero on healthy traffic).
+    projection_fallbacks: Counter,
     /// `engine.selected_mode` — index of the winning hypothesis.
     selected_mode: Gauge,
     /// `engine.mode{m}.probability` — posterior per mode.
@@ -166,6 +170,7 @@ impl EngineInstruments {
             all_modes_floored: m.counter("engine.all_modes_floored"),
             cholesky_failures: m.counter("engine.cholesky_failures"),
             cholesky_fallbacks: m.counter("engine.cholesky_fallbacks"),
+            projection_fallbacks: m.counter("engine.projection_fallbacks"),
             selected_mode: m.gauge("engine.selected_mode"),
             mode_probability: (0..mode_count)
                 .map(|i| m.histogram(&format!("engine.mode{i}.probability")))
@@ -428,6 +433,11 @@ impl MultiModeEngine {
                 .cholesky_fallbacks
                 .add(delta.cholesky_fallbacks);
         }
+        if delta.projection_fallbacks > 0 {
+            self.instruments
+                .projection_fallbacks
+                .add(delta.projection_fallbacks);
+        }
         match &result {
             Ok(()) => self.instruments.steps.incr(),
             Err(CoreError::Numeric(msg)) => {
@@ -472,7 +482,7 @@ impl MultiModeEngine {
         };
         if self.selector.all_floored() {
             // No hypothesis explains this iteration at all (every
-            // parsimony-weighted consistency underflowed to zero). The
+            // parsimony-weighted consistency fell to the floor). The
             // selector's floor keeps the bank recoverable, but the
             // near-uniform output must not pass as healthy uncertainty.
             self.instruments.all_modes_floored.incr();

@@ -28,7 +28,7 @@
 //! with that `S`; the crate's tests verify unbiasedness, covariance
 //! consistency and PSD-ness over long runs.
 
-use roboads_linalg::{Matrix, Vector};
+use roboads_linalg::{Matrix, PseudoInverse, Vector};
 use roboads_models::{wrap_angle, RobotSystem};
 
 use crate::config::Linearization;
@@ -299,28 +299,27 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     // the minimum-MSE update gain on the remaining subspace uses the
     // pseudo-inverse as well.
     //
+    // The projector's range is null(M₂) (M₂·F = I), and it is known
+    // before Pν is: Pν = (I − C₂GM₂)·R*₂·(I − C₂GM₂)ᵀ. So Pν is projected
+    // onto an orthonormal basis of null(M₂) and the (m₂−q)² block
+    // factorized with one Cholesky, which gives the pseudo-inverse, the
+    // rank, the pseudo-determinant and the statistic at once. Without
+    // compensation Pν is full rank and the basis is the identity. The
+    // Jacobi route takes over wherever the projection is not exact to
+    // the rank cutoff (DESIGN.md §20).
+    //
     // The zero-spectrum cutoff must carry an *absolute* floor tied to
     // the measurement-noise scale: when m₂ = q the projector annihilates
     // everything and Pν is numerically zero — a purely relative cutoff
     // would then promote its rounding noise to "signal" and produce a
     // ~1/ε gain that detonates the filter.
-    let nu_eig = p_nu.symmetric_eigen()?;
     let noise_scale = (r2.trace() / r2.rows().max(1) as f64).max(f64::MIN_POSITIVE);
-    let cutoff = (1e-9 * noise_scale).max(1e-10 * nu_eig.max_eigenvalue().abs());
-    let p_nu_pinv = nu_eig.spectral_map(|l| if l.abs() > cutoff { 1.0 / l } else { 0.0 });
-    let nu_rank = nu_eig
-        .eigenvalues()
-        .as_slice()
-        .iter()
-        .filter(|l| l.abs() > cutoff)
-        .count();
-    let nu_pdet = nu_eig
-        .eigenvalues()
-        .as_slice()
-        .iter()
-        .filter(|l| l.abs() > cutoff)
-        .product::<f64>();
-    let l = &(&(&p_pred * &c2.transpose()) + &s) * &p_nu_pinv; // n × m₂
+    let floor = 1e-9 * noise_scale;
+    let p_nu_pinv = match p_nu.projected_pseudo_inverse(compensate.then_some(&m2), &nu, floor)? {
+        Some(projected) => projected,
+        None => p_nu.floored_pseudo_inverse(&nu, floor)?,
+    };
+    let l = &(&(&p_pred * &c2.transpose()) + &s) * &p_nu_pinv.matrix; // n × m₂
     let mut x_new = &x_pred + &(&l * &nu);
     for &i in system.dynamics().angular_state_components() {
         x_new[i] = wrap_angle(x_new[i]);
@@ -346,7 +345,7 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
     };
 
     // --- Step 5: mode likelihood (lines 17–20). ---
-    let (likelihood, consistency) = mode_likelihood(&nu, &p_nu_pinv, nu_rank, nu_pdet)?;
+    let (likelihood, consistency) = mode_likelihood(&p_nu_pinv)?;
     // The filter is derived for finite states and covariances only. A
     // finite but extreme reading can still overflow the update (an IPS
     // fix of 1e308 drives x̂ to NaN, and the NaN innovation then reads
@@ -382,7 +381,8 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
 /// Degenerate-Gaussian likelihood of `ν` under covariance `P` (Alg. 2
 /// line 20): `exp(−νᵀP†ν/2) / ((2π)^{n/2}·|P|₊^{1/2})` with
 /// `n = rank(P)` — plus the **dimension-free consistency**: the χ²(n)
-/// survival p-value of the same normalized statistic.
+/// survival p-value of the same normalized statistic. `pinv` carries
+/// `νᵀP†ν`, `n` and `|P|₊^{1/2}`.
 ///
 /// The raw density is the paper's printed quantity, but densities of
 /// modes with *different* innovation dimensionality are not
@@ -392,16 +392,21 @@ pub fn nuise_step(input: NuiseInput<'_>) -> Result<NuiseOutput> {
 /// p-value — identically distributed Uniform(0,1) for every consistent
 /// mode regardless of its dimension — into the probability update, and
 /// reports the printed density for fidelity/diagnostics.
-fn mode_likelihood(nu: &Vector, pinv: &Matrix, rank: usize, pdet: f64) -> Result<(f64, f64)> {
-    if rank == 0 {
+fn mode_likelihood(pinv: &PseudoInverse) -> Result<(f64, f64)> {
+    if pinv.rank == 0 {
         // No informative direction (m₂ = q: the input estimate consumed
         // the whole innovation): every innovation is equally likely.
         return Ok((1.0, 1.0));
     }
-    let stat = nu.quadratic_form(pinv)?.max(0.0);
-    let norm = (2.0 * std::f64::consts::PI).powf(rank as f64 / 2.0) * pdet.abs().sqrt();
+    let stat = pinv.statistic.max(0.0);
+    let norm = likelihood_normalizer(pinv.rank) * pinv.sqrt_pseudo_determinant;
     let density = (-0.5 * stat).exp() / norm.max(f64::MIN_POSITIVE);
-    Ok((density, chi2_consistency(rank, stat)?))
+    Ok((density, chi2_consistency(pinv.rank, stat)?))
+}
+
+/// `(2π)^{rank/2}`, the density's constant factor.
+pub(crate) fn likelihood_normalizer(rank: usize) -> f64 {
+    (2.0 * std::f64::consts::PI).powf(rank as f64 / 2.0)
 }
 
 /// The χ²(`rank`) survival p-value of a normalized innovation

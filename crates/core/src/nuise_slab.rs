@@ -19,8 +19,9 @@
 //! kernels replicate the scalar loop structure and accumulation order
 //! per lane (see `roboads_linalg::slab`), the per-lane model evaluations
 //! are the same pure functions, and every data-dependent scalar
-//! decision (LU singularity, Jacobi convergence, spectrum cutoffs, χ²
-//! errors) is taken per lane exactly where `nuise_step` takes it. A lane
+//! decision (LU singularity, the projected Cholesky's acceptance, Jacobi
+//! convergence, spectrum cutoffs, χ² errors) is taken per lane exactly
+//! where `nuise_step` takes it. A lane
 //! that fails holds garbage; its first failure is recorded, and
 //! [`NuiseSlabWorkspace::lane_error`] turns it into exactly the error
 //! `nuise_step` returns.
@@ -31,8 +32,8 @@
 use std::sync::Arc;
 
 use roboads_linalg::{
-    EigenSlabWorkspace, LinalgError, LuSlabWorkspace, Matrix, MatrixSlab, Vector, VectorSlab,
-    JACOBI_MAX_SWEEPS,
+    EigenSlabWorkspace, LinalgError, LuSlabWorkspace, Matrix, MatrixSlab, ProjectedSlabWorkspace,
+    ProjectionScratch, Vector, VectorSlab, JACOBI_MAX_SWEEPS, RANK_TOL,
 };
 use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
 
@@ -40,8 +41,8 @@ use crate::config::Linearization;
 use crate::decision::NormalizedStatistic;
 use crate::mode::Mode;
 use crate::nuise::{
-    chi2_consistency, validate_readings, NuiseOutput, NON_FINITE_ESTIMATE, RANK_DEFICIENT,
-    SINGULAR_INNOVATION,
+    chi2_consistency, likelihood_normalizer, validate_readings, NuiseOutput, NON_FINITE_ESTIMATE,
+    RANK_DEFICIENT, SINGULAR_INNOVATION,
 };
 use crate::{CoreError, Result};
 
@@ -53,8 +54,8 @@ enum LaneFailure {
     SingularInnovation,
     /// `rank(C₂G)` is below the input dimension.
     RankDeficient,
-    /// A Jacobi eigendecomposition hit the sweep cap (the innovation
-    /// covariance, or the pseudo-inverse fallback of a parsimony
+    /// A Jacobi eigendecomposition hit the sweep cap (the fallback of an
+    /// innovation covariance the projection rejected, or of a parsimony
     /// covariance the whitening rejected).
     NoConvergence,
     /// The χ² survival function rejected the consistency statistic.
@@ -129,9 +130,13 @@ struct ModeLayout {
     angular1: Vec<usize>,
     r2: Matrix,
     r1: Matrix,
-    /// Absolute floor of the innovation spectrum cutoff (mean `R₂`
-    /// diagonal; see `nuise_step`).
-    noise_scale: f64,
+    /// Absolute floor of the innovation spectrum cutoff (1e-9 × the
+    /// mean `R₂` diagonal; see `nuise_step`).
+    spectrum_floor: f64,
+    /// `(2π)^{r/2}` at the projected rank `r`: `m₂ − q` with
+    /// compensation, `m₂` without.
+    normalizer_compensated: f64,
+    normalizer_uncompensated: f64,
     n: usize,
     q_dim: usize,
     m2_dim: usize,
@@ -164,7 +169,13 @@ impl ModeLayout {
             angular1: system.angular_components_subset(mode.testing()),
             r2,
             r1,
-            noise_scale,
+            spectrum_floor: 1e-9 * noise_scale,
+            normalizer_compensated: likelihood_normalizer(
+                system
+                    .subset_dim(mode.reference())
+                    .saturating_sub(system.input_dim()),
+            ),
+            normalizer_uncompensated: likelihood_normalizer(system.subset_dim(mode.reference())),
             n: system.state_dim(),
             q_dim: system.input_dim(),
             m2_dim: system.subset_dim(mode.reference()),
@@ -299,7 +310,9 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     tmp_nn_a: MatrixSlab<K>,
     tmp_nn_b: MatrixSlab<K>,
     // m₂ × m₂ scratch, shared the same way: `R*₂` and its inverse
-    // (step 1), then `Pν` and its pseudo-inverse (steps 3 and 5).
+    // (step 1), then `Pν` and its pseudo-inverse (steps 3 and 5); the
+    // two temporaries build `Pν`, then hold the projection's basis and
+    // products (step 3).
     r2_star_p_nu: MatrixSlab<K>,
     r2_star_inv_p_nu_pinv: MatrixSlab<K>,
     tmp_m2m2_a: MatrixSlab<K>,
@@ -322,6 +335,9 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     // Lane-batched factorizations.
     lu_m2: LuSlabWorkspace<K>,
     lu_q: LuSlabWorkspace<K>,
+    /// Pν's projected Cholesky, with `eigen` (the Jacobi) over the lanes
+    /// it rejects.
+    projection: ProjectedSlabWorkspace<K>,
     eigen: EigenSlabWorkspace<K>,
     // Per-lane scalar model-evaluation scratch (models evaluate one
     // robot at a time; the results are loaded into the slabs).
@@ -386,6 +402,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
 
     fn with_layout(layout: Arc<ModeLayout>, frozen: Option<FrozenModel>) -> Self {
         let (n, q_dim, m2_dim, m1_dim) = (layout.n, layout.q_dim, layout.m2_dim, layout.m1_dim);
+        let projection = ProjectedSlabWorkspace::new(layout.spectrum_floor);
         let pars_slices = layout
             .test_slices
             .iter()
@@ -434,6 +451,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             sc_n_m1: MatrixSlab::zeros(n, m1_dim),
             lu_m2: LuSlabWorkspace::new(m2_dim),
             lu_q: LuSlabWorkspace::new(q_dim),
+            projection,
             eigen: EigenSlabWorkspace::new(m2_dim),
             eval_x: Vector::zeros(n),
             eval_nn: Matrix::zeros(n, n),
@@ -723,47 +741,87 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         self.r2_star_p_nu
             .symmetrize_in_place()
             .expect("square by construction");
-        // Pseudo-inverse on the informative spectrum (see `nuise_step`
-        // for why Pν is structurally singular and the cutoff carries an
-        // absolute noise-scale floor). Failed lanes are inactive so
-        // their NaN spectra cannot drag the sweep count.
-        let converged = self.eigen.factorize(&self.r2_star_p_nu, &ok);
-        for l in 0..K {
-            if !converged[l] {
-                fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
-            }
-        }
-        let mut cutoff = [0.0f64; K];
-        for (l, c) in cutoff.iter_mut().enumerate() {
-            if ok[l] {
-                *c = (1e-9 * self.layout.noise_scale)
-                    .max(1e-10 * self.eigen.max_eigenvalue(l).abs());
-            }
-        }
-        self.eigen.spectral_map_into(
-            |l, lam| {
-                if ok[l] && lam.abs() > cutoff[l] {
-                    1.0 / lam
-                } else {
-                    0.0
-                }
+        // Pν's pseudo-inverse, rank and pseudo-determinant (see
+        // `nuise_step`): the projected Cholesky on null(M₂) (the identity
+        // basis without compensation), and the Jacobi over the lanes it
+        // rejects. Failed lanes are inactive so their NaN spectra cannot
+        // drag the sweep count. The basis, the products and `L⁻¹Uᵀν` reuse
+        // scratch that is free here: the two m₂ × m₂ temporaries and
+        // `h2`, read for the last time by the innovation above.
+        let projected = self.projection.factorize(
+            &self.r2_star_p_nu,
+            compensate.then_some(&self.m2_gain),
+            &self.out_innovation,
+            ProjectionScratch {
+                basis: &mut self.tmp_m2m2_a,
+                product: &mut self.tmp_m2m2_b,
+                whitened: &mut self.h2,
             },
             &mut self.r2_star_inv_p_nu_pinv,
+            &ok,
         );
-        let mut nu_rank = [0usize; K];
-        let mut nu_pdet = [1.0f64; K];
+        let mut fallback = [false; K];
         for l in 0..K {
-            if !ok[l] {
-                continue;
-            }
-            for k in 0..self.layout.m2_dim {
-                let lam = self.eigen.eigenvalues().at(k)[l];
-                if lam.abs() > cutoff[l] {
-                    nu_rank[l] += 1;
-                    nu_pdet[l] *= lam;
+            fallback[l] = ok[l] && !projected[l];
+        }
+        let mut nu_rank = [0usize; K];
+        let mut nu_sqrt_pdet = [0.0f64; K];
+        let mut fallback_stat = [0.0f64; K];
+        if fallback.contains(&true) {
+            let converged = self.eigen.factorize(&self.r2_star_p_nu, &fallback);
+            for l in 0..K {
+                if fallback[l] && !converged[l] {
+                    fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
+                    fallback[l] = false;
                 }
             }
+            let mut cutoff = [0.0f64; K];
+            for (l, c) in cutoff.iter_mut().enumerate() {
+                if fallback[l] {
+                    *c = self
+                        .layout
+                        .spectrum_floor
+                        .max(RANK_TOL * self.eigen.max_eigenvalue(l).abs());
+                }
+            }
+            self.eigen.spectral_map_into(
+                |l, lam| {
+                    if fallback[l] && lam.abs() > cutoff[l] {
+                        1.0 / lam
+                    } else {
+                        0.0
+                    }
+                },
+                &mut self.tmp_m2m2_a,
+            );
+            self.r2_star_inv_p_nu_pinv
+                .copy_lanes_from(&self.tmp_m2m2_a, &fallback);
+            for l in 0..K {
+                if !fallback[l] {
+                    continue;
+                }
+                let mut pdet = 1.0f64;
+                for k in 0..self.layout.m2_dim {
+                    let lam = self.eigen.eigenvalues().at(k)[l];
+                    if lam.abs() > cutoff[l] {
+                        nu_rank[l] += 1;
+                        pdet *= lam;
+                    }
+                }
+                nu_sqrt_pdet[l] = pdet.abs().sqrt();
+            }
+            fallback_stat = self
+                .out_innovation
+                .quadratic_form(&self.r2_star_inv_p_nu_pinv);
         }
+        let (projected_rank, normalizer) = if compensate {
+            (
+                self.layout.m2_dim - self.layout.q_dim,
+                self.layout.normalizer_compensated,
+            )
+        } else {
+            (self.layout.m2_dim, self.layout.normalizer_uncompensated)
+        };
         // L = (P·C₂ᵀ + S)·Pν†
         self.p_tilde_pred
             .mul_transpose_into(&self.c2, &mut self.tmp_nm2);
@@ -859,32 +917,37 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         }
 
         // --- Step 5: mode likelihood (lines 17–20). ---
-        let stat_all = self
-            .out_innovation
-            .quadratic_form(&self.r2_star_inv_p_nu_pinv);
         for l in 0..K {
             if !ok[l] {
                 continue;
             }
-            if nu_rank[l] == 0 {
+            let (rank, stat, norm) = if projected[l] {
+                (
+                    projected_rank,
+                    self.projection.statistic()[l],
+                    normalizer * self.projection.sqrt_pseudo_determinant()[l],
+                )
+            } else {
+                (
+                    nu_rank[l],
+                    fallback_stat[l],
+                    likelihood_normalizer(nu_rank[l]) * nu_sqrt_pdet[l],
+                )
+            };
+            if rank == 0 {
                 self.likelihood[l] = 1.0;
                 self.consistency[l] = 1.0;
                 continue;
             }
-            let stat = stat_all[l].max(0.0);
-            let norm = (2.0 * std::f64::consts::PI).powf(nu_rank[l] as f64 / 2.0)
-                * nu_pdet[l].abs().sqrt();
+            let stat = stat.max(0.0);
             self.likelihood[l] = (-0.5 * stat).exp() / norm.max(f64::MIN_POSITIVE);
-            match chi2_consistency(nu_rank[l], stat) {
+            match chi2_consistency(rank, stat) {
                 Ok(c) => self.consistency[l] = c,
                 Err(_) => fail(
                     &mut ok,
                     &mut failure,
                     l,
-                    LaneFailure::ChiSquared {
-                        rank: nu_rank[l],
-                        stat,
-                    },
+                    LaneFailure::ChiSquared { rank, stat },
                 ),
             }
         }
@@ -1278,6 +1341,79 @@ mod tests {
     fn overflowing_reading_fails_its_lane_like_the_oracle_at_one_and_eight_lanes() {
         overflowing_reading_fails_its_lane_like_the_oracle::<1>();
         overflowing_reading_fails_its_lane_like_the_oracle::<8>();
+    }
+
+    /// A tile mixing the three ways through Pν's pseudo-inverse: lanes
+    /// the projected Cholesky accepts, a lane it rejects whose Jacobi
+    /// fallback converges (a prior so loose that Pν's rounding along the
+    /// discarded directions exceeds the cutoff), and a NaN lane whose
+    /// fallback fails. Each lane matches the oracle bit for bit or with
+    /// its error, and the fallback is tallied once per rejected lane.
+    fn projection_fallback_lanes_match_the_oracle<const K: usize>() {
+        let system = presets::khepera_system();
+        let mode = Mode::new(vec![0, 1, 2], vec![]);
+        let linearization = Linearization::PerIteration;
+        let mut slab = NuiseSlabWorkspace::<K>::new(&system, &mode, &linearization).unwrap();
+        let (act, testing) = slab.parsimony_thresholds();
+        let testing = testing.to_vec();
+        let mut scattered = slab.new_output();
+        let x0 = Vector::from_slice(&[0.5, 0.5, 0.3]);
+        let u = Vector::from_slice(&[0.06, 0.05]);
+        let readings = clean_readings(&system, &system.dynamics().step(&x0, &u));
+        let loose = K / 2;
+        let poisoned = K - 1;
+        let prior = |l: usize| {
+            if l == poisoned && K > 1 {
+                Matrix::identity(3) * f64::NAN
+            } else if l == loose {
+                Matrix::identity(3) * 1e7
+            } else {
+                Matrix::identity(3) * (1e-4 * (l + 1) as f64)
+            }
+        };
+        let before = roboads_linalg::health::snapshot();
+        for l in 0..K {
+            slab.load_lane(l, &system, &x0, &prior(l), &u, &readings)
+                .unwrap();
+        }
+        let ok = slab.run(&system, true, &[true; K]);
+        let fallbacks = roboads_linalg::health::snapshot()
+            .since(&before)
+            .projection_fallbacks;
+        // Other tests may project concurrently, so a lower bound only.
+        assert!(fallbacks >= if K > 1 { 2 } else { 1 }, "{fallbacks}");
+        for l in 0..K {
+            let p = prior(l);
+            let input = NuiseInput {
+                system: &system,
+                mode: &mode,
+                x_prev: &x0,
+                p_prev: &p,
+                u_prev: &u,
+                readings: &readings,
+                linearization: &linearization,
+                compensate: true,
+            };
+            match oracle_step(input, act, &testing) {
+                Ok((reference, count)) => {
+                    assert!(ok[l], "lane {l}");
+                    slab.scatter_lane(l, &mut scattered);
+                    assert_eq!(scattered, reference, "lane {l}");
+                    assert_eq!(slab.count(l), count, "lane {l}");
+                }
+                Err(e) => {
+                    assert!(!ok[l], "lane {l}");
+                    assert_eq!(l, poisoned, "only the NaN lane fails");
+                    assert_eq!(slab.lane_error(l), Some(e), "lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn projection_fallback_lanes_match_the_oracle_at_one_and_eight_lanes() {
+        projection_fallback_lanes_match_the_oracle::<1>();
+        projection_fallback_lanes_match_the_oracle::<8>();
     }
 
     #[test]

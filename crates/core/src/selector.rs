@@ -41,12 +41,12 @@ pub struct ModeSelector {
     floor: f64,
     mixing: f64,
     selected: usize,
-    /// Whether the last [`ModeSelector::update`] saw *every* likelihood
-    /// sanitize to zero (non-finite, negative or exactly 0). The floor
-    /// then renormalizes the bank to near-uniform — indistinguishable,
-    /// from the probabilities alone, from healthy uncertainty — so the
-    /// condition must stay queryable: a fleet-wide filter blow-up is an
-    /// alarm, not a shrug.
+    /// Whether the last [`ModeSelector::update`] floored *every* mode:
+    /// each `μ·N` (with non-finite or negative likelihoods sanitized to
+    /// zero) fell to the floor `ε`. The floor then renormalizes the bank
+    /// to near-uniform — indistinguishable, from the probabilities alone,
+    /// from healthy uncertainty — so the condition must stay queryable:
+    /// a fleet-wide filter blow-up is an alarm, not a shrug.
     all_floored: bool,
 }
 
@@ -120,11 +120,14 @@ impl ModeSelector {
                 ),
             });
         }
-        self.all_floored = !likelihoods.iter().any(|&n| n.is_finite() && n > 0.0);
+        let mut floored = true;
         for (mu, &n) in self.probabilities.iter_mut().zip(likelihoods) {
             let n = if n.is_finite() && n > 0.0 { n } else { 0.0 };
-            *mu = (*mu * n).max(self.floor);
+            let weighted = *mu * n;
+            floored &= weighted <= self.floor;
+            *mu = weighted.max(self.floor);
         }
+        self.all_floored = floored;
         let sum: f64 = self.probabilities.iter().sum();
         if sum > 0.0 && sum.is_finite() {
             for mu in &mut self.probabilities {
@@ -167,9 +170,9 @@ impl ModeSelector {
     }
 
     /// Whether the last [`ModeSelector::update`] floored *every* mode:
-    /// all likelihoods were zero, negative or non-finite, so no
-    /// hypothesis explains the data and the near-uniform probabilities
-    /// carry no information. Callers should surface this (the engine
+    /// each mode's `μ·N` fell to the floor (a likelihood that is zero,
+    /// negative or non-finite always does), so no hypothesis explains the
+    /// data and the near-uniform probabilities carry no information. Callers should surface this (the engine
     /// emits `engine.all_modes_floored`) rather than read the uniform
     /// output as healthy uncertainty.
     pub fn all_floored(&self) -> bool {
@@ -289,6 +292,20 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9, "output is still a distribution");
         // One live likelihood clears the flag again.
         sel.update(&[0.0, 5.0, 0.0]).unwrap();
+        assert!(!sel.all_floored());
+    }
+
+    #[test]
+    fn tiny_positive_likelihoods_flag_by_the_floor() {
+        // A tail-accurate consistency no longer rounds to exactly zero,
+        // so the flag must follow the floor, not exact zeros.
+        let mut sel = ModeSelector::uniform(3, 1e-6).unwrap();
+        sel.update(&[1e-300; 3]).unwrap();
+        assert!(sel.all_floored(), "every μ·N fell below the floor");
+        let sum: f64 = sel.probabilities().iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "output is still a distribution");
+        // One mode above the floor clears it.
+        sel.update(&[1e-300, 1e-3, 1e-300]).unwrap();
         assert!(!sel.all_floored());
     }
 

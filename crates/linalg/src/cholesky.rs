@@ -223,7 +223,7 @@ impl Cholesky {
 /// triangle (row by row, `Lᵢⱼ` for `j ≤ i`), stopping at the first
 /// pivot `Lⱼⱼ²` that `accept` refuses; returns whether it accepted
 /// every pivot.
-fn factor_lower(a: &Matrix, l: &mut Matrix, accept: impl Fn(f64) -> bool) -> bool {
+pub(crate) fn factor_lower(a: &Matrix, l: &mut Matrix, accept: impl Fn(f64) -> bool) -> bool {
     let n = a.rows();
     for i in 0..n {
         for j in 0..=i {

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CHOLESKY_FACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
 static CHOLESKY_FAILURES: AtomicU64 = AtomicU64::new(0);
 static CHOLESKY_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+static PROJECTION_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time copy of the health counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +36,14 @@ pub struct HealthSnapshot {
     /// tested are full rank by construction, so this stays at zero on
     /// healthy traffic.
     pub cholesky_fallbacks: u64,
+    /// Innovation covariances whose projected Cholesky failed its
+    /// acceptance rule (a pivot at the cutoff, a discarded direction
+    /// above it, or a non-finite block) and fell back to the Jacobi
+    /// pseudo-inverse: one per rejected lane of
+    /// [`crate::ProjectedSlabWorkspace::factorize`] and per rejected
+    /// [`crate::Matrix::projected_pseudo_inverse`]. The covariance's
+    /// rank is structural, so this stays at zero on healthy traffic.
+    pub projection_fallbacks: u64,
 }
 
 impl HealthSnapshot {
@@ -53,6 +62,9 @@ impl HealthSnapshot {
             cholesky_fallbacks: self
                 .cholesky_fallbacks
                 .saturating_sub(earlier.cholesky_fallbacks),
+            projection_fallbacks: self
+                .projection_fallbacks
+                .saturating_sub(earlier.projection_fallbacks),
         }
     }
 }
@@ -63,6 +75,7 @@ pub fn snapshot() -> HealthSnapshot {
         cholesky_factorizations: CHOLESKY_FACTORIZATIONS.load(Ordering::Relaxed),
         cholesky_failures: CHOLESKY_FAILURES.load(Ordering::Relaxed),
         cholesky_fallbacks: CHOLESKY_FALLBACKS.load(Ordering::Relaxed),
+        projection_fallbacks: PROJECTION_FALLBACKS.load(Ordering::Relaxed),
     }
 }
 
@@ -76,6 +89,10 @@ pub(crate) fn note_cholesky_failure() {
 
 pub(crate) fn note_cholesky_fallbacks(lanes: u64) {
     CHOLESKY_FALLBACKS.fetch_add(lanes, Ordering::Relaxed);
+}
+
+pub(crate) fn note_projection_fallbacks(lanes: u64) {
+    PROJECTION_FALLBACKS.fetch_add(lanes, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -108,16 +125,32 @@ mod tests {
     }
 
     #[test]
+    fn projection_fallbacks_are_tallied_only_when_rejected() {
+        let nu = Vector::from_slice(&[1.0, 2.0]);
+        let constraint = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
+        let before = snapshot();
+        // The discarded direction e₀ carries variance: rejected.
+        let leaky = Matrix::from_diagonal(&[1.0, 1.0]);
+        let rejected = leaky.projected_pseudo_inverse(Some(&constraint), &nu, 1e-12);
+        assert_eq!(rejected, Ok(None));
+        // Other tests may project concurrently, so a lower bound only.
+        assert!(snapshot().since(&before).projection_fallbacks >= 1);
+    }
+
+    #[test]
     fn since_saturates() {
         let big = HealthSnapshot {
             cholesky_factorizations: 10,
             cholesky_failures: 3,
             cholesky_fallbacks: 2,
+            projection_fallbacks: 4,
         };
         let small = HealthSnapshot::default();
         assert_eq!(big.since(&small).cholesky_failures, 3);
         assert_eq!(small.since(&big).cholesky_failures, 0);
         assert_eq!(big.since(&small).cholesky_fallbacks, 2);
         assert_eq!(small.since(&big).cholesky_fallbacks, 0);
+        assert_eq!(big.since(&small).projection_fallbacks, 4);
+        assert_eq!(small.since(&big).projection_fallbacks, 0);
     }
 }

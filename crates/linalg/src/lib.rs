@@ -20,12 +20,15 @@
 //!   [`Matrix::whitened_quadratic_form`] of full-rank covariances),
 //! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of symmetric
 //!   matrices, from which [`Matrix::pseudo_inverse`],
-//!   [`Matrix::pseudo_determinant`] and [`Matrix::rank`] are derived.
+//!   [`Matrix::pseudo_determinant`] and [`Matrix::rank`] are derived,
+//! * [`Matrix::projected_pseudo_inverse`] — the pseudo-inverse, rank and
+//!   pseudo-determinant of a covariance whose range is known, by one
+//!   Householder basis and one Cholesky instead of an eigendecomposition.
 //!
 //! These allocating operations are the reference. The estimator's hot
 //! path runs on the lane-batched in-place kernels of [`slab`]
 //! ([`MatrixSlab`], [`LuSlabWorkspace`], [`CholeskySlabWorkspace`],
-//! [`EigenSlabWorkspace`]): one
+//! [`ProjectedSlabWorkspace`], [`EigenSlabWorkspace`]): one
 //! robot at K = 1, a fleet tile at K = 8. Each slab kernel is pinned
 //! bit for bit, per lane, against its allocating counterpart
 //! (`tests/slab_vs_scalar.rs`, `tests/jacobi_props.rs`). Beside them
@@ -65,8 +68,10 @@ pub use eigen::{SymmetricEigen, JACOBI_MAX_SWEEPS};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
+pub use pseudo::{PseudoInverse, RANK_TOL};
 pub use slab::{
-    CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, VectorSlab,
+    CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, ProjectedSlabWorkspace,
+    ProjectionScratch, VectorSlab,
 };
 pub use vector::Vector;
 

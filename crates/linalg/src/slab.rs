@@ -17,7 +17,8 @@
 //! `&a * &b.transpose()`, `&a * &v`, [`Matrix::transpose`],
 //! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
 //! [`crate::Lu::inverse`], the whitening of
-//! [`crate::Cholesky::whitened_norm_squared`], and the Jacobi of
+//! [`crate::Cholesky::whitened_norm_squared`], the projection of
+//! [`Matrix::projected_pseudo_inverse`], and the Jacobi of
 //! [`crate::SymmetricEigen`] with its spectral maps and
 //! [`Matrix::pseudo_inverse`] — with the
 //! same loop structure, accumulation order and pivot/convergence
@@ -31,7 +32,8 @@
 //! comparisons at K = 1 and K = 8.
 //!
 //! Lanes that hit a numeric failure (singular LU, rejected Cholesky
-//! pivot, non-converged Jacobi) are reported via per-lane flags; their
+//! pivot or projection, non-converged Jacobi) are reported via per-lane
+//! flags; their
 //! buffers may hold garbage (inf/NaN propagated through masked
 //! arithmetic) which callers must
 //! discard — IEEE arithmetic on garbage lanes cannot trap or affect
@@ -138,6 +140,17 @@ impl<const K: usize> MatrixSlab<K> {
     pub fn copy_from(&mut self, src: &MatrixSlab<K>) {
         assert_shape("slab copy_from", self.shape(), src.shape());
         self.data.copy_from_slice(&src.data);
+    }
+
+    /// Overwrites the lanes marked in `lanes` with `src`'s (same shape
+    /// required); the other lanes keep their values.
+    pub fn copy_lanes_from(&mut self, src: &MatrixSlab<K>, lanes: &[bool; K]) {
+        assert_shape("slab copy_lanes_from", self.shape(), src.shape());
+        for (g, s) in self.data.iter_mut().zip(&src.data) {
+            for l in 0..K {
+                g[l] = if lanes[l] { s[l] } else { g[l] };
+            }
+        }
     }
 
     /// Overwrites lane `lane` with the scalar matrix `src`.
@@ -980,6 +993,344 @@ impl<const K: usize> CholeskySlabWorkspace<K> {
     /// garbage in lanes it did not accept.
     pub fn norm_squared(&self) -> &[f64; K] {
         &self.norm_squared
+    }
+}
+
+/// Caller-provided scratch of [`ProjectedSlabWorkspace::factorize`],
+/// overwritten by every call: the kernel borrows buffers its caller
+/// already holds instead of allocating its own.
+#[derive(Debug)]
+pub struct ProjectionScratch<'a, const K: usize> {
+    /// `m × m`: the orthonormal basis `Q = [Q₁ | U]`.
+    pub basis: &'a mut MatrixSlab<K>,
+    /// `m × m`: the Householder reflectors, then `T = P·Q`, then
+    /// `V = U·L⁻ᵀ` (first `r` columns).
+    pub product: &'a mut MatrixSlab<K>,
+    /// Length `m`: `L⁻¹Uᵀν` (first `r` entries).
+    pub whitened: &'a mut VectorSlab<K>,
+}
+
+/// Lane-batched projected pseudo-inverse of a symmetric covariance `P`
+/// whose range is the null space of a known constraint `M`; per lane
+/// bitwise identical to [`Matrix::projected_pseudo_inverse`] (same
+/// reflectors, products, factorization and substitutions, in the same
+/// order).
+///
+/// Acceptance is tracked per lane, branch-free: every lane builds its
+/// basis, factorizes the projected block and solves, and a lane is
+/// accepted when it is active, its block is finite, every pivot `Lⱼⱼ²`
+/// is above the cutoff `floor.max(RANK_TOL · max diag)` and every
+/// discarded direction's Rayleigh quotient is at most that cutoff. A
+/// rejected lane holds garbage, like LU's singular lanes, and its caller
+/// runs the Jacobi pseudo-inverse there instead. Rejected active lanes
+/// are tallied in
+/// [`crate::health::HealthSnapshot::projection_fallbacks`]; a call whose
+/// active lanes are all accepted touches no counter.
+///
+/// The block and its factor `L` live in the top-left `r × r` corner of
+/// the output slab until `P⁺ = V·Vᵀ` overwrites it; the workspace itself
+/// holds only the cutoff's floor and two per-lane results.
+#[derive(Debug, Clone)]
+pub struct ProjectedSlabWorkspace<const K: usize> {
+    floor: f64,
+    sqrt_pseudo_determinant: [f64; K],
+    statistic: [f64; K],
+}
+
+impl<const K: usize> ProjectedSlabWorkspace<K> {
+    /// A workspace whose rank cutoff never falls below `floor`.
+    pub fn new(floor: f64) -> Self {
+        ProjectedSlabWorkspace {
+            floor,
+            sqrt_pseudo_determinant: [1.0; K],
+            statistic: [0.0; K],
+        }
+    }
+
+    /// Projects every lane of the symmetric `m × m` slab `p` onto the
+    /// null space of the lane's `q × m` `constraint` (all of `ℝᵐ` when
+    /// `None`), writes `P⁺` into `pinv`, and returns the per-lane
+    /// acceptance flags: `true` means that lane's `pinv`,
+    /// [`sqrt_pseudo_determinant`](Self::sqrt_pseudo_determinant) and
+    /// [`statistic`](Self::statistic) (of `nu`) equal
+    /// [`Matrix::projected_pseudo_inverse`]'s on that lane's inputs bit
+    /// for bit, at rank `m − q`; `false` for an active lane means the
+    /// scalar reference returns `None` there. Inactive lanes report
+    /// `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched shapes.
+    pub fn factorize(
+        &mut self,
+        p: &MatrixSlab<K>,
+        constraint: Option<&MatrixSlab<K>>,
+        nu: &VectorSlab<K>,
+        scratch: ProjectionScratch<'_, K>,
+        pinv: &mut MatrixSlab<K>,
+        active: &[bool; K],
+    ) -> [bool; K] {
+        let m = p.rows();
+        assert_shape("slab projection", p.shape(), (m, m));
+        assert_shape("slab projection pinv", pinv.shape(), (m, m));
+        assert_shape("slab projection basis", scratch.basis.shape(), (m, m));
+        assert_shape("slab projection product", scratch.product.shape(), (m, m));
+        assert!(
+            nu.len() == m && scratch.whitened.len() == m,
+            "slab projection of a length-{} vector with length-{} scratch",
+            nu.len(),
+            scratch.whitened.len()
+        );
+        let q = constraint.map_or(0, MatrixSlab::rows);
+        if let Some(c) = constraint {
+            assert!(
+                c.cols() == m && q <= m,
+                "slab projection constraint of shape {:?} for side {m}",
+                c.shape()
+            );
+        }
+        let r = m - q;
+        let ProjectionScratch {
+            basis,
+            product,
+            whitened,
+        } = scratch;
+
+        // Q = H₀·H₁ ⋯ H_{q−1}; rows 0..q of `product` hold the working
+        // copy of the constraint, each overwritten by its reflector.
+        basis.set_identity();
+        if let Some(c) = constraint {
+            let w = &mut *product;
+            for j in 0..q {
+                for k in 0..m {
+                    *w.at_mut(j, k) = *c.at(j, k);
+                }
+            }
+            for j in 0..q {
+                let xj = *w.at(j, j);
+                let mut norm_sq = [0.0f64; K];
+                for l in 0..K {
+                    norm_sq[l] = xj[l] * xj[l];
+                }
+                for k in (j + 1)..m {
+                    let x = w.at(j, k);
+                    for l in 0..K {
+                        norm_sq[l] += x[l] * x[l];
+                    }
+                }
+                let mut tau = [0.0f64; K];
+                let mut vj = [0.0f64; K];
+                for l in 0..K {
+                    let norm = norm_sq[l].sqrt();
+                    tau[l] = 1.0 / (norm * (norm + xj[l].abs()));
+                    vj[l] = xj[l] + norm.copysign(xj[l]);
+                }
+                *w.at_mut(j, j) = vj;
+                for i in (j + 1)..q {
+                    let mut s = [0.0f64; K];
+                    for k in j..m {
+                        let (v, x) = (w.at(j, k), w.at(i, k));
+                        for l in 0..K {
+                            s[l] += v[l] * x[l];
+                        }
+                    }
+                    for l in 0..K {
+                        s[l] *= tau[l];
+                    }
+                    for k in j..m {
+                        let v = *w.at(j, k);
+                        let x = w.at_mut(i, k);
+                        for l in 0..K {
+                            x[l] -= s[l] * v[l];
+                        }
+                    }
+                }
+                for i in 0..m {
+                    let mut s = [0.0f64; K];
+                    for k in j..m {
+                        let (b, v) = (basis.at(i, k), w.at(j, k));
+                        for l in 0..K {
+                            s[l] += b[l] * v[l];
+                        }
+                    }
+                    for l in 0..K {
+                        s[l] *= tau[l];
+                    }
+                    for k in j..m {
+                        let v = *w.at(j, k);
+                        let b = basis.at_mut(i, k);
+                        for l in 0..K {
+                            b[l] -= s[l] * v[l];
+                        }
+                    }
+                }
+            }
+        }
+
+        // T = P·Q.
+        let t = &mut *product;
+        for i in 0..m {
+            for k in 0..m {
+                let mut acc = [0.0f64; K];
+                for j in 0..m {
+                    let (a, b) = (p.at(i, j), basis.at(j, k));
+                    for l in 0..K {
+                        acc[l] += a[l] * b[l];
+                    }
+                }
+                *t.at_mut(i, k) = acc;
+            }
+        }
+
+        // The block UᵀPU (lower triangle) into the corner of `pinv`.
+        let mut accepted = *active;
+        for a in 0..r {
+            for b in 0..=a {
+                let mut acc = [0.0f64; K];
+                for i in 0..m {
+                    let (u, x) = (basis.at(i, q + a), t.at(i, q + b));
+                    for l in 0..K {
+                        acc[l] += u[l] * x[l];
+                    }
+                }
+                for l in 0..K {
+                    accepted[l] &= acc[l].is_finite();
+                }
+                *pinv.at_mut(a, b) = acc;
+            }
+        }
+        let mut cutoff = [0.0f64; K];
+        for a in 0..r {
+            let d = pinv.at(a, a);
+            for l in 0..K {
+                cutoff[l] = cutoff[l].max(d[l]);
+            }
+        }
+        for l in 0..K {
+            cutoff[l] = self.floor.max(RANK_TOL * cutoff[l]);
+        }
+        for c in 0..q {
+            let mut rayleigh = [0.0f64; K];
+            for i in 0..m {
+                let (u, x) = (basis.at(i, c), t.at(i, c));
+                for l in 0..K {
+                    rayleigh[l] += u[l] * x[l];
+                }
+            }
+            for l in 0..K {
+                // A NaN quotient fails the comparison too.
+                accepted[l] &= rayleigh[l].abs() <= cutoff[l];
+            }
+        }
+
+        // L in place of the block, in `Cholesky::new`'s order.
+        for i in 0..r {
+            for j in 0..=i {
+                let mut sum = *pinv.at(i, j);
+                for k in 0..j {
+                    let (fik, fjk) = (*pinv.at(i, k), *pinv.at(j, k));
+                    for l in 0..K {
+                        sum[l] -= fik[l] * fjk[l];
+                    }
+                }
+                if i == j {
+                    for l in 0..K {
+                        accepted[l] &= sum[l] > cutoff[l];
+                        sum[l] = sum[l].sqrt();
+                    }
+                } else {
+                    let fjj = *pinv.at(j, j);
+                    for l in 0..K {
+                        sum[l] /= fjj[l];
+                    }
+                }
+                *pinv.at_mut(i, j) = sum;
+            }
+        }
+
+        // y = L⁻¹Uᵀν, ‖y‖² and Π Lⱼⱼ.
+        let mut statistic = [0.0f64; K];
+        let mut sqrt_pdet = [1.0f64; K];
+        for a in 0..r {
+            let mut acc = [0.0f64; K];
+            for i in 0..m {
+                let (u, x) = (basis.at(i, q + a), nu.at(i));
+                for l in 0..K {
+                    acc[l] += u[l] * x[l];
+                }
+            }
+            for b in 0..a {
+                let (lab, yb) = (pinv.at(a, b), whitened.at(b));
+                for l in 0..K {
+                    acc[l] -= lab[l] * yb[l];
+                }
+            }
+            let laa = pinv.at(a, a);
+            for l in 0..K {
+                acc[l] /= laa[l];
+            }
+            *whitened.at_mut(a) = acc;
+        }
+        for a in 0..r {
+            let (y, laa) = (whitened.at(a), pinv.at(a, a));
+            for l in 0..K {
+                statistic[l] += y[l] * y[l];
+                sqrt_pdet[l] *= laa[l];
+            }
+        }
+        self.statistic = statistic;
+        self.sqrt_pseudo_determinant = sqrt_pdet;
+
+        // V = U·L⁻ᵀ row by row into `product`, then P⁺ = V·Vᵀ.
+        let v = &mut *product;
+        for i in 0..m {
+            for a in 0..r {
+                let mut acc = *basis.at(i, q + a);
+                for b in 0..a {
+                    let (lab, vib) = (pinv.at(a, b), v.at(i, b));
+                    for l in 0..K {
+                        acc[l] -= lab[l] * vib[l];
+                    }
+                }
+                let laa = pinv.at(a, a);
+                for l in 0..K {
+                    acc[l] /= laa[l];
+                }
+                *v.at_mut(i, a) = acc;
+            }
+        }
+        for i in 0..m {
+            for j in 0..=i {
+                let mut acc = [0.0f64; K];
+                for a in 0..r {
+                    let (x, y) = (v.at(i, a), v.at(j, a));
+                    for l in 0..K {
+                        acc[l] += x[l] * y[l];
+                    }
+                }
+                *pinv.at_mut(i, j) = acc;
+                *pinv.at_mut(j, i) = acc;
+            }
+        }
+        let rejected = (0..K).filter(|&l| active[l] && !accepted[l]).count();
+        if rejected > 0 {
+            crate::health::note_projection_fallbacks(rejected as u64);
+        }
+        accepted
+    }
+
+    /// Per-lane `Π Lⱼⱼ` (the square root of the pseudo-determinant) from
+    /// the last [`factorize`](Self::factorize); garbage in lanes it did
+    /// not accept.
+    pub fn sqrt_pseudo_determinant(&self) -> &[f64; K] {
+        &self.sqrt_pseudo_determinant
+    }
+
+    /// Per-lane `‖L⁻¹Uᵀν‖² = νᵀP⁺ν` from the last
+    /// [`factorize`](Self::factorize); garbage in lanes it did not
+    /// accept.
+    pub fn statistic(&self) -> &[f64; K] {
+        &self.statistic
     }
 }
 

@@ -1,9 +1,10 @@
 //! Pins every slab kernel bitwise (`to_bits`) against the allocating
 //! `Matrix` path — the operators, `transpose`, `symmetrized`,
-//! `congruence`, `Lu`, the Cholesky whitening and `SymmetricEigen` —
-//! lane by lane, over randomized shapes and values, including injected
-//! exact zeros (the zero-skip branches), singular LU lanes, rejected
-//! (rank-deficient and NaN) whitening lanes and masked eigen lanes.
+//! `congruence`, `Lu`, the Cholesky whitening, the projected
+//! pseudo-inverse and `SymmetricEigen` — lane by lane, over randomized
+//! shapes and values, including injected exact zeros (the zero-skip
+//! branches), singular LU lanes, rejected (rank-deficient and NaN)
+//! whitening and projection lanes and masked eigen lanes.
 //!
 //! Every case runs at both widths the NUISE kernel is instantiated at:
 //! K = 1 (the engine's per-mode step) and K = 8 (the fleet's tiles).
@@ -17,7 +18,7 @@
 
 use roboads_linalg::{
     Cholesky, CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab,
-    Vector, VectorSlab,
+    ProjectedSlabWorkspace, ProjectionScratch, Vector, VectorSlab,
 };
 
 #[path = "../../../tests/support/seeded.rs"]
@@ -516,6 +517,145 @@ fn cholesky_whiten_matches_scalar_bitwise_per_lane_with_fallbacks<const K: usize
     assert!(seen.iter().all(|&c| c > 0), "every lane kind ran: {seen:?}");
 }
 
+/// The lane kinds of a projection tile, cycled across lanes and rounds
+/// so every tile mixes them.
+#[derive(Clone, Copy, PartialEq)]
+enum ProjectLane {
+    /// `J·Σ·Jᵀ` with `Σ` positive definite: rank exactly `m − q`,
+    /// accepted.
+    Accepted,
+    /// `Σ` one column short of the range: one more null direction, so a
+    /// pivot falls to rounding level and the lane falls back.
+    ExtraRankLoss,
+    /// An accepted covariance with one NaN pair: rejected.
+    Nan,
+}
+
+/// A `q × m` constraint `M`, an oblique projector `J = I − F·M` onto its
+/// null space (`F = G·(M·G)⁻¹` for a random `G`, so `M·F = I`), and the
+/// lane's covariance `J·Σ·Jᵀ` of the given kind.
+fn projection_lane(rng: &mut Rng, m: usize, q: usize, kind: ProjectLane) -> (Matrix, Matrix) {
+    // Redraw until `M·G` is invertible (the injected exact zeros can
+    // make it singular), which also makes `M` full row rank.
+    let (constraint, j) = loop {
+        let constraint = rng.matrix(q, m);
+        if q == 0 {
+            break (constraint, Matrix::identity(m));
+        }
+        let g = rng.matrix(m, q);
+        if let Ok(inv) = (&constraint * &g).inverse() {
+            let f = &g * &inv;
+            break (
+                constraint.clone(),
+                &Matrix::identity(m) - &(&f * &constraint),
+            );
+        }
+    };
+    let cols = match kind {
+        ProjectLane::ExtraRankLoss => m - q - 1,
+        _ => m,
+    };
+    let b = rng.matrix(m, cols);
+    let mut sigma = &b * &b.transpose();
+    if kind != ProjectLane::ExtraRankLoss {
+        for i in 0..m {
+            sigma[(i, i)] += 0.25;
+        }
+    }
+    let mut p = j.congruence(&sigma).unwrap().symmetrized().unwrap();
+    if kind == ProjectLane::Nan {
+        let k = rng.below(m);
+        p[(m - 1, k)] = f64::NAN;
+        p[(k, m - 1)] = f64::NAN;
+    }
+    (p, constraint)
+}
+
+fn projected_pseudo_inverse_matches_scalar_bitwise_per_lane_with_fallbacks<const K: usize>() {
+    let mut rng = Rng::new(0x51ab_0009);
+    let kinds = [
+        ProjectLane::Accepted,
+        ProjectLane::ExtraRankLoss,
+        ProjectLane::Accepted,
+        ProjectLane::Nan,
+    ];
+    let floor = 1e-12;
+    let mut seen = [0usize; 3];
+    for m in 1..=7 {
+        for round in 0..8 {
+            let q = (round + m) % m;
+            let lane_kinds: Vec<ProjectLane> = (0..K)
+                .map(|l| kinds[(l + round + m) % kinds.len()])
+                .collect();
+            let lanes: Vec<(Matrix, Matrix)> = lane_kinds
+                .iter()
+                .map(|&kind| projection_lane(&mut rng, m, q, kind))
+                .collect();
+            let nus: Vec<Vector> = (0..K).map(|_| rng.vector(m)).collect();
+            let mut active = [true; K];
+            if K > 1 {
+                active[(round + 3) % K] = false;
+            }
+            let p = load::<K>(&lanes.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
+            let constraint = load::<K>(&lanes.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>());
+            let nu = load_vec::<K>(&nus);
+            // Stale data in the scratch and output slabs must not leak
+            // into a lane.
+            let mut stale = || load::<K>(&(0..K).map(|_| rng.matrix(m, m)).collect::<Vec<_>>());
+            let (mut basis, mut product, mut pinv) = (stale(), stale(), stale());
+            let mut whitened = load_vec::<K>(&(0..K).map(|_| rng.vector(m)).collect::<Vec<_>>());
+            let mut ws = ProjectedSlabWorkspace::<K>::new(floor);
+            let accepted = ws.factorize(
+                &p,
+                (q > 0).then_some(&constraint),
+                &nu,
+                ProjectionScratch {
+                    basis: &mut basis,
+                    product: &mut product,
+                    whitened: &mut whitened,
+                },
+                &mut pinv,
+                &active,
+            );
+
+            for l in 0..K {
+                if !active[l] {
+                    assert!(!accepted[l], "inactive lane {l} must report false");
+                    continue;
+                }
+                let (scalar_p, scalar_c) = &lanes[l];
+                let expected = scalar_p
+                    .projected_pseudo_inverse((q > 0).then_some(scalar_c), &nus[l], floor)
+                    .unwrap();
+                assert_eq!(
+                    accepted[l],
+                    expected.is_some(),
+                    "m={m} q={q} lane {l}: acceptance diverges from the scalar reference"
+                );
+                match lane_kinds[l] {
+                    ProjectLane::Accepted => assert!(accepted[l], "m={m} q={q} lane {l} rejected"),
+                    _ => assert!(!accepted[l], "m={m} q={q} lane {l} accepted"),
+                }
+                seen[lane_kinds[l] as usize] += 1;
+                let Some(expected) = expected else { continue };
+                assert_eq!(expected.rank, m - q);
+                assert_lane_eq(&pinv, l, &expected.matrix, "projected pseudo-inverse");
+                assert_eq!(
+                    ws.sqrt_pseudo_determinant()[l].to_bits(),
+                    expected.sqrt_pseudo_determinant.to_bits(),
+                    "m={m} q={q} lane {l}: √pdet"
+                );
+                assert_eq!(
+                    ws.statistic()[l].to_bits(),
+                    expected.statistic.to_bits(),
+                    "m={m} q={q} lane {l}: statistic"
+                );
+            }
+        }
+    }
+    assert!(seen.iter().all(|&c| c > 0), "every lane kind ran: {seen:?}");
+}
+
 fn identity_fill_copy_roundtrip<const K: usize>() {
     let mut rng = Rng::new(0x51ab_0007);
     let mats: Vec<Matrix> = (0..K).map(|_| rng.matrix(3, 3)).collect();
@@ -561,5 +701,6 @@ at_both_widths!(
     eigen_matches_scalar_bitwise_per_lane_with_mask,
     eigen_spectral_map_zero_skip_matches_scalar,
     cholesky_whiten_matches_scalar_bitwise_per_lane_with_fallbacks,
+    projected_pseudo_inverse_matches_scalar_bitwise_per_lane_with_fallbacks,
     identity_fill_copy_roundtrip,
 );

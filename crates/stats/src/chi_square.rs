@@ -1,5 +1,14 @@
-use crate::gamma::regularized_lower_gamma;
+use crate::gamma::{erfc, regularized_lower_gamma, regularized_upper_gamma};
 use crate::{Result, StatsError};
+
+/// Largest `x/2` at which [`ChiSquared::survival`] takes the closed form:
+/// `e^{−700}` is still a normal float with 8 orders of magnitude to
+/// spare.
+const CLOSED_FORM_MAX_HALF_X: f64 = 700.0;
+
+/// Largest degrees of freedom at which [`ChiSquared::survival`] sums the
+/// closed form (at most 32 terms).
+const CLOSED_FORM_MAX_DOF: usize = 64;
 
 /// The χ² distribution with `k` degrees of freedom.
 ///
@@ -53,13 +62,52 @@ impl ChiSquared {
         regularized_lower_gamma(self.dof as f64 / 2.0, x / 2.0)
     }
 
-    /// Survival function `P(X > x)`.
+    /// Survival function `P(X > x)`, in closed form: with `h = x/2`,
+    ///
+    /// * even `k`: `e^{−h}·Σ_{j<k/2} hʲ/j!`;
+    /// * odd `k`: `erfc(√h) + e^{−h}·Σ_{j=1}^{(k−1)/2} h^{j−1/2}/Γ(j+1/2)`.
+    ///
+    /// Both are finite sums of positive terms, so the tail is accurate to
+    /// a few units in the last place where `1 − cdf` rounds to zero (from
+    /// `x ≈ 70` on), and at `k = 2` the value is exactly `e^{−x/2}`. No
+    /// `ln Γ` is evaluated. Beyond `x = 1400`, where `e^{−h}` nears
+    /// underflow, and above 64 degrees of freedom the regularized upper
+    /// incomplete gamma takes over.
     ///
     /// # Errors
     ///
     /// Same domain as [`ChiSquared::cdf`].
     pub fn survival(&self, x: f64) -> Result<f64> {
-        Ok(1.0 - self.cdf(x)?)
+        if !x.is_finite() || x < 0.0 {
+            return Err(StatsError::InvalidParameter {
+                name: "x",
+                value: format!("{x}"),
+            });
+        }
+        let h = x / 2.0;
+        if h > CLOSED_FORM_MAX_HALF_X || self.dof > CLOSED_FORM_MAX_DOF {
+            return regularized_upper_gamma(self.dof as f64 / 2.0, h);
+        }
+        let gaussian = (-h).exp();
+        if self.dof.is_multiple_of(2) {
+            let mut term = 1.0;
+            let mut sum = 1.0;
+            for j in 1..self.dof / 2 {
+                term *= h / j as f64;
+                sum += term;
+            }
+            Ok(gaussian * sum)
+        } else {
+            let root = h.sqrt();
+            // h^{1/2}·e^{−h}/Γ(3/2), then ·h/(j + 1/2) per term.
+            let mut term = gaussian * root * std::f64::consts::FRAC_2_SQRT_PI;
+            let mut sum = 0.0;
+            for j in 1..=self.dof / 2 {
+                sum += term;
+                term *= h / (j as f64 + 0.5);
+            }
+            Ok(erfc(root) + sum)
+        }
     }
 
     /// Mean of the distribution (`k`).

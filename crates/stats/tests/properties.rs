@@ -1,7 +1,8 @@
 //! Seeded property suite for the statistics substrate: χ² CDF
-//! monotonicity and quantile round-trips, the regularized-gamma
-//! complement identity, the sliding window against a naive count, and
-//! the confusion-count rate identities.
+//! monotonicity and quantile round-trips, the closed-form χ² survival
+//! function against the incomplete-gamma route and in its tail, the
+//! regularized-gamma complement identity, the sliding window against a
+//! naive count, and the confusion-count rate identities.
 //!
 //! Each case derives its inputs from one seed and names it on failure,
 //! so a failing case reruns alone.
@@ -36,6 +37,73 @@ fn chi_square_quantile_round_trips() {
         let err = (chi.cdf(x).unwrap() - p).abs();
         check(err < 1e-8, "CDF(quantile(p)) ≠ p", (p, err))
     });
+}
+
+#[test]
+fn closed_form_survival_matches_the_incomplete_gamma_route() {
+    // A grid over [0, 100] at every degree of freedom the detector's
+    // innovation ranks reach, plus seeded points off the grid.
+    let mut worst = 0.0f64;
+    for dof in 1..=8usize {
+        let chi = ChiSquared::new(dof).unwrap();
+        for i in 0..=10_000 {
+            let x = i as f64 * 0.01;
+            let closed = chi.survival(x).unwrap();
+            let gamma = regularized_upper_gamma(dof as f64 / 2.0, x / 2.0).unwrap();
+            worst = worst.max((closed - gamma).abs());
+            assert!(
+                (closed - gamma).abs() <= 1e-13,
+                "dof {dof}, x {x}: closed form {closed} vs incomplete gamma {gamma}"
+            );
+        }
+    }
+    assert!(worst > 0.0, "the routes are distinct computations");
+    for_each_seed(|rng| {
+        let dof = rng.index(1, 9);
+        let x = rng.uniform(0.0, 100.0);
+        let closed = ChiSquared::new(dof).unwrap().survival(x).unwrap();
+        let gamma = regularized_upper_gamma(dof as f64 / 2.0, x / 2.0).unwrap();
+        check(
+            (closed - gamma).abs() <= 1e-13,
+            "closed-form survival vs incomplete gamma",
+            (dof, x, closed, gamma),
+        )
+    });
+}
+
+#[test]
+fn survival_at_two_degrees_of_freedom_is_exactly_the_exponential() {
+    let chi = ChiSquared::new(2).unwrap();
+    for i in 0..=14_000 {
+        let x = i as f64 * 0.1;
+        let got = chi.survival(x).unwrap();
+        assert_eq!(got.to_bits(), (-x / 2.0).exp().to_bits(), "x {x}");
+    }
+}
+
+#[test]
+fn survival_tail_is_positive_and_monotone_to_1400() {
+    for dof in 1..=8usize {
+        let chi = ChiSquared::new(dof).unwrap();
+        let mut previous = chi.survival(0.0).unwrap();
+        assert_eq!(previous, 1.0, "dof {dof}: survival(0)");
+        for i in 1..=2_800 {
+            let x = i as f64 * 0.5;
+            let q = chi.survival(x).unwrap();
+            assert!(q > 0.0, "dof {dof}, x {x}: tail underflowed to {q}");
+            assert!(q < previous, "dof {dof}, x {x}: {q} not below {previous}");
+            previous = q;
+        }
+    }
+}
+
+#[test]
+fn survival_rejects_the_cdf_domain() {
+    let chi = ChiSquared::new(3).unwrap();
+    for x in [-1.0, f64::NAN, f64::INFINITY] {
+        assert!(chi.survival(x).is_err(), "x {x}");
+        assert!(chi.cdf(x).is_err(), "x {x}");
+    }
 }
 
 #[test]

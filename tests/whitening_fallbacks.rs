@@ -8,10 +8,16 @@
 //! robot at a time (K = 1) and as one fleet on the 8-lane slab path
 //! (K = 8), takes zero fallbacks.
 //!
-//! The fallback tally is process-global
-//! (`roboads_linalg::health::HealthSnapshot::cholesky_fallbacks`), so
-//! this suite is its own test binary with a single test: nothing else
-//! whitens concurrently.
+//! The innovation covariance Pν is structurally rank-deficient, with a
+//! range known in advance (the null space of the input-estimate gain),
+//! and takes a projected Cholesky with the same kind of Jacobi
+//! fallback; its rank is structural, so that fallback must stay idle on
+//! the same runs too.
+//!
+//! The fallback tallies are process-global
+//! (`roboads_linalg::health::HealthSnapshot::{cholesky_fallbacks,
+//! projection_fallbacks}`), so this suite is its own test binary with a
+//! single test: nothing else whitens or projects concurrently.
 
 use roboads::core::{FleetEngine, RoboAds, RoboAdsConfig, RobotInput};
 use roboads::linalg::{health, Matrix, Vector};
@@ -81,17 +87,41 @@ fn table2_scenarios_take_no_pseudo_inverse_fallback_at_one_and_eight_lanes() {
 
     let before = health::snapshot();
     scalar_path(&template, &runs);
-    let scalar = health::snapshot().since(&before).cholesky_fallbacks;
-    assert_eq!(scalar, 0, "one-lane path fell back to the pseudo-inverse");
+    let scalar = health::snapshot().since(&before);
+    assert_eq!(
+        scalar.cholesky_fallbacks, 0,
+        "one-lane path fell back to the pseudo-inverse"
+    );
+    assert_eq!(
+        scalar.projection_fallbacks, 0,
+        "one-lane path fell back to the Jacobi for Pν"
+    );
 
     let before = health::snapshot();
     fleet_path(&template, &runs);
-    let fleet = health::snapshot().since(&before).cholesky_fallbacks;
-    assert_eq!(fleet, 0, "8-lane slab path fell back to the pseudo-inverse");
+    let fleet = health::snapshot().since(&before);
+    assert_eq!(
+        fleet.cholesky_fallbacks, 0,
+        "8-lane slab path fell back to the pseudo-inverse"
+    );
+    assert_eq!(
+        fleet.projection_fallbacks, 0,
+        "8-lane slab path fell back to the Jacobi for Pν"
+    );
 
     // The tally is live: one singular covariance takes one fallback.
     let before = health::snapshot();
     let singular = Matrix::from_diagonal(&[1.0, 0.0]);
     normalized_statistic(&Vector::from_slice(&[1.0, 1.0]), &singular).unwrap();
     assert_eq!(health::snapshot().since(&before).cholesky_fallbacks, 1);
+    // So is the projection's: variance along the constraint's row space
+    // takes one fallback.
+    let before = health::snapshot();
+    let constraint = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
+    let leaky = Matrix::from_diagonal(&[1.0, 1.0]);
+    let projected = leaky
+        .projected_pseudo_inverse(Some(&constraint), &Vector::from_slice(&[1.0, 1.0]), 1e-12)
+        .unwrap();
+    assert!(projected.is_none());
+    assert_eq!(health::snapshot().since(&before).projection_fallbacks, 1);
 }
