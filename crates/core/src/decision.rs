@@ -1,9 +1,6 @@
 use std::collections::HashMap;
 
-use roboads_linalg::{
-    CholeskySlabWorkspace, EigenSlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab,
-    JACOBI_MAX_SWEEPS,
-};
+use roboads_linalg::{CholeskySlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab};
 use roboads_models::{RobotSystem, SensorSlice};
 use roboads_obs::wire;
 use roboads_obs::{Counter, Gauge, Telemetry, Value};
@@ -549,27 +546,30 @@ impl DecisionMaker {
 /// per lane bitwise identical to [`roboads_stats::normalized_statistic`]
 /// on that lane's estimate and covariance. Every lane is whitened by the
 /// lane-batched Cholesky, replaying [`Matrix::whitened_quadratic_form`]'s
-/// acceptance rule; the lanes it rejects (numerically singular or
-/// non-finite covariances) take the slab Jacobi pseudo-inverse, which
-/// replays the allocating one, and it runs over those lanes only — not
-/// at all when every lane is accepted. A decision maker runs it at one
-/// lane, for the cross-mode conflict tests and the aggregate sensor test
-/// (Algorithm 1 line 10); a fleet slab job runs the aggregate test
-/// eight lanes wide, one scratch per mode, over the robots that
-/// selected that mode; and the NUISE kernel's parsimony pass runs one
-/// per testing sensor, over its mode's lanes.
+/// acceptance rule; each lane it rejects (a numerically singular or
+/// non-finite covariance) is copied out and takes the allocating
+/// pseudo-inverse, `d.quadratic_form(&cov.pseudo_inverse()?)`, exactly
+/// the reference's fallback — so a healthy call allocates nothing and a
+/// rejected lane gets the reference's value or error. A decision maker
+/// runs it at one lane, for the cross-mode conflict tests and the
+/// aggregate sensor test (Algorithm 1 line 10); a fleet slab job runs
+/// the aggregate test eight lanes wide, one scratch per mode, over the
+/// robots that selected that mode; and the NUISE kernel's parsimony pass
+/// runs one per testing sensor, over its mode's lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct NormalizedStatistic<const K: usize> {
     d: VectorSlab<K>,
     cov: MatrixSlab<K>,
-    /// The Cholesky factor, then (fallback lanes) the pseudo-inverse.
-    pinv: MatrixSlab<K>,
+    /// The Cholesky factor.
+    factor: MatrixSlab<K>,
     chol: CholeskySlabWorkspace<K>,
-    eig: EigenSlabWorkspace<K>,
-    /// Lanes whose statistic is valid: accepted by the whitening, or
-    /// converged in the fallback.
-    ok: [bool; K],
-    statistic: [f64; K],
+    /// A rejected lane's estimate and covariance, copied out for the
+    /// pseudo-inverse.
+    lane_d: Vector,
+    lane_cov: Matrix,
+    /// Each active lane's statistic, or the error the pseudo-inverse
+    /// returned on it.
+    statistic: [std::result::Result<f64, LinalgError>; K],
 }
 
 impl<const K: usize> NormalizedStatistic<K> {
@@ -578,11 +578,11 @@ impl<const K: usize> NormalizedStatistic<K> {
         NormalizedStatistic {
             d: VectorSlab::zeros(dim),
             cov: MatrixSlab::zeros(dim, dim),
-            pinv: MatrixSlab::zeros(dim, dim),
+            factor: MatrixSlab::zeros(dim, dim),
             chol: CholeskySlabWorkspace::new(dim),
-            eig: EigenSlabWorkspace::new(dim),
-            ok: [false; K],
-            statistic: [0.0; K],
+            lane_d: Vector::zeros(dim),
+            lane_cov: Matrix::zeros(dim, dim),
+            statistic: std::array::from_fn(|_| Ok(0.0)),
         }
     }
 
@@ -621,55 +621,34 @@ impl<const K: usize> NormalizedStatistic<K> {
 
     /// Computes the statistic of every `active` lane.
     pub(crate) fn run(&mut self, active: &[bool; K]) {
-        let accepted = self.chol.whiten(&self.cov, &self.d, &mut self.pinv, active);
-        self.statistic = *self.chol.norm_squared();
-        self.ok = accepted;
-        let fallback: [bool; K] = std::array::from_fn(|l| active[l] && !accepted[l]);
-        if fallback.contains(&true) {
-            let converged = self.eig.factorize(&self.cov, &fallback);
-            let mut cutoff = [0.0f64; K];
-            for (l, c) in cutoff.iter_mut().enumerate() {
-                if converged[l] {
-                    *c = self.eig.spectrum_cutoff(l);
-                }
-            }
-            self.eig.spectral_map_into(
-                |l, lam| {
-                    if converged[l] && lam.abs() > cutoff[l] {
-                        1.0 / lam
-                    } else {
-                        0.0
-                    }
-                },
-                &mut self.pinv,
-            );
-            let pinv_statistic = self.d.quadratic_form(&self.pinv);
-            for (l, &fell_back) in fallback.iter().enumerate() {
-                if fell_back {
-                    self.statistic[l] = pinv_statistic[l];
-                    self.ok[l] = converged[l];
-                }
+        let accepted = self
+            .chol
+            .whiten(&self.cov, &self.d, &mut self.factor, active);
+        for (l, &accepted) in accepted.iter().enumerate() {
+            if accepted {
+                self.statistic[l] = Ok(self.chol.norm_squared()[l]);
+            } else if active[l] {
+                self.d.store_lane(l, &mut self.lane_d);
+                self.cov.store_lane(l, &mut self.lane_cov);
+                self.statistic[l] = self
+                    .lane_cov
+                    .pseudo_inverse()
+                    .and_then(|pinv| self.lane_d.quadratic_form(&pinv));
             }
         }
     }
 
     /// Lane `l`'s statistic from the last [`run`](Self::run), or the
-    /// error `normalized_statistic` returns on its inputs (the Jacobi
-    /// sweep cap of the fallback, the only failure same-shaped inputs
-    /// can reach).
+    /// error `normalized_statistic` returns on its inputs.
     pub(crate) fn lane(&self, l: usize) -> Result<f64> {
-        self.value(l).ok_or_else(|| {
-            StatsError::from(LinalgError::NoConvergence {
-                sweeps: JACOBI_MAX_SWEEPS,
-            })
-            .into()
-        })
+        self.value(l).map_err(|e| StatsError::from(e).into())
     }
 
-    /// Lane `l`'s statistic from the last [`run`](Self::run), or `None`
-    /// where [`lane`](Self::lane) returns its error.
-    pub(crate) fn value(&self, l: usize) -> Option<f64> {
-        self.ok[l].then_some(self.statistic[l])
+    /// Lane `l`'s statistic from the last [`run`](Self::run), or the
+    /// error [`Matrix::whitened_quadratic_form`] returns on its inputs.
+    /// Only meaningful for lanes active in that run.
+    pub(crate) fn value(&self, l: usize) -> std::result::Result<f64, LinalgError> {
+        self.statistic[l].clone()
     }
 }
 
@@ -960,9 +939,10 @@ mod tests {
             one.run(&[true]);
             assert_eq!(one.lane(0).unwrap().to_bits(), *want);
         }
-        // Eight 3×3 lanes, one of which cannot converge (a NaN pair
-        // spreads through every rotation): it fails alone, with the
-        // allocating function's error, and its neighbours stay exact.
+        // Eight 3×3 lanes. One is rank deficient: the whitening rejects
+        // it and its pseudo-inverse converges. One cannot converge (a
+        // NaN pair spreads through every rotation): it fails alone, with
+        // the allocating function's error, and its neighbours stay exact.
         let mut eight = NormalizedStatistic::<8>::new(3);
         let mut expected = Vec::new();
         for l in 0..8 {
@@ -974,6 +954,15 @@ mod tests {
                 &[-0.1 * x, 0.2, 0.5 + x],
             ])
             .unwrap();
+            if l == 2 {
+                p = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 2.0]])
+                    .unwrap();
+                let whitened = roboads_linalg::Cholesky::whitened_norm_squared(&p, &d).unwrap();
+                assert!(
+                    whitened.is_none(),
+                    "the whitening must reject the singular lane"
+                );
+            }
             if l == 5 {
                 p[(0, 1)] = f64::NAN;
                 p[(1, 0)] = f64::NAN;
@@ -983,6 +972,7 @@ mod tests {
                 .push(roboads_stats::normalized_statistic(&d, &p).map_err(crate::CoreError::from));
         }
         eight.run(&[true; 8]);
+        assert!(expected[2].is_ok(), "the singular lane must converge");
         assert!(expected[5].is_err(), "the poisoned lane must not converge");
         for (l, want) in expected.iter().enumerate() {
             match (eight.lane(l), want) {

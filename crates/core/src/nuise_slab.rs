@@ -19,9 +19,10 @@
 //! kernels replicate the scalar loop structure and accumulation order
 //! per lane (see `roboads_linalg::slab`), the per-lane model evaluations
 //! are the same pure functions, and every data-dependent scalar
-//! decision (LU singularity, the projected Cholesky's acceptance, Jacobi
-//! convergence, spectrum cutoffs, χ² errors) is taken per lane exactly
-//! where `nuise_step` takes it. A lane
+//! decision (LU singularity, the projected Cholesky's acceptance, χ²
+//! errors) is taken per lane exactly where `nuise_step` takes it; a lane
+//! the projection or a whitening rejects is copied out and runs the
+//! allocating pseudo-inverse `nuise_step` runs there. A lane
 //! that fails holds garbage; its first failure is recorded, and
 //! [`NuiseSlabWorkspace::lane_error`] turns it into exactly the error
 //! `nuise_step` returns.
@@ -32,8 +33,8 @@
 use std::sync::Arc;
 
 use roboads_linalg::{
-    EigenSlabWorkspace, LinalgError, LuSlabWorkspace, Matrix, MatrixSlab, ProjectedSlabWorkspace,
-    ProjectionScratch, Vector, VectorSlab, JACOBI_MAX_SWEEPS, RANK_TOL,
+    LinalgError, LuSlabWorkspace, Matrix, MatrixSlab, ProjectedSlabWorkspace, ProjectionScratch,
+    Vector, VectorSlab,
 };
 use roboads_models::{wrap_angle, RobotSystem, SensorSlice};
 
@@ -48,16 +49,16 @@ use crate::{CoreError, Result};
 
 /// A lane's first failure inside [`NuiseSlabWorkspace::run`], in the
 /// order `nuise_step` checks for them.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum LaneFailure {
     /// `R*₂` is singular.
     SingularInnovation,
     /// `rank(C₂G)` is below the input dimension.
     RankDeficient,
-    /// A Jacobi eigendecomposition hit the sweep cap (the fallback of an
-    /// innovation covariance the projection rejected, or of a parsimony
-    /// covariance the whitening rejected).
-    NoConvergence,
+    /// The pseudo-inverse of an innovation covariance the projection
+    /// rejected, or of a parsimony covariance the whitening rejected,
+    /// failed with this error.
+    Linalg(LinalgError),
     /// The χ² survival function rejected the consistency statistic.
     ChiSquared { rank: usize, stat: f64 },
     /// The updated state estimate or covariance is not finite.
@@ -69,10 +70,7 @@ impl LaneFailure {
         match self {
             LaneFailure::SingularInnovation => CoreError::Numeric(SINGULAR_INNOVATION.into()),
             LaneFailure::RankDeficient => CoreError::Numeric(RANK_DEFICIENT.into()),
-            LaneFailure::NoConvergence => LinalgError::NoConvergence {
-                sweeps: JACOBI_MAX_SWEEPS,
-            }
-            .into(),
+            LaneFailure::Linalg(e) => e.into(),
             LaneFailure::ChiSquared { rank, stat } => chi2_consistency(rank, stat)
                 .expect_err("the χ² evaluation is a pure function of (rank, stat)"),
             LaneFailure::NonFinite => CoreError::Numeric(NON_FINITE_ESTIMATE.into()),
@@ -335,10 +333,8 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     // Lane-batched factorizations.
     lu_m2: LuSlabWorkspace<K>,
     lu_q: LuSlabWorkspace<K>,
-    /// Pν's projected Cholesky, with `eigen` (the Jacobi) over the lanes
-    /// it rejects.
+    /// Pν's projected Cholesky.
     projection: ProjectedSlabWorkspace<K>,
-    eigen: EigenSlabWorkspace<K>,
     // Per-lane scalar model-evaluation scratch (models evaluate one
     // robot at a time; the results are loaded into the slabs).
     eval_x: Vector,
@@ -346,6 +342,9 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     eval_nq: Matrix,
     eval_c2: Matrix,
     eval_h2: Vector,
+    /// A lane's Pν and ν, copied out where the projection rejects Pν.
+    eval_p_nu: Matrix,
+    eval_nu: Vector,
     eval_c1: Matrix,
     eval_h1: Vector,
     // Output slabs, scattered per lane after `run` (with `normal_inv`).
@@ -452,12 +451,13 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             lu_m2: LuSlabWorkspace::new(m2_dim),
             lu_q: LuSlabWorkspace::new(q_dim),
             projection,
-            eigen: EigenSlabWorkspace::new(m2_dim),
             eval_x: Vector::zeros(n),
             eval_nn: Matrix::zeros(n, n),
             eval_nq: Matrix::zeros(n, q_dim),
             eval_c2: Matrix::zeros(m2_dim, n),
             eval_h2: Vector::zeros(m2_dim),
+            eval_p_nu: Matrix::zeros(m2_dim, m2_dim),
+            eval_nu: Vector::zeros(m2_dim),
             eval_c1: Matrix::zeros(m1_dim, n),
             eval_h1: Vector::zeros(m1_dim),
             out_state_estimate: VectorSlab::zeros(n),
@@ -471,7 +471,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             pars_slices,
             actuator_statistic: [0.0; K],
             counts: [0; K],
-            failure: [None; K],
+            failure: [const { None }; K],
         }
     }
 
@@ -586,8 +586,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     /// every lane marked in `active`, lane-batched. Returns per-lane
     /// success flags (a subset of `active`): a cleared flag means
     /// `nuise_step` returns an error for that robot (singular gain,
-    /// non-converged eigendecomposition, χ² failure, non-finite
-    /// update) —
+    /// failed pseudo-inverse, χ² failure, non-finite update) —
     /// [`lane_error`](Self::lane_error) names it, and the lane holds
     /// garbage.
     pub(crate) fn run(
@@ -597,7 +596,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         active: &[bool; K],
     ) -> [bool; K] {
         let mut ok = *active;
-        let mut failure = [None; K];
+        let mut failure = [const { None }; K];
         let q = system.process_noise();
 
         // --- Step 1: actuator anomaly estimation (Alg. 2 lines 2–6).
@@ -743,11 +742,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             .expect("square by construction");
         // Pν's pseudo-inverse, rank and pseudo-determinant (see
         // `nuise_step`): the projected Cholesky on null(M₂) (the identity
-        // basis without compensation), and the Jacobi over the lanes it
-        // rejects. Failed lanes are inactive so their NaN spectra cannot
-        // drag the sweep count. The basis, the products and `L⁻¹Uᵀν` reuse
-        // scratch that is free here: the two m₂ × m₂ temporaries and
-        // `h2`, read for the last time by the innovation above.
+        // basis without compensation), and, on each lane it rejects, the
+        // allocating floored pseudo-inverse `nuise_step` takes there.
+        // Failed lanes are inactive. The basis, the products and `L⁻¹Uᵀν`
+        // reuse scratch that is free here: the two m₂ × m₂ temporaries
+        // and `h2`, read for the last time by the innovation above.
         let projected = self.projection.factorize(
             &self.r2_star_p_nu,
             compensate.then_some(&self.m2_gain),
@@ -760,59 +759,27 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
             &mut self.r2_star_inv_p_nu_pinv,
             &ok,
         );
-        let mut fallback = [false; K];
-        for l in 0..K {
-            fallback[l] = ok[l] && !projected[l];
-        }
         let mut nu_rank = [0usize; K];
         let mut nu_sqrt_pdet = [0.0f64; K];
         let mut fallback_stat = [0.0f64; K];
-        if fallback.contains(&true) {
-            let converged = self.eigen.factorize(&self.r2_star_p_nu, &fallback);
-            for l in 0..K {
-                if fallback[l] && !converged[l] {
-                    fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence);
-                    fallback[l] = false;
-                }
+        for l in 0..K {
+            if !ok[l] || projected[l] {
+                continue;
             }
-            let mut cutoff = [0.0f64; K];
-            for (l, c) in cutoff.iter_mut().enumerate() {
-                if fallback[l] {
-                    *c = self
-                        .layout
-                        .spectrum_floor
-                        .max(RANK_TOL * self.eigen.max_eigenvalue(l).abs());
+            self.r2_star_p_nu.store_lane(l, &mut self.eval_p_nu);
+            self.out_innovation.store_lane(l, &mut self.eval_nu);
+            match self
+                .eval_p_nu
+                .floored_pseudo_inverse(&self.eval_nu, self.layout.spectrum_floor)
+            {
+                Ok(pinv) => {
+                    self.r2_star_inv_p_nu_pinv.load_lane(l, &pinv.matrix);
+                    nu_rank[l] = pinv.rank;
+                    nu_sqrt_pdet[l] = pinv.sqrt_pseudo_determinant;
+                    fallback_stat[l] = pinv.statistic;
                 }
+                Err(e) => fail(&mut ok, &mut failure, l, LaneFailure::Linalg(e)),
             }
-            self.eigen.spectral_map_into(
-                |l, lam| {
-                    if fallback[l] && lam.abs() > cutoff[l] {
-                        1.0 / lam
-                    } else {
-                        0.0
-                    }
-                },
-                &mut self.tmp_m2m2_a,
-            );
-            self.r2_star_inv_p_nu_pinv
-                .copy_lanes_from(&self.tmp_m2m2_a, &fallback);
-            for l in 0..K {
-                if !fallback[l] {
-                    continue;
-                }
-                let mut pdet = 1.0f64;
-                for k in 0..self.layout.m2_dim {
-                    let lam = self.eigen.eigenvalues().at(k)[l];
-                    if lam.abs() > cutoff[l] {
-                        nu_rank[l] += 1;
-                        pdet *= lam;
-                    }
-                }
-                nu_sqrt_pdet[l] = pdet.abs().sqrt();
-            }
-            fallback_stat = self
-                .out_innovation
-                .quadratic_form(&self.r2_star_inv_p_nu_pinv);
         }
         let (projected_rank, normalizer) = if compensate {
             (
@@ -996,9 +963,9 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         }
         // Each testing slice's statistic is whitened (its covariance
         // block is full rank by construction, C₁·P·C₁ᵀ + R₁ with
-        // R₁ ≻ 0), with the pseudo-inverse fallback over the lanes the
+        // R₁ ≻ 0), with the pseudo-inverse fallback on the lanes the
         // whitening rejects, so a non-finite lane still fails with the
-        // sweep-cap error.
+        // pseudo-inverse's error.
         let pars_slices = &mut self.pars_slices;
         let counts = &mut self.counts;
         for (s, &threshold) in pars_slices.iter_mut().zip(&layout.testing_thresholds) {
@@ -1013,11 +980,11 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
                     continue;
                 }
                 match s.stat.value(l) {
-                    Some(statistic) => {
+                    Ok(statistic) => {
                         s.statistic[l] = statistic;
                         counts[l] += usize::from(statistic > threshold);
                     }
-                    None => fail(&mut ok, &mut failure, l, LaneFailure::NoConvergence),
+                    Err(e) => fail(&mut ok, &mut failure, l, LaneFailure::Linalg(e)),
                 }
             }
         }
@@ -1029,7 +996,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     /// lane failed in the last [`run`](Self::run); `None` for a lane that
     /// completed or was inactive.
     pub(crate) fn lane_error(&self, lane: usize) -> Option<CoreError> {
-        self.failure[lane].map(LaneFailure::into_error)
+        self.failure[lane].clone().map(LaneFailure::into_error)
     }
 
     /// Copies lane `lane`'s results into `out` (which must be sized for
@@ -1418,6 +1385,9 @@ mod tests {
 
     #[test]
     fn lane_failures_convert_to_the_oracle_errors() {
+        let no_convergence = LinalgError::NoConvergence {
+            sweeps: roboads_linalg::JACOBI_MAX_SWEEPS,
+        };
         let cases = [
             (
                 LaneFailure::SingularInnovation,
@@ -1426,11 +1396,8 @@ mod tests {
             (LaneFailure::RankDeficient, RANK_DEFICIENT.to_string()),
             (LaneFailure::NonFinite, NON_FINITE_ESTIMATE.to_string()),
             (
-                LaneFailure::NoConvergence,
-                LinalgError::NoConvergence {
-                    sweeps: JACOBI_MAX_SWEEPS,
-                }
-                .to_string(),
+                LaneFailure::Linalg(no_convergence.clone()),
+                no_convergence.to_string(),
             ),
         ];
         for (failure, message) in cases {

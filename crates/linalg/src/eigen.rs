@@ -33,15 +33,12 @@ pub struct SymmetricEigen {
 }
 
 /// Maximum number of full Jacobi sweeps before reporting
-/// non-convergence; shared by both Jacobi implementations in the crate
-/// (allocating and slab), so a lane-batched failure flag maps to the
-/// same [`LinalgError::NoConvergence`] the allocating path returns.
+/// [`LinalgError::NoConvergence`].
 pub const JACOBI_MAX_SWEEPS: usize = 64;
 
 /// Off-diagonal magnitude (relative to the Frobenius norm) considered
-/// zero; the one definition both Jacobi implementations in the crate
-/// (allocating and slab) check against.
-pub(crate) const CONVERGENCE_TOL: f64 = 1e-14;
+/// zero.
+const CONVERGENCE_TOL: f64 = 1e-14;
 
 impl SymmetricEigen {
     /// Decomposes a symmetric matrix.

@@ -28,10 +28,12 @@
 //! These allocating operations are the reference. The estimator's hot
 //! path runs on the lane-batched in-place kernels of [`slab`]
 //! ([`MatrixSlab`], [`LuSlabWorkspace`], [`CholeskySlabWorkspace`],
-//! [`ProjectedSlabWorkspace`], [`EigenSlabWorkspace`]): one
-//! robot at K = 1, a fleet tile at K = 8. Each slab kernel is pinned
-//! bit for bit, per lane, against its allocating counterpart
-//! (`tests/slab_vs_scalar.rs`, `tests/jacobi_props.rs`). Beside them
+//! [`ProjectedSlabWorkspace`]): one robot at K = 1, a fleet tile at
+//! K = 8. Each slab kernel is pinned bit for bit, per lane, against its
+//! allocating counterpart (`tests/slab_vs_scalar.rs`). The Jacobi exists
+//! once, as [`SymmetricEigen`]: a lane the Cholesky or the projection
+//! rejects is copied out and takes the allocating pseudo-inverse, so
+//! only such a lane allocates. Beside them
 //! sits a small scalar in-place layer for buffer reuse outside the
 //! NUISE step — fills, copies, [`Matrix::mul_vec_into`], `+=`/`-=` —
 //! each pinned to the allocating operation it replaces.
@@ -70,8 +72,8 @@ pub use lu::Lu;
 pub use matrix::Matrix;
 pub use pseudo::{PseudoInverse, RANK_TOL};
 pub use slab::{
-    CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, MatrixSlab, ProjectedSlabWorkspace,
-    ProjectionScratch, VectorSlab,
+    CholeskySlabWorkspace, LuSlabWorkspace, MatrixSlab, ProjectedSlabWorkspace, ProjectionScratch,
+    VectorSlab,
 };
 pub use vector::Vector;
 

@@ -408,8 +408,7 @@ fn householder_basis(constraint: Option<&Matrix>, m: usize) -> Matrix {
 
 /// Rank cutoff for a spectrum: one implementation shared by the
 /// pseudo-inverse, pseudo-determinant and rank, so all three treat
-/// exactly the same eigenvalues as zero (the slab kernel's
-/// `EigenSlabWorkspace::spectrum_cutoff` replays it per lane).
+/// exactly the same eigenvalues as zero.
 fn spectrum_cutoff(eigenvalues: &[f64]) -> f64 {
     let max_abs = eigenvalues.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     RANK_TOL * max_abs.max(f64::MIN_POSITIVE)

@@ -17,27 +17,26 @@
 //! `&a * &b.transpose()`, `&a * &v`, [`Matrix::transpose`],
 //! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
 //! [`crate::Lu::inverse`], the whitening of
-//! [`crate::Cholesky::whitened_norm_squared`], the projection of
-//! [`Matrix::projected_pseudo_inverse`], and the Jacobi of
-//! [`crate::SymmetricEigen`] with its spectral maps and
-//! [`Matrix::pseudo_inverse`] — with the
-//! same loop structure, accumulation order and pivot/convergence
-//! decisions applied per lane. Data-dependent branches in the scalar code (`if
-//! aik == 0.0 { continue }` zero-skips, LU pivot selection and
-//! singularity skips, Jacobi rotation and convergence checks) become
-//! per-lane *selects*: each lane takes exactly the value it would have
-//! taken in the scalar code, and a lane the scalar code would skip keeps
-//! its old value. `tests/slab_vs_scalar.rs` and `tests/jacobi_props.rs`
-//! pin every kernel against the allocating path with `to_bits`
-//! comparisons at K = 1 and K = 8.
+//! [`crate::Cholesky::whitened_norm_squared`] and the projection of
+//! [`Matrix::projected_pseudo_inverse`] — with the same loop structure,
+//! accumulation order and pivot decisions applied per lane.
+//! Data-dependent branches in the scalar code (`if aik == 0.0 { continue
+//! }` zero-skips, LU pivot selection and singularity skips, Cholesky
+//! and projection acceptance) become per-lane *selects*: each lane takes
+//! exactly the value it would have taken in the scalar code, and a lane
+//! the scalar code would skip keeps its old value.
+//! `tests/slab_vs_scalar.rs` pins every kernel against the allocating
+//! path with `to_bits` comparisons at K = 1 and K = 8.
 //!
 //! Lanes that hit a numeric failure (singular LU, rejected Cholesky
-//! pivot or projection, non-converged Jacobi) are reported via per-lane
-//! flags; their
-//! buffers may hold garbage (inf/NaN propagated through masked
-//! arithmetic) which callers must
-//! discard — IEEE arithmetic on garbage lanes cannot trap or affect
-//! neighbouring lanes.
+//! pivot or projection) are reported via per-lane flags; their buffers
+//! may hold garbage (inf/NaN propagated through masked arithmetic) which
+//! callers must discard — IEEE arithmetic on garbage lanes cannot trap
+//! or affect neighbouring lanes. There is no lane-batched
+//! eigendecomposition: a caller copies each lane the whitening or the
+//! projection rejects out with `store_lane` and runs the allocating
+//! pseudo-inverse on it (the one [`crate::SymmetricEigen`]), so a tick
+//! with no rejected lane allocates nothing.
 //!
 //! Shape mismatches panic, matching the operator-overload contract of
 //! [`Matrix`] arithmetic: all shapes come from a validated system
@@ -48,10 +47,9 @@
 // the bitwise-pinned kernels reviewable against the scalar reference.
 #![allow(clippy::needless_range_loop)]
 
-use crate::eigen::CONVERGENCE_TOL;
 use crate::lu::PIVOT_TOL;
 use crate::pseudo::RANK_TOL;
-use crate::{LinalgError, Matrix, Result, Vector, JACOBI_MAX_SWEEPS};
+use crate::{LinalgError, Matrix, Result, Vector};
 use std::ops::{AddAssign, SubAssign};
 
 fn assert_shape(op: &str, got: (usize, usize), want: (usize, usize)) {
@@ -140,17 +138,6 @@ impl<const K: usize> MatrixSlab<K> {
     pub fn copy_from(&mut self, src: &MatrixSlab<K>) {
         assert_shape("slab copy_from", self.shape(), src.shape());
         self.data.copy_from_slice(&src.data);
-    }
-
-    /// Overwrites the lanes marked in `lanes` with `src`'s (same shape
-    /// required); the other lanes keep their values.
-    pub fn copy_lanes_from(&mut self, src: &MatrixSlab<K>, lanes: &[bool; K]) {
-        assert_shape("slab copy_lanes_from", self.shape(), src.shape());
-        for (g, s) in self.data.iter_mut().zip(&src.data) {
-            for l in 0..K {
-                g[l] = if lanes[l] { s[l] } else { g[l] };
-            }
-        }
     }
 
     /// Overwrites lane `lane` with the scalar matrix `src`.
@@ -859,14 +846,13 @@ impl<const K: usize> LuSlabWorkspace<K> {
 /// largest diagonal entry. Every lane factorizes and forward-solves; a
 /// rejected lane computes garbage (the square root of a non-positive
 /// pivot is NaN or zero) that the caller discards — like LU's singular
-/// lanes — and takes the Jacobi pseudo-inverse instead. Rejected active
-/// lanes are tallied in
+/// lanes — and takes the allocating pseudo-inverse instead. Rejected
+/// active lanes are tallied in
 /// [`crate::health::HealthSnapshot::cholesky_fallbacks`]; a call whose
 /// active lanes are all accepted touches no counter.
 ///
 /// The factor `L` is written into the lower triangle of a
-/// caller-provided slab, so a statistic that already keeps a
-/// pseudo-inverse slab for its fallback stores the factor there.
+/// caller-provided slab.
 #[derive(Debug, Clone)]
 pub struct CholeskySlabWorkspace<const K: usize> {
     /// `L⁻¹d`, solved row by row as the factor's rows complete.
@@ -1022,8 +1008,8 @@ pub struct ProjectionScratch<'a, const K: usize> {
 /// is above the cutoff `floor.max(RANK_TOL · max diag)` and every
 /// discarded direction's Rayleigh quotient is at most that cutoff. A
 /// rejected lane holds garbage, like LU's singular lanes, and its caller
-/// runs the Jacobi pseudo-inverse there instead. Rejected active lanes
-/// are tallied in
+/// runs the allocating Jacobi pseudo-inverse there instead. Rejected
+/// active lanes are tallied in
 /// [`crate::health::HealthSnapshot::projection_fallbacks`]; a call whose
 /// active lanes are all accepted touches no counter.
 ///
@@ -1331,279 +1317,6 @@ impl<const K: usize> ProjectedSlabWorkspace<K> {
     /// accept.
     pub fn statistic(&self) -> &[f64; K] {
         &self.statistic
-    }
-}
-
-/// Lane-batched cyclic Jacobi eigendecomposition for symmetric
-/// matrices; per lane bitwise identical to the scalar
-/// [`crate::SymmetricEigen`].
-///
-/// Convergence is tracked per lane: a lane whose off-diagonal norm
-/// passes the sweep-top check freezes (its eigenvalues are captured and
-/// every further rotation selects its old values), exactly where the
-/// scalar path would have returned. Lanes still unconverged after the
-/// sweep cap are reported via the returned flags — the scalar path's
-/// `NoConvergence` error.
-///
-/// The rotation is branch-free across lanes (a lane that does not
-/// rotate keeps its old value through a select, so the lane loops
-/// vectorize), and it updates rows `p` and `q` by mirroring the column
-/// update: the working copy is exactly symmetric, so off the 2×2 block
-/// the scalar path's row update reproduces its column update bit for
-/// bit, and only the block's two new diagonal entries are computed, with
-/// the scalar path's expressions.
-#[derive(Debug, Clone)]
-pub struct EigenSlabWorkspace<const K: usize> {
-    a: MatrixSlab<K>,
-    v: MatrixSlab<K>,
-    eigenvalues: VectorSlab<K>,
-}
-
-impl<const K: usize> EigenSlabWorkspace<K> {
-    /// Allocates buffers for `n × n` lane-batched decompositions.
-    pub fn new(n: usize) -> Self {
-        EigenSlabWorkspace {
-            a: MatrixSlab::zeros(n, n),
-            v: MatrixSlab::zeros(n, n),
-            eigenvalues: VectorSlab::zeros(n),
-        }
-    }
-
-    /// Workspace dimension.
-    pub fn dim(&self) -> usize {
-        self.eigenvalues.len()
-    }
-
-    /// Decomposes the active lanes of `m` (upper triangle, as the
-    /// scalar path does) and returns per-lane convergence flags:
-    /// `true` means that lane's eigenvalues/eigenvectors are valid and
-    /// bitwise identical to [`crate::SymmetricEigen::new`] on
-    /// that lane's matrix; `false` for an active lane means the scalar
-    /// path would have returned `NoConvergence`. Inactive lanes are
-    /// skipped entirely (their buffers hold stale data) and report
-    /// `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` does not match the workspace dimension.
-    pub fn factorize(&mut self, m: &MatrixSlab<K>, active: &[bool; K]) -> [bool; K] {
-        let n = self.dim();
-        assert_shape("slab eigen factorize", m.shape(), (n, n));
-        let a = &mut self.a;
-        let v = &mut self.v;
-        for i in 0..n {
-            for j in 0..n {
-                *a.at_mut(i, j) = if i <= j { *m.at(i, j) } else { *m.at(j, i) };
-            }
-        }
-        v.set_identity();
-        // Per-lane Frobenius norm in storage order, then the scalar
-        // floor: norm = frobenius.max(MIN_POSITIVE).
-        let mut norm = [0.0f64; K];
-        for g in &a.data {
-            for l in 0..K {
-                norm[l] += g[l] * g[l];
-            }
-        }
-        for l in 0..K {
-            norm[l] = norm[l].sqrt().max(f64::MIN_POSITIVE);
-        }
-
-        let mut done = [false; K];
-        let mut converged = [false; K];
-        for l in 0..K {
-            done[l] = !active[l];
-        }
-
-        for _sweep in 0..JACOBI_MAX_SWEEPS {
-            // Sweep-top convergence check, per lane (i asc, j asc sum
-            // order as in the scalar path).
-            let mut off = [0.0f64; K];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let g = a.at(i, j);
-                    for l in 0..K {
-                        off[l] += g[l] * g[l];
-                    }
-                }
-            }
-            for l in 0..K {
-                if !done[l] && off[l].sqrt() <= CONVERGENCE_TOL * norm[l] {
-                    for i in 0..n {
-                        self.eigenvalues.data[i][l] = a.at(i, i)[l];
-                    }
-                    done[l] = true;
-                    converged[l] = true;
-                }
-            }
-            if done.iter().all(|&d| d) {
-                return converged;
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = *a.at(p, q);
-                    let mut rot = [false; K];
-                    let mut any = false;
-                    for l in 0..K {
-                        // The scalar path skips only `|apq| <= MIN`, so
-                        // a NaN entry rotates there and here.
-                        let mag = apq[l].abs();
-                        rot[l] = !done[l] && (mag > f64::MIN_POSITIVE || mag.is_nan());
-                        any |= rot[l];
-                    }
-                    if !any {
-                        continue;
-                    }
-                    let app = *a.at(p, p);
-                    let aqq = *a.at(q, q);
-                    let mut c = [0.0f64; K];
-                    let mut s = [0.0f64; K];
-                    for l in 0..K {
-                        // Computed for every lane; lanes that do not
-                        // rotate may produce inf/NaN here, which the
-                        // selects below discard.
-                        let theta = (aqq[l] - app[l]) / (2.0 * apq[l]);
-                        let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                        let cl = 1.0 / (t * t + 1.0).sqrt();
-                        c[l] = cl;
-                        s[l] = t * cl;
-                    }
-                    // The working copy is exactly symmetric (loaded from
-                    // one triangle, and every rotation keeps it so), so
-                    // off the 2×2 block the scalar path's row update
-                    // reads the same operands as its column update and
-                    // stores the same bits: compute the columns once and
-                    // mirror them into rows p and q.
-                    for k in 0..n {
-                        if k == p || k == q {
-                            continue;
-                        }
-                        let akp = *a.at(k, p);
-                        let akq = *a.at(k, q);
-                        let mut np = [0.0f64; K];
-                        let mut nq = [0.0f64; K];
-                        for l in 0..K {
-                            let xp = c[l] * akp[l] - s[l] * akq[l];
-                            let xq = s[l] * akp[l] + c[l] * akq[l];
-                            np[l] = if rot[l] { xp } else { akp[l] };
-                            nq[l] = if rot[l] { xq } else { akq[l] };
-                        }
-                        *a.at_mut(k, p) = np;
-                        *a.at_mut(p, k) = np;
-                        *a.at_mut(k, q) = nq;
-                        *a.at_mut(q, k) = nq;
-                    }
-                    // The block: the scalar path's column update, then
-                    // its row update of the two diagonal entries (the
-                    // rotated-out pair is cleared exactly).
-                    let mut dp = [0.0f64; K];
-                    let mut dq = [0.0f64; K];
-                    let mut opq = [0.0f64; K];
-                    for l in 0..K {
-                        let pp = c[l] * app[l] - s[l] * apq[l];
-                        let pq = s[l] * app[l] + c[l] * apq[l];
-                        let qp = c[l] * apq[l] - s[l] * aqq[l];
-                        let qq = s[l] * apq[l] + c[l] * aqq[l];
-                        let xp = c[l] * pp - s[l] * qp;
-                        let xq = s[l] * pq + c[l] * qq;
-                        dp[l] = if rot[l] { xp } else { app[l] };
-                        dq[l] = if rot[l] { xq } else { aqq[l] };
-                        opq[l] = if rot[l] { 0.0 } else { apq[l] };
-                    }
-                    *a.at_mut(p, p) = dp;
-                    *a.at_mut(q, q) = dq;
-                    *a.at_mut(p, q) = opq;
-                    *a.at_mut(q, p) = opq;
-                    for k in 0..n {
-                        let vkp = *v.at(k, p);
-                        let vkq = *v.at(k, q);
-                        let mut np = [0.0f64; K];
-                        let mut nq = [0.0f64; K];
-                        for l in 0..K {
-                            let xp = c[l] * vkp[l] - s[l] * vkq[l];
-                            let xq = s[l] * vkp[l] + c[l] * vkq[l];
-                            np[l] = if rot[l] { xp } else { vkp[l] };
-                            nq[l] = if rot[l] { xq } else { vkq[l] };
-                        }
-                        *v.at_mut(k, p) = np;
-                        *v.at_mut(k, q) = nq;
-                    }
-                }
-            }
-        }
-        // Lanes still running after the sweep cap mirror the scalar
-        // NoConvergence error; their flags stay false.
-        converged
-    }
-
-    /// Eigenvalues of the last decomposition (unsorted, matching
-    /// eigenvector columns). Lanes that did not converge hold garbage.
-    pub fn eigenvalues(&self) -> &VectorSlab<K> {
-        &self.eigenvalues
-    }
-
-    /// Largest eigenvalue of lane `lane`; bitwise identical to
-    /// [`crate::SymmetricEigen::max_eigenvalue`] for converged lanes.
-    pub fn max_eigenvalue(&self, lane: usize) -> f64 {
-        self.eigenvalues
-            .data
-            .iter()
-            .fold(f64::NEG_INFINITY, |a, g| a.max(g[lane]))
-    }
-
-    /// Rank cutoff for lane `lane`'s spectrum; bitwise identical to the
-    /// shared `spectrum_cutoff` used by [`Matrix::pseudo_inverse`]
-    /// (same fold order, same `RANK_TOL`).
-    pub fn spectrum_cutoff(&self, lane: usize) -> f64 {
-        let max_abs = self
-            .eigenvalues
-            .data
-            .iter()
-            .fold(0.0f64, |a, g| a.max(g[lane].abs()));
-        RANK_TOL * max_abs.max(f64::MIN_POSITIVE)
-    }
-
-    /// Writes `V·f(Λ)·Vᵀ` into `out`, with `f` receiving `(lane,
-    /// eigenvalue)`; per lane bitwise identical to
-    /// [`crate::SymmetricEigen::spectral_map`] when `f(lane, ·)`
-    /// matches the scalar map. The scalar zero-skip becomes a per-lane
-    /// select that keeps the old sum (never adding a literal zero, which
-    /// could flip a `-0.0` sign). Unconverged lanes produce garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not match the workspace dimension.
-    pub fn spectral_map_into(&self, f: impl Fn(usize, f64) -> f64, out: &mut MatrixSlab<K>) {
-        let n = self.dim();
-        assert_shape("slab spectral_map_into", out.shape(), (n, n));
-        let v = &self.v;
-        out.fill(0.0);
-        for k in 0..n {
-            let mut fl = [0.0f64; K];
-            let mut add = [false; K];
-            for l in 0..K {
-                fl[l] = f(l, self.eigenvalues.data[k][l]);
-                add[l] = fl[l] != 0.0;
-            }
-            if !add.contains(&true) {
-                continue;
-            }
-            for i in 0..n {
-                let vik = *v.at(i, k);
-                let mut fv = [0.0f64; K];
-                for l in 0..K {
-                    fv[l] = fl[l] * vik[l];
-                }
-                let out_row = out.row_mut(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let vjk = v.at(j, k);
-                    for l in 0..K {
-                        let sum = o[l] + fv[l] * vjk[l];
-                        o[l] = if add[l] { sum } else { o[l] };
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -4,12 +4,17 @@
 //! Cholesky residuals, eigen reconstruction, Moore–Penrose, rank,
 //! congruence PSD-ness, the whitened χ² statistic against the
 //! pseudo-inverse one, and the projected pseudo-inverse of an
-//! obliquely projected covariance against the Jacobi one.
+//! obliquely projected covariance against the Jacobi one. The Jacobi
+//! ([`roboads_linalg::SymmetricEigen`], the crate's one
+//! eigendecomposition) is drawn over sizes 1–10 and twelve decades of
+//! scale, on diagonal, nearly diagonal, rank-deficient and
+//! pair-skipping spectra, with the lower triangle replaced by noise it
+//! must ignore.
 //!
 //! Each case derives its inputs from one seed and names it on failure,
 //! so a failing case reruns alone.
 
-use roboads_linalg::{Cholesky, Matrix, Vector};
+use roboads_linalg::{Cholesky, LinalgError, Matrix, Vector, JACOBI_MAX_SWEEPS};
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
@@ -124,31 +129,120 @@ fn cholesky_and_lu_determinants_agree() {
     });
 }
 
+/// `B·Bᵀ` for a random `n × rank` factor `B`: PSD with an exact null
+/// space of dimension `n − rank`.
+fn gram(rng: &mut Rng, n: usize, rank: usize) -> Matrix {
+    let b = Matrix::from_fn(n, rank, |_, _| rng.entry());
+    &b * &b.transpose()
+}
+
+/// An input to the Jacobi: `n` in 1–10, a scale in `10^-8..=10^4`, and
+/// one of the spectra it meets (dense, diagonal, nearly diagonal, rank
+/// deficient, a skipped first pair, SPD). Returns the input and the
+/// symmetric matrix its upper triangle stands for; on a coin flip the
+/// input's strictly lower triangle is independent noise.
+fn eigen_input(rng: &mut Rng) -> (Matrix, Matrix) {
+    let n = rng.index(1, 11);
+    let scale = 10f64.powi(rng.below(13) as i32 - 8);
+    let sym = match rng.below(6) {
+        0 => rng.symmetric(n),
+        // Converged before the first rotation.
+        1 => Matrix::from_diagonal(&(0..n).map(|_| rng.entry()).collect::<Vec<_>>()),
+        // Off-diagonal entries far below the convergence tolerance.
+        2 => {
+            let noise = rng.symmetric(n) * 1e-18;
+            Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    5.0 + noise[(i, i)].abs() * 1e18
+                } else {
+                    noise[(i, j)]
+                }
+            })
+        }
+        3 => {
+            let rank = rng.below(n);
+            gram(rng, n, rank)
+        }
+        // An exact zero at (0, 1) between equal diagonal entries: the
+        // first rotation's angle would be 0/0, so the pair is skipped.
+        4 => {
+            let mut m = rng.spd(n);
+            if n > 1 {
+                m[(0, 1)] = 0.0;
+                m[(1, 0)] = 0.0;
+                m[(1, 1)] = m[(0, 0)];
+            }
+            m
+        }
+        _ => rng.spd(n),
+    } * scale;
+    let input = if rng.coin() {
+        Matrix::from_fn(n, n, |i, j| {
+            if i > j {
+                rng.entry() * scale
+            } else {
+                sym[(i, j)]
+            }
+        })
+    } else {
+        sym.clone()
+    };
+    (input, sym)
+}
+
 #[test]
 fn eigen_reconstructs_symmetric() {
     for_each_seed(|rng| {
-        let sym = rng.symmetric(4);
-        let rec = sym.symmetric_eigen().unwrap().spectral_map(|l| l);
+        let (input, sym) = eigen_input(rng);
+        let eig = input.symmetric_eigen().unwrap();
+        let rec = eig.spectral_map(|l| l);
         let err = (&rec - &sym).max_abs();
-        check(err < 1e-8 * (1.0 + sym.max_abs()), "V·Λ·Vᵀ ≠ A", err)
+        check(err <= 1e-13 * sym.max_abs(), "V·Λ·Vᵀ ≠ A", err)?;
+        let reference = sym.symmetric_eigen().unwrap();
+        check(
+            eig.eigenvalues() == reference.eigenvalues()
+                && eig.eigenvectors() == reference.eigenvectors(),
+            "the lower triangle was read",
+            &input,
+        )?;
+        // Already converged: the diagonal and the identity, untouched.
+        let n = sym.rows();
+        let off: f64 = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .map(|(i, j)| sym[(i, j)] * sym[(i, j)])
+            .sum();
+        if off.sqrt() <= 1e-14 * sym.frobenius_norm() {
+            check(
+                *eig.eigenvalues() == sym.diagonal() && *eig.eigenvectors() == Matrix::identity(n),
+                "a converged input was rotated",
+                &sym,
+            )?;
+        }
+        Ok(())
     });
 }
 
 #[test]
 fn eigenvalue_sum_is_trace() {
     for_each_seed(|rng| {
-        let sym = rng.symmetric(4);
-        let eig = sym.symmetric_eigen().unwrap();
+        let (input, sym) = eigen_input(rng);
+        let eig = input.symmetric_eigen().unwrap();
         let sum: f64 = eig.eigenvalues().as_slice().iter().sum();
         let err = (sum - sym.trace()).abs();
-        check(err < 1e-8 * (1.0 + sym.trace().abs()), "Σλ ≠ tr A", err)
+        check(err <= 1e-13 * sym.frobenius_norm(), "Σλ ≠ tr A", err)
     });
 }
 
 #[test]
 fn pseudo_inverse_satisfies_moore_penrose() {
     for_each_seed(|rng| {
-        let sym = rng.symmetric(3);
+        let sym = if rng.coin() {
+            rng.symmetric(3)
+        } else {
+            let n = rng.index(1, 11);
+            let rank = rng.below(n);
+            gram(rng, n, rank)
+        };
         let p = sym.pseudo_inverse().unwrap();
         let apa = (&(&(&sym * &p) * &sym) - &sym).max_abs();
         check(apa < 1e-6 * (1.0 + sym.max_abs()), "A·A†·A ≠ A", apa)?;
@@ -167,7 +261,14 @@ fn rank_of_outer_product_is_at_most_factor_rank() {
             m.max_abs() <= 1e-6 || r == 1,
             "rank of nonzero v·vᵀ not 1",
             r,
-        )
+        )?;
+        // A rank-deficient spectrum: the exact-zero eigenvalues fall
+        // below the cutoff and the factor's rank survives it.
+        let n = rng.index(1, 11);
+        let rank = rng.below(n);
+        let g = gram(rng, n, rank);
+        let r = g.rank().unwrap();
+        check(r == rank, "rank of B·Bᵀ (got, factor)", (r, rank))
     });
 }
 
@@ -302,7 +403,19 @@ fn rank_deficient_and_non_finite_input_falls_back_to_the_pseudo_inverse_bitwise(
         check(
             got == want,
             "fallback diverges from the pinv path",
-            (got, want),
+            (&got, &want),
+        )?;
+        // From n = 3 a NaN spreads through every rotation, so the Jacobi
+        // hits its sweep cap. (A 1 × 1 NaN has no rotation to spread
+        // through, and a 2 × 2 one's single rotation clears the only
+        // off-diagonal pair to an exact zero: both "converge".)
+        let no_convergence = Err(LinalgError::NoConvergence {
+            sweeps: JACOBI_MAX_SWEEPS,
+        });
+        check(
+            n < 3 || !a.as_slice().iter().any(|v| v.is_nan()) || want == no_convergence,
+            "a NaN input's pseudo-inverse error",
+            want,
         )
     });
 }

@@ -1,10 +1,10 @@
 //! Pins every slab kernel bitwise (`to_bits`) against the allocating
 //! `Matrix` path — the operators, `transpose`, `symmetrized`,
 //! `congruence`, `Lu`, the Cholesky whitening, the projected
-//! pseudo-inverse and `SymmetricEigen` — lane by lane, over randomized
-//! shapes and values, including injected exact zeros (the zero-skip
-//! branches), singular LU lanes, rejected (rank-deficient and NaN)
-//! whitening and projection lanes and masked eigen lanes.
+//! pseudo-inverse — lane by lane, over randomized shapes and values,
+//! including injected exact zeros (the zero-skip branches), singular LU
+//! lanes and rejected (rank-deficient and NaN) whitening and projection
+//! lanes.
 //!
 //! Every case runs at both widths the NUISE kernel is instantiated at:
 //! K = 1 (the engine's per-mode step) and K = 8 (the fleet's tiles).
@@ -17,8 +17,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use roboads_linalg::{
-    Cholesky, CholeskySlabWorkspace, EigenSlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab,
-    ProjectedSlabWorkspace, ProjectionScratch, Vector, VectorSlab,
+    Cholesky, CholeskySlabWorkspace, LuSlabWorkspace, Matrix, MatrixSlab, ProjectedSlabWorkspace,
+    ProjectionScratch, Vector, VectorSlab,
 };
 
 #[path = "../../../tests/support/seeded.rs"]
@@ -322,91 +322,6 @@ fn lu_matches_scalar_bitwise_per_lane_including_singular<const K: usize>() {
     }
 }
 
-fn eigen_matches_scalar_bitwise_per_lane_with_mask<const K: usize>() {
-    let mut rng = Rng::new(0x51ab_0005);
-    for n in 1..=5 {
-        for round in 0..6 {
-            let mats: Vec<Matrix> = (0..K).map(|_| rng.symmetric(n)).collect();
-            let slab = load::<K>(&mats);
-            let mut active = [true; K];
-            // Mask a couple of lanes so their (stale) buffers cannot
-            // perturb the live lanes (at one lane, every other round).
-            if K > 1 {
-                active[round % K] = false;
-                active[(round + 3) % K] = false;
-            } else {
-                active[0] = round % 2 == 0;
-            }
-            let mut ws = EigenSlabWorkspace::<K>::new(n);
-            let converged = ws.factorize(&slab, &active);
-
-            for l in 0..K {
-                if !active[l] {
-                    assert!(!converged[l], "inactive lane {l} must report false");
-                    continue;
-                }
-                let eig = mats[l].symmetric_eigen().unwrap();
-                assert!(converged[l], "lane {l} failed to converge");
-                assert_lane_vec_eq(ws.eigenvalues(), l, eig.eigenvalues(), "eigenvalues");
-                assert_eq!(
-                    ws.max_eigenvalue(l).to_bits(),
-                    eig.max_eigenvalue().to_bits(),
-                    "max_eigenvalue lane {l}"
-                );
-            }
-
-            // Pseudo-inverse through the slab spectral map matches
-            // `Matrix::pseudo_inverse` exactly (same cutoff code).
-            let mut cutoff = [0.0f64; K];
-            for l in 0..K {
-                cutoff[l] = ws.spectrum_cutoff(l);
-            }
-            let mut pinv = MatrixSlab::<K>::zeros(n, n);
-            ws.spectral_map_into(
-                |l, lam| {
-                    if lam.abs() > cutoff[l] {
-                        1.0 / lam
-                    } else {
-                        0.0
-                    }
-                },
-                &mut pinv,
-            );
-            for l in 0..K {
-                if !active[l] {
-                    continue;
-                }
-                let expected = mats[l].pseudo_inverse().unwrap();
-                assert_lane_eq(&pinv, l, &expected, "slab pseudo-inverse");
-            }
-        }
-    }
-}
-
-fn eigen_spectral_map_zero_skip_matches_scalar<const K: usize>() {
-    // A map that returns 0.0 for most eigenvalues exercises the
-    // masked-accumulate path (the scalar zero-skip `continue`).
-    let mut rng = Rng::new(0x51ab_0006);
-    let n = 4;
-    let mats: Vec<Matrix> = (0..K).map(|_| rng.symmetric(n)).collect();
-    let slab = load::<K>(&mats);
-    let mut ws = EigenSlabWorkspace::<K>::new(n);
-    let converged = ws.factorize(&slab, &[true; K]);
-    let mut out = MatrixSlab::<K>::zeros(n, n);
-    ws.spectral_map_into(|_, lam| if lam > 0.5 { lam * lam } else { 0.0 }, &mut out);
-    for l in 0..K {
-        assert!(converged[l]);
-        let expected = mats[l].symmetric_eigen().unwrap().spectral_map(|lam| {
-            if lam > 0.5 {
-                lam * lam
-            } else {
-                0.0
-            }
-        });
-        assert_lane_eq(&out, l, &expected, "spectral_map zero-skip");
-    }
-}
-
 /// The lane kinds of a whitening tile, cycled across lanes and rounds
 /// so every tile mixes them.
 #[derive(Clone, Copy, PartialEq)]
@@ -698,8 +613,6 @@ at_both_widths!(
     elementwise_ops_match_scalar_bitwise_per_lane,
     symmetrize_keeps_huge_diagonals,
     lu_matches_scalar_bitwise_per_lane_including_singular,
-    eigen_matches_scalar_bitwise_per_lane_with_mask,
-    eigen_spectral_map_zero_skip_matches_scalar,
     cholesky_whiten_matches_scalar_bitwise_per_lane_with_fallbacks,
     projected_pseudo_inverse_matches_scalar_bitwise_per_lane_with_fallbacks,
     identity_fill_copy_roundtrip,

@@ -85,18 +85,7 @@ const EPS: f64 = 1e-14;
 /// assert!((p - (1.0 - (-2.0f64).exp())).abs() < 1e-12);
 /// ```
 pub fn regularized_lower_gamma(s: f64, x: f64) -> Result<f64> {
-    if !s.is_finite() || s <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "s",
-            value: format!("{s}"),
-        });
-    }
-    if !x.is_finite() || x < 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "x",
-            value: format!("{x}"),
-        });
-    }
+    check_domain(s, x)?;
     if x == 0.0 {
         return Ok(0.0);
     }
@@ -109,11 +98,48 @@ pub fn regularized_lower_gamma(s: f64, x: f64) -> Result<f64> {
 
 /// Regularized upper incomplete gamma function `Q(s, x) = 1 − P(s, x)`.
 ///
+/// Computed directly where `Q` is the small side — the continued
+/// fraction for `x ≥ s + 1` — so the tail keeps its relative accuracy
+/// far past where `1 − P` rounds to zero; `1 − P` by the series below.
+///
 /// # Errors
 ///
 /// Same domain as [`regularized_lower_gamma`].
+///
+/// ```
+/// use roboads_stats::gamma::regularized_upper_gamma;
+///
+/// // Q(1, x) = e^{−x}, deep in the tail too.
+/// let q = regularized_upper_gamma(1.0, 500.0).unwrap();
+/// assert!((q / (-500.0f64).exp() - 1.0).abs() < 1e-13);
+/// ```
 pub fn regularized_upper_gamma(s: f64, x: f64) -> Result<f64> {
-    Ok(1.0 - regularized_lower_gamma(s, x)?)
+    check_domain(s, x)?;
+    if x == 0.0 {
+        return Ok(1.0);
+    }
+    if x < s + 1.0 {
+        Ok(1.0 - lower_gamma_series(s, x)?)
+    } else {
+        upper_gamma_continued_fraction(s, x)
+    }
+}
+
+/// The incomplete gamma's domain: finite `s > 0` and finite `x ≥ 0`.
+fn check_domain(s: f64, x: f64) -> Result<()> {
+    if !s.is_finite() || s <= 0.0 {
+        return Err(StatsError::InvalidParameter {
+            name: "s",
+            value: format!("{s}"),
+        });
+    }
+    if !x.is_finite() || x < 0.0 {
+        return Err(StatsError::InvalidParameter {
+            name: "x",
+            value: format!("{x}"),
+        });
+    }
+    Ok(())
 }
 
 /// Series expansion of `P(s, x)`, effective for `x < s + 1`.
@@ -359,6 +385,38 @@ mod tests {
                 let p = regularized_lower_gamma(s, x).unwrap();
                 let q = regularized_upper_gamma(s, x).unwrap();
                 assert!((p + q - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn upper_gamma_keeps_the_exponential_tail() {
+        // Q(1, x) = e^{−x}: relative accuracy over the whole normal
+        // range of e^{−x}, series and continued-fraction sides alike.
+        let mut worst = 0.0f64;
+        for i in 0..=70_000 {
+            let x = i as f64 * 0.01;
+            let q = regularized_upper_gamma(1.0, x).unwrap();
+            let rel = (q / (-x).exp() - 1.0).abs();
+            worst = worst.max(rel);
+            assert!(rel <= 1e-13, "x = {x}: Q = {q}, e^-x = {}", (-x).exp());
+        }
+        assert!(worst > 0.0, "Q is computed, not e^-x itself");
+    }
+
+    #[test]
+    fn upper_gamma_is_positive_and_decreasing() {
+        for &s in &[0.5, 1.0, 2.5, 16.0, 40.0] {
+            let mut previous = regularized_upper_gamma(s, 0.0).unwrap();
+            assert_eq!(previous, 1.0, "s = {s}");
+            for i in 1..=1_300 {
+                let x = i as f64 * 0.5;
+                let q = regularized_upper_gamma(s, x).unwrap();
+                assert!(q > 0.0, "s = {s}, x = {x}: tail underflowed to {q}");
+                // Strictly where Q no longer rounds to 1.
+                let decreasing = q < previous || (q == previous && q > 0.5);
+                assert!(decreasing, "s = {s}, x = {x}: {q} not below {previous}");
+                previous = q;
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Seeded property suite for the statistics substrate: χ² CDF
 //! monotonicity and quantile round-trips, the closed-form χ² survival
 //! function against the incomplete-gamma route and in its tail, the
+//! incomplete-gamma survival's tail above 64 degrees of freedom, the
 //! regularized-gamma complement identity, the sliding window against a
 //! naive count, and the confusion-count rate identities.
 //!
@@ -94,6 +95,26 @@ fn survival_tail_is_positive_and_monotone_to_1400() {
             assert!(q < previous, "dof {dof}, x {x}: {q} not below {previous}");
             previous = q;
         }
+    }
+}
+
+#[test]
+fn survival_above_64_degrees_of_freedom_keeps_its_tail() {
+    // Above 64 degrees of freedom the survival is the upper incomplete
+    // gamma, which must not round its tail to zero where 1 − cdf does.
+    for dof in [65usize, 100, 256] {
+        let chi = ChiSquared::new(dof).unwrap();
+        let mut previous = chi.survival(0.0).unwrap();
+        let mut rounded_cdf_seen = false;
+        for i in 1..=2_800 {
+            let x = i as f64 * 0.5;
+            let q = chi.survival(x).unwrap();
+            assert!(q > 0.0, "dof {dof}, x {x}: tail underflowed to {q}");
+            assert!(q <= previous, "dof {dof}, x {x}: {q} above {previous}");
+            rounded_cdf_seen |= chi.cdf(x).unwrap() == 1.0;
+            previous = q;
+        }
+        assert!(rounded_cdf_seen, "dof {dof}: the cdf never rounds to 1");
     }
 }
 
