@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use roboads_linalg::{CholeskySlabWorkspace, LinalgError, Matrix, MatrixSlab, Vector, VectorSlab};
 use roboads_models::{RobotSystem, SensorSlice};
 use roboads_obs::wire;
@@ -25,9 +23,9 @@ pub struct DecisionMaker {
     actuator_alpha: f64,
     sensor_window: SlidingWindow,
     actuator_window: SlidingWindow,
-    /// χ² tests keyed by degrees of freedom (testing-set dimensions vary
-    /// by mode), built lazily and cached.
-    sensor_tests: HashMap<usize, ChiSquareTest>,
+    /// χ² tests indexed by degrees of freedom (testing-set dimensions
+    /// vary by mode), built lazily and cached.
+    sensor_tests: Vec<Option<ChiSquareTest>>,
     actuator_test: ChiSquareTest,
     /// Conservative test for cross-mode actuator-estimate conflicts
     /// (α = 0.001: only a decisive contradiction suppresses an alarm).
@@ -38,12 +36,12 @@ pub struct DecisionMaker {
     /// confirmed/cleared events.
     prev_sensor_alarm: bool,
     prev_actuator_alarm: bool,
-    /// One-lane `dᵀP⁺d` scratch keyed by dimension (the same
+    /// One-lane `dᵀP⁺d` scratch indexed by dimension (the same
     /// lazily-built-and-cached discipline as `sensor_tests`), for the
     /// cross-mode conflict tests and for the aggregate sensor test when
     /// no fleet slab job batched it, so warm assessments run without
     /// heap allocation.
-    statistics: HashMap<usize, NormalizedStatistic<1>>,
+    statistics: Vec<Option<NormalizedStatistic<1>>>,
     /// Innovation-consistent mode indices, rebuilt each iteration.
     qualifying: Vec<usize>,
     /// Actuator-estimate difference scratch (input dimension).
@@ -114,14 +112,14 @@ impl DecisionMaker {
             actuator_alpha: config.actuator_alpha,
             sensor_window,
             actuator_window,
-            sensor_tests: HashMap::new(),
+            sensor_tests: Vec::new(),
             actuator_test,
             actuator_conflict_test,
             telemetry,
             instruments,
             prev_sensor_alarm: false,
             prev_actuator_alarm: false,
-            statistics: HashMap::new(),
+            statistics: Vec::new(),
             qualifying: Vec::new(),
             diff: Vector::zeros(input_dim),
             joint: Matrix::zeros(input_dim, input_dim),
@@ -137,24 +135,25 @@ impl DecisionMaker {
     }
 
     fn sensor_test(&mut self, dof: usize) -> Result<ChiSquareTest> {
-        if let Some(t) = self.sensor_tests.get(&dof) {
+        let slot = cache_slot(&mut self.sensor_tests, dof);
+        if let Some(t) = slot {
             return Ok(*t);
         }
         let t = ChiSquareTest::new(dof, self.sensor_alpha)?;
-        self.sensor_tests.insert(dof, t);
+        *slot = Some(t);
         Ok(t)
     }
 
     /// `dᵀP⁺d` on the one-lane scratch for `d`'s dimension (built and
     /// cached on first use; warm calls are lookup-only).
     fn statistic(
-        statistics: &mut HashMap<usize, NormalizedStatistic<1>>,
+        statistics: &mut Vec<Option<NormalizedStatistic<1>>>,
         d: &Vector,
         covariance: &Matrix,
     ) -> Result<f64> {
-        let scratch = statistics
-            .entry(d.len())
-            .or_insert_with_key(|&dim| NormalizedStatistic::new(dim));
+        let dim = d.len();
+        let scratch =
+            cache_slot(statistics, dim).get_or_insert_with(|| NormalizedStatistic::new(dim));
         scratch.load_lane(0, d, covariance);
         scratch.run(&[true]);
         scratch.lane(0)
@@ -542,6 +541,15 @@ impl DecisionMaker {
     }
 }
 
+/// The cache slot for `key`, growing the cache with empty slots the
+/// first time a larger key is seen (warm lookups are plain indexing).
+fn cache_slot<T>(cache: &mut Vec<Option<T>>, key: usize) -> &mut Option<T> {
+    if cache.len() <= key {
+        cache.resize_with(key + 1, || None);
+    }
+    &mut cache[key]
+}
+
 /// The normalized statistic `dᵀ P⁺ d` for up to `K` estimates at once:
 /// per lane bitwise identical to [`roboads_stats::normalized_statistic`]
 /// on that lane's estimate and covariance. Every lane is whitened by the
@@ -903,6 +911,40 @@ mod tests {
         );
         let d = assess(&mut dm, &system, &modes, &blind_opposition);
         assert!(d.actuator_anomaly.exceeds);
+    }
+
+    #[test]
+    fn nan_joint_covariance_makes_the_conflict_test_an_error() {
+        let system = presets::khepera_system();
+        let modes = ModeSet::one_reference_per_sensor(&system);
+        let mut dm =
+            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        // The same decisive contradiction as above, but the opposing
+        // mode's actuator covariance carries a NaN off-diagonal pair, so
+        // the 2 × 2 joint covariance of the conflict test is NaN. Its
+        // statistic has no value: it must be an error, never the
+        // `Ok(0.0)` ("no conflict") of a NaN spectrum zeroed out.
+        let mut out = synthetic_engine_output(
+            &system,
+            &modes,
+            vec![
+                (Vector::from_slice(&[0.05, -0.05]), 1e-6, 1.0),
+                (Vector::zeros(2), 2e-6, 1.0),
+                (Vector::zeros(2), 1e-2, 1.0),
+            ],
+        );
+        out.modes[1].actuator_covariance[(0, 1)] = f64::NAN;
+        out.modes[1].actuator_covariance[(1, 0)] = f64::NAN;
+        let mut report = DetectionReport::blank();
+        let result = dm.assess_report(&system, &modes, &out, &mut report);
+        let no_convergence = LinalgError::NoConvergence {
+            sweeps: roboads_linalg::JACOBI_MAX_SWEEPS,
+        };
+        assert_eq!(
+            result,
+            Err(StatsError::Linalg(no_convergence).into()),
+            "a NaN joint covariance must not read as no conflict"
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! **bitwise identical** to what `nuise_step` returns for that robot,
 //! parsimony statistics included, and the implied-anomaly count is the
 //! one those statistics imply. The slab
-//! kernels replicate the scalar loop structure and accumulation order
-//! per lane (see `roboads_linalg::slab`), the per-lane model evaluations
+//! kernels replicate the scalar accumulation order per lane — each
+//! entry's terms in the reference's order from `+0.0`, skipped terms as
+//! selects (see `roboads_linalg::slab`) — the per-lane model evaluations
 //! are the same pure functions, and every data-dependent scalar
 //! decision (LU singularity, the projected Cholesky's acceptance, χ²
 //! errors) is taken per lane exactly where `nuise_step` takes it; a lane

@@ -51,8 +51,9 @@ impl SymmetricEigen {
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input,
     /// [`LinalgError::Empty`] for an empty matrix, and
-    /// [`LinalgError::NoConvergence`] if the rotations fail to converge
-    /// (practically unreachable for finite input).
+    /// [`LinalgError::NoConvergence`] for a non-finite entry in the
+    /// upper triangle or if the rotations fail to converge (practically
+    /// unreachable for finite input).
     pub fn new(m: &Matrix) -> Result<Self> {
         if !m.is_square() {
             return Err(LinalgError::NotSquare { shape: m.shape() });
@@ -63,6 +64,17 @@ impl SymmetricEigen {
         }
         // Work on the symmetrized copy.
         let mut a = Matrix::from_fn(n, n, |i, j| if i <= j { m[(i, j)] } else { m[(j, i)] });
+        // A non-finite matrix has no eigendecomposition, but the sweep
+        // test below cannot always tell: the Frobenius norm's `max`
+        // drops a NaN, a 1 × 1 has nothing to rotate, a 2 × 2's one
+        // rotation clears its pair to an exact zero, and an infinite
+        // norm accepts any off-diagonal mass. Every size reports the
+        // error a NaN reaches at its sweep cap from n = 3.
+        if !a.is_finite() {
+            return Err(LinalgError::NoConvergence {
+                sweeps: JACOBI_MAX_SWEEPS,
+            });
+        }
         let mut v = Matrix::identity(n);
         let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
 

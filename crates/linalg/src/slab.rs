@@ -18,13 +18,22 @@
 //! [`Matrix::symmetrized`], [`Matrix::congruence`], negation,
 //! [`crate::Lu::inverse`], the whitening of
 //! [`crate::Cholesky::whitened_norm_squared`] and the projection of
-//! [`Matrix::projected_pseudo_inverse`] — with the same loop structure,
-//! accumulation order and pivot decisions applied per lane.
+//! [`Matrix::projected_pseudo_inverse`] — with the same accumulation
+//! order and pivot decisions applied per lane. What is pinned is each
+//! output entry's term order, not the loop nest: the reference product
+//! walks i-k-j and adds into a zeroed `out`, while the slab products
+//! walk i-j-k, sum each entry's terms k-ascending from `+0.0` in a
+//! register accumulator and write it once — the same terms added to the
+//! same entry in the same order, without a read-modify-write of `out`
+//! per term.
 //! Data-dependent branches in the scalar code (`if aik == 0.0 { continue
 //! }` zero-skips, LU pivot selection and singularity skips, Cholesky
 //! and projection acceptance) become per-lane *selects*: each lane takes
 //! exactly the value it would have taken in the scalar code, and a lane
-//! the scalar code would skip keeps its old value.
+//! the scalar code would skip keeps its old value. A skipped term is a
+//! select, never an added `+ 0.0`: `0 · ∞` and `0 · NaN` are NaN, so
+//! adding the zeroed term would poison a lane the reference leaves
+//! finite.
 //! `tests/slab_vs_scalar.rs` pins every kernel against the allocating
 //! path with `to_bits` comparisons at K = 1 and K = 8.
 //!
@@ -51,6 +60,19 @@ use crate::lu::PIVOT_TOL;
 use crate::pseudo::RANK_TOL;
 use crate::{LinalgError, Matrix, Result, Vector};
 use std::ops::{AddAssign, SubAssign};
+
+/// One term of a product entry, lane by lane: `acc + a·b`, or `acc`
+/// unchanged where `a` is ±0.0 — the reference's zero-skip as a select
+/// (see the module doc). The sum is formed in every lane before the
+/// select so that LLVM emits a vector blend; with the sum inside the
+/// `if`, it branches lane by lane in scalar code instead.
+#[inline(always)]
+fn add_term<const K: usize>(acc: &mut [f64; K], a: &[f64; K], b: &[f64; K]) {
+    for l in 0..K {
+        let sum = acc[l] + a[l] * b[l];
+        acc[l] = if a[l] != 0.0 { sum } else { acc[l] };
+    }
+}
 
 fn assert_shape(op: &str, got: (usize, usize), want: (usize, usize)) {
     assert!(
@@ -121,12 +143,6 @@ impl<const K: usize> MatrixSlab<K> {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i` as a slice of lane groups.
-    #[inline(always)]
-    fn row_mut(&mut self, i: usize) -> &mut [[f64; K]] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Sets every entry of every lane to `value`.
     pub fn fill(&mut self, value: f64) {
         for g in &mut self.data {
@@ -190,9 +206,10 @@ impl<const K: usize> MatrixSlab<K> {
     }
 
     /// Per-lane `self · rhs` into `out`; bitwise identical per lane to
-    /// `&a * &b` (same i-k-j loop; the scalar zero-skip
-    /// becomes a per-lane select so each lane accumulates exactly the
-    /// terms the scalar path would).
+    /// `&a * &b`. Each entry sums its terms k-ascending from +0.0 in a
+    /// register accumulator and is written once; the scalar zero-skip
+    /// becomes a per-lane select (`add_term`), so each lane adds
+    /// exactly the terms the scalar path would, in its order.
     pub fn mul_into(&self, rhs: &MatrixSlab<K>, out: &mut MatrixSlab<K>) {
         assert!(
             self.cols == rhs.rows,
@@ -203,31 +220,21 @@ impl<const K: usize> MatrixSlab<K> {
             rhs.cols
         );
         assert_shape("slab mul_into", out.shape(), (self.rows, rhs.cols));
-        out.fill(0.0);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = *self.at(i, k);
-                if aik.iter().all(|&v| v == 0.0) {
-                    // Every lane skips: identical to the scalar
-                    // `continue`, and skipping leaves `out` untouched
-                    // in all lanes.
-                    continue;
+            let a_row = self.row(i);
+            for j in 0..rhs.cols {
+                let mut acc = [0.0; K];
+                for (k, a) in a_row.iter().enumerate() {
+                    add_term(&mut acc, a, rhs.at(k, j));
                 }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, b) in out_row.iter_mut().zip(rhs_row) {
-                    for l in 0..K {
-                        if aik[l] != 0.0 {
-                            o[l] += aik[l] * b[l];
-                        }
-                    }
-                }
+                *out.at_mut(i, j) = acc;
             }
         }
     }
 
     /// Per-lane `self · rhsᵀ` into `out`; bitwise identical per lane to
-    /// `&a * &b.transpose()`.
+    /// `&a * &b.transpose()` (entries summed as in
+    /// [`mul_into`](Self::mul_into)).
     pub fn mul_transpose_into(&self, rhs: &MatrixSlab<K>, out: &mut MatrixSlab<K>) {
         assert!(
             self.cols == rhs.cols,
@@ -242,29 +249,21 @@ impl<const K: usize> MatrixSlab<K> {
             out.shape(),
             (self.rows, rhs.rows),
         );
-        out.fill(0.0);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = *self.at(i, k);
-                if aik.iter().all(|&v| v == 0.0) {
-                    continue;
+            let a_row = self.row(i);
+            for j in 0..rhs.rows {
+                let mut acc = [0.0; K];
+                for (a, b) in a_row.iter().zip(rhs.row(j)) {
+                    add_term(&mut acc, a, b);
                 }
-                let out_row = out.row_mut(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b = rhs.at(j, k);
-                    for l in 0..K {
-                        if aik[l] != 0.0 {
-                            o[l] += aik[l] * b[l];
-                        }
-                    }
-                }
+                *out.at_mut(i, j) = acc;
             }
         }
     }
 
     /// Per-lane `self · rhs` with a lane-uniform (broadcast) right-hand
     /// side; bitwise identical per lane to `&a * rhs` with `rhs` as the
-    /// scalar operand.
+    /// scalar operand (entries summed as in [`mul_into`](Self::mul_into)).
     pub fn mul_broadcast_into(&self, rhs: &Matrix, out: &mut MatrixSlab<K>) {
         assert!(
             self.cols == rhs.rows(),
@@ -279,21 +278,15 @@ impl<const K: usize> MatrixSlab<K> {
             out.shape(),
             (self.rows, rhs.cols()),
         );
-        out.fill(0.0);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = *self.at(i, k);
-                if aik.iter().all(|&v| v == 0.0) {
-                    continue;
+            let a_row = self.row(i);
+            for j in 0..rhs.cols() {
+                let mut acc = [0.0; K];
+                let rhs_col = rhs.as_slice()[j..].iter().step_by(rhs.cols());
+                for (a, &b) in a_row.iter().zip(rhs_col) {
+                    add_term(&mut acc, a, &[b; K]);
                 }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(&rhs.as_slice()[k * rhs.cols()..]) {
-                    for l in 0..K {
-                        if aik[l] != 0.0 {
-                            o[l] += aik[l] * b;
-                        }
-                    }
-                }
+                *out.at_mut(i, j) = acc;
             }
         }
     }
@@ -317,20 +310,20 @@ impl<const K: usize> MatrixSlab<K> {
             out.shape(),
             (lhs.rows(), self.rows),
         );
-        out.fill(0.0);
+        let n = self.cols;
         for i in 0..lhs.rows() {
-            for k in 0..lhs.cols() {
-                let aik = lhs[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b = self.at(j, k);
+            let lhs_row = &lhs.as_slice()[i * n..(i + 1) * n];
+            for j in 0..self.rows {
+                let mut acc = [0.0; K];
+                for (&aik, b) in lhs_row.iter().zip(self.row(j)) {
+                    if aik == 0.0 {
+                        continue;
+                    }
                     for l in 0..K {
-                        o[l] += aik * b[l];
+                        acc[l] += aik * b[l];
                     }
                 }
+                *out.at_mut(i, j) = acc;
             }
         }
     }

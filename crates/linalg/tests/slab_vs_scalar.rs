@@ -108,6 +108,55 @@ fn assert_lane_vec_eq<const K: usize>(
 
 const SHAPES: &[(usize, usize, usize)] = &[(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (5, 5, 4)];
 
+/// The operands of one round of product checks: `a · b`, `a · btᵀ`,
+/// `a · shared_rhs` and `shared_lhs · aᵀ`.
+struct Products {
+    a: Vec<Matrix>,
+    b: Vec<Matrix>,
+    bt: Vec<Matrix>,
+    shared_rhs: Matrix,
+    shared_lhs: Matrix,
+}
+
+impl Products {
+    /// Pins every matrix-product kernel against the allocating
+    /// operators, lane by lane.
+    fn check<const K: usize>(&self) {
+        let (m, p) = (self.a[0].rows(), self.b[0].cols());
+        let a_slab = load::<K>(&self.a);
+        let b_slab = load::<K>(&self.b);
+        let bt_slab = load::<K>(&self.bt);
+
+        let mut out = MatrixSlab::<K>::zeros(m, p);
+        a_slab.mul_into(&b_slab, &mut out);
+        for l in 0..K {
+            assert_lane_eq(&out, l, &(&self.a[l] * &self.b[l]), "mul_into");
+        }
+
+        let mut out_t = MatrixSlab::<K>::zeros(m, p);
+        a_slab.mul_transpose_into(&bt_slab, &mut out_t);
+        for l in 0..K {
+            let expected = &self.a[l] * &self.bt[l].transpose();
+            assert_lane_eq(&out_t, l, &expected, "mul_transpose_into");
+        }
+
+        // Broadcast variants: one scalar operand shared by all lanes.
+        let mut out_b = MatrixSlab::<K>::zeros(m, p);
+        a_slab.mul_broadcast_into(&self.shared_rhs, &mut out_b);
+        for l in 0..K {
+            let expected = &self.a[l] * &self.shared_rhs;
+            assert_lane_eq(&out_b, l, &expected, "mul_broadcast_into");
+        }
+
+        let mut out_p = MatrixSlab::<K>::zeros(self.shared_lhs.rows(), m);
+        a_slab.premul_transpose_into(&self.shared_lhs, &mut out_p);
+        for l in 0..K {
+            let expected = &self.shared_lhs * &self.a[l].transpose();
+            assert_lane_eq(&out_p, l, &expected, "premul_transpose_into");
+        }
+    }
+}
+
 fn products_match_scalar_bitwise_per_lane<const K: usize>() {
     let mut rng = Rng::new(0x51ab_0001);
     for &(m, n, p) in SHAPES {
@@ -117,22 +166,7 @@ fn products_match_scalar_bitwise_per_lane<const K: usize>() {
             let bt: Vec<Matrix> = (0..K).map(|_| rng.matrix(p, n)).collect();
             let v: Vec<Vector> = (0..K).map(|_| rng.vector(n)).collect();
             let a_slab = load::<K>(&a);
-            let b_slab = load::<K>(&b);
-            let bt_slab = load::<K>(&bt);
             let v_slab = load_vec::<K>(&v);
-
-            let mut out = MatrixSlab::<K>::zeros(m, p);
-            a_slab.mul_into(&b_slab, &mut out);
-            for l in 0..K {
-                assert_lane_eq(&out, l, &(&a[l] * &b[l]), "mul_into");
-            }
-
-            let mut out_t = MatrixSlab::<K>::zeros(m, p);
-            a_slab.mul_transpose_into(&bt_slab, &mut out_t);
-            for l in 0..K {
-                let expected = &a[l] * &bt[l].transpose();
-                assert_lane_eq(&out_t, l, &expected, "mul_transpose_into");
-            }
 
             let mut out_v = VectorSlab::<K>::zeros(m);
             a_slab.mul_vec_into(&v_slab, &mut out_v);
@@ -140,24 +174,82 @@ fn products_match_scalar_bitwise_per_lane<const K: usize>() {
                 assert_lane_vec_eq(&out_v, l, &(&a[l] * &v[l]), "mul_vec_into");
             }
 
-            // Broadcast variants: one scalar operand shared by all lanes.
             let shared_rhs = rng.matrix(n, p);
-            let mut out_b = MatrixSlab::<K>::zeros(m, p);
-            a_slab.mul_broadcast_into(&shared_rhs, &mut out_b);
-            for l in 0..K {
-                let expected = &a[l] * &shared_rhs;
-                assert_lane_eq(&out_b, l, &expected, "mul_broadcast_into");
-            }
-
             let shared_lhs = rng.matrix(p, n);
-            let mut out_p = MatrixSlab::<K>::zeros(p, m);
-            a_slab.premul_transpose_into(&shared_lhs, &mut out_p);
+            let shared = Products {
+                a,
+                b,
+                bt,
+                shared_rhs,
+                shared_lhs,
+            };
+            shared.check::<K>();
+        }
+    }
+
+    // Non-finite right operands behind exact zeros. Each round poisons
+    // one inner index `k`: the right operands' entries that meet it hold
+    // ±∞ or NaN, while the left operand's column `k` holds an exact ±0.0
+    // in some lanes and rows and a nonzero value in the others. The
+    // reference skips a zero `aik`, so a skipping lane must keep its
+    // finite sum (never `0 · ∞ = NaN`) while its neighbours add ±∞/NaN.
+    // One poisoned term per entry keeps each NaN's payload unambiguous.
+    const POISON: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let zero_at = |l: usize, i: usize, round: usize| (l + i + round).is_multiple_of(2);
+    let signed_zero = |l: usize, i: usize| if (l + i) % 4 < 2 { 0.0 } else { -0.0 };
+    let (mut skipped, mut added) = (0, 0);
+    for &(m, n, p) in SHAPES {
+        for round in 0..8 {
+            let k = round % n;
+            let mut ops = Products {
+                a: (0..K).map(|_| rng.matrix(m, n)).collect(),
+                b: (0..K).map(|_| rng.matrix(n, p)).collect(),
+                bt: (0..K).map(|_| rng.matrix(p, n)).collect(),
+                shared_rhs: rng.matrix(n, p),
+                shared_lhs: rng.matrix(p, n),
+            };
+            for (l, a) in ops.a.iter_mut().enumerate() {
+                for i in 0..m {
+                    if zero_at(l, i, round) {
+                        a[(i, k)] = signed_zero(l, i);
+                        skipped += 1;
+                    } else {
+                        a[(i, k)] = 0.5 + a[(i, k)].abs();
+                        added += 1;
+                    }
+                }
+            }
+            for (l, (b, bt)) in ops.b.iter_mut().zip(&mut ops.bt).enumerate() {
+                for j in 0..p {
+                    b[(k, j)] = POISON[(l + j + round) % 3];
+                    bt[(j, k)] = POISON[(l + j + round + 1) % 3];
+                }
+            }
+            for j in 0..p {
+                ops.shared_rhs[(k, j)] = POISON[(j + round) % 3];
+            }
+            ops.check::<K>();
+
+            // `premul_transpose_into`'s left operand is lane-uniform, so
+            // it skips by row instead of by lane: `lhs · btᵀ` with `lhs`
+            // zero in column `k` on alternate rows.
+            let mut lhs = ops.shared_lhs.clone();
+            for i in 0..p {
+                lhs[(i, k)] = if zero_at(0, i, round) {
+                    signed_zero(0, i)
+                } else {
+                    0.5 + lhs[(i, k)].abs()
+                };
+            }
+            let mut out = MatrixSlab::<K>::zeros(p, p);
+            load::<K>(&ops.bt).premul_transpose_into(&lhs, &mut out);
             for l in 0..K {
-                let expected = &shared_lhs * &a[l].transpose();
-                assert_lane_eq(&out_p, l, &expected, "premul_transpose_into");
+                let expected = &lhs * &ops.bt[l].transpose();
+                assert_lane_eq(&out, l, &expected, "premul_transpose_into");
             }
         }
     }
+    assert!(skipped > 0 && added > 0, "both lane kinds ran");
 }
 
 fn congruence_matches_scalar_bitwise_per_lane<const K: usize>() {
