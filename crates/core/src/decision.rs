@@ -8,7 +8,7 @@ use crate::config::RoboAdsConfig;
 use crate::engine::EngineOutput;
 use crate::mode::ModeSet;
 use crate::report::{AnomalyEstimate, DetectionReport, SensorAnomaly};
-use crate::Result;
+use crate::{CoreError, Result, Scratch};
 
 /// The decision maker (Algorithm 1 lines 10–25): χ² tests on the
 /// selected mode's normalized anomaly estimates, sliding-window
@@ -23,9 +23,10 @@ pub struct DecisionMaker {
     actuator_alpha: f64,
     sensor_window: SlidingWindow,
     actuator_window: SlidingWindow,
-    /// χ² tests indexed by degrees of freedom (testing-set dimensions
-    /// vary by mode), built lazily and cached.
-    sensor_tests: Vec<Option<ChiSquareTest>>,
+    /// The sensor χ² tests, one per degrees of freedom the mode set can
+    /// ask for — each testing sensor's dimension and each mode's whole
+    /// testing dimension — resolved at construction.
+    sensor_tests: Vec<ChiSquareTest>,
     actuator_test: ChiSquareTest,
     /// Conservative test for cross-mode actuator-estimate conflicts
     /// (α = 0.001: only a decisive contradiction suppresses an alarm).
@@ -36,12 +37,12 @@ pub struct DecisionMaker {
     /// confirmed/cleared events.
     prev_sensor_alarm: bool,
     prev_actuator_alarm: bool,
-    /// One-lane `dᵀP⁺d` scratch indexed by dimension (the same
-    /// lazily-built-and-cached discipline as `sensor_tests`), for the
+    /// One-lane `dᵀP⁺d` scratch indexed by dimension, for the
     /// cross-mode conflict tests and for the aggregate sensor test when
-    /// no fleet slab job batched it, so warm assessments run without
-    /// heap allocation.
-    statistics: Vec<Option<NormalizedStatistic<1>>>,
+    /// no fleet slab job batched it. Built on first use, so warm
+    /// assessments run without heap allocation, and never copied by
+    /// `Clone`.
+    statistics: Scratch<Vec<Option<NormalizedStatistic<1>>>>,
     /// Innovation-consistent mode indices, rebuilt each iteration.
     qualifying: Vec<usize>,
     /// Actuator-estimate difference scratch (input dimension).
@@ -88,15 +89,28 @@ impl DecisionInstruments {
 }
 
 impl DecisionMaker {
-    /// Creates a decision maker from the detector configuration and the
-    /// actuator dimension.
+    /// Creates a decision maker from the detector configuration, the
+    /// system and its mode set, resolving every χ² threshold the mode
+    /// set can ask for.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidConfig`] for invalid α or window
-    /// parameters.
-    pub fn new(config: &RoboAdsConfig, input_dim: usize) -> Result<Self> {
+    /// parameters, and [`crate::CoreError::Numeric`] if a χ² threshold
+    /// cannot be resolved.
+    pub fn new(config: &RoboAdsConfig, system: &RobotSystem, modes: &ModeSet) -> Result<Self> {
         config.validate()?;
+        let input_dim = system.input_dim();
+        let mut sensor_tests: Vec<ChiSquareTest> = Vec::new();
+        for mode in modes.modes() {
+            let slices = system.subset_slices(mode.testing());
+            let total = slices.iter().map(|s| s.len).sum();
+            for dof in slices.iter().map(|s| s.len).chain([total]) {
+                if dof > 0 && !sensor_tests.iter().any(|t| t.dof() == dof) {
+                    sensor_tests.push(ChiSquareTest::new(dof, config.sensor_alpha)?);
+                }
+            }
+        }
         let sensor_window =
             SlidingWindow::new(config.sensor_window.criteria, config.sensor_window.window)?;
         let actuator_window = SlidingWindow::new(
@@ -112,14 +126,14 @@ impl DecisionMaker {
             actuator_alpha: config.actuator_alpha,
             sensor_window,
             actuator_window,
-            sensor_tests: Vec::new(),
+            sensor_tests,
             actuator_test,
             actuator_conflict_test,
             telemetry,
             instruments,
             prev_sensor_alarm: false,
             prev_actuator_alarm: false,
-            statistics: Vec::new(),
+            statistics: Scratch::default(),
             qualifying: Vec::new(),
             diff: Vector::zeros(input_dim),
             joint: Matrix::zeros(input_dim, input_dim),
@@ -134,26 +148,29 @@ impl DecisionMaker {
         self.telemetry = telemetry;
     }
 
-    fn sensor_test(&mut self, dof: usize) -> Result<ChiSquareTest> {
-        let slot = cache_slot(&mut self.sensor_tests, dof);
-        if let Some(t) = slot {
-            return Ok(*t);
-        }
-        let t = ChiSquareTest::new(dof, self.sensor_alpha)?;
-        *slot = Some(t);
-        Ok(t)
+    /// The sensor test at `dof` degrees of freedom; a dof the mode set
+    /// never asks for is an [`CoreError::InvalidConfig`].
+    fn sensor_test(&self, dof: usize) -> Result<ChiSquareTest> {
+        self.sensor_tests
+            .iter()
+            .find(|t| t.dof() == dof)
+            .copied()
+            .ok_or_else(|| CoreError::InvalidConfig {
+                name: "sensor_test_dof",
+                value: format!("{dof}, which no mode of this decision maker tests"),
+            })
     }
 
     /// `dᵀP⁺d` on the one-lane scratch for `d`'s dimension (built and
     /// cached on first use; warm calls are lookup-only).
     fn statistic(
-        statistics: &mut Vec<Option<NormalizedStatistic<1>>>,
+        statistics: &mut Scratch<Vec<Option<NormalizedStatistic<1>>>>,
         d: &Vector,
         covariance: &Matrix,
     ) -> Result<f64> {
         let dim = d.len();
         let scratch =
-            cache_slot(statistics, dim).get_or_insert_with(|| NormalizedStatistic::new(dim));
+            cache_slot(&mut statistics.0, dim).get_or_insert_with(|| NormalizedStatistic::new(dim));
         scratch.load_lane(0, d, covariance);
         scratch.run(&[true]);
         scratch.lane(0)
@@ -247,7 +264,8 @@ impl DecisionMaker {
         // selected. Qualification is by the mode's own innovation
         // consistency (its reference explains the data) — not by its
         // parsimony-weighted probability, which deliberately biases
-        // *against* modes that can see a real input anomaly.
+        // *against* modes that can see a real input anomaly. A NaN trace
+        // sorts last, so it is the source only when no trace is finite.
         const CONSISTENT_FLOOR: f64 = 1e-4;
         self.qualifying.clear();
         for m in 0..modes.len() {
@@ -262,7 +280,8 @@ impl DecisionMaker {
             .min_by(|&a, &b| {
                 let ta = engine_out.modes[a].actuator_covariance.trace();
                 let tb = engine_out.modes[b].actuator_covariance.trace();
-                ta.partial_cmp(&tb).expect("finite covariance traces")
+                ta.partial_cmp(&tb)
+                    .unwrap_or_else(|| ta.is_nan().cmp(&tb.is_nan()))
             })
             .unwrap_or(selected);
         let actuator_out = &engine_out.modes[actuator_source];
@@ -492,8 +511,9 @@ impl DecisionMaker {
 
     /// Appends the decision maker's mutable state to a snapshot buffer
     /// (DESIGN.md §18): both sliding-window histories and the previous
-    /// edge-trigger alarms. The χ²-test and workspace caches are
-    /// deterministic lazy builds and are left to the restore twin.
+    /// edge-trigger alarms. The χ² tests are construction constants and
+    /// the statistic scratch is rebuilt on use; both belong to the
+    /// restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         // `put_bool_slice`'s layout, written straight from the windows
         // so a periodic snapshot allocates nothing.
@@ -678,7 +698,8 @@ mod tests {
             &RoboAdsConfig::paper_defaults(),
         )
         .unwrap();
-        let dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        let dm =
+            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, engine.modes()).unwrap();
         (system, engine, dm, x0)
     }
 
@@ -839,7 +860,9 @@ mod tests {
     fn window_history_longer_than_the_window_is_a_snapshot_error() {
         // The sensor window is 2/2: a snapshot claiming seven history
         // entries cannot belong to this twin.
-        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), 2).unwrap();
+        let system = presets::khepera_system();
+        let modes = ModeSet::one_reference_per_sensor(&system);
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
         let mut bytes = Vec::new();
         wire::put_bool_slice(&mut bytes, &[false; 7]);
         wire::put_bool_slice(&mut bytes, &[false; 6]);
@@ -856,8 +879,7 @@ mod tests {
     fn contradicted_actuator_estimate_is_suppressed() {
         let system = presets::khepera_system();
         let modes = ModeSet::one_reference_per_sensor(&system);
-        let mut dm =
-            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
         // The most precise mode claims a big anomaly; another equally
         // consistent, equally precise mode says zero → decisive
         // contradiction → no positive.
@@ -882,8 +904,7 @@ mod tests {
     fn corroborated_or_unopposed_estimates_do_alarm() {
         let system = presets::khepera_system();
         let modes = ModeSet::one_reference_per_sensor(&system);
-        let mut dm =
-            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
         // All consistent modes agree on the anomaly → alarm.
         let agreeing = synthetic_engine_output(
             &system,
@@ -898,8 +919,7 @@ mod tests {
         assert!(d.actuator_anomaly.exceeds);
 
         // A blind (loose-covariance) disagreement cannot veto.
-        let mut dm =
-            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
         let blind_opposition = synthetic_engine_output(
             &system,
             &modes,
@@ -917,8 +937,7 @@ mod tests {
     fn nan_joint_covariance_makes_the_conflict_test_an_error() {
         let system = presets::khepera_system();
         let modes = ModeSet::one_reference_per_sensor(&system);
-        let mut dm =
-            DecisionMaker::new(&RoboAdsConfig::paper_defaults(), system.input_dim()).unwrap();
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
         // The same decisive contradiction as above, but the opposing
         // mode's actuator covariance carries a NaN off-diagonal pair, so
         // the 2 × 2 joint covariance of the conflict test is NaN. Its
@@ -945,6 +964,63 @@ mod tests {
             Err(StatsError::Linalg(no_convergence).into()),
             "a NaN joint covariance must not read as no conflict"
         );
+    }
+
+    #[test]
+    fn nan_actuator_covariance_trace_sorts_last() {
+        let system = presets::khepera_system();
+        let modes = ModeSet::one_reference_per_sensor(&system);
+        let mut dm = DecisionMaker::new(&RoboAdsConfig::paper_defaults(), &system, &modes).unwrap();
+        // Every mode is innovation-consistent. Mode 1's actuator
+        // covariance trace is NaN, so it can never be the most precise
+        // source: mode 2 (trace 2e-6) beats mode 0 (4e-6). Mode 0 then
+        // decisively contradicts mode 2's claim, so the conflict loop
+        // stops before it reaches mode 1's NaN joint covariance.
+        let mut out = synthetic_engine_output(
+            &system,
+            &modes,
+            vec![
+                (Vector::zeros(2), 2e-6, 1.0),
+                (Vector::zeros(2), 1e-6, 1.0),
+                (Vector::from_slice(&[0.05, -0.05]), 1e-6, 1.0),
+            ],
+        );
+        out.modes[1].actuator_covariance[(0, 0)] = f64::NAN;
+        let mut report = DetectionReport::blank();
+        dm.assess_report(&system, &modes, &out, &mut report)
+            .unwrap();
+        assert_eq!(
+            report.actuator_anomaly.estimate, out.modes[2].actuator_anomaly,
+            "the source must be the most precise finite mode"
+        );
+        assert_eq!(
+            report.actuator_anomaly.statistic.to_bits(),
+            out.modes[2].actuator_statistic.to_bits()
+        );
+        assert!(!report.actuator_anomaly.exceeds, "mode 0 contradicts it");
+    }
+
+    #[test]
+    fn sensor_tests_are_resolved_for_the_mode_set_only() {
+        let (system, engine, dm, _) = setup();
+        // Each testing sensor's dimension and each mode's whole testing
+        // dimension, and nothing else.
+        let mut dofs: Vec<usize> = dm.sensor_tests.iter().map(ChiSquareTest::dof).collect();
+        dofs.sort_unstable();
+        let mut expected = Vec::new();
+        for mode in engine.modes().modes() {
+            let slices = system.subset_slices(mode.testing());
+            expected.extend(slices.iter().map(|s| s.len));
+            expected.push(slices.iter().map(|s| s.len).sum());
+        }
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(dofs, expected);
+        let missing = (1..).find(|d| !expected.contains(d)).unwrap();
+        assert!(matches!(
+            dm.sensor_test(missing),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

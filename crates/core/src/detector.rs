@@ -68,7 +68,7 @@ impl RoboAds {
         modes: ModeSet,
     ) -> Result<Self> {
         config.validate()?;
-        let decision = DecisionMaker::new(&config, system.input_dim())?;
+        let decision = DecisionMaker::new(&config, &system, &modes)?;
         let engine = MultiModeEngine::new(system, modes, initial_state, &config)?;
         Ok(RoboAds {
             engine,

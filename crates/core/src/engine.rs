@@ -15,9 +15,9 @@ use crate::config::{Linearization, RoboAdsConfig};
 use crate::fleet::RobotInput;
 use crate::mode::ModeSet;
 use crate::nuise::NuiseOutput;
-use crate::nuise_slab::NuiseSlabWorkspace;
+use crate::nuise_slab::{ModeKernel, NuiseSlabWorkspace};
 use crate::selector::ModeSelector;
-use crate::{CoreError, Result};
+use crate::{CoreError, Result, Scratch};
 
 /// One iteration's output from the multi-mode estimation engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,12 +93,17 @@ pub struct MultiModeEngine {
     /// selected mode's estimate so they recover quickly once their
     /// reference is clean again (see `REANCHOR_FRACTION`).
     mode_states: Vec<(Vector, Matrix)>,
-    /// Per-mode NUISE kernels: a standalone step is the one-lane tile of
-    /// [`step_tile`], the driver the fleet runs eight lanes wide, with
-    /// the parsimony thresholds resolved at construction and scratch
-    /// reused every iteration, so the warmed-up hot path performs no
-    /// heap allocation.
-    workspaces: Vec<NuiseSlabWorkspace<1>>,
+    /// Per-mode NUISE kernel constants (layout, parsimony thresholds
+    /// resolved at construction, frozen model), shared by every clone
+    /// and widened by the fleet to its slab tiles.
+    kernels: Vec<ModeKernel>,
+    /// Per-mode one-lane scratch for a standalone step (the one-lane
+    /// tile of [`step_tile`]): built from `kernels` on the first
+    /// standalone step and reused every iteration after, so the
+    /// warmed-up hot path performs no heap allocation. `Clone` does not
+    /// copy it, and a fleet robot, which steps through its job's
+    /// eight-lane bank, never builds it.
+    workspaces: Scratch<Vec<NuiseSlabWorkspace<1>>>,
     telemetry: Telemetry,
     instruments: EngineInstruments,
     /// The last step's output, written in place every iteration:
@@ -258,18 +263,15 @@ impl MultiModeEngine {
         let n = system.state_dim();
         let p0 = Matrix::identity(n) * initial_covariance;
         let mode_states = vec![(initial_state.clone(), p0.clone()); modes.len()];
-        let workspaces = modes
+        let kernels = modes
             .modes()
             .iter()
-            .map(|mode| NuiseSlabWorkspace::new(&system, mode, &linearization))
+            .map(|mode| ModeKernel::new(&system, mode, &linearization))
             .collect::<Result<Vec<_>>>()?;
         let telemetry = Telemetry::disabled();
         let instruments = EngineInstruments::new(&telemetry, modes.len());
         let output = EngineOutput {
-            modes: workspaces
-                .iter()
-                .map(NuiseSlabWorkspace::new_output)
-                .collect(),
+            modes: kernels.iter().map(ModeKernel::new_output).collect(),
             probabilities: vec![0.0; modes.len()],
             selected: 0,
         };
@@ -284,7 +286,8 @@ impl MultiModeEngine {
             state_estimate: initial_state,
             state_covariance: p0,
             mode_states,
-            workspaces,
+            kernels,
+            workspaces: Scratch::default(),
             telemetry,
             instruments,
             output,
@@ -382,17 +385,20 @@ impl MultiModeEngine {
     /// unchanged, but the engine-owned output buffer may hold partial
     /// results from the failed iteration.
     pub fn step_in_place(&mut self, u_prev: &Vector, readings: &[Vector]) -> Result<&EngineOutput> {
-        // The kernels move out for the call so the driver can borrow them
+        // The scratch moves out for the call so the driver can borrow it
         // alongside the rest of the engine (a move, no allocation).
-        let mut kernels = std::mem::take(&mut self.workspaces);
+        let mut workspaces = std::mem::take(&mut self.workspaces.0);
+        if workspaces.is_empty() {
+            workspaces = self.kernels.iter().map(ModeKernel::workspace).collect();
+        }
         let mut tile = EngineTile {
             engine: self,
             input: RobotInput { u_prev, readings },
             result: Ok(()),
         };
-        step_tile(&mut kernels, &mut tile);
+        step_tile(&mut workspaces, &mut tile);
         let result = tile.result;
-        self.workspaces = kernels;
+        self.workspaces.0 = workspaces;
         result.map(|()| &self.output)
     }
 
@@ -565,17 +571,17 @@ impl MultiModeEngine {
         &self.linearization
     }
 
-    /// The per-mode NUISE kernels, in mode order (the fleet widens them
-    /// to its slab tiles).
-    pub(crate) fn kernels(&self) -> &[NuiseSlabWorkspace<1>] {
-        &self.workspaces
+    /// The per-mode NUISE kernel constants, in mode order (the fleet
+    /// widens them to its slab tiles).
+    pub(crate) fn kernels(&self) -> &[ModeKernel] {
+        &self.kernels
     }
 
     /// Appends the engine's complete mutable state to a snapshot buffer
     /// (DESIGN.md §18): selector, shared and per-mode filter states, the
     /// last committed output and the commit count.
-    /// The per-mode kernels (scratch and parsimony thresholds) are
-    /// construction-derived and belong to the restore twin.
+    /// The per-mode kernel constants and scratch are construction-
+    /// derived or rebuilt on use, and belong to the restore twin.
     pub(crate) fn snap_write(&self, out: &mut Vec<u8>) {
         self.selector.snap_write(out);
         crate::snapshot::put_vector(out, &self.state_estimate);
@@ -681,7 +687,6 @@ pub(crate) fn step_tile<'i, const K: usize>(
             Ok(input) => {
                 inputs[l] = Some(input);
                 let engine = tile.engine(l);
-                // A step that panicked leaves its engine without kernels.
                 assert_eq!(bank.len(), engine.modes.len(), "one kernel per mode");
                 step_spans[l] = Some(engine.telemetry.owned_span("engine.step"));
             }

@@ -42,7 +42,7 @@ use crate::detector::RoboAds;
 use crate::engine::{step_tile, MultiModeEngine, Tile};
 use crate::ingest::FleetIngest;
 use crate::mode::ModeSet;
-use crate::nuise_slab::NuiseSlabWorkspace;
+use crate::nuise_slab::{ModeKernel, NuiseSlabWorkspace};
 use crate::recorder::RecorderConfig;
 use crate::report::DetectionReport;
 use crate::{CoreError, Result};
@@ -382,7 +382,7 @@ impl FleetEngine {
         let kernels = rep.kernels();
         (0..job_count)
             .map(|_| SlabJob {
-                bank: kernels.iter().map(|k| k.widened()).collect(),
+                bank: kernels.iter().map(ModeKernel::workspace).collect(),
                 aggregates: kernels
                     .iter()
                     .map(|k| NormalizedStatistic::new(k.testing_dim()))

@@ -240,6 +240,19 @@ impl From<roboads_obs::wire::ByteError> for CoreError {
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
+/// Per-iteration scratch, built on first use and never copied: a clone
+/// starts from `T::default()` and builds its own. A detector clone
+/// carries the filter state and the constants, not the scratch
+/// (`DESIGN.md` §18).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch<T: Default>(pub(crate) T);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -118,9 +118,10 @@ fn parsimony_threshold(dof: usize) -> Result<f64> {
 
 /// The kernel's per-mode constants: the mode's sensor layout, noise
 /// blocks, dimensions and parsimony thresholds. Built once per engine
-/// mode and shared behind an [`Arc`] by every workspace of that mode —
-/// the engine's one-lane kernel, every clone of it, and the fleet's
-/// eight-lane banks — so cloning a detector copies none of it.
+/// mode and shared behind an [`Arc`] by the engine's [`ModeKernel`],
+/// every clone of it, and every workspace built from it — the
+/// engine's one-lane scratch and the fleet's eight-lane banks — so
+/// cloning a detector copies none of it.
 #[derive(Debug)]
 struct ModeLayout {
     ref_slices: Vec<SensorSlice>,
@@ -183,6 +184,25 @@ impl ModeLayout {
             testing_thresholds,
             test_slices,
         })
+    }
+
+    /// A zeroed [`NuiseOutput`] with every buffer sized for this mode,
+    /// ready for [`NuiseSlabWorkspace::scatter_lane`].
+    fn new_output(&self) -> NuiseOutput {
+        let (n, q_dim, m1_dim) = (self.n, self.q_dim, self.m1_dim);
+        NuiseOutput {
+            state_estimate: Vector::zeros(n),
+            state_covariance: Matrix::zeros(n, n),
+            actuator_anomaly: Vector::zeros(q_dim),
+            actuator_covariance: Matrix::zeros(q_dim, q_dim),
+            sensor_anomaly: Vector::zeros(m1_dim),
+            sensor_covariance: Matrix::zeros(m1_dim, m1_dim),
+            likelihood: 0.0,
+            consistency: 0.0,
+            innovation: Vector::zeros(self.m2_dim),
+            actuator_statistic: 0.0,
+            testing_statistics: vec![0.0; self.test_slices.len()],
+        }
     }
 }
 
@@ -265,6 +285,66 @@ impl FrozenModel {
     }
 }
 
+/// One mode's kernel constants: its [`ModeLayout`] and, under the §V-G
+/// linearization, its [`FrozenModel`]. This is all an engine keeps per
+/// mode; the scratch to run the kernel at a lane width is built from it
+/// by [`ModeKernel::workspace`], so cloning a kernel copies an [`Arc`]
+/// (and the small frozen model) and no scratch.
+#[derive(Debug, Clone)]
+pub(crate) struct ModeKernel {
+    layout: Arc<ModeLayout>,
+    /// `Some` for the §V-G frozen linearization.
+    frozen: Option<FrozenModel>,
+}
+
+impl ModeKernel {
+    /// The constants for running `mode` against `system` under
+    /// `linearization`.
+    ///
+    /// # Errors
+    ///
+    /// A χ² error while resolving the parsimony thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Linearization::FrozenAt`] operating point does not
+    /// match the system's state and input dimensions (the engine checks
+    /// this at construction).
+    pub(crate) fn new(
+        system: &RobotSystem,
+        mode: &Mode,
+        linearization: &Linearization,
+    ) -> Result<Self> {
+        let layout = ModeLayout::new(system, mode)?;
+        let frozen = match linearization {
+            Linearization::PerIteration => None,
+            Linearization::FrozenAt { state, input } => {
+                Some(FrozenModel::new(system, &layout, state, input))
+            }
+        };
+        Ok(ModeKernel {
+            layout: Arc::new(layout),
+            frozen,
+        })
+    }
+
+    /// Scratch for running this mode `K` lanes wide, sharing these
+    /// constants.
+    pub(crate) fn workspace<const K: usize>(&self) -> NuiseSlabWorkspace<K> {
+        NuiseSlabWorkspace::with_layout(Arc::clone(&self.layout), self.frozen.clone())
+    }
+
+    /// Length of the mode's stacked sensor-anomaly (testing) vector.
+    pub(crate) fn testing_dim(&self) -> usize {
+        self.layout.m1_dim
+    }
+
+    /// A zeroed [`NuiseOutput`] with every buffer sized for this mode.
+    pub(crate) fn new_output(&self) -> NuiseOutput {
+        self.layout.new_output()
+    }
+}
+
 /// Preallocated scratch for stepping K robots through one mode's NUISE
 /// update in a single lane-batched pass.
 ///
@@ -277,7 +357,7 @@ impl FrozenModel {
 /// [`load_lane`]: NuiseSlabWorkspace::load_lane
 /// [`run`]: NuiseSlabWorkspace::run
 /// [`scatter_lane`]: NuiseSlabWorkspace::scatter_lane
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct NuiseSlabWorkspace<const K: usize> {
     layout: Arc<ModeLayout>,
     /// `Some` for the §V-G frozen linearization.
@@ -367,37 +447,15 @@ pub(crate) struct NuiseSlabWorkspace<const K: usize> {
 }
 
 impl<const K: usize> NuiseSlabWorkspace<K> {
-    /// Builds the kernel for running `mode` against `system` under
-    /// `linearization` across K lanes.
-    ///
-    /// # Errors
-    ///
-    /// A χ² error while resolving the parsimony thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Linearization::FrozenAt`] operating point does not
-    /// match the system's state and input dimensions (the engine checks
-    /// this at construction).
+    /// Scratch for running `mode` against `system` under
+    /// `linearization` across K lanes, on constants of its own.
+    #[cfg(test)]
     pub(crate) fn new(
         system: &RobotSystem,
         mode: &Mode,
         linearization: &Linearization,
     ) -> Result<Self> {
-        let layout = ModeLayout::new(system, mode)?;
-        let frozen = match linearization {
-            Linearization::PerIteration => None,
-            Linearization::FrozenAt { state, input } => {
-                Some(FrozenModel::new(system, &layout, state, input))
-            }
-        };
-        Ok(Self::with_layout(Arc::new(layout), frozen))
-    }
-
-    /// The same mode's kernel at lane width `L`, sharing this kernel's
-    /// constants (the fleet widens each engine mode to its slab tiles).
-    pub(crate) fn widened<const L: usize>(&self) -> NuiseSlabWorkspace<L> {
-        NuiseSlabWorkspace::with_layout(Arc::clone(&self.layout), self.frozen.clone())
+        ModeKernel::new(system, mode, linearization).map(|kernel| kernel.workspace())
     }
 
     fn with_layout(layout: Arc<ModeLayout>, frozen: Option<FrozenModel>) -> Self {
@@ -486,29 +544,10 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
         )
     }
 
-    /// Length of the mode's stacked sensor-anomaly (testing) vector.
-    pub(crate) fn testing_dim(&self) -> usize {
-        self.layout.m1_dim
-    }
-
-    /// A zeroed [`NuiseOutput`] with every buffer sized for this
-    /// workspace's mode, ready for [`scatter_lane`](Self::scatter_lane).
+    /// A zeroed [`NuiseOutput`] sized for this workspace's mode.
+    #[cfg(test)]
     pub(crate) fn new_output(&self) -> NuiseOutput {
-        let l = &*self.layout;
-        let (n, q_dim, m1_dim) = (l.n, l.q_dim, l.m1_dim);
-        NuiseOutput {
-            state_estimate: Vector::zeros(n),
-            state_covariance: Matrix::zeros(n, n),
-            actuator_anomaly: Vector::zeros(q_dim),
-            actuator_covariance: Matrix::zeros(q_dim, q_dim),
-            sensor_anomaly: Vector::zeros(m1_dim),
-            sensor_covariance: Matrix::zeros(m1_dim, m1_dim),
-            likelihood: 0.0,
-            consistency: 0.0,
-            innovation: Vector::zeros(l.m2_dim),
-            actuator_statistic: 0.0,
-            testing_statistics: vec![0.0; l.test_slices.len()],
-        }
+        self.layout.new_output()
     }
 
     /// Evaluates `h₂` at `eval_x` into lane `lane` of `h2`.
@@ -1001,7 +1040,7 @@ impl<const K: usize> NuiseSlabWorkspace<K> {
     }
 
     /// Copies lane `lane`'s results into `out` (which must be sized for
-    /// this workspace's mode, e.g. by [`new_output`](Self::new_output)),
+    /// this workspace's mode, e.g. by [`ModeKernel::new_output`]),
     /// including the parsimony statistics. Only meaningful for lanes
     /// whose [`run`](NuiseSlabWorkspace::run) flag was set.
     pub(crate) fn scatter_lane(&self, lane: usize, out: &mut NuiseOutput) {

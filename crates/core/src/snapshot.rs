@@ -15,10 +15,14 @@
 //!   twin-reconstruction discipline of [`crate::replay_capsule`]. The
 //!   header's shape checks (mode count, state dimensions) catch a
 //!   mismatched twin early.
-//! * **Scratch** (the per-mode NUISE kernels — one lane in each engine,
-//!   eight in each fleet slab tile — and the χ² threshold caches):
-//!   rebuilt deterministically and never carries state across
-//!   iterations.
+//! * **Constants** (each mode's kernel layout and parsimony thresholds,
+//!   the decision maker's χ² tests): resolved by the twin's constructor
+//!   and shared or copied by every clone of it.
+//! * **Scratch** (the per-mode NUISE workspaces — one lane for a
+//!   standalone step, eight in each fleet slab tile — and the decision
+//!   maker's one-lane statistic scratch): built on first use, never
+//!   copied by `Clone`, and never carries state across iterations, so
+//!   a never-stepped twin restores and continues bitwise.
 //! * **The flight recorder**: its ring contents never influence a
 //!   future step's outputs, and a fresh recorder re-attaches cleanly.
 //! * **Fleet partition state**: the signature grouping re-resolves

@@ -4,7 +4,10 @@
 //! uninterrupted run — on every Table II scenario and in the awkward
 //! states the format is most likely to get wrong: an open χ² decision
 //! window, a `HoldLast` ingest slot with incomplete history, and a
-//! freshly regrouped heterogeneous fleet. Damaged bytes — any
+//! freshly regrouped heterogeneous fleet. Clones carry state and
+//! constants but no scratch, so a clone of a warm detector continues
+//! bitwise with it, and a never-stepped clone restores and continues
+//! bitwise. Damaged bytes — any
 //! truncation, any single flipped bit — end in a typed error or a
 //! restore, never a panic.
 //!
@@ -105,6 +108,45 @@ fn table2_midpoint_snapshot_restore_continue_is_bitwise() {
             snapshot_detector(&reference),
             "{name}: end state diverged after restore"
         );
+    }
+}
+
+/// The scratch rule: a clone carries filter state and constants but
+/// builds its own scratch on its first step. Cut mid-run on every
+/// Table II scenario, two clones must finish the run bitwise equal to
+/// the uninterrupted detector: a clone of the warm first half, and a
+/// clone of a never-stepped template restored from the first half's
+/// snapshot (the twin a shard recovery's factory builds).
+#[test]
+fn table2_midpoint_clones_continue_bitwise() {
+    let config = RoboAdsConfig::paper_defaults();
+    let template = twin(&config);
+    for scenario in scenarios() {
+        let name = scenario.name().to_string();
+        let trace = trace_for(scenario);
+        let records = trace.records();
+        let mid = records.len() / 2;
+
+        let mut reference = twin(&config);
+        let reference_reports = drive(&mut reference, records);
+        let mut first_half = twin(&config);
+        drive(&mut first_half, &records[..mid]);
+        let mut restored = template.clone();
+        restore_detector(&mut restored, &snapshot_detector(&first_half)).unwrap();
+
+        for (clone_kind, mut clone) in [("warm", first_half.clone()), ("restored", restored)] {
+            let tail_reports = drive(&mut clone, &records[mid..]);
+            assert_eq!(
+                tail_reports,
+                reference_reports[mid..],
+                "{name}: reports of the {clone_kind} clone diverged"
+            );
+            assert_eq!(
+                snapshot_detector(&clone),
+                snapshot_detector(&reference),
+                "{name}: end state of the {clone_kind} clone diverged"
+            );
+        }
     }
 }
 
