@@ -344,7 +344,8 @@ impl FleetIngest {
     /// *dimensions* are not validated here — a malformed
     /// vector surfaces as that one robot's per-robot step error.
     pub fn offer(&mut self, robot: usize, sensor: usize, reading: &Vector) -> Result<()> {
-        self.stage(robot, Some(sensor), reading.as_slice())
+        self.stage(robot, Some(sensor), reading.as_slice().iter().copied())
+            .map(|_| ())
     }
 
     /// Stages robot `robot`'s planned command `u_{k-1}` for the current
@@ -354,38 +355,65 @@ impl FleetIngest {
     ///
     /// [`CoreError::BadReadings`] when `robot` is out of range.
     pub fn offer_input(&mut self, robot: usize, u_prev: &Vector) -> Result<()> {
-        self.stage(robot, None, u_prev.as_slice())
+        self.stage(robot, None, u_prev.as_slice().iter().copied())
+            .map(|_| ())
     }
 
-    /// Copies `values` into robot `robot`'s staging buffer for `sensor`
-    /// (`None`: the planned command) and marks the piece arrived.
-    fn stage(&mut self, robot: usize, sensor: Option<usize>, values: &[f64]) -> Result<()> {
+    /// The one staging body: checks `robot`, then `sensor` (`None`: the
+    /// planned command), and only then pulls `values` into the robot's
+    /// staging buffer and marks the piece arrived. Returns the staged
+    /// values.
+    fn stage(
+        &mut self,
+        robot: usize,
+        sensor: Option<usize>,
+        values: impl IntoIterator<Item = f64>,
+    ) -> Result<&[f64]> {
         let slot = self.slot_mut(robot)?;
-        match sensor {
+        let buf = match sensor {
             None => {
-                slot.staged_u.assign_slice(values);
                 slot.staged_u_arrived = true;
-                Ok(())
+                &mut slot.staged_u
             }
-            Some(sensor) => match slot.staged.get_mut(sensor) {
-                Some(buf) => {
-                    buf.assign_slice(values);
-                    slot.arrived[sensor] = true;
-                    Ok(())
-                }
-                None => Err(CoreError::UnknownSensor {
-                    robot: robot as u64,
-                    sensor,
-                }),
-            },
+            Some(sensor) => {
+                let Some(buf) = slot.staged.get_mut(sensor) else {
+                    return Err(CoreError::UnknownSensor {
+                        robot: robot as u64,
+                        sensor,
+                    });
+                };
+                slot.arrived[sensor] = true;
+                buf
+            }
+        };
+        buf.assign_iter(values);
+        Ok(buf.as_slice())
+    }
+
+    /// [`FleetIngest::offer_slice`] returning the staged values (`None`
+    /// for a rejected stamp), so the shard journals the frame from its
+    /// staging buffer.
+    pub(crate) fn stage_stamped(
+        &mut self,
+        robot: usize,
+        sensor: Option<usize>,
+        values: impl IntoIterator<Item = f64>,
+        tick: u64,
+    ) -> Result<Option<&[f64]>> {
+        if tick != self.tick {
+            self.reject_frame(robot, sensor, tick);
+            return Ok(None);
         }
+        self.stage(robot, sensor, values).map(Some)
     }
 
     /// The stamped offer every other stamped offer wraps: stages
     /// `values` for robot `robot`'s sensor `sensor` (`None`: the planned
     /// command `u_{k-1}`) only when `tick` matches the current staging
     /// window, returning whether it was staged. The stamp is checked
-    /// first, so a rejected frame's values are never touched. A
+    /// first and the indices next, so `values` is a lazy source (a
+    /// slice's `iter().copied()`, or a wire frame's undecoded values)
+    /// that only an admitted frame pulls from, each value once. A
     /// mismatched stamp — a late frame whose window has already
     /// swapped, or a stamp from the future — is dropped, counted
     /// (`ingest.frames_rejected`) and reported as an
@@ -399,14 +427,11 @@ impl FleetIngest {
         &mut self,
         robot: usize,
         sensor: Option<usize>,
-        values: &[f64],
+        values: impl IntoIterator<Item = f64>,
         tick: u64,
     ) -> Result<bool> {
-        if tick != self.tick {
-            self.reject_frame(robot, sensor, tick);
-            return Ok(false);
-        }
-        self.stage(robot, sensor, values).map(|()| true)
+        self.stage_stamped(robot, sensor, values, tick)
+            .map(|staged| staged.is_some())
     }
 
     /// Tick-stamped [`FleetIngest::offer`] (see
@@ -422,7 +447,12 @@ impl FleetIngest {
         reading: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        self.offer_slice(robot, Some(sensor), reading.as_slice(), tick)
+        self.offer_slice(
+            robot,
+            Some(sensor),
+            reading.as_slice().iter().copied(),
+            tick,
+        )
     }
 
     /// Tick-stamped [`FleetIngest::offer_input`] (see
@@ -437,7 +467,7 @@ impl FleetIngest {
         u_prev: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        self.offer_slice(robot, None, u_prev.as_slice(), tick)
+        self.offer_slice(robot, None, u_prev.as_slice().iter().copied(), tick)
     }
 
     fn reject_frame(&self, robot: usize, sensor: Option<usize>, stamp: u64) {
@@ -635,8 +665,9 @@ impl FleetIngest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn out_of_range_offers_are_rejected() {
@@ -710,6 +741,67 @@ mod tests {
         assert_eq!(input.readings[0], r0_new, "fresh arrival wins");
         assert_eq!(input.readings[1], r1, "missing piece held from last tick");
         assert_eq!(input.u_prev, &u, "command held from last tick");
+    }
+
+    /// A value source that counts the values pulled from it.
+    pub(crate) fn counted<'a>(
+        values: &'a [f64],
+        pulled: &'a Cell<usize>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        values
+            .iter()
+            .inspect(move |_| pulled.set(pulled.get() + 1))
+            .copied()
+    }
+
+    /// Values whose bits an arithmetic copy could change: a negative
+    /// zero, a NaN with a payload and a subnormal.
+    pub(crate) const ODD_BITS: [f64; 3] = [-0.0, f64::from_bits(0x7ff8_dead_beef_0001), 1e-310];
+
+    pub(crate) fn assert_bits(got: &[f64], want: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    #[test]
+    fn only_an_admitted_offer_pulls_its_values_once_each() {
+        let mut ingest = FleetIngest::new(&[2]);
+        ingest.swap(); // staging window 1: stamp 0 is stale, 2 is future
+        let pulled = Cell::new(0);
+        let values = ODD_BITS;
+        assert!(matches!(
+            ingest.offer_slice(3, Some(0), counted(&values, &pulled), 1),
+            Err(CoreError::BadReadings { .. })
+        ));
+        assert_eq!(
+            ingest.offer_slice(0, Some(0), counted(&values, &pulled), 0),
+            Ok(false)
+        );
+        assert_eq!(
+            ingest.offer_slice(0, None, counted(&values, &pulled), 2),
+            Ok(false)
+        );
+        assert_eq!(
+            ingest.offer_slice(0, Some(2), counted(&values, &pulled), 1),
+            Err(CoreError::UnknownSensor {
+                robot: 0,
+                sensor: 2
+            })
+        );
+        assert_eq!(pulled.get(), 0, "a rejected offer pulls no value");
+        for piece in [None, Some(0), Some(1)] {
+            pulled.set(0);
+            assert_eq!(
+                ingest.offer_slice(0, piece, counted(&values, &pulled), 1),
+                Ok(true)
+            );
+            assert_eq!(pulled.get(), values.len(), "{piece:?}: each value once");
+        }
+        let slot = &ingest.slots[0];
+        assert_bits(slot.staged_u.as_slice(), &values);
+        for staged in &slot.staged {
+            assert_bits(staged.as_slice(), &values);
+        }
     }
 
     #[test]

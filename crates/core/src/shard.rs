@@ -316,10 +316,13 @@ impl ShardedFleet {
     }
 
     /// The fleet's single offer path: routes `robot`, checks `tick`
-    /// against its shard's staging window, and only then copies
-    /// `values` into the robot's [`FleetIngest`] staging buffer and the
-    /// shard's journal (see [`FleetIngest::offer_slice`]). `sensor` is
-    /// the sensing workflow index, or `None` for the planned actuator
+    /// against its shard's staging window, then the sensor index, and
+    /// only then pulls `values` into the robot's [`FleetIngest`]
+    /// staging buffer, which the shard's journal copies (see
+    /// [`FleetIngest::offer_slice`]). `values` is a lazy source — a
+    /// slice's `iter().copied()`, or a wire frame's undecoded values —
+    /// so a rejected frame's values are never read. `sensor` is the
+    /// sensing workflow index, or `None` for the planned actuator
     /// command `u_{k-1}`. Returns whether the frame was staged. A warm
     /// shard (journal capacity grown over one snapshot period) neither
     /// accepts nor rejects with a heap allocation.
@@ -334,7 +337,7 @@ impl ShardedFleet {
         robot: u64,
         sensor: Option<u32>,
         tick: u64,
-        values: &[f64],
+        values: impl IntoIterator<Item = f64>,
     ) -> Result<bool> {
         self.stage(robot, sensor.map(|i| i as usize), tick, values)
     }
@@ -351,7 +354,12 @@ impl ShardedFleet {
         reading: &Vector,
         tick: u64,
     ) -> Result<bool> {
-        self.stage(robot, Some(sensor), tick, reading.as_slice())
+        self.stage(
+            robot,
+            Some(sensor),
+            tick,
+            reading.as_slice().iter().copied(),
+        )
     }
 
     /// [`ShardedFleet::offer_slice`] for a planned command.
@@ -360,7 +368,7 @@ impl ShardedFleet {
     ///
     /// As [`ShardedFleet::offer_slice`].
     pub fn offer_input(&mut self, robot: u64, u_prev: &Vector, tick: u64) -> Result<bool> {
-        self.stage(robot, None, tick, u_prev.as_slice())
+        self.stage(robot, None, tick, u_prev.as_slice().iter().copied())
     }
 
     fn stage(
@@ -368,16 +376,16 @@ impl ShardedFleet {
         robot: u64,
         sensor: Option<usize>,
         tick: u64,
-        values: &[f64],
+        values: impl IntoIterator<Item = f64>,
     ) -> Result<bool> {
         let &(s, local) = self
             .routing
             .get(&robot)
             .ok_or(CoreError::UnknownRobot { robot })?;
         let shard = &mut self.shards[s];
-        let accepted = shard
+        let staged = shard
             .ingest
-            .offer_slice(local, sensor, values, tick)
+            .stage_stamped(local, sensor, values, tick)
             .map_err(|e| match e {
                 // Name the robot by its global id, not its shard index.
                 CoreError::UnknownSensor { sensor, .. } => {
@@ -385,12 +393,13 @@ impl ShardedFleet {
                 }
                 e => e,
             })?;
-        if accepted {
-            // Staged, so `sensor` is below the robot's sensor count.
-            let sensor = sensor.map(|i| i as u32);
-            shard.journal.push(robot, sensor, tick, values);
-        }
-        Ok(accepted)
+        let Some(values) = staged else {
+            return Ok(false);
+        };
+        // Staged, so `sensor` is below the robot's sensor count.
+        let sensor = sensor.map(|i| i as u32);
+        shard.journal.push(robot, sensor, tick, values);
+        Ok(true)
     }
 
     /// [`ShardedFleet::offer_slice`] for an owned frame.
@@ -399,7 +408,12 @@ impl ShardedFleet {
     ///
     /// As [`ShardedFleet::offer_slice`].
     pub fn offer_frame(&mut self, frame: &StampedFrame) -> Result<bool> {
-        self.offer_slice(frame.robot, frame.sensor, frame.tick, &frame.values)
+        self.offer_slice(
+            frame.robot,
+            frame.sensor,
+            frame.tick,
+            frame.values.iter().copied(),
+        )
     }
 
     /// Crosses the tick boundary on every shard concurrently: each
@@ -525,7 +539,12 @@ impl ShardedFleet {
                         frame.robot
                     ))
                 })?;
-            ingest.offer_slice(local, frame.sensor.map(|i| i as usize), values, frame.tick)?;
+            ingest.offer_slice(
+                local,
+                frame.sensor.map(|i| i as usize),
+                values.iter().copied(),
+                frame.tick,
+            )?;
         }
         while ingest.tick() < target {
             let _ = ingest.step(&mut engine);
@@ -647,7 +666,9 @@ impl ShardedFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::tests::{assert_bits, counted, ODD_BITS};
     use roboads_models::presets;
+    use std::cell::Cell;
 
     fn factory() -> RobotFactory {
         Arc::new(|_id| {
@@ -706,19 +727,74 @@ mod tests {
     fn frames_are_routed_then_stamped_then_journaled() {
         let mut fleet = ShardedFleet::new(&[1, 2], factory(), ShardConfig::default()).unwrap();
         let v = [0.25, -0.5];
-        assert_eq!(fleet.offer_slice(1, None, 0, &v), Ok(true));
+        assert_eq!(fleet.offer_slice(1, None, 0, v), Ok(true));
         // A stale stamp on an unknown sensor is stale, not malformed:
         // the stamp is checked before the sensor index.
-        assert_eq!(fleet.offer_slice(2, Some(9), 5, &v), Ok(false));
+        assert_eq!(fleet.offer_slice(2, Some(9), 5, v), Ok(false));
         assert_eq!(
-            fleet.offer_slice(2, Some(9), 0, &v),
+            fleet.offer_slice(2, Some(9), 0, v),
             Err(CoreError::UnknownSensor {
                 robot: 2,
                 sensor: 9
             })
         );
-        assert_eq!(fleet.offer_slice(2, Some(0), 0, &v), Ok(true));
+        assert_eq!(fleet.offer_slice(2, Some(0), 0, v), Ok(true));
         let journaled: usize = fleet.status().iter().map(|s| s.journal_frames).sum();
         assert_eq!(journaled, 2, "only staged frames are journaled");
+    }
+
+    #[test]
+    fn only_an_admitted_frame_pulls_its_values_into_staging_and_journal() {
+        let config = ShardConfig {
+            shards: 1,
+            ..ShardConfig::default()
+        };
+        let mut fleet = ShardedFleet::new(&[1, 2], factory(), config).unwrap();
+        let _ = fleet.step(); // staging window 1: stamp 0 is stale, 2 is future
+        let pulled = Cell::new(0);
+        let values = ODD_BITS;
+        assert_eq!(
+            fleet.offer_slice(99, Some(9), 0, counted(&values, &pulled)),
+            Err(CoreError::UnknownRobot { robot: 99 })
+        );
+        assert_eq!(
+            fleet.offer_slice(2, Some(9), 0, counted(&values, &pulled)),
+            Ok(false)
+        );
+        assert_eq!(
+            fleet.offer_slice(2, None, 2, counted(&values, &pulled)),
+            Ok(false)
+        );
+        assert_eq!(
+            fleet.offer_slice(2, Some(9), 1, counted(&values, &pulled)),
+            Err(CoreError::UnknownSensor {
+                robot: 2,
+                sensor: 9
+            })
+        );
+        assert_eq!(pulled.get(), 0, "a rejected frame pulls no value");
+        let sensors = fleet.detector(2).unwrap().system().sensor_count() as u32;
+        for piece in std::iter::once(None).chain((0..sensors).map(Some)) {
+            pulled.set(0);
+            assert_eq!(
+                fleet.offer_slice(2, piece, 1, counted(&values, &pulled)),
+                Ok(true)
+            );
+            assert_eq!(pulled.get(), values.len(), "{piece:?}: each value once");
+        }
+        let local = fleet.routing[&2].1;
+        let shard = &mut fleet.shards[0];
+        assert_eq!(shard.journal.len(), 1 + sensors as usize);
+        for (entry, journaled) in shard.journal.frames() {
+            assert_eq!((entry.robot, entry.tick), (2, 1));
+            assert_bits(journaled, &values);
+        }
+        // The slot is complete, so the swap publishes the staged buffers.
+        shard.ingest.swap();
+        let input = shard.ingest.input(local).unwrap();
+        assert_bits(input.u_prev.as_slice(), &values);
+        for reading in input.readings {
+            assert_bits(reading.as_slice(), &values);
+        }
     }
 }

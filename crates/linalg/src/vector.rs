@@ -141,14 +141,16 @@ impl Vector {
     /// is reused, so repeated assignment between same-or-smaller
     /// vectors performs no heap allocation after warm-up.
     pub fn assign(&mut self, src: &Vector) {
-        self.assign_slice(&src.data);
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
-    /// [`Vector::assign`] from a plain slice: overwrites `self` with
-    /// `src`, reusing existing capacity.
-    pub fn assign_slice(&mut self, src: &[f64]) {
+    /// [`Vector::assign`] from any value source: overwrites `self` with
+    /// the values `src` yields, pulling each once and reusing existing
+    /// capacity.
+    pub fn assign_iter(&mut self, src: impl IntoIterator<Item = f64>) {
         self.data.clear();
-        self.data.extend_from_slice(src);
+        self.data.extend(src);
     }
 
     /// Concatenates `self` with `other`.

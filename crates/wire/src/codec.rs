@@ -123,12 +123,6 @@ impl<'a> FrameValues<'a> {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         self.bytes.chunks_exact(8).map(wire::f64_from_le)
     }
-
-    /// Overwrites `out` with the values, reusing its capacity.
-    pub fn decode_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.iter());
-    }
 }
 
 /// One protocol frame decoded in place: [`WireFrame`] with the values

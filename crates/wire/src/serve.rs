@@ -109,11 +109,13 @@ impl ServeSummary {
 /// [`WireFrame::TickEnd`] steps all shards. The stream must open with
 /// a matching [`WireFrame::Hello`].
 ///
-/// Frames are decoded in place ([`FrameDecoder::next_view`]) and their
-/// values into one reused buffer, and the fleet routes and stamp-checks
-/// each frame before copying it, so once the decoder, the staging
-/// buffers and the shard journals are warm a tick between two periodic
-/// snapshots allocates nothing.
+/// Frames are viewed in place ([`FrameDecoder::next_view`]), and the
+/// fleet admits each data frame from its header alone: it routes the
+/// robot, checks the stamp, then the sensor index. Only an admitted
+/// frame's values are decoded, straight into its robot's staging
+/// buffer, from which the shard's journal copies them; a rejected
+/// frame's value bytes are never read. Once the decoder, the staging
+/// buffers and the shard journals are warm, no tick allocates.
 ///
 /// Detection-level step errors (a missed deadline, a robot's numeric
 /// failure) are *not* protocol errors: they are counted in the summary
@@ -131,7 +133,6 @@ pub fn pump<R: Read>(mut stream: R, fleet: &mut ShardedFleet) -> Result<ServeSum
         reason: "data frame before Hello",
     };
     let mut decoder = FrameDecoder::new();
-    let mut values = Vec::new();
     let mut summary = ServeSummary::default();
     let mut greeted = false;
     let mut chunk = [0u8; 8192];
@@ -179,8 +180,7 @@ pub fn pump<R: Read>(mut stream: R, fleet: &mut ShardedFleet) -> Result<ServeSum
             if !greeted {
                 return Err(BEFORE_HELLO);
             }
-            frame_values.decode_into(&mut values);
-            summary.count(fleet.offer_slice(robot, sensor, tick, &values));
+            summary.count(fleet.offer_slice(robot, sensor, tick, frame_values.iter()));
         }
     }
 }

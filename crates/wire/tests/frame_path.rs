@@ -349,6 +349,75 @@ fn pumped_views_equal_owned_offers_across_a_mid_tick_recovery() {
     }
 }
 
+/// A frame that fails several admission checks at once counts under
+/// the first it fails, in the order route → stamp → sensor index,
+/// through `pump` and `offer_frame` alike.
+#[test]
+fn a_frame_failing_several_checks_counts_under_the_first() {
+    let bad = presets::khepera_system().sensor_count() as u32 + 3;
+    let reading = |robot, tick| WireFrame::Reading {
+        robot,
+        sensor: bad,
+        tick,
+        values: vec![0.5, -0.25],
+    };
+    // The staging window is tick 2: stamp 0 is stale and 5 is future.
+    let frames = [
+        (
+            reading(5_000, 0),
+            Err(CoreError::UnknownRobot { robot: 5_000 }),
+        ),
+        (
+            reading(5_001, 5),
+            Err(CoreError::UnknownRobot { robot: 5_001 }),
+        ),
+        (
+            reading(5_002, 2),
+            Err(CoreError::UnknownRobot { robot: 5_002 }),
+        ),
+        (reading(42, 0), Ok(false)),
+        (reading(9000, 5), Ok(false)),
+        (
+            reading(3, 2),
+            Err(CoreError::UnknownSensor {
+                robot: 3,
+                sensor: bad as usize,
+            }),
+        ),
+    ];
+    let expected = Counts {
+        accepted: 0,
+        unknown_robot: 3,
+        stale_stamp: 2,
+        bad_frame: 1,
+    };
+
+    let mut owned_fleet = fleet();
+    let _ = owned_fleet.step();
+    let _ = owned_fleet.step();
+    let mut owned_counts = Counts::default();
+    for (frame, outcome) in &frames {
+        let offered = owned_fleet.offer_frame(&frame.to_stamped().unwrap());
+        assert_eq!(&offered, outcome, "{frame:?}");
+        owned_counts.count(offered);
+    }
+    assert_eq!(owned_counts, expected, "offer_frame counts");
+
+    let mut stream = vec![WireFrame::Hello {
+        version: WIRE_VERSION,
+    }];
+    stream.extend((0..2).map(|tick| WireFrame::TickEnd { tick }));
+    stream.extend(frames.iter().map(|(frame, _)| frame.clone()));
+    stream.push(WireFrame::Bye);
+    let mut pumped_fleet = fleet();
+    let summary = pump(&encode(&stream)[..], &mut pumped_fleet).unwrap();
+    assert!(summary.clean_shutdown);
+    assert_eq!(Counts::of(&summary), expected, "pump counts");
+    for fleet in [&owned_fleet, &pumped_fleet] {
+        assert!(fleet.status().iter().all(|s| s.journal_frames == 0));
+    }
+}
+
 /// A reading frame's payload offsets: kind (1), robot (8), sensor (4),
 /// tick (8), then the `u32` value count at 21 and the values at 25.
 const COUNT_AT: usize = 21;

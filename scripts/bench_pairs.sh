@@ -20,7 +20,11 @@
 # detection metric reads equal in every pair when the change keeps
 # output bits). With --trace every run is a traced run (`--trace 1`,
 # the per-layer metrics), and the per-run lines add
-# `trace.reconcile_pct`.
+# `trace.reconcile_pct`. Below the per-run lines, one line per side
+# counts its runs that printed `correct: false` and, with --trace,
+# those whose `trace.reconcile_pct` is above fleetbench's 10 % limit
+# (`RECONCILE_LIMIT_PCT` in fleetbench/src/traced.rs), so a traced
+# check's flake rate can be reported beside a claim.
 #
 # Nothing under fleetbench/ is written. The temporary directory is made
 # under $TMPDIR (default /tmp) and removed on exit.
@@ -116,6 +120,15 @@ for seed in sorted(runs):
         if trace:
             cols += f"  {r['metrics']['trace.reconcile_pct']['value']:13.2f}"
         print(cols)
+
+RECONCILE_LIMIT_PCT = 10.0
+for side in ("parent", "change"):
+    done = [runs[seed][side] for seed in sorted(runs) if runs[seed].get(side)]
+    line = f"{side}: {len(done)} runs, {sum(not r['correct'] for r in done)} correct: false"
+    if trace:
+        over = sum(r["metrics"]["trace.reconcile_pct"]["value"] > RECONCILE_LIMIT_PCT for r in done)
+        line += f", {over} with trace.reconcile_pct > {RECONCILE_LIMIT_PCT:g} %"
+    print(line)
 
 complete = [p for p in sorted(runs) if all(runs[p].get(s) for s in ("parent", "change"))]
 names = []
